@@ -7,41 +7,58 @@ let header_bytes = 8
 let alloc_cycles = 12
 let free_cycles = 8
 
+(* One exact-size LIFO bin: a stack of chunk base addresses. *)
+type bin = { size : int; chunks : Int_stack.t }
+
 type t = {
   m : Machine.t;
   grow_pages : int;
-  (* exact-size LIFO bins: carved size -> stack of chunk base addresses *)
-  bins : (int, int list ref) Hashtbl.t;
+  (* exact-size bins: carved size -> index into [bins] *)
+  bin_of_size : Int_table.t;
+  mutable bins : bin array;
+  mutable nbins : int;
   mutable wilderness : int;  (* next free byte of the current region *)
   mutable wilderness_end : int;
-  live : (int, int) Hashtbl.t;  (* payload addr -> carved bytes *)
+  live : Int_table.t;  (* payload addr -> carved bytes *)
   mutable allocations : int;
   mutable frees : int;
   mutable bytes_requested : int;
   mutable bytes_reserved : int;
 }
 
+let no_bin = { size = 0; chunks = Int_stack.create 1 }
+
 let create ?(grow_pages = 16) m =
   {
     m;
     grow_pages;
-    bins = Hashtbl.create 64;
+    bin_of_size = Int_table.create 32;
+    bins = Array.make 8 no_bin;
+    nbins = 0;
     wilderness = 0;
     wilderness_end = 0;
-    live = Hashtbl.create 4096;
+    live = Int_table.create 2048;
     allocations = 0;
     frees = 0;
     bytes_requested = 0;
     bytes_reserved = 0;
   }
 
+let new_bin t size =
+  if t.nbins = Array.length t.bins then begin
+    let bigger = Array.make (2 * t.nbins) no_bin in
+    Array.blit t.bins 0 bigger 0 t.nbins;
+    t.bins <- bigger
+  end;
+  let b = { size; chunks = Int_stack.create 16 } in
+  t.bins.(t.nbins) <- b;
+  Int_table.replace t.bin_of_size size t.nbins;
+  t.nbins <- t.nbins + 1;
+  b
+
 let bin t size =
-  match Hashtbl.find_opt t.bins size with
-  | Some r -> r
-  | None ->
-      let r = ref [] in
-      Hashtbl.replace t.bins size r;
-      r
+  let i = Int_table.find_or t.bin_of_size size ~default:(-1) in
+  if i >= 0 then Array.unsafe_get t.bins i else new_bin t size
 
 let carve t need =
   if t.wilderness + need > t.wilderness_end then begin
@@ -63,16 +80,14 @@ let alloc t bytes =
   let need = header_bytes + A.align_up bytes 8 in
   let b = bin t need in
   let base =
-    match !b with
-    | chunk :: rest ->
-        (* LIFO bin reuse: the most recently freed chunk of this size,
-           wherever in the heap it happens to sit *)
-        b := rest;
-        chunk
-    | [] -> carve t need
+    if Int_stack.length b.chunks > 0 then
+      (* LIFO bin reuse: the most recently freed chunk of this size,
+         wherever in the heap it happens to sit *)
+      Int_stack.pop b.chunks
+    else carve t need
   in
   let payload = base + header_bytes in
-  Hashtbl.replace t.live payload need;
+  Int_table.replace t.live payload need;
   (* Header word records the carved size, as a real allocator would. *)
   Memsim.Memory.store32 (Machine.memory t.m) base need;
   Memsim.Memory.fill_zero (Machine.memory t.m) payload ~bytes;
@@ -83,27 +98,33 @@ let alloc t bytes =
 
 let free t payload =
   Machine.busy t.m free_cycles;
-  match Hashtbl.find_opt t.live payload with
-  | None -> invalid_arg "Malloc.free: not an allocated address"
-  | Some carved ->
-      Hashtbl.remove t.live payload;
-      t.frees <- t.frees + 1;
-      t.bytes_reserved <- t.bytes_reserved - carved;
-      let b = bin t carved in
-      b := (payload - header_bytes) :: !b
+  let carved = Int_table.find_or t.live payload ~default:0 in
+  if carved = 0 then invalid_arg "Malloc.free: not an allocated address";
+  Int_table.remove t.live payload;
+  t.frees <- t.frees + 1;
+  t.bytes_reserved <- t.bytes_reserved - carved;
+  Int_stack.push (bin t carved).chunks (payload - header_bytes)
 
 let free_bytes t =
-  Hashtbl.fold (fun size b acc -> acc + (size * List.length !b)) t.bins 0
+  let sum = ref 0 in
+  for i = 0 to t.nbins - 1 do
+    let b = t.bins.(i) in
+    sum := !sum + (b.size * Int_stack.length b.chunks)
+  done;
+  !sum
 
 let check_invariants t =
   (* live payload ranges and binned chunk ranges must be disjoint *)
   let ranges = ref [] in
-  Hashtbl.iter
+  Int_table.iter
     (fun payload carved -> ranges := (payload - header_bytes, carved) :: !ranges)
     t.live;
-  Hashtbl.iter
-    (fun size b -> List.iter (fun base -> ranges := (base, size) :: !ranges) !b)
-    t.bins;
+  for i = 0 to t.nbins - 1 do
+    let b = t.bins.(i) in
+    for j = 0 to Int_stack.length b.chunks - 1 do
+      ranges := (Int_stack.get b.chunks j, b.size) :: !ranges
+    done
+  done;
   let sorted = List.sort compare !ranges in
   let rec go = function
     | [] | [ _ ] -> ()
@@ -120,12 +141,12 @@ let allocator t =
     Allocator.name = "malloc";
     alloc = (fun ?hint ?site bytes -> ignore hint; ignore site; alloc t bytes);
     free = (fun a -> free t a);
-    owns = (fun a -> Hashtbl.mem t.live a);
+    owns = (fun a -> Int_table.mem t.live a);
     stats =
       (fun () ->
         {
           Allocator.allocations = t.allocations;
-          frees = 0 + t.frees;
+          frees = t.frees;
           bytes_requested = t.bytes_requested;
           bytes_reserved = t.bytes_reserved;
         });

@@ -1,5 +1,7 @@
 module A = Memsim.Addr
 module Machine = Memsim.Machine
+module Int_table = Alloc.Int_table
+module Int_stack = Alloc.Int_stack
 
 type strategy = Closest | New_block | First_fit
 
@@ -24,13 +26,24 @@ let header_bytes = 8
 let unit_of bytes = header_bytes + A.align_up bytes 8
 
 
+(* Freed (offset-in-block, unit) slots, kept as singly linked lists
+   threaded through flat arrays: one list per block, its head in the
+   page's [freed] array, and unused cells on a list of their own.  A
+   real allocator must recycle freed memory or churning programs
+   (health!) grow without bound; the flat pool does it without host
+   allocation once it has grown to the program's peak. *)
+type slots = {
+  mutable s_off : int array;
+  mutable s_unit : int array;
+  mutable s_next : int array;  (* -1 ends a list *)
+  mutable s_unused : int;  (* head of the unused cells *)
+}
+
 type page = {
+  id : int;  (* index in [t.page_vec] *)
   base : A.t;
   fill : int array;  (* bump high-water per cache block of this page *)
-  freed : (int * int) list array;
-      (* per block: freed (offset-in-block, unit) slots available for
-         reuse -- a real allocator must recycle freed memory or churning
-         programs (health!) grow without bound *)
+  freed : int array;  (* per block: first freed slot in [t.slots], -1 = none *)
   opened : bool array;
       (* per block: has this block ever received an object?  A LIFO free
          can roll the bump pointer back to 0, so [fill] alone cannot
@@ -47,11 +60,13 @@ type t = {
   pages_per_grow : int;
   block_bytes : int;
   blocks_per_page : int;
-  pages : (int, page) Hashtbl.t;  (* page index -> page *)
-  spans : (int, unit) Hashtbl.t;
+  pages : Int_table.t;  (* page index -> page id *)
+  mutable page_vec : page array;  (* page id -> page *)
+  spans : Int_table.t;
   (* page indices of whole-block span pages: managed memory without
      block-level bookkeeping (one big object per span) *)
-  live : (A.t, int * int) Hashtbl.t;  (* payload -> (page index, bytes) *)
+  live : Int_table.t;  (* payload -> unit (header + payload bytes) *)
+  slots : slots;
   (* Sequential default path for hint-less allocations. *)
   mutable cur_page : page option;
   mutable cur_block : int;
@@ -60,14 +75,15 @@ type t = {
      hint-less objects); the tail of a growing structure thereby lands on
      a page where subsequent hinted allocations keep co-locating. *)
   mutable overflow_page : page option;
-  (* LIFO stacks of (page, block) pairs holding freed slots, segregated
-     by page origin: hint-less allocations recycle only from
-     default/overflow pages, hinted fallbacks only from hinted pages
-     (recently freed memory is also the cache-warm memory, but a freed
-     slot inside a hinted page sits mid-structure, and a cold object
-     there would silently undo the co-location the hints bought). *)
-  mutable reuse : (page * int) list;
-  mutable reuse_hinted : (page * int) list;
+  (* LIFO stacks of blocks ([page id * blocks_per_page + block]) holding
+     freed slots, segregated by page origin: hint-less allocations
+     recycle only from default/overflow pages, hinted fallbacks only
+     from hinted pages (recently freed memory is also the cache-warm
+     memory, but a freed slot inside a hinted page sits mid-structure,
+     and a cold object there would silently undo the co-location the
+     hints bought). *)
+  reuse : Int_stack.t;
+  reuse_hinted : Int_stack.t;
   mutable pages_opened : int;
   mutable blocks_opened : int;
   mutable span_pages : int;
@@ -83,6 +99,10 @@ type t = {
   mutable span_allocs : int;
 }
 
+let no_page =
+  { id = -1; base = A.null; fill = [||]; freed = [||]; opened = [||];
+    hinted = false }
+
 let create ?(strategy = New_block) ?(pages_per_grow = 1) m =
   let block_bytes = Machine.l2_block_bytes m in
   let page_bytes = Machine.page_bytes m in
@@ -92,14 +112,16 @@ let create ?(strategy = New_block) ?(pages_per_grow = 1) m =
     pages_per_grow;
     block_bytes;
     blocks_per_page = page_bytes / block_bytes;
-    pages = Hashtbl.create 512;
-    spans = Hashtbl.create 16;
-    live = Hashtbl.create 4096;
+    pages = Int_table.create 128;
+    page_vec = Array.make 64 no_page;
+    spans = Int_table.create 8;
+    live = Int_table.create 2048;
+    slots = { s_off = [||]; s_unit = [||]; s_next = [||]; s_unused = -1 };
     cur_page = None;
     cur_block = 0;
     overflow_page = None;
-    reuse = [];
-    reuse_hinted = [];
+    reuse = Int_stack.create 16;
+    reuse_hinted = Int_stack.create 16;
     pages_opened = 0;
     blocks_opened = 0;
     span_pages = 0;
@@ -117,26 +139,79 @@ let create ?(strategy = New_block) ?(pages_per_grow = 1) m =
 
 let page_bytes t = Machine.page_bytes t.m
 
+let grow_slots s =
+  let n = Array.length s.s_off in
+  let n' = max 64 (2 * n) in
+  let extend a = Array.append a (Array.make (n' - n) 0) in
+  s.s_off <- extend s.s_off;
+  s.s_unit <- extend s.s_unit;
+  s.s_next <- extend s.s_next;
+  for i = n to n' - 1 do
+    s.s_next.(i) <- (if i = n' - 1 then s.s_unused else i + 1)
+  done;
+  s.s_unused <- n
+
+(* Prepend a freed slot to block [b]'s list. *)
+let add_slot s p b off unit =
+  if s.s_unused < 0 then grow_slots s;
+  let c = s.s_unused in
+  s.s_unused <- s.s_next.(c);
+  s.s_off.(c) <- off;
+  s.s_unit.(c) <- unit;
+  s.s_next.(c) <- p.freed.(b);
+  p.freed.(b) <- c
+
+let rec has_slot s c unit =
+  c >= 0 && (s.s_unit.(c) >= unit || has_slot s s.s_next.(c) unit)
+
+(* First fit within the block's list: take the first slot that fits,
+   leaving its remainder in the same list position when it can still
+   hold an object.  Returns the slot's offset, or -1 when none fits. *)
+let rec take_slot s p b unit prev c =
+  if c < 0 then -1
+  else
+    let u = s.s_unit.(c) in
+    if u >= unit then begin
+      let o = s.s_off.(c) in
+      if u - unit >= header_bytes + 8 then begin
+        s.s_off.(c) <- o + unit;
+        s.s_unit.(c) <- u - unit
+      end
+      else begin
+        let next = s.s_next.(c) in
+        if prev < 0 then p.freed.(b) <- next else s.s_next.(prev) <- next;
+        s.s_next.(c) <- s.s_unused;
+        s.s_unused <- c
+      end;
+      o
+    end
+    else take_slot s p b unit c s.s_next.(c)
+
 let open_page t =
   let base = Machine.reserve_pages t.m t.pages_per_grow in
   (* reserve_pages may hand out multiple pages; register each. *)
-  let first = ref None in
+  let first = ref no_page in
   for i = 0 to t.pages_per_grow - 1 do
     let b = base + (i * page_bytes t) in
+    let id = t.pages_opened in
     let p =
       {
+        id;
         base = b;
         fill = Array.make t.blocks_per_page 0;
-        freed = Array.make t.blocks_per_page [];
+        freed = Array.make t.blocks_per_page (-1);
         opened = Array.make t.blocks_per_page false;
         hinted = false;
       }
     in
-    Hashtbl.replace t.pages (A.page_index b ~page_bytes:(page_bytes t)) p;
+    if id = Array.length t.page_vec then
+      t.page_vec <- Array.append t.page_vec (Array.make id no_page);
+    t.page_vec.(id) <- p;
+    Int_table.replace t.pages (A.page_index b ~page_bytes:(page_bytes t)) id;
     t.pages_opened <- t.pages_opened + 1;
-    if !first = None then first := Some p
+    if !first == no_page then first := p
   done;
-  Option.get !first
+  !first
 
 (* Place a [unit]-byte object (header + payload) in block [b] of [p];
    caller checked it fits (a freed slot or bump room).  Returns the
@@ -148,61 +223,41 @@ let place t p b unit =
   end;
   let off =
     (* prefer recycling a freed slot (first fit within the block) *)
-    let rec take acc = function
-      | [] -> None
-      | (o, u) :: rest when u >= unit ->
-          (* return the remainder to the slot list when it can still
-             hold an object *)
-          let rest =
-            if u - unit >= header_bytes + 8 then (o + unit, u - unit) :: rest
-            else rest
-          in
-          p.freed.(b) <- List.rev_append acc rest;
-          Some o
-      | slot :: rest -> take (slot :: acc) rest
-    in
-    match take [] p.freed.(b) with
-    | Some o -> o
-    | None ->
-        let o = p.fill.(b) in
-        p.fill.(b) <- o + unit;
-        o
+    let o = take_slot t.slots p b unit (-1) p.freed.(b) in
+    if o >= 0 then o
+    else begin
+      let o = p.fill.(b) in
+      p.fill.(b) <- o + unit;
+      o
+    end
   in
   let base = p.base + (b * t.block_bytes) + off in
   let payload = base + header_bytes in
-  let page_idx = A.page_index p.base ~page_bytes:(page_bytes t) in
-  Hashtbl.replace t.live payload (page_idx, unit);
+  Int_table.replace t.live payload unit;
   Memsim.Memory.store32 (Machine.memory t.m) base unit;
   Memsim.Memory.fill_zero (Machine.memory t.m) payload
     ~bytes:(unit - header_bytes);
   payload
 
 let fits t p b unit =
-  p.fill.(b) + unit <= t.block_bytes
-  || List.exists (fun (_, u) -> u >= unit) p.freed.(b)
+  p.fill.(b) + unit <= t.block_bytes || has_slot t.slots p.freed.(b) unit
 
 (* Recycle the most recently freed slot that fits from the stack
    matching the requested page origin, discarding stale entries whose
    slots have already been reused or whose page has since been claimed
-   by hinted allocations. *)
-let try_reuse t ~hinted unit =
-  let get () = if hinted then t.reuse_hinted else t.reuse in
-  let set v = if hinted then t.reuse_hinted <- v else t.reuse <- v in
-  let rec go () =
-    match get () with
-    | [] -> None
-    | (p, b) :: rest ->
-        set rest;
-        if
-          p.hinted = hinted
-          && List.exists (fun (_, u) -> u >= unit) p.freed.(b)
-        then begin
-          t.reuse_hits <- t.reuse_hits + 1;
-          Some (place t p b unit)
-        end
-        else go ()
-  in
-  go ()
+   by hinted allocations.  Returns the payload, or null. *)
+let rec try_reuse t stack ~hinted unit =
+  if Int_stack.length stack = 0 then A.null
+  else begin
+    let e = Int_stack.pop stack in
+    let p = t.page_vec.(e / t.blocks_per_page) in
+    let b = e mod t.blocks_per_page in
+    if p.hinted = hinted && has_slot t.slots p.freed.(b) unit then begin
+      t.reuse_hits <- t.reuse_hits + 1;
+      place t p b unit
+    end
+    else try_reuse t stack ~hinted unit
+  end
 
 (* Hint-less sequential placement: fill the current page block by block. *)
 let rec default_alloc_fresh t size =
@@ -227,37 +282,33 @@ let rec default_alloc_fresh t size =
       end
 
 let default_alloc t unit =
-  match try_reuse t ~hinted:false unit with
-  | Some payload -> payload
-  | None -> default_alloc_fresh t unit
+  let payload = try_reuse t t.reuse ~hinted:false unit in
+  if A.is_null payload then default_alloc_fresh t unit else payload
 
-let strategy_block t p h size =
-  let n = t.blocks_per_page in
+(* Block scans for the placement strategies; -1 when no block qualifies. *)
+let rec first_fit t p unit b =
+  if b >= t.blocks_per_page then -1
+  else if fits t p b unit then b
+  else first_fit t p unit (b + 1)
+
+let rec first_untouched t p b =
+  if b >= t.blocks_per_page then -1
+  else if p.fill.(b) = 0 then b
+  else first_untouched t p (b + 1)
+
+let rec closest t p h unit d =
+  if d >= t.blocks_per_page then -1
+  else
+    let lo = h - d and hi = h + d in
+    if lo >= 0 && fits t p lo unit then lo
+    else if hi < t.blocks_per_page && fits t p hi unit then hi
+    else closest t p h unit (d + 1)
+
+let strategy_block t p h unit =
   match t.strategy with
-  | Closest ->
-      let rec go d =
-        if d >= n then None
-        else
-          let lo = h - d and hi = h + d in
-          if lo >= 0 && fits t p lo size then Some lo
-          else if hi < n && fits t p hi size then Some hi
-          else go (d + 1)
-      in
-      go 1
-  | New_block ->
-      let rec go b =
-        if b >= n then None
-        else if p.fill.(b) = 0 then Some b
-        else go (b + 1)
-      in
-      go 0
-  | First_fit ->
-      let rec go b =
-        if b >= n then None
-        else if fits t p b size then Some b
-        else go (b + 1)
-      in
-      go 0
+  | Closest -> closest t p h unit 1
+  | New_block -> first_untouched t p 0
+  | First_fit -> first_fit t p unit 0
 
 (* Hinted allocation whose hint page is full: apply the strategy on the
    current overflow page, opening a fresh one when it too is exhausted. *)
@@ -269,25 +320,21 @@ let rec overflow_alloc_fresh t unit =
   | Some p ->
       (* always first-fit here: the paper's strategies choose a block on
          the *hint's* page; overflow placement just needs density *)
-      let rec scan b =
-        if b >= t.blocks_per_page then None
-        else if fits t p b unit then Some b
-        else scan (b + 1)
-      in
-      (match scan 0 with
-      | Some b ->
-          (* overflow pages only ever receive hinted spill, so their
-             freed slots stay on the hinted side of the reuse split *)
-          p.hinted <- true;
-          place t p b unit
-      | None ->
-          t.overflow_page <- Some (open_page t);
-          overflow_alloc_fresh t unit)
+      let b = first_fit t p unit 0 in
+      if b >= 0 then begin
+        (* overflow pages only ever receive hinted spill, so their
+           freed slots stay on the hinted side of the reuse split *)
+        p.hinted <- true;
+        place t p b unit
+      end
+      else begin
+        t.overflow_page <- Some (open_page t);
+        overflow_alloc_fresh t unit
+      end
 
 let overflow_alloc t unit =
-  match try_reuse t ~hinted:true unit with
-  | Some payload -> payload
-  | None -> overflow_alloc_fresh t unit
+  let payload = try_reuse t t.reuse_hinted ~hinted:true unit in
+  if A.is_null payload then overflow_alloc_fresh t unit else payload
 
 (* Objects wider than a block get whole-block spans on dedicated pages;
    the payload starts block-aligned and the header lives in the preceding
@@ -298,16 +345,15 @@ let span_alloc t unit =
   let pages = (bytes + page_bytes t - 1) / page_bytes t in
   let base = Machine.reserve_pages t.m pages in
   for i = 0 to pages - 1 do
-    Hashtbl.replace t.spans
+    Int_table.replace t.spans
       (A.page_index (base + (i * page_bytes t)) ~page_bytes:(page_bytes t))
-      ()
+      0
   done;
   t.span_allocs <- t.span_allocs + 1;
   t.span_pages <- t.span_pages + pages;
   t.blocks_opened <- t.blocks_opened + blocks;
   let payload = base + t.block_bytes in
-  Hashtbl.replace t.live payload
-    (A.page_index base ~page_bytes:(page_bytes t), unit);
+  Int_table.replace t.live payload unit;
   Memsim.Memory.store32 (Machine.memory t.m) base unit;
   Memsim.Memory.fill_zero (Machine.memory t.m) payload
     ~bytes:(unit - header_bytes);
@@ -323,68 +369,79 @@ let alloc t ?(hint = A.null) bytes =
   else if A.is_null hint then default_alloc t unit
   else
     let page_idx = A.page_index hint ~page_bytes:(page_bytes t) in
-    match Hashtbl.find_opt t.pages page_idx with
-    | None ->
-        if Hashtbl.mem t.spans page_idx then begin
-          (* Hint points at a span object: managed memory, but the page
-             is dedicated to one oversized object, so block-level
-             placement beside it is impossible — same outcome as an
-             exhausted hint page, not an unmanaged hint. *)
-          t.hinted <- t.hinted + 1;
+    let id = Int_table.find_or t.pages page_idx ~default:(-1) in
+    if id < 0 then
+      if Int_table.mem t.spans page_idx then begin
+        (* Hint points at a span object: managed memory, but the page
+           is dedicated to one oversized object, so block-level
+           placement beside it is impossible — same outcome as an
+           exhausted hint page, not an unmanaged hint. *)
+        t.hinted <- t.hinted + 1;
+        t.strategy_fallbacks <- t.strategy_fallbacks + 1;
+        overflow_alloc t unit
+      end
+      else begin
+        (* Hint points outside ccmalloc-managed memory; treat as no
+           hint. *)
+        t.hint_unmanaged <- t.hint_unmanaged + 1;
+        default_alloc t unit
+      end
+    else begin
+      let p = t.page_vec.(id) in
+      t.hinted <- t.hinted + 1;
+      p.hinted <- true;
+      let h = A.offset_in_page hint ~page_bytes:(page_bytes t) / t.block_bytes in
+      if fits t p h unit then begin
+        t.hinted_same_block <- t.hinted_same_block + 1;
+        t.hinted_same_page <- t.hinted_same_page + 1;
+        place t p h unit
+      end
+      else begin
+        let b = strategy_block t p h unit in
+        if b >= 0 then begin
+          t.hinted_same_page <- t.hinted_same_page + 1;
+          place t p b unit
+        end
+        else begin
           t.strategy_fallbacks <- t.strategy_fallbacks + 1;
           overflow_alloc t unit
         end
-        else begin
-          (* Hint points outside ccmalloc-managed memory; treat as no
-             hint. *)
-          t.hint_unmanaged <- t.hint_unmanaged + 1;
-          default_alloc t unit
-        end
-    | Some p ->
-        t.hinted <- t.hinted + 1;
-        p.hinted <- true;
-        let h = A.offset_in_page hint ~page_bytes:(page_bytes t) / t.block_bytes in
-        if fits t p h unit then begin
-          t.hinted_same_block <- t.hinted_same_block + 1;
-          t.hinted_same_page <- t.hinted_same_page + 1;
-          place t p h unit
-        end
-        else begin
-          match strategy_block t p h unit with
-          | Some b ->
-              t.hinted_same_page <- t.hinted_same_page + 1;
-              place t p b unit
-          | None ->
-              t.strategy_fallbacks <- t.strategy_fallbacks + 1;
-              overflow_alloc t unit
-        end
+      end
+    end
 
 let free t payload =
   Machine.busy t.m free_cycles;
-  match Hashtbl.find_opt t.live payload with
-  | None -> invalid_arg "Ccmalloc.free: not an allocated address"
-  | Some (page_idx, unit) ->
-      Hashtbl.remove t.live payload;
-      t.frees <- t.frees + 1;
-      (match Hashtbl.find_opt t.pages page_idx with
-      | None -> ()  (* span object: address space is simply retired *)
-      | Some p ->
-          let addr = payload - header_bytes in
-          let off = A.offset_in_page addr ~page_bytes:(page_bytes t) in
-          let b = off / t.block_bytes in
-          let in_block = off - (b * t.block_bytes) in
-          if p.fill.(b) = in_block + unit then
-            (* the block's most recent object: shrink the bump pointer *)
-            p.fill.(b) <- in_block
-          else begin
-            p.freed.(b) <- (in_block, unit) :: p.freed.(b);
-            if p.hinted then t.reuse_hinted <- (p, b) :: t.reuse_hinted
-            else t.reuse <- (p, b) :: t.reuse
-          end)
+  let unit = Int_table.find_or t.live payload ~default:0 in
+  if unit = 0 then invalid_arg "Ccmalloc.free: not an allocated address";
+  Int_table.remove t.live payload;
+  t.frees <- t.frees + 1;
+  (* the payload sits on its object's page; span pages are not in
+     [pages], and a span's address space is simply retired *)
+  let id =
+    Int_table.find_or t.pages
+      (A.page_index payload ~page_bytes:(page_bytes t))
+      ~default:(-1)
+  in
+  if id >= 0 then begin
+    let p = t.page_vec.(id) in
+    let addr = payload - header_bytes in
+    let off = A.offset_in_page addr ~page_bytes:(page_bytes t) in
+    let b = off / t.block_bytes in
+    let in_block = off - (b * t.block_bytes) in
+    if p.fill.(b) = in_block + unit then
+      (* the block's most recent object: shrink the bump pointer *)
+      p.fill.(b) <- in_block
+    else begin
+      add_slot t.slots p b in_block unit;
+      Int_stack.push
+        (if p.hinted then t.reuse_hinted else t.reuse)
+        ((p.id * t.blocks_per_page) + b)
+    end
+  end
 
 let manages t addr =
   let idx = A.page_index addr ~page_bytes:(page_bytes t) in
-  Hashtbl.mem t.pages idx || Hashtbl.mem t.spans idx
+  Int_table.mem t.pages idx || Int_table.mem t.spans idx
 
 let pages_opened t = t.pages_opened + t.span_pages
 let blocks_opened t = t.blocks_opened
@@ -442,7 +499,7 @@ let allocator t =
     Alloc.Allocator.name = "ccmalloc-" ^ strategy_name t.strategy;
     alloc = (fun ?hint ?site bytes -> ignore site; alloc t ?hint bytes);
     free = (fun a -> free t a);
-    owns = (fun a -> Hashtbl.mem t.live a);
+    owns = (fun a -> Int_table.mem t.live a);
     stats =
       (fun () ->
         {

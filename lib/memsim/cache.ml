@@ -17,6 +17,7 @@ type t = {
   mutable tick : int;
   stats : stats;
   (* precomputed geometry so the hot path never divides *)
+  assoc : int;
   block_shift : int;
   set_mask : int;
   write_back : bool;
@@ -49,6 +50,7 @@ let create cfg =
     last_use = Array.make n 0;
     tick = 0;
     stats = fresh_stats ();
+    assoc = cfg.Cache_config.assoc;
     block_shift = Addr.log2 cfg.Cache_config.block_bytes;
     set_mask = cfg.Cache_config.sets - 1;
     write_back = cfg.Cache_config.policy = Cache_config.Write_back;
@@ -59,16 +61,21 @@ let create cfg =
 
 let config t = t.cfg
 
-(* Allocation-free way lookup: absolute index, or -1 when absent.
-   [base + w] is in range by construction ([set] < sets, [w] < assoc). *)
-let find_way t set tag =
-  let base = set * t.cfg.assoc in
-  let rec go w =
-    if w = t.cfg.assoc then -1
-    else if Array.unsafe_get t.tags (base + w) = tag then base + w
-    else go (w + 1)
-  in
-  go 0
+(* Allocation-free way lookup: absolute index, or -1 when absent.  The
+   scan is a top-level recursive function (a local [let rec] would
+   allocate its closure on every call without flambda), and the
+   direct-mapped case needs no scan at all.  [set * assoc + w] is in
+   range by construction ([set] < sets, [w] < assoc). *)
+let rec find_from tags tag i stop =
+  if i = stop then -1
+  else if Array.unsafe_get tags i = tag then i
+  else find_from tags tag (i + 1) stop
+
+let[@inline] find_way t set tag =
+  if t.assoc = 1 then if Array.unsafe_get t.tags set = tag then set else -1
+  else
+    let base = set * t.assoc in
+    find_from t.tags tag base (base + t.assoc)
 
 (* The pre-fastpath lookup, kept verbatim as the reference arm: the
    [Some] it returns on every hit is exactly the per-access allocation
@@ -83,20 +90,24 @@ let find_way_opt t set tag =
   go 0
 
 let victim_way t set =
-  (* Prefer an invalid way; otherwise the least-recently-used one. *)
-  let base = set * t.cfg.assoc in
-  let best = ref base in
-  let found_invalid = ref (t.tags.(base) = -1) in
-  for w = 1 to t.cfg.assoc - 1 do
-    let i = base + w in
-    if not !found_invalid then
-      if t.tags.(i) = -1 then begin
-        best := i;
-        found_invalid := true
-      end
-      else if t.last_use.(i) < t.last_use.(!best) then best := i
-  done;
-  !best
+  (* Prefer an invalid way; otherwise the least-recently-used one.  A
+     direct-mapped set has only the one candidate. *)
+  if t.assoc = 1 then set
+  else begin
+    let base = set * t.assoc in
+    let best = ref base in
+    let found_invalid = ref (t.tags.(base) = -1) in
+    for w = 1 to t.assoc - 1 do
+      let i = base + w in
+      if not !found_invalid then
+        if t.tags.(i) = -1 then begin
+          best := i;
+          found_invalid := true
+        end
+        else if t.last_use.(i) < t.last_use.(!best) then best := i
+    done;
+    !best
+  end
 
 let[@inline] touch t i =
   t.tick <- t.tick + 1;
@@ -121,18 +132,14 @@ let[@inline] record_hit t ~write i =
   touch t i;
   if write && t.write_back then Array.unsafe_set t.dirty i true
 
-let access_fast t ~write a =
+(* The full lookup, without the MRU memo probe: for callers that have
+   just probed the memo and missed it. *)
+let lookup t ~write a =
   let tag = a lsr t.block_shift in
   let set = tag land t.set_mask in
   if write then t.stats.writes <- t.stats.writes + 1
   else t.stats.reads <- t.stats.reads + 1;
-  let i =
-    if set = t.mru_set && Array.unsafe_get t.tags t.mru_idx = tag then begin
-      t.mru_hits <- t.mru_hits + 1;
-      t.mru_idx
-    end
-    else find_way t set tag
-  in
+  let i = find_way t set tag in
   if i >= 0 then begin
     record_hit t ~write i;
     t.mru_set <- set;
@@ -168,13 +175,10 @@ let access_ref t ~write a =
       ignore i;
       false
 
-let access t ~write a =
-  if !Fastpath.enabled then access_fast t ~write a else access_ref t ~write a
-
-(* No [Fastpath] check here: the callers ({!Hierarchy.access} and
-   {!Hierarchy.try_hit}) guard on the flag once per access, so the memo
-   probe itself is branch-minimal.  [mru_idx] is always a valid index
-   (it only ever holds values produced by [fill] or [find_way]). *)
+(* No [Fastpath] check here: the callers ({!Hierarchy} and {!Machine})
+   guard on the flag once per access, so the memo probe itself is
+   branch-minimal.  [mru_idx] is always a valid index (it only ever
+   holds values produced by [fill] or [find_way]). *)
 let[@inline] mru_hit t ~write a =
   let tag = a lsr t.block_shift in
   let set = tag land t.set_mask in
@@ -187,16 +191,20 @@ let[@inline] mru_hit t ~write a =
   end
   else false
 
+let access t ~write a =
+  if !Fastpath.enabled then mru_hit t ~write a || lookup t ~write a
+  else access_ref t ~write a
+
 let mru_filter_hits t = t.mru_hits
 
 let probe t a =
-  let set = Cache_config.set_of_addr t.cfg a in
-  let tag = Cache_config.tag_of_addr t.cfg a in
+  let tag = a lsr t.block_shift in
+  let set = tag land t.set_mask in
   find_way t set tag >= 0
 
 let install t ?(prefetch = false) a =
-  let set = Cache_config.set_of_addr t.cfg a in
-  let tag = Cache_config.tag_of_addr t.cfg a in
+  let tag = a lsr t.block_shift in
+  let set = tag land t.set_mask in
   if find_way t set tag < 0 then begin
     ignore (fill t set tag ~dirty:false);
     if prefetch then
@@ -204,8 +212,8 @@ let install t ?(prefetch = false) a =
   end
 
 let invalidate t a =
-  let set = Cache_config.set_of_addr t.cfg a in
-  let tag = Cache_config.tag_of_addr t.cfg a in
+  let tag = a lsr t.block_shift in
+  let set = tag land t.set_mask in
   let i = find_way t set tag in
   if i >= 0 then begin
     t.tags.(i) <- -1;

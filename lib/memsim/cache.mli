@@ -25,7 +25,8 @@ val access : t -> write:bool -> Addr.t -> bool
     evicting the LRU way of its set.  Statistics are updated.
 
     When {!Fastpath.enabled} (the default) the lookup goes through an
-    allocation-free scan fronted by an MRU block filter — a memo of the
+    allocation-free scan (none at all when the cache is direct-mapped)
+    fronted by an MRU block filter — a memo of the
     last line that served a hit or fill, so repeated same-block accesses
     (the common case for clustered layouts) skip the associative scan.
     Hits and misses, LRU order and every statistic are bit-identical to
@@ -41,6 +42,13 @@ val mru_hit : t -> write:bool -> Addr.t -> bool
     once per access so the probe itself stays branch-minimal.  Calling
     it with the fast path off is harmless (the accounting is identical
     to {!access}'s hit arm) but defeats the differential comparison. *)
+
+val lookup : t -> write:bool -> Addr.t -> bool
+(** {!access}'s fast arm without the MRU filter probe, for callers that
+    have just probed with {!mru_hit} and missed: the probe would miss
+    again, so it is skipped.  Like {!mru_hit} it does not consult
+    {!Fastpath.enabled}.  The fast arm of {!access} is exactly
+    [mru_hit t ~write a || lookup t ~write a]. *)
 
 val mru_filter_hits : t -> int
 (** Accesses served by the MRU filter without an associative scan

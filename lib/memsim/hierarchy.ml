@@ -52,23 +52,25 @@ let l2_block_base t a =
 
 let fill_latency t = t.lat.l1_miss + t.lat.l2_miss
 
-let pend_find t blk =
-  let rec go i =
-    if i = t.mshrs then -1 else if t.pend_blk.(i) = blk then i else go (i + 1)
-  in
-  if t.pend_count = 0 then -1 else go 0
+(* MSHR slot scans are top-level recursive functions: a local [let rec]
+   would allocate its closure on every call without flambda. *)
+let rec pend_find_from t blk i =
+  if i = t.mshrs then -1
+  else if Array.unsafe_get t.pend_blk i = blk then i
+  else pend_find_from t blk (i + 1)
 
-let pend_add t blk ready =
-  let rec go i =
-    if i = t.mshrs then assert false
-    else if t.pend_blk.(i) = -1 then begin
-      t.pend_blk.(i) <- blk;
-      t.pend_ready.(i) <- ready;
-      t.pend_count <- t.pend_count + 1
-    end
-    else go (i + 1)
-  in
-  go 0
+let pend_find t blk = if t.pend_count = 0 then -1 else pend_find_from t blk 0
+
+let rec pend_add_from t blk ready i =
+  if i = t.mshrs then assert false
+  else if t.pend_blk.(i) = -1 then begin
+    t.pend_blk.(i) <- blk;
+    t.pend_ready.(i) <- ready;
+    t.pend_count <- t.pend_count + 1
+  end
+  else pend_add_from t blk ready (i + 1)
+
+let pend_add t blk ready = pend_add_from t blk ready 0
 
 let pend_remove t i =
   t.pend_blk.(i) <- -1;
@@ -107,50 +109,40 @@ let next_line_prefetch t ~now a =
     end
   end
 
-let access_walk t ~now ~write ~tlb_cycles a =
-  let cycles =
-    if Cache.access t.l1 ~write a then t.lat.l1_hit
-    else if Cache.access t.l2 ~write a then t.lat.l1_hit + t.lat.l1_miss
-    else begin
-      (* L2 miss; an in-flight prefetch absorbs part of the latency *)
-      let blk = l2_block_base t a in
-      let slot = pend_find t blk in
-      if slot >= 0 then begin
-        let ready = t.pend_ready.(slot) in
-        pend_remove t slot;
-        (* never worse than a plain demand miss: the controller simply
-           reissues the fetch if the prefetch is still far out *)
-        let remaining = min (max 0 (ready - now)) t.lat.l2_miss in
-        t.consumed <- t.consumed + 1;
-        t.saved <- t.saved + (t.lat.l2_miss - remaining);
-        t.lat.l1_hit + t.lat.l1_miss + remaining
-      end
-      else begin
-        if t.hw_prefetch then next_line_prefetch t ~now a;
-        t.lat.l1_hit + t.lat.l1_miss + t.lat.l2_miss
-      end
+(* Everything below a demand L1 miss.  [Cache.access] on the L2 keeps
+   the L2's own MRU filter (and the reference arm when the fast path is
+   off). *)
+let below_l1 t ~now ~write a =
+  if Cache.access t.l2 ~write a then t.lat.l1_hit + t.lat.l1_miss
+  else begin
+    (* L2 miss; an in-flight prefetch absorbs part of the latency *)
+    let blk = l2_block_base t a in
+    let slot = pend_find t blk in
+    if slot >= 0 then begin
+      let ready = t.pend_ready.(slot) in
+      pend_remove t slot;
+      (* never worse than a plain demand miss: the controller simply
+         reissues the fetch if the prefetch is still far out *)
+      let remaining = min (max 0 (ready - now)) t.lat.l2_miss in
+      t.consumed <- t.consumed + 1;
+      t.saved <- t.saved + (t.lat.l2_miss - remaining);
+      t.lat.l1_hit + t.lat.l1_miss + remaining
     end
-  in
-  cycles + tlb_cycles
+    else begin
+      if t.hw_prefetch then next_line_prefetch t ~now a;
+      t.lat.l1_hit + t.lat.l1_miss + t.lat.l2_miss
+    end
+  end
 
+let access_after_probe t ~now ~write a =
+  if Cache.lookup t.l1 ~write a then t.lat.l1_hit else below_l1 t ~now ~write a
+
+(* With the fast path on, [Cache.access] on the L1 is its MRU filter
+   probe followed, on a filter miss, by the lookup that skips it. *)
 let access t ~now ~write a =
-  match t.tlb with
-  | None ->
-      (* L1-resident block filter: when the L1's MRU memo proves the
-         access hits, the whole two-level walk (and the set/tag
-         decomposition of the full L1 lookup) is skipped.  [mru_hit]
-         performs the demand-hit accounting itself; the [Fastpath] guard
-         lives here so the memo probe is branch-free inside. *)
-      if !Fastpath.enabled && Cache.mru_hit t.l1 ~write a then t.lat.l1_hit
-      else access_walk t ~now ~write ~tlb_cycles:0 a
-  | Some tlb -> access_walk t ~now ~write ~tlb_cycles:(Tlb.access tlb a) a
-
-(* Callers ({!Machine}) check [Fastpath.enabled] before dispatching here,
-   so this probe skips the flag read. *)
-let[@inline] try_hit t ~write a =
-  match t.tlb with
-  | None -> if Cache.mru_hit t.l1 ~write a then t.lat.l1_hit else -1
-  | Some _ -> -1
+  let tlb = match t.tlb with None -> 0 | Some tlb -> Tlb.access tlb a in
+  if Cache.access t.l1 ~write a then tlb + t.lat.l1_hit
+  else tlb + below_l1 t ~now ~write a
 
 let access_range t ~now ~write a ~bytes =
   if bytes <= 0 then invalid_arg "Hierarchy.access_range: bytes <= 0";

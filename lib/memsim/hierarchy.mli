@@ -44,17 +44,16 @@ val access : t -> now:int -> write:bool -> Addr.t -> int
     cycles including the L1 hit time.  A pending prefetch of the target
     block reduces the stall to the cycles still outstanding.
 
-    When {!Fastpath.enabled} and no TLB is configured, an L1-resident
-    block filter (the L1's MRU memo) short-circuits the two-level walk
-    on repeated same-block accesses; results are bit-identical. *)
+    When {!Fastpath.enabled}, an L1-resident block filter (the L1's MRU
+    memo) short-circuits the two-level walk on repeated same-block
+    accesses; results are bit-identical. *)
 
-val try_hit : t -> write:bool -> Addr.t -> int
-(** Fast-path attempt for callers that compute [now] lazily: if the
-    L1-resident block filter proves the access hits (no TLB configured,
-    MRU memo match), account the hit and return its latency; otherwise
-    do nothing and return [-1] — the caller must then run the full
-    {!access} walk.  Callers are expected to check {!Fastpath.enabled}
-    before dispatching here; the probe itself does not read the flag. *)
+val access_after_probe : t -> now:int -> write:bool -> Addr.t -> int
+(** The two-level walk of {!access}, without the TLB and without the L1
+    filter probe, for callers that have just probed {!Cache.mru_hit} on
+    the L1 and missed: with the TLB translation, this is {!access}'s fast
+    arm, split so that {!Machine} can probe the filter itself.  Like the
+    probe it does not consult {!Fastpath.enabled}. *)
 
 val access_range : t -> now:int -> write:bool -> Addr.t -> bytes:int -> int
 (** Like {!access} but touches every L1 block overlapped by

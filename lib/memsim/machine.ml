@@ -5,13 +5,12 @@ type t = {
   mem : Memory.t;
   hier : Hierarchy.t;
   cost : Cost.t;
-  (* hot-path shortcuts, all fixed at creation: the L1 cache and hit
-     latency let the fast arms probe the MRU filter without going
-     through {!Hierarchy.try_hit}'s dispatch, and [no_tlb] gates them
-     (with a TLB every access must pay the TLB walk) *)
+  (* hot-path shortcuts, all fixed at creation: the TLB, the L1 cache and
+     its hit latency let the fast arms translate and probe the MRU filter
+     themselves *)
+  tlb : Tlb.t option;
   l1 : Cache.t;
   l1_hit_lat : int;
-  no_tlb : bool;
   mutable brk : Addr.t;
   mutable tracer : (bool -> Addr.t -> unit) option;
   mutable subs : (subscription * (bool -> Addr.t -> unit)) list;
@@ -31,9 +30,9 @@ let create (cfg : Config.t) =
     mem = Memory.create ();
     hier;
     cost = Cost.create ();
+    tlb = Hierarchy.tlb hier;
     l1 = Hierarchy.l1 hier;
     l1_hit_lat = (Hierarchy.latencies hier).Hierarchy.l1_hit;
-    no_tlb = Hierarchy.tlb hier = None;
     (* Start allocation at one page so address 0 stays null. *)
     brk = cfg.page_bytes;
     tracer = None;
@@ -59,11 +58,11 @@ let reserve t ~bytes ~align =
 let reserve_pages t n = reserve t ~bytes:(n * t.cfg.page_bytes) ~align:t.cfg.page_bytes
 let reserved_bytes t = t.brk
 
-let charge_load t lat =
+let[@inline] charge_load t lat =
   t.cost.Cost.busy <- t.cost.Cost.busy + 1;
   t.cost.Cost.load_stall <- t.cost.Cost.load_stall + (lat - 1)
 
-let charge_store t lat =
+let[@inline] charge_store t lat =
   t.cost.Cost.busy <- t.cost.Cost.busy + 1;
   t.cost.Cost.store_stall <- t.cost.Cost.store_stall + (lat - 1)
 
@@ -106,23 +105,22 @@ let unsubscribe t id =
   rebuild_notify t
 
 (* Timed word accessors.  When no tracer or subscriber is attached and
-   the fast path is on, the trace fan-out, the absolute-cycle
-   computation (only needed by the prefetch engine on L2 misses) and the
-   full hierarchy walk all collapse into one monomorphic hit path:
-   unprofiled runs pay zero observer cost. *)
+   the fast path is on, the trace fan-out and the full hierarchy walk
+   collapse into one monomorphic path: the TLB (if any), one L1 filter
+   probe, and on a filter miss the walk that skips the probe.  The
+   absolute cycle [now] is computed only on that miss path, where the
+   prefetch engine needs it.  Unprofiled runs pay zero observer cost. *)
+
+let[@inline] fast_latency t ~write a =
+  let tlb = match t.tlb with None -> 0 | Some tlb -> Tlb.access tlb a in
+  if Cache.mru_hit t.l1 ~write a then t.l1_hit_lat + tlb
+  else Hierarchy.access_after_probe t.hier ~now:(now t) ~write a + tlb
 
 let load32 t a =
   match t.notify with
   | None when !Fastpath.enabled ->
-      if t.no_tlb && Cache.mru_hit t.l1 ~write:false a then begin
-        t.cost.Cost.busy <- t.cost.Cost.busy + 1;
-        t.cost.Cost.load_stall <- t.cost.Cost.load_stall + (t.l1_hit_lat - 1);
-        Memory.load32_fast t.mem a
-      end
-      else begin
-        charge_load t (Hierarchy.access t.hier ~now:(now t) ~write:false a);
-        Memory.load32_fast t.mem a
-      end
+      charge_load t (fast_latency t ~write:false a);
+      Memory.load32_fast t.mem a
   | _ ->
       trace t false a;
       charge_load t (Hierarchy.access t.hier ~now:(now t) ~write:false a);
@@ -131,15 +129,8 @@ let load32 t a =
 let store32 t a v =
   match t.notify with
   | None when !Fastpath.enabled ->
-      if t.no_tlb && Cache.mru_hit t.l1 ~write:true a then begin
-        t.cost.Cost.busy <- t.cost.Cost.busy + 1;
-        t.cost.Cost.store_stall <- t.cost.Cost.store_stall + (t.l1_hit_lat - 1);
-        Memory.store32_fast t.mem a v
-      end
-      else begin
-        charge_store t (Hierarchy.access t.hier ~now:(now t) ~write:true a);
-        Memory.store32_fast t.mem a v
-      end
+      charge_store t (fast_latency t ~write:true a);
+      Memory.store32_fast t.mem a v
   | _ ->
       trace t true a;
       charge_store t (Hierarchy.access t.hier ~now:(now t) ~write:true a);
@@ -148,15 +139,8 @@ let store32 t a v =
 let load32s t a =
   match t.notify with
   | None when !Fastpath.enabled ->
-      if t.no_tlb && Cache.mru_hit t.l1 ~write:false a then begin
-        t.cost.Cost.busy <- t.cost.Cost.busy + 1;
-        t.cost.Cost.load_stall <- t.cost.Cost.load_stall + (t.l1_hit_lat - 1);
-        Memory.load32s_fast t.mem a
-      end
-      else begin
-        charge_load t (Hierarchy.access t.hier ~now:(now t) ~write:false a);
-        Memory.load32s_fast t.mem a
-      end
+      charge_load t (fast_latency t ~write:false a);
+      Memory.load32s_fast t.mem a
   | _ ->
       trace t false a;
       charge_load t (Hierarchy.access t.hier ~now:(now t) ~write:false a);

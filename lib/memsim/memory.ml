@@ -168,9 +168,13 @@ let blit t ~src ~dst ~bytes =
   done
 
 let fill_zero t a ~bytes =
-  for i = 0 to bytes - 1 do
-    store8 t (a + i) 0
-  done
+  let o = off t a in
+  if bytes > 0 && o + bytes <= t.chunk_bytes then
+    Bytes.fill (chunk t a) o bytes '\000'
+  else
+    for i = 0 to bytes - 1 do
+      store8 t (a + i) 0
+    done
 
 let chunks_allocated t = t.materialized
 let chunk_bytes t = t.chunk_bytes

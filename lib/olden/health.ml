@@ -2,6 +2,7 @@ module A = Memsim.Addr
 module Machine = Memsim.Machine
 module Ll = Structures.Linked_list
 module Rng = Workload.Rng
+module Int_stack = Alloc.Int_stack
 
 type params = {
   levels : int;
@@ -83,67 +84,69 @@ let move_patient ctx src dst node =
   free_cell ctx node;
   ignore (Ll.append dst pat)
 
-let collect_nodes (ctx : Common.ctx) l =
-  (* snapshot node addresses so mutation during the walk is safe; the
-     walk itself is timed.  Under Sw_prefetch the walk greedily
-     prefetches each successor (Luk-Mowry). *)
+(* Snapshot the node addresses of [l] into [w], in list order, so
+   mutation during the walk is safe; the walk itself is timed.  Under
+   Sw_prefetch the walk greedily prefetches each successor (Luk-Mowry).
+   [w] is one buffer reused by every walk of a run. *)
+let collect_nodes (ctx : Common.ctx) w l =
   let m = l.Ll.m in
-  let acc = ref [] in
-  let rec go cur =
-    if not (A.is_null cur) then begin
-      let next = Machine.load_ptr m (cur + Ll.off_forward) in
-      if ctx.Common.sw_prefetch then Machine.prefetch m next;
-      acc := cur :: !acc;
-      go next
-    end
-  in
-  go l.Ll.head;
-  List.rev !acc
+  Int_stack.clear w;
+  let cur = ref l.Ll.head in
+  while not (A.is_null !cur) do
+    let next = Machine.load_ptr m (!cur + Ll.off_forward) in
+    if ctx.Common.sw_prefetch then Machine.prefetch m next;
+    Int_stack.push w !cur;
+    cur := next
+  done
 
-let step_village (ctx : Common.ctx) villages v processed =
+let step_village (ctx : Common.ctx) w villages v processed =
   let m = ctx.Common.machine in
   (* check_inside: patients under treatment *)
-  List.iter
-    (fun node ->
+  collect_nodes ctx w v.inside;
+  for k = 0 to Int_stack.length w - 1 do
+    let node = Int_stack.get w k in
+    let pat = Machine.load32 m (node + Ll.off_data) in
+    let left = Machine.load32s m (pat + off_left_t) in
+    Machine.busy m 1;
+    if left <= 1 then begin
       let pat = Machine.load32 m (node + Ll.off_data) in
-      let left = Machine.load32s m (pat + off_left_t) in
-      Machine.busy m 1;
-      if left <= 1 then begin
-        let pat = Machine.load32 m (node + Ll.off_data) in
-        Ll.remove v.inside node;
-        free_cell ctx node;
-        if ctx.Common.alloc.Alloc.Allocator.owns pat then
-          ctx.Common.alloc.Alloc.Allocator.free pat;
-        incr processed
-      end
-      else Machine.store32 m (pat + off_left_t) (left - 1))
-    (collect_nodes ctx v.inside);
+      Ll.remove v.inside node;
+      free_cell ctx node;
+      if ctx.Common.alloc.Alloc.Allocator.owns pat then
+        ctx.Common.alloc.Alloc.Allocator.free pat;
+      incr processed
+    end
+    else Machine.store32 m (pat + off_left_t) (left - 1)
+  done;
   (* check_assess: diagnosis; afterwards transfer up or admit *)
-  List.iter
-    (fun node ->
-      let pat = Machine.load32 m (node + Ll.off_data) in
-      let left = Machine.load32s m (pat + off_left_t) in
-      Machine.busy m 1;
-      if left <= 1 then
-        if v.parent >= 0 && Rng.float v.rng < transfer_prob then begin
-          let visited = Machine.load32 m (pat + off_visited) in
-          Machine.store32 m (pat + off_visited) (visited + 1);
-          Machine.store32 m (pat + off_left_t) 0;
-          move_patient ctx v.assess villages.(v.parent).waiting node
-        end
-        else begin
-          Machine.store32 m (pat + off_left_t) inside_time;
-          move_patient ctx v.assess v.inside node
-        end
-      else Machine.store32 m (pat + off_left_t) (left - 1))
-    (collect_nodes ctx v.assess);
-  (* check_waiting: one patient per step enters assessment *)
-  (match collect_nodes ctx v.waiting with
-  | [] -> ()
-  | node :: _ ->
-      let pat = Machine.load32 m (node + Ll.off_data) in
-      Machine.store32 m (pat + off_left_t) assess_time;
-      move_patient ctx v.waiting v.assess node);
+  collect_nodes ctx w v.assess;
+  for k = 0 to Int_stack.length w - 1 do
+    let node = Int_stack.get w k in
+    let pat = Machine.load32 m (node + Ll.off_data) in
+    let left = Machine.load32s m (pat + off_left_t) in
+    Machine.busy m 1;
+    if left <= 1 then
+      if v.parent >= 0 && Rng.float v.rng < transfer_prob then begin
+        let visited = Machine.load32 m (pat + off_visited) in
+        Machine.store32 m (pat + off_visited) (visited + 1);
+        Machine.store32 m (pat + off_left_t) 0;
+        move_patient ctx v.assess villages.(v.parent).waiting node
+      end
+      else begin
+        Machine.store32 m (pat + off_left_t) inside_time;
+        move_patient ctx v.assess v.inside node
+      end
+    else Machine.store32 m (pat + off_left_t) (left - 1)
+  done;
+  (* check_waiting: one patient per step enters assessment; the whole
+     list is still walked, as the Olden code does *)
+  collect_nodes ctx w v.waiting;
+  if Int_stack.length w > 0 then begin
+    let node = Int_stack.get w 0 in
+    let pat = Machine.load32 m (node + Ll.off_data) in
+    Machine.store32 m (pat + off_left_t) assess_time;
+    move_patient ctx v.waiting v.assess node
+  end;
   (* arrivals at the leaves *)
   if v.is_leaf && Rng.float v.rng < arrival_prob then new_patient ctx v
 
@@ -178,10 +181,11 @@ let run ?(params = default_params) ?(measure_whole = false) ?config ?ctx
      periodic ccmorph invocation, as in the paper *)
   if not measure_whole then Machine.reset_measurement ctx.Common.machine;
   let processed = ref 0 in
+  let w = Int_stack.create 256 in
   for step = 1 to params.steps do
     (* children before parents so transfers settle one level per step *)
     for i = Array.length villages - 1 downto 0 do
-      step_village ctx villages villages.(i) processed
+      step_village ctx w villages villages.(i) processed
     done;
     if Common.want_morph ctx ~default:(step mod params.morph_interval = 0)
     then morph_all_lists ctx params villages
