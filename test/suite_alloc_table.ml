@@ -70,7 +70,7 @@ let test_negative_key_rejected () =
 (* Allocators against the Hashtbl-backed oracle                        *)
 (* ------------------------------------------------------------------ *)
 
-(* One operation of a random session.  [Alloc (bytes, hint, i)]: hint 0
+(* One operation of a random sequence.  [Alloc (bytes, hint, i)]: hint 0
    is none, 1 the [i]-th live object, 2 memory the allocator does not
    manage.  Every object index is taken modulo the number of
    candidates. *)
@@ -103,7 +103,7 @@ let print_op = function
   | Bogus_free i -> Printf.sprintf "Bogus_free %d" i
   | Owns i -> Printf.sprintf "Owns %d" i
 
-let arb_session =
+let arb_ops =
   QCheck.make
     ~print:QCheck.Print.(pair bool (list print_op))
     QCheck.Gen.(pair bool (list_size (int_range 1 300) gen_op))
@@ -117,9 +117,9 @@ type impl = {
 
 let nth l i = List.nth l (i mod List.length l)
 
-(* Runs a session; returns what every operation observed: an address, a
+(* Runs a sequence; returns what every operation observed: an address, a
    membership bit, or [-1] for [Invalid_argument]. *)
-let run_session (impl : impl) ~foreign ops =
+let run_ops (impl : impl) ~foreign ops =
   let live = ref [] and freed = ref [] in
   let free_ok a =
     match impl.free a with () -> 0 | exception Invalid_argument _ -> -1
@@ -178,12 +178,12 @@ let headers m addrs = List.map (fun a -> Machine.uload32 m (a - 8)) addrs
 
 let prop_malloc_matches_hashtbl =
   QCheck.Test.make ~count:150 ~name:"malloc equals its Hashtbl-backed oracle"
-    arb_session (fun (high, ops) ->
+    arb_ops (fun (high, ops) ->
       let (m, foreign), (mr, foreign_r) = machines ~high in
       let t = Malloc.create m and r = R.Malloc_ref.create mr in
       let a = Malloc.allocator t in
       let got =
-        run_session ~foreign
+        run_ops ~foreign
           {
             alloc = (fun ~hint:_ b -> a.Alloc.Allocator.alloc b);
             free = a.Alloc.Allocator.free;
@@ -192,7 +192,7 @@ let prop_malloc_matches_hashtbl =
           ops
       in
       let want =
-        run_session ~foreign:foreign_r
+        run_ops ~foreign:foreign_r
           {
             alloc = (fun ~hint:_ b -> R.Malloc_ref.alloc r b);
             free = R.Malloc_ref.free r;
@@ -220,13 +220,13 @@ let prop_ccmalloc_matches_hashtbl strategy =
     ~name:
       ("ccmalloc " ^ Ccmalloc.strategy_name strategy
      ^ " equals its Hashtbl-backed oracle")
-    arb_session (fun (high, ops) ->
+    arb_ops (fun (high, ops) ->
       let (m, foreign), (mr, foreign_r) = machines ~high in
       let t = Ccmalloc.create ~strategy m
       and r = R.Ccmalloc_ref.create ~strategy mr in
       let a = Ccmalloc.allocator t in
       let got =
-        run_session ~foreign
+        run_ops ~foreign
           {
             alloc =
               (fun ~hint b ->
@@ -238,7 +238,7 @@ let prop_ccmalloc_matches_hashtbl strategy =
           ops
       in
       let want =
-        run_session ~foreign:foreign_r
+        run_ops ~foreign:foreign_r
           {
             alloc = (fun ~hint b -> R.Ccmalloc_ref.alloc r ~hint b);
             free = R.Ccmalloc_ref.free r;
