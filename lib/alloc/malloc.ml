@@ -32,7 +32,7 @@ let create ?(grow_pages = 16) m =
   {
     m;
     grow_pages;
-    bin_of_size = Int_table.create 32;
+    bin_of_size = Int_table.create 16;
     bins = Array.make 8 no_bin;
     nbins = 0;
     wilderness = 0;
