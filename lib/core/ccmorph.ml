@@ -1,6 +1,8 @@
 module A = Memsim.Addr
 module Machine = Memsim.Machine
-module Cache_config = Memsim.Cache_config
+module Memory = Memsim.Memory
+module Int_table = Alloc.Int_table
+module Int_stack = Alloc.Int_stack
 
 type desc = {
   elem_bytes : int;
@@ -60,11 +62,15 @@ type result = {
    periodically (health's lists, an adaptive policy's re-triggers) keeps
    landing in the same footprint instead of marching through fresh
    address space — and keeps the same hot cache region, whose capacity
-   is a property of the cache, not of how many times we morphed. *)
+   is a property of the cache, not of how many times we morphed.
+
+   A morph takes its blocks from the front of each pool, in order, and
+   draws fresh ones only past the end, appending them; blocks a shrunken
+   structure leaves unused stay at the back for a later regrowth. *)
 type session = {
-  mutable s_hot : A.t list;  (* reusable hot-region block addresses *)
-  mutable s_cold : A.t list;  (* reusable cold/uncolored block addresses *)
-  mutable s_ids : (A.t, int) Hashtbl.t;  (* current elem addr -> stable id *)
+  s_hot : Int_stack.t;  (* reusable hot-region block addresses *)
+  s_cold : Int_stack.t;  (* reusable cold/uncolored block addresses *)
+  mutable s_ids : Int_table.t;  (* current elem addr -> stable id *)
   mutable s_next_id : int;
   mutable s_key : (bool * float * int) option;  (* coloring geometry guard *)
   mutable s_morphs : int;
@@ -72,93 +78,111 @@ type session = {
 
 let session () =
   {
-    s_hot = [];
-    s_cold = [];
-    s_ids = Hashtbl.create 256;
+    s_hot = Int_stack.create 16;
+    s_cold = Int_stack.create 16;
+    s_ids = Int_table.create 256;
     s_next_id = 0;
     s_key = None;
     s_morphs = 0;
   }
 
-let elem_id s addr = Hashtbl.find_opt s.s_ids addr
+let elem_id s addr =
+  let id = Int_table.find_or s.s_ids addr ~default:(-1) in
+  if id < 0 then None else Some id
+
 let session_morphs s = s.s_morphs
 
-(* Discover the structure with a timed breadth-first traversal.  Each
-   element is read exactly once: its bytes are buffered so the copy
-   phase is write-only (a second scattered read pass over a structure
-   larger than the cache would roughly double the reorganization
-   cost). *)
+let is_ptr desc w =
+  (not (A.is_null w))
+  && match desc.kid_filter with None -> true | Some f -> f w
+
+(* The structure as discovery leaves it.  Elements are numbered in
+   breadth-first order: element [v] was at [addrs.(v)] and its bytes are
+   [images.[v * elem_bytes ..]].  BFS numbers a node's children
+   consecutively, after every earlier node's, so the children of [v] are
+   exactly [first_kid.(v) .. first_kid.(v + 1) - 1]. *)
+type found = {
+  mutable n : int;
+  mutable addrs : int array;
+  mutable first_kid : int array;  (* capacity + 1 slots *)
+  mutable images : Bytes.t;
+  index_of : Int_table.t;  (* old address -> index *)
+}
+
+let grow f ~elem_bytes =
+  let cap = 2 * Array.length f.addrs in
+  let addrs = Array.make cap 0 and first_kid = Array.make (cap + 1) 0 in
+  Array.blit f.addrs 0 addrs 0 f.n;
+  Array.blit f.first_kid 0 first_kid 0 (f.n + 1);
+  let images = Bytes.create (cap * elem_bytes) in
+  Bytes.blit f.images 0 images 0 (f.n * elem_bytes);
+  f.addrs <- addrs;
+  f.first_kid <- first_kid;
+  f.images <- images
+
+(* One timed read of the whole element; its bytes are then buffered
+   untimed (the element is in cache/registers now), so the copy phase
+   is write-only (a second scattered read pass over a structure larger
+   than the cache would roughly double the reorganization cost). *)
+let add m desc f a =
+  if f.n = Array.length f.addrs then grow f ~elem_bytes:desc.elem_bytes;
+  Int_table.replace f.index_of a f.n;
+  f.addrs.(f.n) <- a;
+  Machine.touch m a ~bytes:desc.elem_bytes;
+  Memory.load_bytes (Machine.memory m) a f.images
+    ~pos:(f.n * desc.elem_bytes) ~len:desc.elem_bytes;
+  f.n <- f.n + 1
+
+(* Discover the structure with a timed breadth-first traversal; the
+   index array is its own queue.  Each element is read exactly once. *)
 let discover m desc roots =
-  let is_ptr w =
-    (not (A.is_null w))
-    && match desc.kid_filter with None -> true | Some f -> f w
+  let cap = 64 in
+  let f =
+    {
+      n = 0;
+      addrs = Array.make cap 0;
+      first_kid = Array.make (cap + 1) 0;
+      images = Bytes.create (cap * desc.elem_bytes);
+      index_of = Int_table.create 1024;
+    }
   in
-  let index_of = Hashtbl.create 1024 in
-  let addrs = ref [] in
-  let images = ref [] in
-  let n = ref 0 in
-  let q = Queue.create () in
-  let mem = Machine.memory m in
-  let snapshot addr =
-    (* one timed read of the whole element; field extraction below is
-       untimed (the element is in cache/registers now) *)
-    Machine.touch m addr ~bytes:desc.elem_bytes;
-    let img = Bytes.create desc.elem_bytes in
-    for i = 0 to desc.elem_bytes - 1 do
-      Bytes.unsafe_set img i (Char.unsafe_chr (Memsim.Memory.load8 mem (addr + i)))
-    done;
-    img
-  in
-  Array.iter
-    (fun r ->
-      if not (A.is_null r) then begin
-        if Hashtbl.mem index_of r then
-          invalid_arg "Ccmorph: duplicate root";
-        Hashtbl.replace index_of r !n;
-        addrs := r :: !addrs;
-        images := snapshot r :: !images;
-        incr n;
-        Queue.add r q
-      end)
-    roots;
-  let kids_rev = ref [] in
-  (* BFS assigns indices in discovery order, so kids lists arrive in the
-     same order as indices; collect per-node kid lists as we pop. *)
-  while not (Queue.is_empty q) do
-    let addr = Queue.pop q in
-    let my_kids = ref [] in
-    Array.iter
-      (fun off ->
-        let kid = Machine.uload32 m (addr + off) in
-        if is_ptr kid then begin
-          if Hashtbl.mem index_of kid then
-            invalid_arg "Ccmorph: structure is not tree-shaped";
-          Hashtbl.replace index_of kid !n;
-          addrs := kid :: !addrs;
-          images := snapshot kid :: !images;
-          my_kids := !n :: !my_kids;
-          incr n;
-          Queue.add kid q
-        end)
-      desc.kid_offsets;
-    kids_rev := List.rev !my_kids :: !kids_rev
+  for i = 0 to Array.length roots - 1 do
+    let r = roots.(i) in
+    if not (A.is_null r) then begin
+      if Int_table.mem f.index_of r then invalid_arg "Ccmorph: duplicate root";
+      add m desc f r
+    end
   done;
-  let addrs = Array.of_list (List.rev !addrs) in
-  let images = Array.of_list (List.rev !images) in
-  let kids = Array.of_list (List.rev !kids_rev) in
-  (addrs, images, kids, index_of)
+  let mem = Machine.memory m in
+  let v = ref 0 in
+  while !v < f.n do
+    let a = f.addrs.(!v) in
+    f.first_kid.(!v) <- f.n;
+    for i = 0 to Array.length desc.kid_offsets - 1 do
+      let kid = Memory.load32 mem (a + desc.kid_offsets.(i)) in
+      if is_ptr desc kid then begin
+        if Int_table.mem f.index_of kid then
+          invalid_arg "Ccmorph: structure is not tree-shaped";
+        add m desc f kid
+      end
+    done;
+    incr v
+  done;
+  f.first_kid.(f.n) <- f.n;
+  f
 
 let do_morph ?session params m desc roots =
   let block_bytes = Machine.l2_block_bytes m in
   if desc.elem_bytes > block_bytes then
     invalid_arg "Ccmorph: element larger than an L2 block";
   if desc.elem_bytes < 4 then invalid_arg "Ccmorph: element too small";
-  let old_addrs, images, kids, index_of = discover m desc roots in
-  let n = Array.length old_addrs in
+  let eb = desc.elem_bytes in
+  let f = discover m desc roots in
+  let n = f.n in
   if n = 0 then
     {
       new_root = A.null;
-      new_roots = Array.map (fun _ -> A.null) roots;
+      new_roots = Array.make (Array.length roots) A.null;
       nodes = 0;
       blocks_used = 0;
       hot_blocks = 0;
@@ -166,44 +190,25 @@ let do_morph ?session params m desc roots =
       pages_used = 0;
     }
   else begin
-    let k = max 1 (block_bytes / desc.elem_bytes) in
-    let root_ids =
-      Array.to_list roots
-      |> List.filter_map (fun r ->
-             if A.is_null r then None else Some (Hashtbl.find index_of r))
-    in
+    let k = max 1 (block_bytes / eb) in
+    let old_addrs = f.addrs in
+    (* The non-null roots took indices [0, nroots) in order; every other
+       node is some node's child, so the concatenated child lists are
+       [nroots .. n-1]. *)
+    let nroots = f.first_kid.(0) in
     let engine = engine_of_scheme params.cluster in
     let tree =
-      Layout.Tree.v
-        ?weight:
-          (Option.map (fun f v -> f old_addrs.(v)) params.weights)
+      Layout.Tree.of_arrays
+        ?weight:(Option.map (fun w v -> w old_addrs.(v)) params.weights)
         ~n
-        ~kids:(fun v -> kids.(v))
-        ~roots:root_ids ()
+        ~kid_start:(Array.init (n + 1) (fun v -> f.first_kid.(v) - nroots))
+        ~kid:(Array.init (n - nroots) (fun i -> nroots + i))
+        ~roots:(Array.init nroots Fun.id) ()
     in
     let plan = engine.Layout.Engine.plan tree ~k in
     if !debug_check_plans then Layout.Plan.check plan ~n ~k;
-    let nblocks = Array.length plan.Clustering.blocks in
-    (* Address-assignment order: the plan emits blocks breadth-first
-       (nearest the root first), which is what coloring wants for its hot
-       prefix; the remaining blocks are laid out in depth-first
-       first-visit order so that a pointer path's successive cold blocks
-       stay on the same virtual-memory pages (the paper's ccmorph is
-       explicitly page-aware). *)
-    let dfs_block_order =
-      let seen = Array.make nblocks false in
-      let out = ref [] in
-      let rec go v =
-        let b = plan.Clustering.block_of_node.(v) in
-        if not seen.(b) then begin
-          seen.(b) <- true;
-          out := b :: !out
-        end;
-        List.iter go kids.(v)
-      in
-      List.iter go root_ids;
-      Array.of_list (List.rev !out)
-    in
+    let blocks = plan.Layout.Plan.blocks in
+    let nblocks = Array.length blocks in
     (* Build the coloring once; both the address generator and the hot
        capacity below share it. *)
     let coloring =
@@ -223,82 +228,80 @@ let do_morph ?session params m desc roots =
     (* Session recycling: prefer block addresses the previous morph of
        this structure used (in the same order, so an unchanged structure
        re-morphs to identical addresses); only draw fresh blocks for
-       growth.  The avail lists are consumed, the used lists written back
-       to the session below. *)
-    let hot_avail, cold_avail =
+       growth. *)
+    let hot_pool, cold_pool =
       match session with
-      | None -> (ref [], ref [])
+      | None -> (Int_stack.create 16, Int_stack.create 16)
       | Some s ->
           let key = (params.color, params.color_frac, params.color_first_set) in
           if s.s_key <> Some key then begin
             (* coloring geometry changed: cached addresses belong to the
                wrong regions, start over *)
             s.s_key <- Some key;
-            s.s_hot <- [];
-            s.s_cold <- []
+            Int_stack.clear s.s_hot;
+            Int_stack.clear s.s_cold
           end;
-          (ref s.s_hot, ref s.s_cold)
+          (s.s_hot, s.s_cold)
     in
-    let hot_used = ref [] and cold_used = ref [] in
-    let take avail fresh used =
-      let a =
-        match !avail with
-        | a :: rest ->
-            avail := rest;
-            a
-        | [] -> fresh ()
-      in
-      used := a :: !used;
+    let arenas = Option.map (Coloring.arenas m) coloring in
+    let next = ref A.null and left = ref 0 in
+    let fresh_uncolored () =
+      if !left = 0 then begin
+        (* Draw a page-aligned run of blocks at a time. *)
+        let bytes = Machine.page_bytes m in
+        next := Machine.reserve m ~bytes ~align:(Machine.page_bytes m);
+        left := bytes / block_bytes
+      end;
+      let a = !next in
+      next := a + block_bytes;
+      decr left;
       a
     in
-    let hot_blocks = ref 0 in
-    let block_addr : int -> A.t =
-      match coloring with
-      | Some coloring ->
-          let ar = lazy (Coloring.arenas m coloring) in
-          fun j ->
-            if j < hot_cap then begin
-              incr hot_blocks;
-              take hot_avail
-                (fun () -> Coloring.next_hot_block (Lazy.force ar))
-                hot_used
-            end
-            else
-              take cold_avail
-                (fun () -> Coloring.next_cold_block (Lazy.force ar))
-                cold_used
-      | None ->
-          let next = ref A.null in
-          let left = ref 0 in
-          let fresh () =
-            if !left = 0 then begin
-              (* Draw a page-aligned run of blocks at a time. *)
-              let bytes = Machine.page_bytes m in
-              next := Machine.reserve m ~bytes ~align:(Machine.page_bytes m);
-              left := bytes / block_bytes
-            end;
-            let a = !next in
-            next := a + block_bytes;
-            decr left;
-            a
-          in
-          fun _ -> take cold_avail fresh cold_used
+    let hot_taken = ref 0 and cold_taken = ref 0 in
+    let block_addr j =
+      let hot = j < hot_cap in
+      let pool = if hot then hot_pool else cold_pool in
+      let taken = if hot then hot_taken else cold_taken in
+      let i = !taken in
+      incr taken;
+      if i < Int_stack.length pool then Int_stack.get pool i
+      else begin
+        let a =
+          match arenas with
+          | Some ar ->
+              if hot then Coloring.next_hot_block ar
+              else Coloring.next_cold_block ar
+          | None -> fresh_uncolored ()
+        in
+        Int_stack.push pool a;
+        a
+      end
     in
-    (* Assign block base addresses: the plan's hot prefix first, then
-       the cold blocks in the page order the engine asked for.  Engines
-       whose plan order is already the intended page order (vEB's
-       recursive subdivision, weighted's hottest-first chains) declare
-       [Plan_order] — re-sorting those by dfs first-visit would destroy
-       the very locality they computed. *)
+    (* Assign block base addresses: the plan's hot prefix first (the
+       plan emits blocks nearest the root first, which is what coloring
+       wants), then the cold blocks in the page order the engine asked
+       for.  For [Dfs_first_visit] that is depth-first first-visit
+       order, so a pointer path's successive cold blocks stay on the
+       same virtual-memory pages (the paper's ccmorph is explicitly
+       page-aware).  Engines whose plan order is already the intended
+       page order (vEB's recursive subdivision, weighted's hottest-first
+       chains) declare [Plan_order] — re-sorting those by dfs first-visit
+       would destroy the very locality they computed. *)
     let block_base = Array.make nblocks A.null in
     for j = 0 to hot_cap - 1 do
       block_base.(j) <- block_addr j
     done;
     (match (engine.Layout.Engine.cold_order, params.page_aware) with
     | Layout.Engine.Dfs_first_visit, true ->
-        Array.iter
-          (fun j -> if j >= hot_cap then block_base.(j) <- block_addr j)
-          dfs_block_order
+        let order = Layout.Tree.dfs_order tree in
+        let seen = Bytes.make nblocks '\000' in
+        for i = 0 to n - 1 do
+          let j = plan.Layout.Plan.block_of_node.(order.(i)) in
+          if Bytes.get seen j = '\000' then begin
+            Bytes.set seen j '\001';
+            if j >= hot_cap then block_base.(j) <- block_addr j
+          end
+        done
     | Layout.Engine.Plan_order, _ | Layout.Engine.Dfs_first_visit, false ->
         for j = hot_cap to nblocks - 1 do
           block_base.(j) <- block_addr j
@@ -306,94 +309,81 @@ let do_morph ?session params m desc roots =
     (* Copy nodes block by block; new addresses pack elements tightly
        within each block and never straddle it. *)
     let new_addrs = Array.make n A.null in
-    let bytes_copied = ref 0 in
     let mem = Machine.memory m in
-    Array.iteri
-      (fun j members ->
-        let base = block_base.(j) in
-        Array.iteri
-          (fun pos v ->
-            let dst = base + (pos * desc.elem_bytes) in
-            new_addrs.(v) <- dst;
-            Machine.touch m ~write:true dst ~bytes:desc.elem_bytes;
-            let img = images.(v) in
-            for i = 0 to desc.elem_bytes - 1 do
-              Memsim.Memory.store8 mem (dst + i) (Char.code (Bytes.unsafe_get img i))
-            done;
-            bytes_copied := !bytes_copied + desc.elem_bytes)
-          members)
-      plan.Clustering.blocks;
-    (* Rewrite child (and parent) pointers in the copies. *)
-    let rewrite v =
+    for j = 0 to nblocks - 1 do
+      let members = blocks.(j) and base = block_base.(j) in
+      for pos = 0 to Array.length members - 1 do
+        let v = members.(pos) in
+        let dst = base + (pos * eb) in
+        new_addrs.(v) <- dst;
+        Machine.touch m ~write:true dst ~bytes:eb;
+        Memory.store_bytes mem dst f.images ~pos:(v * eb) ~len:eb
+      done
+    done;
+    (* Rewrite child (and parent) pointers in the copies.  The pointer
+       slots of [v] that hold pointers are its children in slot order,
+       so each new child address comes from the next child index. *)
+    for v = 0 to n - 1 do
       let na = new_addrs.(v) in
-      Array.iter
-        (fun off ->
-          let old_kid = Machine.uload32 m (na + off) in
-          let is_ptr =
-            (not (A.is_null old_kid))
-            && match desc.kid_filter with None -> true | Some f -> f old_kid
-          in
-          if is_ptr then
-            Machine.store_ptr m (na + off)
-              new_addrs.(Hashtbl.find index_of old_kid))
-        desc.kid_offsets;
+      let kid = ref f.first_kid.(v) in
+      for i = 0 to Array.length desc.kid_offsets - 1 do
+        let slot = na + desc.kid_offsets.(i) in
+        if is_ptr desc (Memory.load32 mem slot) then begin
+          Machine.store_ptr m slot new_addrs.(!kid);
+          incr kid
+        end
+      done;
       match desc.parent_offset with
       | None -> ()
-      | Some off -> (
-          let old_parent = Machine.uload32 m (na + off) in
-          let is_ptr =
-            (not (A.is_null old_parent))
-            &&
-            match desc.kid_filter with None -> true | Some f -> f old_parent
-          in
-          if is_ptr then
-            match Hashtbl.find_opt index_of old_parent with
-            | Some i -> Machine.store_ptr m (na + off) new_addrs.(i)
-            | None ->
-                (* The parent lies outside the morphed set — this morph
-                   covers a subtree of a larger structure.  The old
-                   address would dangle into the abandoned copy, so null
-                   it; the paper's "liberal" trees tolerate a null
-                   predecessor at the reorganized region's boundary. *)
-                Machine.store_ptr m (na + off) A.null)
-    in
-    for v = 0 to n - 1 do
-      rewrite v
+      | Some off ->
+          let slot = na + off in
+          let old_parent = Memory.load32 mem slot in
+          if is_ptr desc old_parent then begin
+            let i = Int_table.find_or f.index_of old_parent ~default:(-1) in
+            (* A parent outside the morphed set means this morph covers
+               a subtree of a larger structure.  The old address would
+               dangle into the abandoned copy, so null it; the paper's
+               "liberal" trees tolerate a null predecessor at the
+               reorganized region's boundary. *)
+            Machine.store_ptr m slot (if i >= 0 then new_addrs.(i) else A.null)
+          end
     done;
+    let root_index = ref 0 in
     let new_roots =
       Array.map
         (fun r ->
           if A.is_null r then A.null
-          else new_addrs.(Hashtbl.find index_of r))
+          else begin
+            let a = new_addrs.(!root_index) in
+            incr root_index;
+            a
+          end)
         roots
     in
     let pages_used =
-      let pages = Hashtbl.create 64 in
-      Array.iter
-        (fun base ->
-          Hashtbl.replace pages
-            (A.page_index base ~page_bytes:(Machine.page_bytes m)) ())
-        block_base;
-      Hashtbl.length pages
+      let pages = Int_table.create 64 in
+      for j = 0 to nblocks - 1 do
+        Int_table.replace pages
+          (A.page_index block_base.(j) ~page_bytes:(Machine.page_bytes m))
+          0
+      done;
+      Int_table.length pages
     in
     (match session with
     | None -> ()
     | Some s ->
-        (* Keep leftover cached addresses (structure shrank) behind the
-           ones just used, so a later regrowth reclaims them. *)
-        s.s_hot <- List.rev !hot_used @ !hot_avail;
-        s.s_cold <- List.rev !cold_used @ !cold_avail;
-        let ids = Hashtbl.create (2 * n) in
+        let ids = Int_table.create (2 * n) in
         for v = 0 to n - 1 do
+          let id = Int_table.find_or s.s_ids old_addrs.(v) ~default:(-1) in
           let id =
-            match Hashtbl.find_opt s.s_ids old_addrs.(v) with
-            | Some id -> id
-            | None ->
-                let id = s.s_next_id in
-                s.s_next_id <- id + 1;
-                id
+            if id >= 0 then id
+            else begin
+              let id = s.s_next_id in
+              s.s_next_id <- id + 1;
+              id
+            end
           in
-          Hashtbl.replace ids new_addrs.(v) id
+          Int_table.replace ids new_addrs.(v) id
         done;
         s.s_ids <- ids;
         s.s_morphs <- s.s_morphs + 1);
@@ -402,8 +392,8 @@ let do_morph ?session params m desc roots =
       new_roots;
       nodes = n;
       blocks_used = nblocks;
-      hot_blocks = !hot_blocks;
-      bytes_copied = !bytes_copied;
+      hot_blocks = !hot_taken;
+      bytes_copied = n * eb;
       pages_used;
     }
   end

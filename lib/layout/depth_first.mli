@@ -4,4 +4,5 @@
     pre-refactor [Clustering.linear] over [Ccmorph]'s dfs order. *)
 
 val plan : Tree.t -> k:int -> Plan.t
-(** @raise Invalid_argument if [k < 1] or the tree is malformed. *)
+(** @raise Invalid_argument if [k < 1] ({!Tree} rejects malformed trees
+    when they are built). *)

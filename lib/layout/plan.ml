@@ -1,28 +1,32 @@
 type t = { blocks : int array array; block_of_node : int array }
 
-let of_blocks ~n blocks =
+let of_segments ~n ~order ~starts ~nblocks =
+  let blocks =
+    Array.init nblocks (fun j ->
+        Array.sub order starts.(j) (starts.(j + 1) - starts.(j)))
+  in
   let block_of_node = Array.make n (-1) in
-  Array.iteri
-    (fun j nodes -> Array.iter (fun v -> block_of_node.(v) <- j) nodes)
-    blocks;
+  for j = 0 to nblocks - 1 do
+    for i = starts.(j) to starts.(j + 1) - 1 do
+      block_of_node.(order.(i)) <- j
+    done
+  done;
   { blocks; block_of_node }
 
 let chunk ~n ~order ~k =
   if k < 1 then invalid_arg "Layout.Plan.chunk: k < 1";
   if Array.length order <> n then
     invalid_arg "Layout.Plan.chunk: order must cover all nodes";
-  let seen = Array.make n false in
+  let seen = Bytes.make n '\000' in
   Array.iter
     (fun v ->
-      if v < 0 || v >= n || seen.(v) then
+      if v < 0 || v >= n || Bytes.get seen v <> '\000' then
         invalid_arg "Layout.Plan.chunk: order is not a permutation";
-      seen.(v) <- true)
+      Bytes.set seen v '\001')
     order;
   let nblocks = (n + k - 1) / k in
-  let blocks =
-    Array.init nblocks (fun j -> Array.sub order (j * k) (min k (n - (j * k))))
-  in
-  of_blocks ~n blocks
+  let starts = Array.init (nblocks + 1) (fun j -> min n (j * k)) in
+  of_segments ~n ~order ~starts ~nblocks
 
 let check plan ~n ~k =
   let seen = Array.make n false in

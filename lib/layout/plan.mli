@@ -10,10 +10,12 @@ type t = {
   block_of_node : int array;  (** inverse mapping *)
 }
 
-val of_blocks : n:int -> int array array -> t
-(** Build the inverse map from an explicit block list.  Trusts the
-    caller on partition validity (engines validate their own traversal);
-    use {!check} to audit the result. *)
+val of_segments :
+  n:int -> order:int array -> starts:int array -> nblocks:int -> t
+(** Block [j] is [order.(starts.(j)) .. order.(starts.(j+1) - 1)]: the
+    form engines that emit nodes into one flat array produce.  Trusts
+    the caller on partition validity (engines walk validated trees); use
+    {!check} to audit the result. *)
 
 val chunk : n:int -> order:int array -> k:int -> t
 (** Chunk an explicit node order into consecutive [k]-element blocks.

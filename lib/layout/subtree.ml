@@ -1,52 +1,52 @@
 let plan (t : Tree.t) ~k =
   if k < 1 then invalid_arg "Layout.Subtree: k < 1";
-  let n = t.Tree.n in
-  let seen = Array.make n false in
-  let blocks = ref [] in
-  (* FIFO queue of cluster roots, seeded with the structure roots. *)
-  let cluster_roots = Queue.create () in
-  List.iter (fun r -> Queue.add r cluster_roots) t.Tree.roots;
-  while not (Queue.is_empty cluster_roots) do
-    let root = Queue.pop cluster_roots in
-    if root < 0 || root >= n then
-      invalid_arg "Layout.Subtree: node id out of range";
-    if seen.(root) then invalid_arg "Layout.Subtree: node reached twice";
+  let n = t.Tree.n and kid_start = t.Tree.kid_start and kid = t.Tree.kid in
+  (* Two FIFOs over flat arrays.  Every node enters the cluster-root
+     queue at most once and a cluster's frontier at most once, so
+     neither needs to wrap or grow. *)
+  let cluster_roots = Array.make n 0 in
+  let ch = ref 0 and ct = ref 0 in
+  Array.iter
+    (fun r ->
+      cluster_roots.(!ct) <- r;
+      incr ct)
+    t.Tree.roots;
+  let frontier = Array.make n 0 in
+  let members = Array.make n 0 in
+  let m = ref 0 in
+  let bstart = Array.make (n + 1) 0 in
+  let nblocks = ref 0 in
+  while !ch < !ct do
+    let root = cluster_roots.(!ch) in
+    incr ch;
     (* BFS within the subtree, taking up to k nodes for this block. *)
-    let members = ref [] in
-    let count = ref 0 in
-    let frontier = Queue.create () in
-    Queue.add root frontier;
-    while !count < k && not (Queue.is_empty frontier) do
-      let v = Queue.pop frontier in
-      if seen.(v) then invalid_arg "Layout.Subtree: node reached twice";
-      seen.(v) <- true;
-      members := v :: !members;
-      incr count;
-      List.iter (fun c -> Queue.add c frontier) (t.Tree.kids v)
+    let start = !m in
+    let fh = ref 0 and ft = ref 1 in
+    frontier.(0) <- root;
+    while !m - start < k && !fh < !ft do
+      let v = frontier.(!fh) in
+      incr fh;
+      members.(!m) <- v;
+      incr m;
+      for i = kid_start.(v) to kid_start.(v + 1) - 1 do
+        frontier.(!ft) <- kid.(i);
+        incr ft
+      done
     done;
     (* Whatever remains on the frontier starts future clusters. *)
-    Queue.iter (fun v -> Queue.add v cluster_roots) frontier;
-    blocks := Array.of_list (List.rev !members) :: !blocks
+    for i = !fh to !ft - 1 do
+      cluster_roots.(!ct) <- frontier.(i);
+      incr ct
+    done;
+    (* Consecutive clusters smaller than k share a block: deep in the
+       structure subtrees run out of descendants (leaves cluster alone)
+       and forest roots may head short chains; packing them in emission
+       order preserves the near-root-first property while restoring
+       density.  The previous block ends where this cluster starts. *)
+    if not (!nblocks > 0 && !m - bstart.(!nblocks - 1) <= k) then begin
+      bstart.(!nblocks) <- start;
+      incr nblocks
+    end
   done;
-  (* Consecutive clusters smaller than k share a block: deep in the
-     structure subtrees run out of descendants (leaves cluster alone) and
-     forest roots may head short chains; packing them in emission order
-     preserves the near-root-first property while restoring density. *)
-  let blocks =
-    List.fold_left
-      (fun acc cluster ->
-        match acc with
-        | prev :: rest when Array.length prev + Array.length cluster <= k ->
-            Array.append prev cluster :: rest
-        | _ -> cluster :: acc)
-      []
-      (List.rev !blocks)
-    |> List.rev
-  in
-  Array.iteri
-    (fun i s ->
-      if not s then
-        invalid_arg
-          (Printf.sprintf "Layout.Subtree: node %d unreachable from roots" i))
-    seen;
-  Plan.of_blocks ~n (Array.of_list blocks)
+  bstart.(!nblocks) <- !m;
+  Plan.of_segments ~n ~order:members ~starts:bstart ~nblocks:!nblocks

@@ -5,4 +5,5 @@
     bit-identical plans to the pre-refactor [Clustering.subtree]. *)
 
 val plan : Tree.t -> k:int -> Plan.t
-(** @raise Invalid_argument if [k < 1] or the tree is malformed. *)
+(** @raise Invalid_argument if [k < 1] ({!Tree} rejects malformed trees
+    when they are built). *)

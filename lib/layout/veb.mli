@@ -22,4 +22,5 @@
 val plan : Tree.t -> k:int -> Plan.t
 (** Chunks the recursive emission order into [k]-element blocks.  Runs
     in O(n log h) for height [h].
-    @raise Invalid_argument if [k < 1] or the tree is malformed. *)
+    @raise Invalid_argument if [k < 1] ({!Tree} rejects malformed trees
+    when they are built). *)

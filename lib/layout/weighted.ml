@@ -1,104 +1,100 @@
-(* Binary max-heap over (weight, id): higher weight first, lower id on
-   ties, so the layout is deterministic for any weight function. *)
-type heap = { mutable a : (float * int) array; mutable len : int }
+(* Binary max-heap over (weight, id) pairs held in two parallel arrays
+   (an unboxed float array and an int array): higher weight first, lower
+   id on ties, so the layout is deterministic for any weight function.
+   Every node is pushed at most once, so [n] slots never overflow. *)
+type heap = { w : float array; id : int array; mutable len : int }
 
-let heap_create () = { a = Array.make 64 (0., -1); len = 0 }
+(* slot [i] has lower priority than slot [j] *)
+let below h i j =
+  h.w.(i) < h.w.(j) || (h.w.(i) = h.w.(j) && h.id.(i) > h.id.(j))
 
-(* [x] has lower priority than [y] *)
-let below (w1, i1) (w2, i2) = w1 < w2 || (w1 = w2 && i1 > i2)
+let swap h i j =
+  let w = h.w.(i) and id = h.id.(i) in
+  h.w.(i) <- h.w.(j);
+  h.id.(i) <- h.id.(j);
+  h.w.(j) <- w;
+  h.id.(j) <- id
 
-let heap_push h x =
-  if h.len = Array.length h.a then begin
-    let a = Array.make (2 * h.len) (0., -1) in
-    Array.blit h.a 0 a 0 h.len;
-    h.a <- a
-  end;
+let heap_push h w v =
   let i = ref h.len in
   h.len <- h.len + 1;
-  h.a.(!i) <- x;
-  while !i > 0 && below h.a.((!i - 1) / 2) h.a.(!i) do
+  h.w.(!i) <- w;
+  h.id.(!i) <- v;
+  while !i > 0 && below h ((!i - 1) / 2) !i do
     let p = (!i - 1) / 2 in
-    let tmp = h.a.(p) in
-    h.a.(p) <- h.a.(!i);
-    h.a.(!i) <- tmp;
+    swap h p !i;
     i := p
   done
 
 let heap_pop h =
-  let top = h.a.(0) in
+  let top = h.id.(0) in
   h.len <- h.len - 1;
-  h.a.(0) <- h.a.(h.len);
+  h.w.(0) <- h.w.(h.len);
+  h.id.(0) <- h.id.(h.len);
   let i = ref 0 in
   let continue = ref true in
   while !continue do
     let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
     let best = ref !i in
-    if l < h.len && below h.a.(!best) h.a.(l) then best := l;
-    if r < h.len && below h.a.(!best) h.a.(r) then best := r;
+    if l < h.len && below h !best l then best := l;
+    if r < h.len && below h !best r then best := r;
     if !best = !i then continue := false
     else begin
-      let tmp = h.a.(!best) in
-      h.a.(!best) <- h.a.(!i);
-      h.a.(!i) <- tmp;
+      swap h !best !i;
       i := !best
     end
   done;
-  snd top
+  top
 
 let plan (t : Tree.t) ~k =
   if k < 1 then invalid_arg "Layout.Weighted: k < 1";
-  let n = t.Tree.n in
-  let w = Tree.weight_of t in
-  let placed = Array.make n false in
-  let frontier = heap_create () in
-  let push v =
-    if v < 0 || v >= n then invalid_arg "Layout.Weighted: node id out of range";
-    heap_push frontier (w v, v)
+  let n = t.Tree.n and kid_start = t.Tree.kid_start and kid = t.Tree.kid in
+  let w =
+    match t.Tree.weight with
+    | None -> Array.make n 1.0
+    | Some f -> Array.init n f
   in
-  List.iter push t.Tree.roots;
-  let blocks = ref [] in
-  let place members v =
-    if placed.(v) then invalid_arg "Layout.Weighted: node reached twice";
-    placed.(v) <- true;
-    members := v :: !members
-  in
+  let frontier = { w = Array.make n 0.; id = Array.make n 0; len = 0 } in
+  let push v = heap_push frontier w.(v) v in
+  Array.iter push t.Tree.roots;
+  let members = Array.make n 0 in
+  let m = ref 0 in
+  let bstart = Array.make (n + 1) 0 in
+  let nblocks = ref 0 in
   while frontier.len > 0 do
-    let members = ref [] and count = ref 0 in
-    let cur = ref (Some (heap_pop frontier)) in
-    while !count < k && !cur <> None do
-      let v = Option.get !cur in
-      place members v;
-      incr count;
-      (* The hottest child continues the chain in this block; its
-         siblings join the frontier.  When the chain bottoms out but
-         the block still has room, refill from the globally hottest
-         frontier node — merging under-full hot paths keeps density. *)
-      let hottest =
-        List.fold_left
-          (fun best c ->
-            match best with
-            | Some b when w c <= w b -> best
-            | _ -> Some c)
-          None (t.Tree.kids v)
-      in
-      match hottest with
-      | None ->
-          cur :=
-            if !count < k && frontier.len > 0 then Some (heap_pop frontier)
-            else None
-      | Some hot ->
-          List.iter (fun c -> if c <> hot then push c) (t.Tree.kids v);
-          if !count < k then cur := Some hot
-          else begin
-            push hot;
-            cur := None
-          end
+    let start = !m in
+    let cur = ref (heap_pop frontier) in
+    while !m - start < k && !cur >= 0 do
+      let v = !cur in
+      members.(!m) <- v;
+      incr m;
+      (* The hottest child continues the chain in this block (the
+         leftmost on ties); its siblings join the frontier.  When the
+         chain bottoms out but the block still has room, refill from
+         the globally hottest frontier node — merging under-full hot
+         paths keeps density. *)
+      let hot = ref (-1) in
+      for i = kid_start.(v) to kid_start.(v + 1) - 1 do
+        let c = kid.(i) in
+        if not (!hot >= 0 && w.(c) <= w.(!hot)) then hot := c
+      done;
+      let full = !m - start >= k in
+      if !hot < 0 then
+        cur := if (not full) && frontier.len > 0 then heap_pop frontier else -1
+      else begin
+        for i = kid_start.(v) to kid_start.(v + 1) - 1 do
+          let c = kid.(i) in
+          if c <> !hot then push c
+        done;
+        if not full then cur := !hot
+        else begin
+          push !hot;
+          cur := -1
+        end
+      end
     done;
-    blocks := Array.of_list (List.rev !members) :: !blocks
+    bstart.(!nblocks) <- start;
+    incr nblocks
   done;
-  for v = 0 to n - 1 do
-    if not placed.(v) then
-      invalid_arg
-        (Printf.sprintf "Layout.Weighted: node %d unreachable from roots" v)
-  done;
-  Plan.of_blocks ~n (Array.of_list (List.rev !blocks))
+  bstart.(!nblocks) <- !m;
+  Plan.of_segments ~n ~order:members ~starts:bstart ~nblocks:!nblocks

@@ -11,9 +11,11 @@
     and head later blocks, giving a hottest-first block emission order
     that composes with {!Ccmorph}'s coloring hot-prefix.
 
+    Each node's weight is read once, into an unboxed array.
     Deterministic: ties break toward the lower node id.  Without
     weights every node weighs [1.0] and the engine degenerates to
     leftmost-chain packing. *)
 
 val plan : Tree.t -> k:int -> Plan.t
-(** @raise Invalid_argument if [k < 1] or the tree is malformed. *)
+(** @raise Invalid_argument if [k < 1] ({!Tree} rejects malformed trees
+    when they are built). *)

@@ -162,10 +162,37 @@ let store64 t a v =
 let loadf t a = Int64.float_of_bits (load64 t a)
 let storef t a v = store64 t a (Int64.bits_of_float v)
 
-let blit t ~src ~dst ~bytes =
-  for i = 0 to bytes - 1 do
-    store8 t (dst + i) (load8 t (src + i))
+(* Bulk copies between simulated memory and a host buffer, one
+   [Bytes.blit] per chunk the range touches: a range that straddles a
+   chunk boundary is split there. *)
+let load_bytes t a buf ~pos ~len =
+  let a = ref a and pos = ref pos and len = ref len in
+  while !len > 0 do
+    let o = !a land t.off_mask in
+    let piece = min !len (t.chunk_bytes - o) in
+    Bytes.blit (chunk_fast t !a) o buf !pos piece;
+    a := !a + piece;
+    pos := !pos + piece;
+    len := !len - piece
   done
+
+let store_bytes t a buf ~pos ~len =
+  let a = ref a and pos = ref pos and len = ref len in
+  while !len > 0 do
+    let o = !a land t.off_mask in
+    let piece = min !len (t.chunk_bytes - o) in
+    Bytes.blit buf !pos (chunk_fast t !a) o piece;
+    a := !a + piece;
+    pos := !pos + piece;
+    len := !len - piece
+  done
+
+let blit t ~src ~dst ~bytes =
+  if bytes > 0 then begin
+    let tmp = Bytes.create bytes in
+    load_bytes t src tmp ~pos:0 ~len:bytes;
+    store_bytes t dst tmp ~pos:0 ~len:bytes
+  end
 
 let fill_zero t a ~bytes =
   let o = off t a in

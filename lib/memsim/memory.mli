@@ -42,9 +42,22 @@ val loadf : t -> Addr.t -> float
 
 val storef : t -> Addr.t -> float -> unit
 
+val load_bytes : t -> Addr.t -> Bytes.t -> pos:int -> len:int -> unit
+(** [load_bytes t a buf ~pos ~len] copies the [len] simulated bytes at
+    [a] into [buf] at [pos] (untimed).  A range that straddles a chunk
+    boundary is copied piecewise; chunks it reaches are materialized,
+    as by {!load8}.
+    @raise Invalid_argument if [pos]/[len] do not fit [buf]. *)
+
+val store_bytes : t -> Addr.t -> Bytes.t -> pos:int -> len:int -> unit
+(** [store_bytes t a buf ~pos ~len] copies [len] bytes of [buf] from
+    [pos] into simulated memory at [a] (untimed); the inverse of
+    {!load_bytes}.  [ccmorph] snapshots and writes elements with these
+    two and charges the accesses separately. *)
+
 val blit : t -> src:Addr.t -> dst:Addr.t -> bytes:int -> unit
-(** Raw copy (untimed); used by tests and by [ccmorph]'s timed copy loop,
-    which charges accesses separately. *)
+(** Raw copy (untimed), through a host buffer: overlapping ranges copy
+    as [memmove] does. *)
 
 val fill_zero : t -> Addr.t -> bytes:int -> unit
 

@@ -8,4 +8,4 @@ let () =
    @ Suite_bdd.tests @ Suite_workload.tests @ Suite_olden.tests
    @ Suite_apps.tests @ Suite_obs.tests @ Suite_analyze.tests
    @ Suite_adapt.tests @ Suite_fastpath.tests @ Suite_layout.tests
-   @ Suite_hotpath.tests @ Suite_alloc_table.tests)
+   @ Suite_hotpath.tests @ Suite_alloc_table.tests @ Suite_ccmorph_flat.tests)

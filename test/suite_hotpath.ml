@@ -188,6 +188,38 @@ let test_health_words_per_access () =
     Alcotest.failf "%.2f host words per simulated access (budget 1.5)"
       per_access
 
+(* A morph of a 2^14-1-node random BST, per engine: discovery, planning,
+   copy and rewrite allocate no per-node list, tuple, closure or
+   [Bytes] (the list- and Hashtbl-based morph took 72-101 words per
+   node).  What remains is per block (the plan's block arrays) or sized
+   to the structure (and then mostly on the major heap). *)
+let test_morph_words_per_node () =
+  let elem_bytes = 20 and n = (1 lsl 14) - 1 in
+  List.iter
+    (fun (e : Layout.Engine.t) ->
+      let m = Machine.create (M.Config.ultrasparc_e5000 ~tlb:true ()) in
+      let t =
+        Structures.Bst.build m ~elem_bytes
+          ~alloc:(Alloc.Malloc.allocator (Alloc.Malloc.create m))
+          (Structures.Bst.Random (Workload.Rng.create 5))
+          ~keys:(Array.init n Fun.id)
+      in
+      let params =
+        { Ccsl.Ccmorph.default_params with Ccsl.Ccmorph.cluster = Ccsl.Ccmorph.Engine e }
+      in
+      let words =
+        minor_words (fun () ->
+            ignore
+              (Ccsl.Ccmorph.morph ~params m
+                 (Structures.Bst.desc ~elem_bytes)
+                 ~root:t.Structures.Bst.root))
+      in
+      let per_node = words /. float_of_int n in
+      if per_node > 12. then
+        Alcotest.failf "%s: %.1f host words per morphed node (budget 12)"
+          e.Layout.Engine.name per_node)
+    Layout.Engine.builtins
+
 let tests =
   [
     ( "hotpath",
@@ -200,5 +232,7 @@ let tests =
           test_alloc_free_allocation_free;
         Alcotest.test_case "health under 1.5 words per access" `Quick
           test_health_words_per_access;
+        Alcotest.test_case "morphs under 12 words per node" `Quick
+          test_morph_words_per_node;
       ] );
   ]

@@ -77,6 +77,68 @@ let prop_disjoint_writes =
       M.store32 m (b * 4) 0xBBBB;
       M.load32 m (a * 4) = 0xAAAA && M.load32 m (b * 4) = 0xBBBB)
 
+(* Malloc can put a 20-byte element at offset 65528 of a 64 KB chunk:
+   the bulk copies must split it at the boundary. *)
+let test_bulk_copy_straddles_chunk () =
+  let m = M.create () in
+  let a = 65528 in
+  let img = Bytes.init 20 (fun i -> Char.chr (0xA0 + i)) in
+  M.store_bytes m a img ~pos:0 ~len:20;
+  Alcotest.(check int) "both chunks materialized" 2 (M.chunks_allocated m);
+  for i = 0 to 19 do
+    Alcotest.(check int) "byte stored" (0xA0 + i) (M.load8 m (a + i))
+  done;
+  let back = Bytes.make 24 '.' in
+  M.load_bytes m a back ~pos:2 ~len:20;
+  Alcotest.(check string) "loaded at pos"
+    (".." ^ Bytes.to_string img ^ "..")
+    (Bytes.to_string back);
+  Alcotest.(check int) "word across the boundary" 0xABAAA9A8 (M.load32 m 65536);
+  M.blit m ~src:a ~dst:(3 * 65536 - 10) ~bytes:20;
+  for i = 0 to 19 do
+    Alcotest.(check int) "blit across a boundary" (0xA0 + i)
+      (M.load8 m ((3 * 65536) - 10 + i))
+  done
+
+(* The bulk copies against byte-at-a-time copies, on small chunks so a
+   range often spans several; overlapping blits copy as memmove does. *)
+let prop_bulk_copies_bytewise =
+  QCheck.Test.make ~count:300 ~name:"bulk copies equal byte-at-a-time copies"
+    QCheck.(
+      quad (int_bound 2) (int_bound 300) (int_bound 200) (int_range (-60) 60))
+    (fun (shift, a, len, delta) ->
+      let chunk_bytes = 16 lsl (2 * shift) in
+      let fresh () =
+        let m = M.create ~chunk_bytes () in
+        for i = 0 to 600 do
+          M.store8 m i ((i * 7) + 3)
+        done;
+        m
+      in
+      let m = fresh () in
+      let buf = Bytes.make (len + 3) '\000' in
+      M.load_bytes m a buf ~pos:3 ~len;
+      let loaded = ref true in
+      for i = 0 to len - 1 do
+        if Char.code (Bytes.get buf (3 + i)) <> M.load8 m (a + i) then
+          loaded := false
+      done;
+      let src = Bytes.init len (fun i -> Char.chr ((i * 13) land 0xff)) in
+      let bulk = fresh () and bytewise = fresh () in
+      M.store_bytes bulk a src ~pos:0 ~len;
+      for i = 0 to len - 1 do
+        M.store8 bytewise (a + i) (Char.code (Bytes.get src i))
+      done;
+      let dst = max 0 (a + delta) in
+      let moved = fresh () and expect = fresh () in
+      M.blit moved ~src:a ~dst ~bytes:len;
+      let tmp = Array.init len (fun i -> M.load8 expect (a + i)) in
+      Array.iteri (fun i b -> M.store8 expect (dst + i) b) tmp;
+      let same x y =
+        List.for_all (fun i -> M.load8 x i = M.load8 y i) (List.init 800 Fun.id)
+      in
+      !loaded && same bulk bytewise && same moved expect)
+
 let tests =
   [
     ( "memory",
@@ -90,5 +152,8 @@ let tests =
         QCheck_alcotest.to_alcotest prop_store_load_32;
         QCheck_alcotest.to_alcotest prop_floats;
         QCheck_alcotest.to_alcotest prop_disjoint_writes;
+        Alcotest.test_case "bulk copies straddle a 64 KB chunk" `Quick
+          test_bulk_copy_straddles_chunk;
+        QCheck_alcotest.to_alcotest prop_bulk_copies_bytewise;
       ] );
   ]
