@@ -133,23 +133,10 @@ let experiment_cmd exp_name =
 (* profile subcommand                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let placement_of_string s =
-  match String.lowercase_ascii s with
-  | "b" | "base" -> Some Olden.Common.Base
-  | "hp" | "hw-prefetch" -> Some Olden.Common.Hw_prefetch
-  | "sp" | "sw-prefetch" -> Some Olden.Common.Sw_prefetch
-  | "fa" | "first-fit" -> Some Olden.Common.Ccmalloc_first_fit
-  | "ca" | "closest" -> Some Olden.Common.Ccmalloc_closest
-  | "na" | "new-block" -> Some Olden.Common.Ccmalloc_new_block
-  | "cl" | "cluster" -> Some Olden.Common.Ccmorph_cluster
-  | "cl+col" | "cluster-color" -> Some Olden.Common.Ccmorph_cluster_color
-  | "nullhint" | "null-hint" -> Some Olden.Common.Null_hint_control
-  | _ -> None
-
 let run_profile bench placement_str paper seed json_file =
   let scale = scale_of paper in
   let placement =
-    match placement_of_string placement_str with
+    match Olden.Common.of_string placement_str with
     | Some p -> p
     | None ->
         Format.eprintf
@@ -162,7 +149,7 @@ let run_profile bench placement_str paper seed json_file =
   match Harness.Profiles.run ~scale ?seed ~placement bench with
   | None ->
       Format.eprintf "unknown benchmark %S (expected %s)@." bench
-        (String.concat ", " Harness.Profiles.names);
+        (String.concat ", " Harness.Experiments.olden_names);
       exit 2
   | Some report -> (
       Format.printf "%a@." Harness.Profiles.pp report;
@@ -213,7 +200,7 @@ let run_adaptive bench adapt parallel seed json_file =
   match Harness.Adaptive.run ?seed ~adapt ~parallel bench with
   | None ->
       Format.eprintf "unknown benchmark %S (expected %s)@." bench
-        (String.concat ", " Harness.Adaptive.names);
+        (String.concat ", " Harness.Experiments.olden_names);
       exit 2
   | Some report ->
       Format.printf "%a@." Harness.Adaptive.pp report;
@@ -387,7 +374,7 @@ let run_lint bench paper seed fail_on json_file =
   match Harness.Lint.run ~scale ?seed bench with
   | None ->
       Format.eprintf "unknown benchmark %S (expected %s)@." bench
-        (String.concat ", " Harness.Lint.names);
+        (String.concat ", " Harness.Experiments.olden_names);
       exit 2
   | Some report ->
       Format.printf "%a@." Harness.Lint.pp report;

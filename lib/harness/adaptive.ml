@@ -5,8 +5,6 @@ module Ccmorph = Ccsl.Ccmorph
 module Ccmalloc = Ccsl.Ccmalloc
 module J = Obs.Json
 
-let names = [ "treeadd"; "health"; "mst"; "perimeter" ]
-
 (* The adaptive arm measures whole runs: its whole point is paying
    reorganization costs only when the policy approves them, so morphs
    must land inside the measured region for every arm alike. *)
@@ -36,8 +34,8 @@ type adaptive_parts = {
   policy : Adapt.Policy.t;
 }
 
-let adaptive_ctx ?config ?policy_config ~morph_params () =
-  let base = C.make_ctx ?config C.Ccmalloc_new_block in
+let adaptive_ctx ?policy_config ~morph_params () =
+  let base = C.make_ctx C.Ccmalloc_new_block in
   let advisor = Adapt.Advisor.create base.C.machine base.C.alloc in
   (match base.C.cc with
   | Some cc -> Adapt.Advisor.set_ccmalloc advisor cc
@@ -127,8 +125,7 @@ let model_inputs bench (ta : Olden.Treeadd.params) (h : Olden.Health.params) =
   | "mst" -> (1 lsl 10, sets, assoc, block / 16)
   | _ -> (1 lsl 12, sets, assoc, block / 16)
 
-let recommend ?seed bench ta h =
-  ignore seed;
+let recommend bench ta h =
   let n, sets, assoc, block_elems = model_inputs bench ta h in
   Adapt.Autotune.search ?validate:(validator bench) ~n ~sets ~assoc
     ~block_elems ()
@@ -217,51 +214,27 @@ let arm_of_payload j =
 (* The three arms, as independent jobs for the (parallel) runner       *)
 (* ------------------------------------------------------------------ *)
 
-let arm_jobs ?config ?seed bench =
-  let ta, h, mst, per =
-    Experiments.olden_params ?seed Experiments.Quick
-  in
+let arm_jobs ?seed bench =
+  let _, h, _, _ = Experiments.olden_params ?seed Experiments.Quick in
   (* adaptivity needs repeated traversals to react between: the policy
      can only observe a bad layout by paying for one traversal of it, so
      the morph it triggers must have passes left to amortize over *)
-  ignore ta;
   let ta = { Olden.Treeadd.levels = 14; passes = 8 } in
-  let runner :
-      (?ctx:C.ctx -> C.placement -> C.result) option =
-    match bench with
-    | "treeadd" ->
-        Some
-          (fun ?ctx p ->
-            Olden.Treeadd.run ~params:ta ~measure_whole:true ?config ?ctx p)
-    | "health" ->
-        Some
-          (fun ?ctx p ->
-            Olden.Health.run ~params:h ~measure_whole:true ?config ?ctx p)
-    | "mst" ->
-        Some
-          (fun ?ctx p ->
-            Olden.Mst.run ~params:mst ~measure_whole:true ?config ?ctx p)
-    | "perimeter" ->
-        Some
-          (fun ?ctx p ->
-            Olden.Perimeter.run ~params:per ~measure_whole:true ?config ?ctx p)
-    | _ -> None
-  in
-  match runner with
-  | None -> None
-  | Some run ->
+  Option.map
+    (fun (k : Experiments.kernel) ->
+      let k = if k.k_name = "treeadd" then Experiments.treeadd ta else k in
       let plain label p () =
         arm_payload
           {
             arm_label = label;
-            arm_result = run p;
+            arm_result = k.k_run ~measure_whole:true p;
             arm_advisor = None;
             arm_policy = None;
           }
           ~recommendation:None
       in
       let adaptive () =
-        let rec_params = recommend ?seed bench ta h in
+        let rec_params = recommend bench ta h in
         let morph_params = Adapt.Autotune.morph_params rec_params in
         let policy_config =
           match bench with
@@ -276,7 +249,7 @@ let arm_jobs ?config ?seed bench =
                 }
           | _ -> None
         in
-        let parts = adaptive_ctx ?config ?policy_config ~morph_params () in
+        let parts = adaptive_ctx ?policy_config ~morph_params () in
         (match bench with
         | "treeadd" ->
             Adapt.Policy.set_model_target
@@ -289,7 +262,9 @@ let arm_jobs ?config ?seed bench =
                layout is fine" rate rather than the tree model's m_s *)
             Adapt.Policy.set_target_rate parts.policy 0.05
         | _ -> ());
-        let r = run ~ctx:parts.ctx C.Ccmalloc_new_block in
+        let r =
+          k.k_run ~measure_whole:true ~ctx:parts.ctx C.Ccmalloc_new_block
+        in
         Adapt.Advisor.detach parts.advisor;
         Adapt.Policy.detach parts.policy;
         arm_payload
@@ -301,36 +276,33 @@ let arm_jobs ?config ?seed bench =
           }
           ~recommendation:(Some (Adapt.Autotune.to_json rec_params))
       in
-      Some
-        [
-          ("base", plain "base" C.Base);
-          ("static", plain "static" C.Ccmorph_cluster_color);
-          ("adaptive", adaptive);
-        ]
+      [
+        ("base", plain "base" C.Base);
+        ("static", plain "static" C.Ccmorph_cluster_color);
+        ("adaptive", adaptive);
+      ])
+    (Experiments.olden_kernel ?seed Experiments.Quick bench)
 
 let run ?seed ?(adapt = true) ?(parallel = false) bench =
-  if not (List.mem bench names) then None
-  else
-    match arm_jobs ?seed bench with
-    | None -> None
-    | Some jobs ->
-        (* without --adapt: just the static comparison pair (the
-           autotuner and adaptive arm never run) *)
-        let jobs =
-          if adapt then jobs
-          else List.filter (fun (name, _) -> name <> "adaptive") jobs
-        in
-        let payloads = Parallel.run_jobs ~parallel jobs in
-        let decoded = List.map (fun (_, j) -> arm_of_payload j) payloads in
-        Some
-          {
-            bench;
-            arms = List.map fst decoded;
-            recommendation =
-              List.fold_left
-                (fun acc (_, r) -> if r <> None then r else acc)
-                None decoded;
-          }
+  Option.map
+    (fun jobs ->
+      (* without --adapt: just the static comparison pair (the autotuner
+         and adaptive arm never run) *)
+      let jobs =
+        if adapt then jobs
+        else List.filter (fun (name, _) -> name <> "adaptive") jobs
+      in
+      let payloads = Parallel.run_jobs ~parallel jobs in
+      let decoded = List.map (fun (_, j) -> arm_of_payload j) payloads in
+      {
+        bench;
+        arms = List.map fst decoded;
+        recommendation =
+          List.fold_left
+            (fun acc (_, r) -> if r <> None then r else acc)
+            None decoded;
+      })
+    (arm_jobs ?seed bench)
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)

@@ -15,9 +15,6 @@
       parameters chosen by {!Adapt.Autotune} (model-ranked, validated by
       reduced-scale simulated runs). *)
 
-val names : string list
-(** ["treeadd"; "health"; "mst"; "perimeter"]. *)
-
 type arm = {
   arm_label : string;  (** "base", "static" or "adaptive" *)
   arm_result : Olden.Common.result;
@@ -42,7 +39,8 @@ val arm_of_payload : Obs.Json.t -> arm * Obs.Json.t option
 
 val run :
   ?seed:int -> ?adapt:bool -> ?parallel:bool -> string -> report option
-(** Run the arms for one benchmark; [None] for an unknown name.
+(** Run the arms for one of {!Experiments.olden_names} (treeadd with a
+    14-level tree traversed 8 times); [None] for an unknown name.
     [adapt] (default true) includes the adaptive arm and the autotuned
     recommendation; [false] runs only the base/static pair.
 

@@ -243,6 +243,43 @@ let olden_params ?seed scale =
         { mst with Olden.Mst.seed = s + 1 },
         { per with Olden.Perimeter.seed = s + 2 } )
 
+type kernel = {
+  k_name : string;
+  k_run : ?measure_whole:bool -> ?ctx:C.ctx -> C.placement -> C.result;
+}
+
+(* Every [Olden.*.run] shares one signature, so one constructor covers
+   all four; [?config] is left out because callers that want another
+   machine pass a [ctx] built on it. *)
+let kernel k_name
+    (run :
+      ?params:'p ->
+      ?measure_whole:bool ->
+      ?config:Memsim.Config.t ->
+      ?ctx:C.ctx ->
+      C.placement ->
+      C.result) params =
+  {
+    k_name;
+    k_run = (fun ?measure_whole ?ctx p -> run ~params ?measure_whole ?ctx p);
+  }
+
+let treeadd = kernel "treeadd" Olden.Treeadd.run
+
+let olden_kernels ?seed scale =
+  let ta, h, mst, per = olden_params ?seed scale in
+  [
+    treeadd ta;
+    kernel "health" Olden.Health.run h;
+    kernel "mst" Olden.Mst.run mst;
+    kernel "perimeter" Olden.Perimeter.run per;
+  ]
+
+let olden_names = List.map (fun k -> k.k_name) (olden_kernels Quick)
+
+let olden_kernel ?seed scale name =
+  List.find_opt (fun k -> k.k_name = name) (olden_kernels ?seed scale)
+
 let table2 ?(scale = Quick) ?seed ppf =
   section ppf "Table 2: benchmark characteristics";
   let ta, h, mst, per = olden_params ?seed scale in
@@ -250,66 +287,62 @@ let table2 ?(scale = Quick) ?seed ppf =
     Format.fprintf ppf "%-10s %-26s %-24s %8s@." name structure input mem
   in
   row "Name" "Main structures" "Input data set" "Memory";
-  let kb r = Printf.sprintf "%d KB" (r.C.memory_bytes / 1024) in
-  let json_row name structure input (r : C.result) =
-    J.Obj
-      [
-        ("name", J.String name);
-        ("structure", J.String structure);
-        ("input", J.String input);
-        ("memory_bytes", J.Int r.C.memory_bytes);
-      ]
+  let described =
+    [
+      ( "TreeAdd",
+        "binary tree",
+        Printf.sprintf "%d nodes" (Olden.Treeadd.nodes_of ta) );
+      ( "Health",
+        "doubly-linked lists",
+        Printf.sprintf "level %d, %d steps" h.Olden.Health.levels
+          h.Olden.Health.steps );
+      ( "Mst",
+        "array of chained hashes",
+        Printf.sprintf "%d vertices" mst.Olden.Mst.vertices );
+      ( "Perimeter",
+        "quadtree",
+        Printf.sprintf "%dx%d image" per.Olden.Perimeter.size
+          per.Olden.Perimeter.size );
+    ]
   in
-  let rta = Olden.Treeadd.run ~params:ta C.Base in
-  let ita = Printf.sprintf "%d nodes" (Olden.Treeadd.nodes_of ta) in
-  row "TreeAdd" "binary tree" ita (kb rta);
-  let rh = Olden.Health.run ~params:h C.Base in
-  let ih =
-    Printf.sprintf "level %d, %d steps" h.Olden.Health.levels
-      h.Olden.Health.steps
+  let rows =
+    List.map2
+      (fun (title, structure, input) k ->
+        let r = k.k_run C.Base in
+        row title structure input
+          (Printf.sprintf "%d KB" (r.C.memory_bytes / 1024));
+        J.Obj
+          [
+            ("name", J.String k.k_name);
+            ("structure", J.String structure);
+            ("input", J.String input);
+            ("memory_bytes", J.Int r.C.memory_bytes);
+          ])
+      described
+      (olden_kernels ?seed scale)
   in
-  row "Health" "doubly-linked lists" ih (kb rh);
-  let rm = Olden.Mst.run ~params:mst C.Base in
-  let im = Printf.sprintf "%d vertices" mst.Olden.Mst.vertices in
-  row "Mst" "array of chained hashes" im (kb rm);
-  let rp = Olden.Perimeter.run ~params:per C.Base in
-  let ip =
-    Printf.sprintf "%dx%d image" per.Olden.Perimeter.size
-      per.Olden.Perimeter.size
-  in
-  row "Perimeter" "quadtree" ip (kb rp);
   Format.fprintf ppf
     "(paper: 4 MB / 828 KB / 12 KB / 64 MB at its input sizes)@.@.";
-  J.Obj
-    [
-      ( "rows",
-        J.List
-          [
-            json_row "treeadd" "binary tree" ita rta;
-            json_row "health" "doubly-linked lists" ih rh;
-            json_row "mst" "array of chained hashes" im rm;
-            json_row "perimeter" "quadtree" ip rp;
-          ] );
-    ]
+  J.Obj [ ("rows", J.List rows) ]
 
 (* ------------------------------------------------------------------ *)
 (* Figure 7                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let fig7_one ppf name run =
+let fig7_one ppf k =
   Format.fprintf ppf
-    "%-10s %-8s %12s %6s %6s %6s %6s %6s %9s@." name "config" "cycles" "norm"
-    "busy%" "load%" "store%" "l2mr" "mem(KB)";
+    "%-10s %-8s %12s %6s %6s %6s %6s %6s %9s@." k.k_name "config" "cycles"
+    "norm" "busy%" "load%" "store%" "l2mr" "mem(KB)";
   let base = ref None in
   let rows =
     List.map
       (fun p ->
-        let r : C.result = run p in
+        let r = k.k_run p in
         if p = C.Base then base := Some r;
         let b = Option.get !base in
         let s = r.C.snapshot in
         Format.fprintf ppf "%-10s %-8s %12d %6.2f %6.1f %6.1f %6.1f %6.3f %9d@."
-          name (C.label p) s.Memsim.Cost.s_total
+          k.k_name (C.label p) s.Memsim.Cost.s_total
           (C.normalized r ~base:b)
           (pct s.Memsim.Cost.s_busy s.Memsim.Cost.s_total)
           (pct s.Memsim.Cost.s_load_stall s.Memsim.Cost.s_total)
@@ -324,21 +357,13 @@ let fig7_one ppf name run =
       C.all_placements
   in
   Format.fprintf ppf "@.";
-  J.Obj [ ("name", J.String name); ("rows", J.List rows) ]
+  J.Obj [ ("name", J.String k.k_name); ("rows", J.List rows) ]
 
 let fig7 ?(scale = Quick) ?seed ppf =
   section ppf
     "Figure 7: Olden benchmarks under cache-conscious placement (RSIM \
      machine)";
-  let ta, h, mst, per = olden_params ?seed scale in
-  let benches =
-    [
-      fig7_one ppf "treeadd" (fun p -> Olden.Treeadd.run ~params:ta p);
-      fig7_one ppf "health" (fun p -> Olden.Health.run ~params:h p);
-      fig7_one ppf "mst" (fun p -> Olden.Mst.run ~params:mst p);
-      fig7_one ppf "perimeter" (fun p -> Olden.Perimeter.run ~params:per p);
-    ]
-  in
+  let benches = List.map (fig7_one ppf) (olden_kernels ?seed scale) in
   Format.fprintf ppf
     "(paper: ccmorph beats base by 28-138%% and prefetching by 3-138%%; \
      ccmalloc new-block@. beats prefetching by 20-194%% except treeadd; \
@@ -353,45 +378,24 @@ let control ?(scale = Quick) ?seed ppf =
   section ppf
     "Section 4.4 control: ccmalloc with null hints vs. system malloc \
      (whole program)";
-  let ta, h, mst, per = olden_params ?seed scale in
-  let one name base null =
-    let rb : C.result = base () in
-    let rn : C.result = null () in
+  let one k =
+    let rb = k.k_run ~measure_whole:true C.Base in
+    let rn = k.k_run ~measure_whole:true C.Null_hint_control in
     let delta = 100. *. (C.normalized rn ~base:rb -. 1.) in
     Format.fprintf ppf
       "%-10s base %12d cycles   null-hint ccmalloc %12d cycles   -> %+.1f%% \
        (paper: +2%% to +6%%)@."
-      name rb.C.snapshot.Memsim.Cost.s_total rn.C.snapshot.Memsim.Cost.s_total
-      delta;
+      k.k_name rb.C.snapshot.Memsim.Cost.s_total
+      rn.C.snapshot.Memsim.Cost.s_total delta;
     J.Obj
       [
-        ("name", J.String name);
+        ("name", J.String k.k_name);
         ("base_cycles", J.Int rb.C.snapshot.Memsim.Cost.s_total);
         ("null_hint_cycles", J.Int rn.C.snapshot.Memsim.Cost.s_total);
         ("overhead_pct", J.Float delta);
       ]
   in
-  let rows =
-    [
-      one "treeadd"
-        (fun () -> Olden.Treeadd.run ~params:ta ~measure_whole:true C.Base)
-        (fun () ->
-          Olden.Treeadd.run ~params:ta ~measure_whole:true C.Null_hint_control);
-      one "health"
-        (fun () -> Olden.Health.run ~params:h ~measure_whole:true C.Base)
-        (fun () ->
-          Olden.Health.run ~params:h ~measure_whole:true C.Null_hint_control);
-      one "mst"
-        (fun () -> Olden.Mst.run ~params:mst ~measure_whole:true C.Base)
-        (fun () ->
-          Olden.Mst.run ~params:mst ~measure_whole:true C.Null_hint_control);
-      one "perimeter"
-        (fun () -> Olden.Perimeter.run ~params:per ~measure_whole:true C.Base)
-        (fun () ->
-          Olden.Perimeter.run ~params:per ~measure_whole:true
-            C.Null_hint_control);
-    ]
-  in
+  let rows = List.map one (olden_kernels ?seed scale) in
   Format.fprintf ppf "@.";
   J.Obj [ ("rows", J.List rows) ]
 

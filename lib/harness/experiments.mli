@@ -51,8 +51,34 @@ val olden_params :
   scale ->
   Olden.Treeadd.params * Olden.Health.params * Olden.Mst.params
   * Olden.Perimeter.params
-(** The Olden input sizes used by {!table2}, {!fig7} and {!control} at a
-    given scale (shared with {!Profiles}). *)
+(** The Olden input sizes behind {!olden_kernels} at a given scale. *)
+
+(** One Olden kernel with its inputs bound: the single way every harness
+    runs treeadd, health, mst or perimeter. *)
+type kernel = {
+  k_name : string;
+  k_run :
+    ?measure_whole:bool ->
+    ?ctx:Olden.Common.ctx ->
+    Olden.Common.placement ->
+    Olden.Common.result;
+      (** [Olden.*.run] with the kernel's params; without [ctx] it runs
+          on a fresh default machine for the placement *)
+}
+
+val treeadd : Olden.Treeadd.params -> kernel
+(** Treeadd with caller-chosen inputs (a deeper tree, more passes). *)
+
+val olden_kernels : ?seed:int -> scale -> kernel list
+(** The four kernels in Table 2 order, built from {!olden_params}. *)
+
+val olden_names : string list
+(** ["treeadd"; "health"; "mst"; "perimeter"]: the names of
+    {!olden_kernels}. *)
+
+val olden_kernel : ?seed:int -> scale -> string -> kernel option
+(** The kernel of {!olden_kernels} with this name; [None] for an unknown
+    name. *)
 
 val names : string list
 (** The experiment names {!run_named} understands, in paper order. *)

@@ -16,18 +16,16 @@ type report = {
   summary : Analyze.Diag.summary;
 }
 
-let names = [ "treeadd"; "health"; "mst"; "perimeter" ]
-
-let run_phase ?window ~bench:_ placement f =
+let run_phase (k : Experiments.kernel) placement =
   let ctx = C.make_ctx placement in
-  let lint = Analyze.Lint.create ?window ctx.C.machine in
+  let lint = Analyze.Lint.create ctx.C.machine in
   Option.iter (Analyze.Lint.set_ccmalloc lint) ctx.C.cc;
   let ctx =
     { ctx with C.alloc = Analyze.Lint.wrap_allocator lint ctx.C.alloc }
   in
   Analyze.Lint.attach lint;
   let result = Fun.protect ~finally:(fun () -> Analyze.Lint.detach lint)
-      (fun () -> f ctx)
+      (fun () -> k.k_run ~measure_whole:true ~ctx placement)
   in
   {
     ph_placement = placement;
@@ -41,41 +39,15 @@ let run_phase ?window ~bench:_ placement f =
 let phase_placements = [ C.Ccmalloc_new_block; C.Ccmorph_cluster_color ]
 
 let run ?(scale = Experiments.Quick) ?seed name =
-  let ta, h, mst, per = Experiments.olden_params ?seed scale in
-  let f =
-    match name with
-    | "treeadd" ->
-        Some
-          (fun ctx placement ->
-            Olden.Treeadd.run ~params:ta ~measure_whole:true ~ctx placement)
-    | "health" ->
-        Some
-          (fun ctx placement ->
-            Olden.Health.run ~params:h ~measure_whole:true ~ctx placement)
-    | "mst" ->
-        Some
-          (fun ctx placement ->
-            Olden.Mst.run ~params:mst ~measure_whole:true ~ctx placement)
-    | "perimeter" ->
-        Some
-          (fun ctx placement ->
-            Olden.Perimeter.run ~params:per ~measure_whole:true ~ctx placement)
-    | _ -> None
-  in
   Option.map
-    (fun f ->
-      let phases =
-        List.map
-          (fun placement ->
-            run_phase ~bench:name placement (fun ctx -> f ctx placement))
-          phase_placements
-      in
+    (fun k ->
+      let phases = List.map (run_phase k) phase_placements in
       let diags =
         List.sort Analyze.Diag.order
           (List.concat_map (fun p -> p.ph_diags) phases)
       in
       { bench = name; scale; phases; diags; summary = Analyze.Diag.summarize diags })
-    f
+    (Experiments.olden_kernel ?seed scale name)
 
 let pp ppf r =
   Report.section ppf

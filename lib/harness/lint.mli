@@ -28,21 +28,14 @@ type report = {
   summary : Analyze.Diag.summary;
 }
 
-val names : string list
-(** The lintable benchmarks: treeadd, health, mst, perimeter. *)
-
-val run_phase :
-  ?window:int ->
-  bench:string ->
-  Olden.Common.placement ->
-  (Olden.Common.ctx -> Olden.Common.result) ->
-  phase
-(** Run one benchmark closure under one placement with a {!Analyze.Lint}
-    attached; exposed so tests can lint tiny custom workloads. *)
+val run_phase : Experiments.kernel -> Olden.Common.placement -> phase
+(** Run one kernel whole-program under one placement with a
+    {!Analyze.Lint} attached; exposed so tests can lint tiny custom
+    workloads. *)
 
 val run : ?scale:Experiments.scale -> ?seed:int -> string -> report option
-(** [run name] lints benchmark [name] at [scale] (default [Quick]);
-    [None] for an unknown name. *)
+(** [run name] lints the {!Experiments.olden_kernels} kernel [name] at
+    [scale] (default [Quick]); [None] for an unknown name. *)
 
 val pp : Format.formatter -> report -> unit
 

@@ -19,14 +19,15 @@ type report = {
   simulated_l2_miss_rate : float;
 }
 
-let names = [ "treeadd"; "health"; "mst"; "perimeter" ]
-
-let run_custom ?config ~bench placement f =
-  let ctx = C.make_ctx ?config placement in
+(* The whole run is measured: the profilers see every timed access from
+   the first allocation on, so the cache statistics must cover the same
+   window for the implied-vs-simulated comparison to be meaningful. *)
+let profile_kernel ~config placement (k : Experiments.kernel) =
+  let ctx = C.make_ctx ~config placement in
   let m = ctx.C.machine in
   let profile = Obs.Profile.for_machine m in
   let sub = Obs.Profile.attach profile m in
-  let result = f ctx in
+  let result = k.k_run ~measure_whole:true ~ctx placement in
   Machine.unsubscribe m sub;
   let h = Machine.hierarchy m in
   let hstats = Hierarchy.stats h in
@@ -51,7 +52,7 @@ let run_custom ?config ~bench placement f =
     else float_of_int simulated_l2_misses /. float_of_int refs
   in
   {
-    bench;
+    bench = k.k_name;
     placement;
     result;
     profile;
@@ -97,35 +98,13 @@ let default_config placement =
   in
   { base with Memsim.Config.l1; l2 }
 
-(* The whole run is measured: the profilers see every timed access from
-   the first allocation on, so the cache statistics must cover the same
-   window for the implied-vs-simulated comparison to be meaningful. *)
 let run ?(scale = Experiments.Quick) ?seed ?(placement = C.Base) ?config name =
   let config =
     match config with Some c -> c | None -> default_config placement
   in
-  let ta, h, mst, per = Experiments.olden_params ?seed scale in
-  let f =
-    match name with
-    | "treeadd" ->
-        Some
-          (fun ctx ->
-            Olden.Treeadd.run ~params:ta ~measure_whole:true ~ctx placement)
-    | "health" ->
-        Some
-          (fun ctx ->
-            Olden.Health.run ~params:h ~measure_whole:true ~ctx placement)
-    | "mst" ->
-        Some
-          (fun ctx ->
-            Olden.Mst.run ~params:mst ~measure_whole:true ~ctx placement)
-    | "perimeter" ->
-        Some
-          (fun ctx ->
-            Olden.Perimeter.run ~params:per ~measure_whole:true ~ctx placement)
-    | _ -> None
-  in
-  Option.map (fun f -> run_custom ~config ~bench:name placement f) f
+  Option.map
+    (profile_kernel ~config placement)
+    (Experiments.olden_kernel ?seed scale name)
 
 let pp ppf r =
   Report.section ppf

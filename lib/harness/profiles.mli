@@ -27,9 +27,6 @@ type report = {
       (** simulated L2 misses per L1 reference (same denominator) *)
 }
 
-val names : string list
-(** ["treeadd"; "health"; "mst"; "perimeter"]. *)
-
 val default_config : Olden.Common.placement -> Memsim.Config.t
 (** The default profiling machine: Table 1's capacities, block sizes and
     latencies with the L2 raised to 16 ways, so the histogram's
@@ -44,19 +41,8 @@ val run :
   ?config:Memsim.Config.t ->
   string ->
   report option
-(** Profile one Olden benchmark by name (default placement
-    [Olden.Common.Base]); [None] for an unknown name. *)
-
-val run_custom :
-  ?config:Memsim.Config.t ->
-  bench:string ->
-  Olden.Common.placement ->
-  (Olden.Common.ctx -> Olden.Common.result) ->
-  report
-(** Profile an arbitrary workload: builds the ctx, attaches the
-    profilers, runs [f ctx] (which must do all its timed work on
-    [ctx.machine] and should measure the whole run), and assembles the
-    report.  Exposed for the test suite's acceptance check. *)
+(** Profile one of {!Experiments.olden_kernels} by name (default
+    placement [Olden.Common.Base]); [None] for an unknown name. *)
 
 val pp : Format.formatter -> report -> unit
 val to_json : report -> Obs.Json.t

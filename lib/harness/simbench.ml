@@ -82,9 +82,11 @@ let pointer_chase n () =
   m
 
 let health_arm () =
-  let _, h, _, _ = Experiments.olden_params Experiments.Quick in
+  let health =
+    Option.get (Experiments.olden_kernel Experiments.Quick "health")
+  in
   let ctx = C.make_ctx C.Ccmorph_cluster_color in
-  ignore (Olden.Health.run ~params:h ~ctx C.Ccmorph_cluster_color);
+  ignore (health.k_run ~ctx C.Ccmorph_cluster_color);
   ctx.C.machine
 
 (* ------------------------------------------------------------------ *)

@@ -48,6 +48,19 @@ let describe = function
   | Ccmorph_cluster_color -> "ccmorph clustering+coloring"
   | Null_hint_control -> "ccmalloc with null hints (control)"
 
+let of_string s =
+  match String.lowercase_ascii s with
+  | "b" | "base" -> Some Base
+  | "hp" | "hw-prefetch" -> Some Hw_prefetch
+  | "sp" | "sw-prefetch" -> Some Sw_prefetch
+  | "fa" | "first-fit" -> Some Ccmalloc_first_fit
+  | "ca" | "closest" -> Some Ccmalloc_closest
+  | "na" | "new-block" -> Some Ccmalloc_new_block
+  | "cl" | "cluster" -> Some Ccmorph_cluster
+  | "cl+col" | "cluster-color" -> Some Ccmorph_cluster_color
+  | "nullhint" | "null-hint" -> Some Null_hint_control
+  | _ -> None
+
 type morph_gate = {
   g_should : unit -> bool;
   g_note : Ccsl.Ccmorph.result -> unit;

@@ -25,6 +25,12 @@ val label : placement -> string
 
 val describe : placement -> string
 
+val of_string : string -> placement option
+(** Parse a placement from its {!label} or its long name ([base],
+    [hw-prefetch], [sw-prefetch], [first-fit], [closest], [new-block],
+    [cluster], [cluster-color], [null-hint]), ignoring case; [None] for
+    anything else. *)
+
 type morph_gate = {
   g_should : unit -> bool;
       (** consulted at each structure-safe reorganization point; [true]

@@ -295,10 +295,9 @@ let test_exit_codes_and_ordering () =
 (* ---------------- the harness runner, at test scale ---------------- *)
 
 let mini_treeadd placement =
-  Harness.Lint.run_phase ~bench:"treeadd" placement (fun ctx ->
-      Olden.Treeadd.run
-        ~params:{ Olden.Treeadd.levels = 7; passes = 2 }
-        ~measure_whole:true ~ctx placement)
+  Harness.Lint.run_phase
+    (Harness.Experiments.treeadd { Olden.Treeadd.levels = 7; passes = 2 })
+    placement
 
 let test_phases_lint_clean () =
   List.iter

@@ -105,6 +105,73 @@ let test_normalized () =
   Alcotest.(check (float 1e-9)) "base normalizes to 1" 1.
     (C.normalized base ~base)
 
+let test_placement_names () =
+  let all = C.Null_hint_control :: C.all_placements in
+  Alcotest.(check int) "nine placements" 9 (List.length all);
+  List.iter
+    (fun p ->
+      Alcotest.(check bool) (C.label p ^ " parses") true
+        (C.of_string (C.label p) = Some p))
+    all;
+  List.iter
+    (fun (name, p) ->
+      Alcotest.(check bool) (name ^ " parses") true (C.of_string name = Some p))
+    [
+      ("base", C.Base);
+      ("hw-prefetch", C.Hw_prefetch);
+      ("sw-prefetch", C.Sw_prefetch);
+      ("first-fit", C.Ccmalloc_first_fit);
+      ("closest", C.Ccmalloc_closest);
+      ("new-block", C.Ccmalloc_new_block);
+      ("cluster", C.Ccmorph_cluster);
+      ("cluster-color", C.Ccmorph_cluster_color);
+      ("null-hint", C.Null_hint_control);
+      ("Cluster-Color", C.Ccmorph_cluster_color);
+    ];
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) (Printf.sprintf "%S is unknown" s) true
+        (C.of_string s = None))
+    [ ""; "malloc"; "cluster+color"; "nullhint " ]
+
+(* Every harness finds its kernel in the one table, so an unknown name
+   must come back [None] before anything runs.  A rejection allocates a
+   few hundred host bytes; building any machine, whatever its caches,
+   allocates tens of kilobytes. *)
+let test_kernel_table_names () =
+  let module Ex = Harness.Experiments in
+  Alcotest.(check (list string)) "Table 2 order"
+    [ "treeadd"; "health"; "mst"; "perimeter" ]
+    Ex.olden_names;
+  Alcotest.(check (list string)) "kernels carry the names" Ex.olden_names
+    (List.map (fun k -> k.Ex.k_name) (Ex.olden_kernels Ex.Quick));
+  List.iter
+    (fun name ->
+      Alcotest.(check (option string)) ("lookup " ^ name) (Some name)
+        (Option.map (fun k -> k.Ex.k_name) (Ex.olden_kernel Ex.Paper name)))
+    Ex.olden_names;
+  let allocated f =
+    let before = Gc.allocated_bytes () in
+    let x = f () in
+    (x, Gc.allocated_bytes () -. before)
+  in
+  let _, machine_bytes = allocated (fun () -> C.make_ctx C.Base) in
+  let rejects what run =
+    let r, bytes = allocated run in
+    Alcotest.(check bool) (what ^ " is None") true (Option.is_none r);
+    if bytes >= machine_bytes /. 8. then
+      Alcotest.failf "%s allocated %.0f bytes, a machine takes %.0f" what
+        bytes machine_bytes
+  in
+  rejects "olden_kernel" (fun () -> Ex.olden_kernel Ex.Quick "treeadd2");
+  rejects "Profiles.run" (fun () -> Harness.Profiles.run "treeadd2");
+  rejects "Lint.run" (fun () -> Harness.Lint.run "treeadd2");
+  rejects "Adaptive.run" (fun () -> Harness.Adaptive.run "treeadd2");
+  rejects "Layout_shootout.run" (fun () ->
+      Harness.Layout_shootout.run "treeadd2");
+  rejects "Layout_shootout.run mst" (fun () ->
+      Harness.Layout_shootout.run "mst")
+
 let prop_treeadd_sum_any_size =
   QCheck.Test.make ~count:8 ~name:"treeadd sums correctly at any size"
     QCheck.(int_range 2 12)
@@ -149,6 +216,10 @@ let tests =
         Alcotest.test_case "hw prefetch wiring" `Quick
           test_hw_prefetch_only_for_hp;
         Alcotest.test_case "normalization" `Quick test_normalized;
+        Alcotest.test_case "placement names round-trip" `Quick
+          test_placement_names;
+        Alcotest.test_case "kernel table and unknown names" `Quick
+          test_kernel_table_names;
         QCheck_alcotest.to_alcotest prop_treeadd_sum_any_size;
         QCheck_alcotest.to_alcotest prop_mst_matches_oracle;
         QCheck_alcotest.to_alcotest prop_perimeter_matches_oracle;
