@@ -273,7 +273,7 @@ let () =
          ~extra:[ ("recommended_params", recommended) ]
          data);
     Printf.printf "wrote %s\n%!" file;
-    print_endline "=== Simulator self-benchmark (fast path vs reference) ===";
+    print_endline "=== Simulator self-benchmark ===";
     let simspeed = Harness.Simbench.run () in
     Format.printf "%a@." Harness.Simbench.pp simspeed;
     let file = "BENCH_simspeed.json" in

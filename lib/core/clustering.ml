@@ -1,17 +1,5 @@
-(* The planning algorithms moved to the pluggable lib/layout subsystem;
-   this module keeps the paper-facing API (and the Section 5 closed
-   forms) and re-exports the plan type with an equation so every
-   existing consumer keeps compiling. *)
-
-type plan = Layout.Plan.t = {
-  blocks : int array array;
-  block_of_node : int array;
-}
-
-let subtree ~n ~kids ~roots ~k =
-  Layout.Subtree.plan (Layout.Tree.v ~n ~kids ~roots ()) ~k
-
-let linear ~n ~order ~k = Layout.Plan.chunk ~n ~order ~k
+(* The paper's Section 2.1/5 closed forms for the expected accesses per
+   entered block; the planning algorithms live in lib/layout. *)
 
 let expected_accesses_subtree ~k = log (float_of_int (k + 1)) /. log 2.
 
@@ -25,5 +13,3 @@ let expected_accesses_weighted ~k ~p =
     invalid_arg "Clustering.expected_accesses_weighted: p outside [0, 1]";
   if p >= 1. then float_of_int k
   else (1. -. (p ** float_of_int k)) /. (1. -. p)
-
-let check plan ~n ~k = Layout.Plan.check plan ~n ~k

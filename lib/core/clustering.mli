@@ -1,41 +1,13 @@
-(** Clustering plans (paper Section 2.1, Figure 1).
+(** Clustering's expected-access closed forms (paper Sections 2.1 and 5).
 
-    Clustering decides which structure elements share a cache block.  The
-    planner works on an abstract tree: nodes are integers [0 .. n-1] and
-    [kids i] lists the children of node [i].  The result assigns nodes to
-    blocks of at most [k] elements, where [k = ⌊b/e⌋] is how many elements
-    fit in a cache block.
-
-    The algorithms themselves live in the pluggable [Layout] subsystem
-    ({!Layout.Engine}); [plan] is the same type as {!Layout.Plan.t} (a
-    type equation, so values flow both ways), and this module keeps the
-    paper's two schemes plus the Section 2.1/5 expected-access closed
-    forms for every built-in engine. *)
-
-type plan = Layout.Plan.t = {
-  blocks : int array array;
-      (** [blocks.(j)] lists the node ids sharing block [j], in layout
-          order.  Every node appears in exactly one block. *)
-  block_of_node : int array;  (** inverse mapping *)
-}
-
-val subtree : n:int -> kids:(int -> int list) -> roots:int list -> k:int -> plan
-(** The paper's scheme: pack each block with a {e subtree} — a cluster
-    root plus its descendants in breadth-first order, up to [k] nodes.
-    Children that do not fit become roots of subsequent clusters.  Blocks
-    are emitted in breadth-first order of cluster roots, so blocks nearer
-    the structure root come first (this ordering is what {!Ccmorph}'s
-    coloring relies on).  For a complete binary tree and [k = 3] each
-    block holds a parent and its two children.  Delegates to
-    {!Layout.Subtree}.
-    @raise Invalid_argument if [k < 1] or the [roots] do not reach
-    exactly the ids [0..n-1] without repetition. *)
-
-val linear : n:int -> order:int array -> k:int -> plan
-(** Chunk an explicit traversal order into consecutive [k]-element blocks;
-    with a depth-first order this is the paper's "depth-first clustering"
-    baseline, and for lists it packs consecutive elements.  Delegates to
-    {!Layout.Plan.chunk}. *)
+    Clustering decides which structure elements share a cache block: a
+    plan assigns the nodes of a tree to blocks of at most [k] elements,
+    where [k = ⌊b/e⌋] is how many elements fit in a cache block.  The
+    planning algorithms are the pluggable {!Layout} engines (the paper's
+    scheme is {!Layout.Subtree}, its depth-first baseline
+    {!Layout.Depth_first}); this module keeps the expected number of
+    accesses per entered block under each built-in engine, which
+    {!Model} and the autotuner use. *)
 
 val expected_accesses_subtree : k:int -> float
 (** Expected number of accesses to a block per traversal through it under
@@ -65,7 +37,3 @@ val expected_accesses_weighted : k:int -> p:float -> float
     depth-first form, which is why the weighted engine needs a real
     profile to win.
     @raise Invalid_argument if [p] is outside [0, 1]. *)
-
-val check : plan -> n:int -> k:int -> unit
-(** Validates partition and size bounds ({!Layout.check_plan}).
-    @raise Failure if broken. *)

@@ -4,10 +4,9 @@
    raw sequential loads (MRU-filter friendly, like array sweeps),
    a dependent pointer chase over a clustered ring (the access pattern
    the paper's placements produce), and a full health benchmark arm
-   (every subsystem: allocator, ccmorph, timed copies).  Each runs twice
-   in one process, fast path on and off ({!Memsim.Fastpath}), reporting
-   real-world accesses/sec for both plus the speedup, and checking the
-   simulated statistics are bit-identical between the two arms. *)
+   (every subsystem: allocator, ccmorph, timed copies).  Each row
+   reports real-world accesses/sec plus the simulated statistics, which
+   CI compares exactly against the committed [BENCH_simspeed.json]. *)
 
 module Machine = Memsim.Machine
 module Hierarchy = Memsim.Hierarchy
@@ -16,23 +15,16 @@ module Config = Memsim.Config
 module C = Olden.Common
 module J = Obs.Json
 
-type side = {
-  s_seconds : float;
-  s_accesses : int;
-  s_per_sec : float;
-  s_cycles : int;
-  s_l1_misses : int;
-  s_l2_misses : int;
-  s_evictions : int;
-  s_writebacks : int;
-}
-
 type row = {
   w_name : string;
-  w_fast : side;  (** {!Memsim.Fastpath} enabled (the default mode) *)
-  w_ref : side;  (** reference paths — the pre-fastpath implementations *)
-  w_speedup : float;
-  w_identical : bool;  (** simulated stats bit-identical across modes *)
+  w_seconds : float;
+  w_accesses : int;
+  w_per_sec : float;
+  w_cycles : int;
+  w_l1_misses : int;
+  w_l2_misses : int;
+  w_evictions : int;
+  w_writebacks : int;
 }
 
 type report = { machine : string; rows : row list }
@@ -93,63 +85,40 @@ let health_arm () =
 (* Measurement                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let measure ~fast f =
-  Memsim.Fastpath.with_mode fast (fun () ->
-      let t0 = Unix.gettimeofday () in
-      let m = f () in
-      let dt = Unix.gettimeofday () -. t0 in
-      let h = Machine.hierarchy m in
-      let l1 = Cache.stats (Hierarchy.l1 h) in
-      let l2 = Cache.stats (Hierarchy.l2 h) in
-      let accesses = Cache.accesses l1 in
-      {
-        s_seconds = dt;
-        s_accesses = accesses;
-        s_per_sec =
-          (if dt > 0. then float_of_int accesses /. dt else 0.);
-        s_cycles = Machine.cycles m;
-        s_l1_misses = Cache.misses l1;
-        s_l2_misses = Cache.misses l2;
-        s_evictions = l2.Cache.evictions;
-        s_writebacks = l2.Cache.writebacks;
-      })
-
-let stats_equal a b =
-  a.s_accesses = b.s_accesses
-  && a.s_cycles = b.s_cycles
-  && a.s_l1_misses = b.s_l1_misses
-  && a.s_l2_misses = b.s_l2_misses
-  && a.s_evictions = b.s_evictions
-  && a.s_writebacks = b.s_writebacks
-
-let best_of reps ~fast f =
-  (* wall-clock is noisy on shared machines; keep the fastest repeat of
-     each arm (the usual benchmarking convention — the minimum is the
-     run least disturbed by the OS).  Simulated stats are deterministic,
-     so any repeat's stats serve for the bit-identity check. *)
-  let rec go best k =
-    if k = 0 then best
-    else
-      let s = measure ~fast f in
-      go (if s.s_per_sec > best.s_per_sec then s else best) (k - 1)
-  in
-  let first = measure ~fast f in
-  go first (reps - 1)
+let measure name f =
+  let t0 = Unix.gettimeofday () in
+  let m = f () in
+  let dt = Unix.gettimeofday () -. t0 in
+  let h = Machine.hierarchy m in
+  let l1 = Cache.stats (Hierarchy.l1 h) in
+  let l2 = Cache.stats (Hierarchy.l2 h) in
+  let accesses = Cache.accesses l1 in
+  {
+    w_name = name;
+    w_seconds = dt;
+    w_accesses = accesses;
+    w_per_sec = (if dt > 0. then float_of_int accesses /. dt else 0.);
+    w_cycles = Machine.cycles m;
+    w_l1_misses = Cache.misses l1;
+    w_l2_misses = Cache.misses l2;
+    w_evictions = l2.Cache.evictions;
+    w_writebacks = l2.Cache.writebacks;
+  }
 
 let bench_row ?(repeats = 3) name f =
   (* one untimed warm-up pass keeps code-page and minor-heap effects out
-     of the first timed arm *)
-  ignore (measure ~fast:true f);
-  let fast = best_of repeats ~fast:true f in
-  let ref_ = best_of repeats ~fast:false f in
-  {
-    w_name = name;
-    w_fast = fast;
-    w_ref = ref_;
-    w_speedup =
-      (if ref_.s_per_sec > 0. then fast.s_per_sec /. ref_.s_per_sec else 0.);
-    w_identical = stats_equal fast ref_;
-  }
+     of the first timed repeat; wall-clock is noisy on shared machines,
+     so keep the fastest repeat (the usual benchmarking convention — the
+     minimum is the run least disturbed by the OS).  Simulated stats are
+     deterministic, so every repeat reports the same ones. *)
+  ignore (measure name f);
+  let rec go best k =
+    if k = 0 then best
+    else
+      let s = measure name f in
+      go (if s.w_per_sec > best.w_per_sec then s else best) (k - 1)
+  in
+  go (measure name f) (repeats - 1)
 
 let run ?(n = 2_000_000) ?(repeats = 3) () =
   {
@@ -168,43 +137,31 @@ let run ?(n = 2_000_000) ?(repeats = 3) () =
 
 let pp ppf r =
   Format.fprintf ppf "simulator self-benchmark (%s)@." r.machine;
-  Format.fprintf ppf "  %-14s %12s %14s %14s %8s %s@." "workload" "accesses"
-    "fast acc/s" "ref acc/s" "speedup" "stats";
+  Format.fprintf ppf "  %-14s %12s %14s %12s %10s %10s@." "workload"
+    "accesses" "acc/s" "cycles" "L1 misses" "L2 misses";
   List.iter
     (fun w ->
-      Format.fprintf ppf "  %-14s %12d %14.3e %14.3e %7.2fx %s@." w.w_name
-        w.w_fast.s_accesses w.w_fast.s_per_sec w.w_ref.s_per_sec w.w_speedup
-        (if w.w_identical then "bit-identical" else "DIVERGED"))
+      Format.fprintf ppf "  %-14s %12d %14.3e %12d %10d %10d@." w.w_name
+        w.w_accesses w.w_per_sec w.w_cycles w.w_l1_misses w.w_l2_misses)
     r.rows
 
-let side_to_json s =
+let row_to_json w =
   J.Obj
     [
-      ("seconds", J.Float s.s_seconds);
-      ("accesses_per_sec", J.Float s.s_per_sec);
-      ("cycles", J.Int s.s_cycles);
-      ("l1_misses", J.Int s.s_l1_misses);
-      ("l2_misses", J.Int s.s_l2_misses);
-      ("evictions", J.Int s.s_evictions);
-      ("writebacks", J.Int s.s_writebacks);
+      ("workload", J.String w.w_name);
+      ("accesses", J.Int w.w_accesses);
+      ("seconds", J.Float w.w_seconds);
+      ("accesses_per_sec", J.Float w.w_per_sec);
+      ("cycles", J.Int w.w_cycles);
+      ("l1_misses", J.Int w.w_l1_misses);
+      ("l2_misses", J.Int w.w_l2_misses);
+      ("evictions", J.Int w.w_evictions);
+      ("writebacks", J.Int w.w_writebacks);
     ]
 
 let to_json r =
   J.Obj
     [
       ("machine", J.String r.machine);
-      ( "rows",
-        J.List
-          (List.map
-             (fun w ->
-               J.Obj
-                 [
-                   ("workload", J.String w.w_name);
-                   ("accesses", J.Int w.w_fast.s_accesses);
-                   ("fastpath", side_to_json w.w_fast);
-                   ("reference", side_to_json w.w_ref);
-                   ("speedup", J.Float w.w_speedup);
-                   ("bit_identical", J.Bool w.w_identical);
-                 ])
-             r.rows) );
+      ("rows", J.List (List.map row_to_json r.rows));
     ]

@@ -7,8 +7,8 @@
     swappable component: engines consume an abstract {!Tree} (node
     count, children as flat offset and child-id arrays, forest roots,
     optional per-node access weights; validated once when built) and
-    produce a {!Plan} — the same block partition [Ccsl.Clustering]
-    always used — so [Ccmorph], [Adapt.Autotune], and the harnesses can
+    produce a {!Plan} — a partition of the nodes into cache blocks —
+    so [Ccmorph], [Adapt.Autotune], and the harnesses can
     treat "which layout" as a parameter.  Engines walk the arrays with
     int stacks and queues and allocate no per-node list, tuple or
     closure.

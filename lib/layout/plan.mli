@@ -1,7 +1,5 @@
 (** Layout plans: the partition of nodes into cache blocks that every
-    engine produces.  Structurally identical to [Ccsl.Clustering.plan]
-    (the core library re-exports this type with an equation), so plans
-    flow into [Ccmorph] unchanged. *)
+    engine produces and [Ccmorph] lays out. *)
 
 type t = {
   blocks : int array array;

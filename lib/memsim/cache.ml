@@ -77,18 +77,6 @@ let[@inline] find_way t set tag =
     let base = set * t.assoc in
     find_from t.tags tag base (base + t.assoc)
 
-(* The pre-fastpath lookup, kept verbatim as the reference arm: the
-   [Some] it returns on every hit is exactly the per-access allocation
-   the fast path removes. *)
-let find_way_opt t set tag =
-  let base = set * t.cfg.assoc in
-  let rec go w =
-    if w = t.cfg.assoc then None
-    else if t.tags.(base + w) = tag then Some (base + w)
-    else go (w + 1)
-  in
-  go 0
-
 let victim_way t set =
   (* Prefer an invalid way; otherwise the least-recently-used one.  A
      direct-mapped set has only the one candidate. *)
@@ -123,11 +111,9 @@ let fill t set tag ~dirty =
   t.dirty.(i) <- dirty;
   touch t i;
   t.mru_set <- set;
-  t.mru_idx <- i;
-  i
+  t.mru_idx <- i
 
-(* Demand-hit bookkeeping shared by every lookup path; identical to what
-   the reference arm does on a hit, so statistics stay bit-identical. *)
+(* Demand-hit bookkeeping shared by [lookup] and the MRU filter. *)
 let[@inline] record_hit t ~write i =
   touch t i;
   if write && t.write_back then Array.unsafe_set t.dirty i true
@@ -149,36 +135,12 @@ let lookup t ~write a =
   else begin
     if write then t.stats.write_misses <- t.stats.write_misses + 1
     else t.stats.read_misses <- t.stats.read_misses + 1;
-    ignore (fill t set tag ~dirty:(write && t.write_back));
+    fill t set tag ~dirty:(write && t.write_back);
     false
   end
 
-let access_ref t ~write a =
-  let set = Cache_config.set_of_addr t.cfg a in
-  let tag = Cache_config.tag_of_addr t.cfg a in
-  if write then t.stats.writes <- t.stats.writes + 1
-  else t.stats.reads <- t.stats.reads + 1;
-  let mark_dirty i =
-    if write && t.cfg.policy = Cache_config.Write_back then t.dirty.(i) <- true
-  in
-  match find_way_opt t set tag with
-  | Some i ->
-      touch t i;
-      mark_dirty i;
-      true
-  | None ->
-      if write then t.stats.write_misses <- t.stats.write_misses + 1
-      else t.stats.read_misses <- t.stats.read_misses + 1;
-      let i =
-        fill t set tag ~dirty:(write && t.cfg.policy = Cache_config.Write_back)
-      in
-      ignore i;
-      false
-
-(* No [Fastpath] check here: the callers ({!Hierarchy} and {!Machine})
-   guard on the flag once per access, so the memo probe itself is
-   branch-minimal.  [mru_idx] is always a valid index (it only ever
-   holds values produced by [fill] or [find_way]). *)
+(* [mru_idx] is always a valid index (it only ever holds values
+   produced by [fill] or [find_way]). *)
 let[@inline] mru_hit t ~write a =
   let tag = a lsr t.block_shift in
   let set = tag land t.set_mask in
@@ -191,9 +153,7 @@ let[@inline] mru_hit t ~write a =
   end
   else false
 
-let access t ~write a =
-  if !Fastpath.enabled then mru_hit t ~write a || lookup t ~write a
-  else access_ref t ~write a
+let access t ~write a = mru_hit t ~write a || lookup t ~write a
 
 let mru_filter_hits t = t.mru_hits
 
@@ -206,7 +166,7 @@ let install t ?(prefetch = false) a =
   let tag = a lsr t.block_shift in
   let set = tag land t.set_mask in
   if find_way t set tag < 0 then begin
-    ignore (fill t set tag ~dirty:false);
+    fill t set tag ~dirty:false;
     if prefetch then
       t.stats.prefetch_installs <- t.stats.prefetch_installs + 1
   end

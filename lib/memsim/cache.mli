@@ -24,35 +24,27 @@ val access : t -> write:bool -> Addr.t -> bool
     [a].  Returns [true] on hit.  On a miss the block is installed,
     evicting the LRU way of its set.  Statistics are updated.
 
-    When {!Fastpath.enabled} (the default) the lookup goes through an
-    allocation-free scan (none at all when the cache is direct-mapped)
-    fronted by an MRU block filter — a memo of the
+    The lookup is an allocation-free scan (none at all when the cache
+    is direct-mapped) fronted by an MRU block filter — a memo of the
     last line that served a hit or fill, so repeated same-block accesses
     (the common case for clustered layouts) skip the associative scan.
-    Hits and misses, LRU order and every statistic are bit-identical to
-    the reference path used when the switch is off. *)
+    It is exactly [mru_hit t ~write a || lookup t ~write a]. *)
 
 val mru_hit : t -> write:bool -> Addr.t -> bool
-(** Fast-path hook for {!Hierarchy}: if the MRU filter proves the block
-    holding [a] is resident, account a demand hit exactly as {!access}
-    would and return [true]; otherwise do {e nothing} and return
-    [false] (the caller falls back to the full {!access} walk).
-
-    Does {e not} consult {!Fastpath.enabled} — callers guard on the flag
-    once per access so the probe itself stays branch-minimal.  Calling
-    it with the fast path off is harmless (the accounting is identical
-    to {!access}'s hit arm) but defeats the differential comparison. *)
+(** MRU filter probe for {!Hierarchy} and {!Machine}: if the filter
+    proves the block holding [a] is resident, account a demand hit
+    exactly as {!access} would and return [true]; otherwise do
+    {e nothing} and return [false] (the caller falls back to
+    {!lookup}). *)
 
 val lookup : t -> write:bool -> Addr.t -> bool
-(** {!access}'s fast arm without the MRU filter probe, for callers that
-    have just probed with {!mru_hit} and missed: the probe would miss
-    again, so it is skipped.  Like {!mru_hit} it does not consult
-    {!Fastpath.enabled}.  The fast arm of {!access} is exactly
-    [mru_hit t ~write a || lookup t ~write a]. *)
+(** {!access} without the MRU filter probe, for callers that have just
+    probed with {!mru_hit} and missed: the probe would miss again, so it
+    is skipped. *)
 
 val mru_filter_hits : t -> int
 (** Accesses served by the MRU filter without an associative scan
-    (telemetry for the fast path; not part of {!stats}). *)
+    (telemetry; not part of {!stats}). *)
 
 val probe : t -> Addr.t -> bool
 (** Non-intrusive lookup: does not update LRU state or statistics. *)

@@ -110,8 +110,7 @@ let next_line_prefetch t ~now a =
   end
 
 (* Everything below a demand L1 miss.  [Cache.access] on the L2 keeps
-   the L2's own MRU filter (and the reference arm when the fast path is
-   off). *)
+   the L2's own MRU filter. *)
 let below_l1 t ~now ~write a =
   if Cache.access t.l2 ~write a then t.lat.l1_hit + t.lat.l1_miss
   else begin
@@ -137,8 +136,8 @@ let below_l1 t ~now ~write a =
 let access_after_probe t ~now ~write a =
   if Cache.lookup t.l1 ~write a then t.lat.l1_hit else below_l1 t ~now ~write a
 
-(* With the fast path on, [Cache.access] on the L1 is its MRU filter
-   probe followed, on a filter miss, by the lookup that skips it. *)
+(* [Cache.access] on the L1 is its MRU filter probe followed, on a
+   filter miss, by the lookup that skips it. *)
 let access t ~now ~write a =
   let tlb = match t.tlb with None -> 0 | Some tlb -> Tlb.access tlb a in
   if Cache.access t.l1 ~write a then tlb + t.lat.l1_hit

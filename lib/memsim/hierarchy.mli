@@ -44,16 +44,14 @@ val access : t -> now:int -> write:bool -> Addr.t -> int
     cycles including the L1 hit time.  A pending prefetch of the target
     block reduces the stall to the cycles still outstanding.
 
-    When {!Fastpath.enabled}, an L1-resident block filter (the L1's MRU
-    memo) short-circuits the two-level walk on repeated same-block
-    accesses; results are bit-identical. *)
+    An L1-resident block filter (the L1's MRU memo) short-circuits the
+    two-level walk on repeated same-block accesses. *)
 
 val access_after_probe : t -> now:int -> write:bool -> Addr.t -> int
 (** The two-level walk of {!access}, without the TLB and without the L1
     filter probe, for callers that have just probed {!Cache.mru_hit} on
-    the L1 and missed: with the TLB translation, this is {!access}'s fast
-    arm, split so that {!Machine} can probe the filter itself.  Like the
-    probe it does not consult {!Fastpath.enabled}. *)
+    the L1 and missed: with the TLB translation and the probe, this is
+    {!access}, split so that {!Machine} can probe the filter itself. *)
 
 val access_range : t -> now:int -> write:bool -> Addr.t -> bytes:int -> int
 (** Like {!access} but touches every L1 block overlapped by

@@ -6,8 +6,8 @@ type t = {
   hier : Hierarchy.t;
   cost : Cost.t;
   (* hot-path shortcuts, all fixed at creation: the TLB, the L1 cache and
-     its hit latency let the fast arms translate and probe the MRU filter
-     themselves *)
+     its hit latency let the word accessors translate and probe the MRU
+     filter themselves *)
   tlb : Tlb.t option;
   l1 : Cache.t;
   l1_hit_lat : int;
@@ -15,8 +15,8 @@ type t = {
   mutable tracer : (bool -> Addr.t -> unit) option;
   mutable subs : (subscription * (bool -> Addr.t -> unit)) list;
   mutable next_sub : int;
-  (* fan-out over tracer + subs, cached so the per-access fast path stays
-     a single option match *)
+  (* fan-out over tracer + subs, cached so the per-access observer check
+     stays a single option match *)
   mutable notify : (bool -> Addr.t -> unit) option;
 }
 
@@ -104,47 +104,53 @@ let unsubscribe t id =
   t.subs <- List.filter (fun (i, _) -> i <> id) t.subs;
   rebuild_notify t
 
-(* Timed word accessors.  When no tracer or subscriber is attached and
-   the fast path is on, the trace fan-out and the full hierarchy walk
-   collapse into one monomorphic path: the TLB (if any), one L1 filter
-   probe, and on a filter miss the walk that skips the probe.  The
-   absolute cycle [now] is computed only on that miss path, where the
-   prefetch engine needs it.  Unprofiled runs pay zero observer cost. *)
+(* Timed word accessors: the observers (if any), then one monomorphic
+   walk — the TLB (if any), one L1 filter probe, and on a filter miss
+   the walk that skips the probe.  The absolute cycle [now] is computed
+   only on that miss path, where the prefetch engine needs it.
+
+   The observer match wraps the whole access instead of falling through
+   to a shared tail: after a join with the observer call the compiler
+   reloads [t] from the stack, which cost a dependent pointer chase
+   ~10% of its unobserved throughput (x86-64, OCaml 5, no flambda). *)
 
 let[@inline] fast_latency t ~write a =
   let tlb = match t.tlb with None -> 0 | Some tlb -> Tlb.access tlb a in
   if Cache.mru_hit t.l1 ~write a then t.l1_hit_lat + tlb
   else Hierarchy.access_after_probe t.hier ~now:(now t) ~write a + tlb
 
+let[@inline] timed_load32 t a =
+  charge_load t (fast_latency t ~write:false a);
+  Memory.load32 t.mem a
+
+let[@inline] timed_store32 t a v =
+  charge_store t (fast_latency t ~write:true a);
+  Memory.store32 t.mem a v
+
+let[@inline] timed_load32s t a =
+  charge_load t (fast_latency t ~write:false a);
+  Memory.load32s t.mem a
+
 let load32 t a =
   match t.notify with
-  | None when !Fastpath.enabled ->
-      charge_load t (fast_latency t ~write:false a);
-      Memory.load32_fast t.mem a
-  | _ ->
-      trace t false a;
-      charge_load t (Hierarchy.access t.hier ~now:(now t) ~write:false a);
-      Memory.load32 t.mem a
+  | None -> timed_load32 t a
+  | Some f ->
+      f false a;
+      timed_load32 t a
 
 let store32 t a v =
   match t.notify with
-  | None when !Fastpath.enabled ->
-      charge_store t (fast_latency t ~write:true a);
-      Memory.store32_fast t.mem a v
-  | _ ->
-      trace t true a;
-      charge_store t (Hierarchy.access t.hier ~now:(now t) ~write:true a);
-      Memory.store32 t.mem a v
+  | None -> timed_store32 t a v
+  | Some f ->
+      f true a;
+      timed_store32 t a v
 
 let load32s t a =
   match t.notify with
-  | None when !Fastpath.enabled ->
-      charge_load t (fast_latency t ~write:false a);
-      Memory.load32s_fast t.mem a
-  | _ ->
-      trace t false a;
-      charge_load t (Hierarchy.access t.hier ~now:(now t) ~write:false a);
-      Memory.load32s t.mem a
+  | None -> timed_load32s t a
+  | Some f ->
+      f false a;
+      timed_load32s t a
 
 let loadf t a =
   trace t false a;

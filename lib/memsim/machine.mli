@@ -73,7 +73,7 @@ val ustoref : t -> Addr.t -> float -> unit
     coexist: a single primary tracer slot ([set_tracer], kept for the
     classic capture-a-trace workflow) and any number of subscriptions
     ([subscribe]), so several profilers can watch one run without
-    displacing each other.  The fast path costs one option match when
+    displacing each other.  An access costs one option match when
     nothing is attached. *)
 
 val set_tracer : t -> (bool -> Addr.t -> unit) option -> unit

@@ -4,7 +4,7 @@ type t = {
   off_mask : int;  (* chunk_bytes - 1 *)
   mutable chunks : Bytes.t option array;
   mutable materialized : int;
-  (* last-chunk memo for the fast accessors: chunks are never replaced
+  (* last-chunk memo for the word accessors: chunks are never replaced
      once materialized (the index array may grow, the [Bytes.t] values
      persist), so the memo can never go stale *)
   mutable last_idx : int;
@@ -46,7 +46,7 @@ let off t a = a land (t.chunk_bytes - 1)
 (* Unaligned, bounds-unchecked 32-bit primitives (the public
    [Bytes.get_int32_le] adds a bounds check we have already done).  Both
    unbox locally when the int32 flows straight into [Int32.to_int] /
-   out of [Int32.of_int], so the fast accessors stay allocation-free. *)
+   out of [Int32.of_int], so the word accessors stay allocation-free. *)
 external swap32 : int32 -> int32 = "%bswap_int32"
 external unsafe_get_32 : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
 external unsafe_set_32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
@@ -71,20 +71,16 @@ let[@inline] chunk_fast t a =
   end
 
 (* Multi-byte accessors assume natural alignment, which all allocators in
-   this repository guarantee; the fast path never straddles a chunk. *)
+   this repository guarantee; an aligned word never straddles a chunk. *)
 
 let load8 t a = Char.code (Bytes.get (chunk t a) (off t a))
 let store8 t a v = Bytes.set (chunk t a) (off t a) (Char.chr (v land 0xff))
 
-(* The boxed [Int32] accessors allocate on every word access (the
-   [int32] box survives the call boundary without flambda); the fast
-   accessors compose bytes instead — same values, zero allocation.  The
-   chunk is materialized and [o + 4 <= chunk_bytes] checked before the
-   unsafe reads.  [load32_fast]/[store32_fast] skip the {!Fastpath}
-   flag read for callers (i.e. {!Machine}) that already checked it. *)
-
-(* Cold arms of the fast accessors, split out so the hot arms stay small
-   enough for the non-flambda inliner to flatten into {!Machine}. *)
+(* Word accessors compose the unboxed primitives above, so they never
+   allocate (a boxed [Int32] would survive the call boundary without
+   flambda).  The chunk is materialized and [o + 4 <= chunk_bytes]
+   checked before the unsafe reads.  The cold straddling arms are split
+   out so the hot arms stay small. *)
 
 let[@inline never] load32_straddle t a =
   let b0 = load8 t a
@@ -99,48 +95,18 @@ let[@inline never] store32_straddle t a v =
   store8 t (a + 2) (v lsr 16);
   store8 t (a + 3) (v lsr 24)
 
-let[@inline] load32_fast t a =
+let[@inline] load32 t a =
   let o = a land t.off_mask in
   if o + 4 <= t.chunk_bytes then get32_le (chunk_fast t a) o
   else load32_straddle t a
 
-let[@inline] store32_fast t a v =
+let[@inline] store32 t a v =
   let o = a land t.off_mask in
   if o + 4 <= t.chunk_bytes then set32_le (chunk_fast t a) o v
   else store32_straddle t a v
 
-let load32 t a =
-  if !Fastpath.enabled then load32_fast t a
-  else
-    (* reference arm: the pre-fastpath implementation, verbatim *)
-    let o = off t a in
-    if o + 4 <= t.chunk_bytes then
-      Int32.to_int (Bytes.get_int32_le (chunk t a) o) land 0xffffffff
-    else
-      let b0 = load8 t a
-      and b1 = load8 t (a + 1)
-      and b2 = load8 t (a + 2)
-      and b3 = load8 t (a + 3) in
-      b0 lor (b1 lsl 8) lor (b2 lsl 16) lor (b3 lsl 24)
-
-let store32 t a v =
-  if !Fastpath.enabled then store32_fast t a v
-  else
-    let o = off t a in
-    if o + 4 <= t.chunk_bytes then Bytes.set_int32_le (chunk t a) o (Int32.of_int v)
-    else begin
-      store8 t a v;
-      store8 t (a + 1) (v lsr 8);
-      store8 t (a + 2) (v lsr 16);
-      store8 t (a + 3) (v lsr 24)
-    end
-
 let load32s t a =
   let v = load32 t a in
-  if v land 0x80000000 <> 0 then v - 0x100000000 else v
-
-let[@inline] load32s_fast t a =
-  let v = load32_fast t a in
   if v land 0x80000000 <> 0 then v - 0x100000000 else v
 
 let load64 t a =

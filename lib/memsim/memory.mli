@@ -25,15 +25,6 @@ val store32 : t -> Addr.t -> int -> unit
 val load32s : t -> Addr.t -> int
 (** Like {!load32} but sign-extends, for signed fields. *)
 
-val load32_fast : t -> Addr.t -> int
-val store32_fast : t -> Addr.t -> int -> unit
-
-val load32s_fast : t -> Addr.t -> int
-(** The allocation-free arms of {!load32}/{!store32}/{!load32s} directly,
-    skipping the {!Fastpath} flag read — for callers (i.e. {!Machine})
-    that already dispatched on it.  Values are identical to the
-    reference arms on every input. *)
-
 val load64 : t -> Addr.t -> int64
 val store64 : t -> Addr.t -> int64 -> unit
 

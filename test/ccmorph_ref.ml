@@ -298,7 +298,6 @@ let engines =
 let engine_of_name name = List.find (fun e -> e.name = name) engines
 
 module Ccmorph = struct
-  module Clustering = Ccsl.Clustering
   module Coloring = Ccsl.Coloring
 
   type desc = Ccsl.Ccmorph.desc = {
@@ -456,7 +455,7 @@ module Ccmorph = struct
       in
       let plan = engine.plan tree ~k in
       if !debug_check_plans then Layout.Plan.check plan ~n ~k;
-      let nblocks = Array.length plan.Clustering.blocks in
+      let nblocks = Array.length plan.Layout.Plan.blocks in
       (* Address-assignment order: the plan emits blocks breadth-first
          (nearest the root first), which is what coloring wants for its hot
          prefix; the remaining blocks are laid out in depth-first
@@ -467,7 +466,7 @@ module Ccmorph = struct
         let seen = Array.make nblocks false in
         let out = ref [] in
         let rec go v =
-          let b = plan.Clustering.block_of_node.(v) in
+          let b = plan.Layout.Plan.block_of_node.(v) in
           if not seen.(b) then begin
             seen.(b) <- true;
             out := b :: !out
@@ -595,7 +594,7 @@ module Ccmorph = struct
               done;
               bytes_copied := !bytes_copied + desc.elem_bytes)
             members)
-        plan.Clustering.blocks;
+        plan.Layout.Plan.blocks;
       (* Rewrite child (and parent) pointers in the copies. *)
       let rewrite v =
         let na = new_addrs.(v) in

@@ -1,7 +1,8 @@
-(* The throughput engine's correctness contract: the fast path (MRU
-   block filters, allocation-free lookups, the monomorphic machine hit
-   path) must be invisible in every simulated number, and the parallel
-   experiment runner must reproduce serial results exactly. *)
+(* The throughput engine's correctness contract: the tuned access path
+   (MRU block filters, allocation-free lookups, the monomorphic machine
+   path) must leave every simulated number where the straightforward
+   scan-based simulator put it, and the parallel experiment runner must
+   reproduce serial results exactly. *)
 
 module M = Memsim
 module CC = Memsim.Cache_config
@@ -21,107 +22,88 @@ let stats_tuple (s : Cache.stats) =
     s.Cache.prefetch_installs )
 
 (* ------------------------------------------------------------------ *)
-(* Differential: whole Olden benchmarks, fast path off vs on           *)
+(* Differential: whole Olden benchmarks against pinned statistics      *)
 (* ------------------------------------------------------------------ *)
 
-(* Everything the simulator reports, as one comparable value.  Also
-   returns the L1 MRU filter hit count so the fast run can prove the
-   filter actually engaged (a filter that never fires would make the
-   differential test vacuous). *)
-let olden_fingerprint ~fast ~placement which =
-  M.Fastpath.with_mode fast (fun () ->
-      let ctx = OC.make_ctx placement in
-      let r =
-        match which with
-        | `Treeadd ->
-            Olden.Treeadd.run
-              ~params:{ Olden.Treeadd.levels = 10; passes = 2 }
-              ~ctx placement
-        | `Health ->
-            Olden.Health.run
-              ~params:
-                { Olden.Health.levels = 2; steps = 60; morph_interval = 15;
-                  seed = 7 }
-              ~ctx placement
-      in
-      let h = Machine.hierarchy ctx.OC.machine in
-      let fp =
-        ( r.OC.checksum,
-          r.OC.snapshot,
-          stats_tuple (Cache.stats (Hierarchy.l1 h)),
-          stats_tuple (Cache.stats (Hierarchy.l2 h)) )
-      in
-      (fp, Cache.mru_filter_hits (Hierarchy.l1 h)))
+(* Everything the simulator reports, as one comparable value, plus the
+   L1 MRU filter hit count, so the run can prove the filter actually
+   engaged (a filter that never fires would make the pin vacuous). *)
+let olden_fingerprint ~placement which =
+  let ctx = OC.make_ctx placement in
+  let r =
+    match which with
+    | `Treeadd ->
+        Olden.Treeadd.run
+          ~params:{ Olden.Treeadd.levels = 10; passes = 2 }
+          ~ctx placement
+    | `Health ->
+        Olden.Health.run
+          ~params:
+            { Olden.Health.levels = 2; steps = 60; morph_interval = 15;
+              seed = 7 }
+          ~ctx placement
+  in
+  let h = Machine.hierarchy ctx.OC.machine in
+  let fp =
+    ( r.OC.checksum,
+      r.OC.snapshot,
+      stats_tuple (Cache.stats (Hierarchy.l1 h)),
+      stats_tuple (Cache.stats (Hierarchy.l2 h)) )
+  in
+  (fp, Cache.mru_filter_hits (Hierarchy.l1 h))
+
+let snap busy load store total =
+  {
+    M.Cost.s_busy = busy;
+    s_load_stall = load;
+    s_store_stall = store;
+    s_prefetch_issue = 0;
+    s_total = total;
+  }
+
+(* Checksum, cost snapshot and L1/L2 (reads, writes, read misses, write
+   misses, evictions, writebacks, prefetch installs) of each run, as
+   both the filtered path and the scan-based reference simulator
+   reported them when the two still coexisted. *)
+let pinned =
+  [
+    ( (`Treeadd, OC.Base),
+      ( 1023,
+        snap 8184 2295 0 10479,
+        (6138, 0, 255, 0, 255, 0, 0),
+        (255, 0, 0, 0, 0, 0, 0) ) );
+    ( (`Treeadd, OC.Ccmorph_cluster_color),
+      ( 1023,
+        snap 8184 0 0 8184,
+        (6138, 0, 0, 0, 0, 0, 0),
+        (0, 0, 0, 0, 0, 0, 0) ) );
+    ( (`Health, OC.Base),
+      ( 434426,
+        snap 185518 26559 11880 223957,
+        (69003, 30949, 2951, 240, 3063, 0, 0),
+        (2951, 240, 0, 162, 0, 0, 0) ) );
+    ( (`Health, OC.Ccmorph_cluster_color),
+      ( 434426,
+        snap 184384 93500 38277 316161,
+        (70472, 34657, 10381, 933, 11186, 0, 0),
+        (10381, 933, 0, 498, 77, 77, 0) ) );
+  ]
 
 let check_differential which placement () =
-  let fast, mru = olden_fingerprint ~fast:true ~placement which in
-  let slow, _ = olden_fingerprint ~fast:false ~placement which in
+  let fp, mru = olden_fingerprint ~placement which in
   Alcotest.(check bool)
-    "cycles, misses, evictions and writebacks bit-identical" true (fast = slow);
+    "cycles, misses, evictions and writebacks equal the pinned run" true
+    (fp = List.assoc (which, placement) pinned);
   Alcotest.(check bool) "MRU filter engaged" true (mru > 0)
-
-(* ------------------------------------------------------------------ *)
-(* Properties: random streams, fast vs reference                       *)
-(* ------------------------------------------------------------------ *)
-
-let prop_cache_fast_equals_ref =
-  QCheck.Test.make ~count:100
-    ~name:"MRU-filtered cache access equals unmemoized reference"
-    QCheck.(list_of_size (Gen.int_range 1 300) (pair (int_bound 2047) bool))
-    (fun ops ->
-      let cfg = CC.v ~name:"p" ~sets:4 ~assoc:2 ~block_bytes:16 () in
-      let cf = Cache.create cfg in
-      let cr = Cache.create cfg in
-      let agree =
-        List.for_all
-          (fun (a, write) ->
-            let addr = a * 4 in
-            M.Fastpath.with_mode true (fun () -> Cache.access cf ~write addr)
-            = M.Fastpath.with_mode false (fun () ->
-                  Cache.access cr ~write addr))
-          ops
-      in
-      agree && stats_tuple (Cache.stats cf) = stats_tuple (Cache.stats cr))
-
-let prop_machine_fast_equals_ref =
-  QCheck.Test.make ~count:60
-    ~name:"machine load/store fast path equals reference path"
-    QCheck.(
-      list_of_size (Gen.int_range 1 200)
-        (triple (int_bound 1023) bool (int_bound 65535)))
-    (fun ops ->
-      let run fast =
-        M.Fastpath.with_mode fast (fun () ->
-            let m = Machine.create (M.Config.tiny ()) in
-            let base = Machine.reserve m ~bytes:4096 ~align:64 in
-            let vals =
-              List.map
-                (fun (a, store, v) ->
-                  let addr = base + (a / 4 * 4) in
-                  if store then begin
-                    Machine.store32 m addr v;
-                    -1
-                  end
-                  else Machine.load32 m addr)
-                ops
-            in
-            let h = Machine.hierarchy m in
-            ( vals,
-              Machine.cycles m,
-              stats_tuple (Cache.stats (Hierarchy.l1 h)),
-              stats_tuple (Cache.stats (Hierarchy.l2 h)) ))
-      in
-      run true = run false)
 
 let test_mru_filter_counts () =
   let c = Cache.create (CC.v ~name:"m" ~sets:4 ~assoc:2 ~block_bytes:16 ()) in
-  M.Fastpath.with_mode true (fun () ->
-      (* miss installs the block and primes the memo; the next three
-         same-block accesses are pure filter hits *)
-      ignore (Cache.access c ~write:false 0);
-      ignore (Cache.access c ~write:false 4);
-      ignore (Cache.access c ~write:false 8);
-      ignore (Cache.access c ~write:true 12));
+  (* miss installs the block and primes the memo; the next three
+     same-block accesses are pure filter hits *)
+  ignore (Cache.access c ~write:false 0);
+  ignore (Cache.access c ~write:false 4);
+  ignore (Cache.access c ~write:false 8);
+  ignore (Cache.access c ~write:true 12);
   Alcotest.(check int) "filter hits" 3 (Cache.mru_filter_hits c);
   Alcotest.(check int) "demand accesses still counted" 4
     (Cache.accesses (Cache.stats c))
@@ -283,7 +265,5 @@ let tests =
           test_parallel_error_propagates;
         Alcotest.test_case "arm payload round-trip" `Quick
           test_arm_payload_roundtrip;
-        QCheck_alcotest.to_alcotest prop_cache_fast_equals_ref;
-        QCheck_alcotest.to_alcotest prop_machine_fast_equals_ref;
       ] );
   ]

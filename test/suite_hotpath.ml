@@ -1,11 +1,12 @@
-(* The simulator's no-observer hot path: the TLB against a naive LRU
-   model, the fast path on TLB-modelling machines against the reference
-   arms, and host-allocation budgets measured with [Gc.minor_words]. *)
+(* The simulator's hot path: the TLB, each cache level and whole
+   machines against naive textbook models, and host-allocation budgets
+   measured with [Gc.minor_words]. *)
 
 module M = Memsim
 module Machine = Memsim.Machine
 module Tlb = Memsim.Tlb
 module Cache = Memsim.Cache
+module CC = Memsim.Cache_config
 module Hierarchy = Memsim.Hierarchy
 module Ccmalloc = Ccsl.Ccmalloc
 
@@ -67,38 +68,190 @@ let prop_tlb_matches_naive_lru =
       in
       penalties_agree && Tlb.hits tlb = !hits && Tlb.misses tlb = !misses)
 
-(* With the TLB's [no_tlb] guard gone, TLB-modelling machines take the
-   fast path too; it must match the reference arms exactly. *)
-let prop_tlb_machine_fast_equals_ref =
-  QCheck.Test.make ~count:40
-    ~name:"TLB machine: fast path equals reference path"
+(* ------------------------------------------------------------------ *)
+(* Caches and machines against a naive two-level model                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Textbook LRU: each set is a list of (block, dirty) pairs, most
+   recently used first, at most [assoc] long.  A miss in a full set
+   evicts the last pair and writes it back if it is dirty; a write
+   dirties its block only under write-back.  No MRU memo, no way
+   indices, no tick stamps: nothing shared with [Cache]. *)
+let naive_cache (cfg : CC.t) =
+  let lru = Array.make cfg.CC.sets [] in
+  let s =
+    {
+      Cache.reads = 0;
+      writes = 0;
+      read_misses = 0;
+      write_misses = 0;
+      evictions = 0;
+      writebacks = 0;
+      prefetch_installs = 0;
+    }
+  in
+  let access ~write a =
+    let dirties = write && cfg.CC.policy = CC.Write_back in
+    let blk = a / cfg.CC.block_bytes in
+    let set = blk mod cfg.CC.sets in
+    if write then s.Cache.writes <- s.Cache.writes + 1
+    else s.Cache.reads <- s.Cache.reads + 1;
+    match List.assoc_opt blk lru.(set) with
+    | Some dirty ->
+        lru.(set) <- (blk, dirty || dirties) :: List.remove_assoc blk lru.(set);
+        true
+    | None ->
+        if write then s.Cache.write_misses <- s.Cache.write_misses + 1
+        else s.Cache.read_misses <- s.Cache.read_misses + 1;
+        let kept =
+          if List.length lru.(set) < cfg.CC.assoc then lru.(set)
+          else
+            match List.rev lru.(set) with
+            | (_, dirty) :: older ->
+                s.Cache.evictions <- s.Cache.evictions + 1;
+                if dirty then s.Cache.writebacks <- s.Cache.writebacks + 1;
+                List.rev older
+            | [] -> []
+        in
+        lru.(set) <- (blk, dirties) :: kept;
+        false
+  in
+  (access, s)
+
+let cache_shapes =
+  [|
+    CC.v ~name:"2-way" ~sets:4 ~assoc:2 ~block_bytes:16 ();
+    CC.v ~name:"full" ~sets:1 ~assoc:8 ~block_bytes:16 ();
+    CC.v ~policy:CC.Write_through ~name:"direct" ~sets:8 ~assoc:1
+      ~block_bytes:32 ();
+    CC.v ~policy:CC.Write_through ~name:"4-way" ~sets:2 ~assoc:4
+      ~block_bytes:16 ();
+  |]
+
+let prop_cache_matches_naive_lru =
+  QCheck.Test.make ~count:200 ~name:"cache access = naive LRU cache"
     QCheck.(
-      list_of_size (Gen.int_range 1 300)
-        (triple (int_bound 4095) bool (int_bound 65535)))
-    (fun ops ->
-      let run fast =
-        M.Fastpath.with_mode fast (fun () ->
-            let m = Machine.create (M.Config.ultrasparc_e5000 ~tlb:true ()) in
-            let base = Machine.reserve m ~bytes:(1 lsl 20) ~align:8192 in
-            let vals =
-              List.map
-                (fun (a, store, v) ->
-                  (* 256-byte stride over 1 MB: 128 pages, twice the
-                     TLB's reach, and every L1 set *)
-                  let addr = base + (a * 256) + (v land 0xfc) in
-                  if store then begin
-                    Machine.store32 m addr v;
-                    -1
-                  end
-                  else Machine.load32 m addr)
-                ops
-            in
-            let h = Machine.hierarchy m in
-            ( vals,
-              Machine.snapshot m,
-              Hierarchy.stats h ))
-      in
-      run true = run false)
+      pair
+        (int_bound (Array.length cache_shapes - 1))
+        (list_of_size (Gen.int_range 1 300) (pair (int_bound 2047) bool)))
+    (fun (shape, ops) ->
+      let cfg = cache_shapes.(shape) in
+      let c = Cache.create cfg in
+      let access, s = naive_cache cfg in
+      List.for_all
+        (fun (a, write) -> Cache.access c ~write (a * 4) = access ~write (a * 4))
+        ops
+      && Cache.stats c = s)
+
+(* Two naive caches, the naive TLB and the configured latencies: an
+   access costs the TLB penalty plus the L1 hit time, plus the L1 miss
+   time when the L1 misses, plus the L2 miss time when the L2 misses
+   too.  No prefetching (the configurations below have none).  Memory
+   is a [Hashtbl] of 32-bit words. *)
+let naive_machine (cfg : M.Config.t) =
+  let l1, s1 = naive_cache cfg.M.Config.l1 in
+  let l2, s2 = naive_cache cfg.M.Config.l2 in
+  let tlb = Option.map naive_tlb cfg.M.Config.tlb in
+  let lat = cfg.M.Config.latencies in
+  let load_stall = ref 0 and store_stall = ref 0 and busy = ref 0 in
+  let mem = Hashtbl.create 64 in
+  let access ~write a =
+    let penalty = match tlb with None -> 0 | Some (f, _, _, _) -> f a in
+    let l =
+      if l1 ~write a then lat.Hierarchy.l1_hit
+      else if l2 ~write a then lat.Hierarchy.l1_hit + lat.Hierarchy.l1_miss
+      else lat.Hierarchy.l1_hit + lat.Hierarchy.l1_miss + lat.Hierarchy.l2_miss
+    in
+    incr busy;
+    let stall = if write then store_stall else load_stall in
+    stall := !stall + penalty + l - 1
+  in
+  let load a =
+    access ~write:false a;
+    Option.value (Hashtbl.find_opt mem a) ~default:0
+  in
+  let store a v =
+    access ~write:true a;
+    Hashtbl.replace mem a (v land 0xffffffff)
+  in
+  let snapshot () =
+    {
+      M.Cost.s_busy = !busy;
+      s_load_stall = !load_stall;
+      s_store_stall = !store_stall;
+      s_prefetch_issue = 0;
+      s_total = !busy + !load_stall + !store_stall;
+    }
+  in
+  let tlb_counts () =
+    Option.map (fun (_, _, hits, misses) -> (!hits, !misses)) tlb
+  in
+  (load, store, snapshot, tlb_counts, s1, s2)
+
+(* Runs [ops] on a fresh machine and on the naive model side by side.
+   Addresses fall in [rows] rows one L1 capacity apart, spanning four L2
+   capacities, so both levels see conflict misses, evictions and (in
+   the write-back L2) writebacks; an op whose low two bits are 0 stays
+   in the previous op's L1 block, which the MRU filter serves.  Kind 0
+   loads, 1 loads sign-extended, 2 stores [v]. *)
+let machine_matches_naive cfg ops =
+  let m = Machine.create cfg in
+  let load, store, snapshot, tlb_counts, s1, s2 = naive_machine cfg in
+  let b1 = cfg.M.Config.l1.CC.block_bytes in
+  let stride = CC.capacity_bytes cfg.M.Config.l1 in
+  let rows = 4 * CC.capacity_bytes cfg.M.Config.l2 / stride in
+  let base = Machine.reserve m ~bytes:(rows * stride) ~align:stride in
+  let prev = ref base in
+  let agree =
+    List.for_all
+      (fun (x, kind, v) ->
+        let a =
+          if x land 3 = 0 then
+            !prev - (!prev land (b1 - 1)) + ((x lsr 2) * 4 land (b1 - 1))
+          else base + ((x lsr 2) mod rows * stride) + ((x lsr 12) * 4 land 255)
+        in
+        prev := a;
+        match kind with
+        | 0 -> Machine.load32 m a = load a
+        | 1 ->
+            let w = load a in
+            Machine.load32s m a
+            = if w land 0x80000000 <> 0 then w - 0x100000000 else w
+        | _ ->
+            Machine.store32 m a v;
+            store a v;
+            true)
+      ops
+  in
+  let h = Machine.hierarchy m in
+  agree
+  && Machine.snapshot m = snapshot ()
+  && Machine.cycles m = (snapshot ()).M.Cost.s_total
+  && Cache.stats (Hierarchy.l1 h) = s1
+  && Cache.stats (Hierarchy.l2 h) = s2
+  && Option.map (fun t -> (Tlb.hits t, Tlb.misses t)) (Hierarchy.tlb h)
+     = tlb_counts ()
+
+(* Unshrunk: each shrink step builds a machine, and a failing 300-op
+   stream takes minutes to shrink. *)
+let machine_ops =
+  QCheck.(
+    set_shrink Shrink.nil
+      (list_of_size (Gen.int_range 1 300)
+         (triple (int_bound (1 lsl 20)) (int_bound 2) int)))
+
+let prop_machine_matches_naive =
+  QCheck.Test.make ~count:100 ~name:"machine = naive two-level model"
+    QCheck.(pair bool machine_ops)
+    (fun (rsim, ops) ->
+      machine_matches_naive
+        (if rsim then M.Config.rsim_table1 () else M.Config.tiny ())
+        ops)
+
+let prop_tlb_machine_matches_naive =
+  QCheck.Test.make ~count:60 ~name:"TLB machine = naive two-level model"
+    machine_ops
+    (machine_matches_naive (M.Config.ultrasparc_e5000 ~tlb:true ()))
 
 (* ------------------------------------------------------------------ *)
 (* Host allocation budgets                                             *)
@@ -225,14 +378,16 @@ let tests =
     ( "hotpath",
       [
         QCheck_alcotest.to_alcotest prop_tlb_matches_naive_lru;
-        QCheck_alcotest.to_alcotest prop_tlb_machine_fast_equals_ref;
+        QCheck_alcotest.to_alcotest prop_cache_matches_naive_lru;
+        QCheck_alcotest.to_alcotest prop_machine_matches_naive;
+        QCheck_alcotest.to_alcotest prop_tlb_machine_matches_naive;
         Alcotest.test_case "L1+L2 misses allocate nothing" `Quick
           test_misses_allocation_free;
+        Alcotest.test_case "morphs under 12 words per node" `Quick
+          test_morph_words_per_node;
         Alcotest.test_case "alloc/free pairs allocate nothing" `Quick
           test_alloc_free_allocation_free;
         Alcotest.test_case "health under 1.5 words per access" `Quick
           test_health_words_per_access;
-        Alcotest.test_case "morphs under 12 words per node" `Quick
-          test_morph_words_per_node;
       ] );
   ]

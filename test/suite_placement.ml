@@ -5,6 +5,7 @@ module Config = Memsim.Config
 module CC = Memsim.Cache_config
 module Coloring = Ccsl.Coloring
 module Clustering = Ccsl.Clustering
+module Plan = Layout.Plan
 module Model = Ccsl.Model
 
 (* --- Coloring --- *)
@@ -108,14 +109,18 @@ let test_disjoint_colorings () =
 let complete_kids n i =
   List.filter (fun k -> k < n) [ (2 * i) + 1; (2 * i) + 2 ]
 
+(* the paper's scheme over a tree rooted at node 0 *)
+let subtree_plan ~n ~kids ~k =
+  Layout.Subtree.plan (Layout.Tree.v ~n ~kids ~roots:[ 0 ] ()) ~k
+
 let test_subtree_plan_binary () =
   let n = 15 in
-  let plan = Clustering.subtree ~n ~kids:(complete_kids n) ~roots:[ 0 ] ~k:3 in
-  Clustering.check plan ~n ~k:3;
+  let plan = subtree_plan ~n ~kids:(complete_kids n) ~k:3 in
+  Plan.check plan ~n ~k:3;
   (* k=3 on a complete binary tree: each block is parent + two kids *)
-  Alcotest.(check int) "5 blocks" 5 (Array.length plan.Clustering.blocks);
+  Alcotest.(check int) "5 blocks" 5 (Array.length plan.Plan.blocks);
   Alcotest.(check (array int)) "root block" [| 0; 1; 2 |]
-    plan.Clustering.blocks.(0);
+    plan.Plan.blocks.(0);
   (* each non-root block is a parent with its two children *)
   Array.iteri
     (fun j b ->
@@ -124,11 +129,11 @@ let test_subtree_plan_binary () =
         Alcotest.(check int) "left kid" ((2 * b.(0)) + 1) b.(1);
         Alcotest.(check int) "right kid" ((2 * b.(0)) + 2) b.(2)
       end)
-    plan.Clustering.blocks
+    plan.Plan.blocks
 
 let test_subtree_blocks_near_root_first () =
   let n = 127 in
-  let plan = Clustering.subtree ~n ~kids:(complete_kids n) ~roots:[ 0 ] ~k:3 in
+  let plan = subtree_plan ~n ~kids:(complete_kids n) ~k:3 in
   (* node depth is monotone non-decreasing across block emission order *)
   let depth i =
     let rec go i d = if i = 0 then d else go ((i - 1) / 2) (d + 1) in
@@ -140,15 +145,15 @@ let test_subtree_blocks_near_root_first () =
       let d = depth b.(0) in
       Alcotest.(check bool) "roots of clusters get deeper" true (d >= !prev);
       prev := d)
-    plan.Clustering.blocks
+    plan.Plan.blocks
 
 let test_linear_plan () =
   let order = [| 4; 2; 0; 1; 3 |] in
-  let plan = Clustering.linear ~n:5 ~order ~k:2 in
-  Clustering.check plan ~n:5 ~k:2;
-  Alcotest.(check int) "3 blocks" 3 (Array.length plan.Clustering.blocks);
-  Alcotest.(check (array int)) "chunk 0" [| 4; 2 |] plan.Clustering.blocks.(0);
-  Alcotest.(check (array int)) "tail chunk" [| 3 |] plan.Clustering.blocks.(2)
+  let plan = Plan.chunk ~n:5 ~order ~k:2 in
+  Plan.check plan ~n:5 ~k:2;
+  Alcotest.(check int) "3 blocks" 3 (Array.length plan.Plan.blocks);
+  Alcotest.(check (array int)) "chunk 0" [| 4; 2 |] plan.Plan.blocks.(0);
+  Alcotest.(check (array int)) "tail chunk" [| 3 |] plan.Plan.blocks.(2)
 
 let test_expected_accesses () =
   Alcotest.(check (float 1e-9)) "subtree k=3" 2.
@@ -180,8 +185,8 @@ let prop_subtree_partition =
         let p = Workload.Rng.int rng i in
         kids.(p) <- i :: kids.(p)
       done;
-      let plan = Clustering.subtree ~n ~kids:(fun i -> kids.(i)) ~roots:[ 0 ] ~k in
-      Clustering.check plan ~n ~k;
+      let plan = subtree_plan ~n ~kids:(fun i -> kids.(i)) ~k in
+      Plan.check plan ~n ~k;
       true)
 
 let prop_linear_partition =
@@ -190,8 +195,8 @@ let prop_linear_partition =
     (fun (n, k) ->
       let rng = Workload.Rng.create (n + k) in
       let order = Workload.Rng.permutation rng n in
-      let plan = Clustering.linear ~n ~order ~k in
-      Clustering.check plan ~n ~k;
+      let plan = Plan.chunk ~n ~order ~k in
+      Plan.check plan ~n ~k;
       true)
 
 (* --- Model --- *)
