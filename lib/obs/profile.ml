@@ -1,64 +1,31 @@
 module A = Memsim.Addr
+module T = Alloc.Int_table
 
 (* ------------------------------------------------------------------ *)
-(* Fenwick tree over access time (1-based), growable                   *)
-(* ------------------------------------------------------------------ *)
-
-module Bit = struct
-  (* [add] must propagate through every ancestor node up to a FIXED
-     power-of-two capacity, or nodes that later become addressable
-     would not cover flags added before they existed.  When the
-     capacity doubles, the only new node whose range spans old
-     positions is the new root (it covers [(0, 2*cap]]), and its value
-     is exactly the old root's total. *)
-  type t = { mutable tree : int array; mutable cap : int; mutable n : int }
-
-  let create () = { tree = Array.make 4097 0; cap = 4096; n = 0 }
-
-  let grow t i =
-    while i > t.cap do
-      let cap' = 2 * t.cap in
-      let tree = Array.make (cap' + 1) 0 in
-      Array.blit t.tree 0 tree 0 (t.cap + 1);
-      tree.(cap') <- tree.(t.cap);
-      t.tree <- tree;
-      t.cap <- cap'
-    done
-
-  (* make position [i] addressable *)
-  let ensure t i =
-    grow t i;
-    if i > t.n then t.n <- i
-
-  let add t i delta =
-    ensure t i;
-    let i = ref i in
-    while !i <= t.cap do
-      t.tree.(!i) <- t.tree.(!i) + delta;
-      i := !i + (!i land - !i)
-    done
-
-  (* sum of positions [1..i] *)
-  let prefix t i =
-    let i = ref (min i t.n) in
-    let s = ref 0 in
-    while !i > 0 do
-      s := !s + t.tree.(!i);
-      i := !i - (!i land - !i)
-    done;
-    !s
-end
-
-(* ------------------------------------------------------------------ *)
-(* Reuse distance                                                      *)
+(* Reuse distance over a compacted clock                               *)
 (* ------------------------------------------------------------------ *)
 
 module Reuse = struct
+  (* Every block seen so far holds one flag in a Fenwick tree, at the
+     clock position of its latest access, and [owner] maps a position
+     back to its block (-1 once the flag has moved on).  The flags after
+     position [t0] belong to exactly the other blocks touched since [t0],
+     so an access whose block's flag sits at [t0] has distance
+     [distinct - prefix t0].
+
+     When the clock reaches the tree's capacity, the live flags are
+     renumbered 1..distinct in clock order, which keeps every distance,
+     and the capacity doubles until it is at least four times [distinct].
+     Memory is O(distinct blocks), an access costs O(log distinct
+     blocks), and a compaction's O(capacity) is paid for by the three
+     quarters of the capacity it frees. *)
   type t = {
     block_bytes : int;
-    bit : Bit.t;  (* flag at time t: the block last accessed at t *)
-    last : (int, int) Hashtbl.t;  (* block index -> last access time *)
-    hist : (int, int) Hashtbl.t;  (* finite distance -> count *)
+    last : T.t;  (* block index -> position of its flag *)
+    mutable tree : int array;  (* Fenwick tree over positions 1..capacity *)
+    mutable owner : int array;  (* position -> block index, or -1 *)
+    mutable clock : int;  (* the last position handed out *)
+    mutable hist : int array;  (* finite distance -> count *)
     mutable time : int;
     mutable cold : int;
   }
@@ -68,59 +35,124 @@ module Reuse = struct
       invalid_arg "Reuse.create: block_bytes must be a power of two";
     {
       block_bytes;
-      bit = Bit.create ();
-      last = Hashtbl.create 4096;
-      hist = Hashtbl.create 256;
+      last = T.create 128;
+      tree = Array.make 129 0;
+      owner = Array.make 129 (-1);
+      clock = 0;
+      hist = Array.make 64 0;
       time = 0;
       cold = 0;
     }
 
+  let add tree i delta =
+    let n = Array.length tree in
+    let i = ref i in
+    while !i < n do
+      Array.unsafe_set tree !i (Array.unsafe_get tree !i + delta);
+      i := !i + (!i land - !i)
+    done
+
+  (* sum of positions [1..i] *)
+  let prefix tree i =
+    let i = ref i in
+    let s = ref 0 in
+    while !i > 0 do
+      s := !s + Array.unsafe_get tree !i;
+      i := !i - (!i land - !i)
+    done;
+    !s
+
+  let compact t =
+    let distinct = T.length t.last in
+    let cap = ref (Array.length t.tree - 1) in
+    while !cap < 4 * distinct do
+      cap := 2 * !cap
+    done;
+    let src = t.owner in
+    if !cap >= Array.length t.tree then begin
+      t.owner <- Array.make (!cap + 1) (-1);
+      t.tree <- Array.make (!cap + 1) 0
+    end;
+    (* [k <= p], so the renumbering may run in place *)
+    let k = ref 0 in
+    for p = 1 to t.clock do
+      let b = src.(p) in
+      if b >= 0 then begin
+        incr k;
+        t.owner.(!k) <- b;
+        T.replace t.last b !k
+      end
+    done;
+    t.clock <- !k;
+    (* node [i] covers positions (i - lowbit i, i]; flags fill 1..k *)
+    let tree = t.tree in
+    for i = 1 to Array.length tree - 1 do
+      tree.(i) <- max 0 (min i !k - (i - (i land -i)))
+    done
+
+  let record t d =
+    let n = Array.length t.hist in
+    if d >= n then begin
+      let hist = Array.make (max (d + 1) (2 * n)) 0 in
+      Array.blit t.hist 0 hist 0 n;
+      t.hist <- hist
+    end;
+    t.hist.(d) <- t.hist.(d) + 1
+
   let on_access t _write addr =
     let b = A.block_index addr ~block_bytes:t.block_bytes in
-    let now = t.time + 1 in
-    t.time <- now;
-    Bit.ensure t.bit now;
-    (match Hashtbl.find_opt t.last b with
-    | Some t0 ->
-        (* distinct other blocks whose latest access lies in (t0, now) *)
-        let d = Bit.prefix t.bit (now - 1) - Bit.prefix t.bit t0 in
-        Hashtbl.replace t.hist d
-          (1 + Option.value (Hashtbl.find_opt t.hist d) ~default:0);
-        Bit.add t.bit t0 (-1)
-    | None -> t.cold <- t.cold + 1);
-    Bit.add t.bit now 1;
-    Hashtbl.replace t.last b now
+    t.time <- t.time + 1;
+    if t.clock = Array.length t.tree - 1 then compact t;
+    let t0 = T.find_or t.last b ~default:0 in
+    (* a re-reference to the newest flag's block has distance 0 and
+       leaves the flags in order *)
+    if t0 = t.clock && t0 > 0 then record t 0
+    else begin
+      let now = t.clock + 1 in
+      t.clock <- now;
+      if t0 = 0 then t.cold <- t.cold + 1
+      else begin
+        record t (T.length t.last - prefix t.tree t0);
+        add t.tree t0 (-1);
+        t.owner.(t0) <- -1
+      end;
+      add t.tree now 1;
+      t.owner.(now) <- b;
+      T.replace t.last b now
+    end
 
   let accesses t = t.time
   let cold_misses t = t.cold
-  let distinct_blocks t = Hashtbl.length t.last
+  let distinct_blocks t = T.length t.last
 
   let histogram t =
-    Hashtbl.fold (fun d c acc -> (d, c) :: acc) t.hist []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
+    let acc = ref [] in
+    for d = Array.length t.hist - 1 downto 0 do
+      if t.hist.(d) > 0 then acc := (d, t.hist.(d)) :: !acc
+    done;
+    !acc
 
+  (* bins [0, 0], [1, 1], [2, 3], [4, 7], ... that hold a distance *)
   let binned t =
-    let bins = Hashtbl.create 32 in
-    Hashtbl.iter
-      (fun d c ->
-        let lo, hi =
-          if d = 0 then (0, 0)
-          else
-            let k = ref 0 in
-            while d lsr !k > 1 do
-              incr k
-            done;
-            (1 lsl !k, (1 lsl (!k + 1)) - 1)
-        in
-        Hashtbl.replace bins (lo, hi)
-          (c + Option.value (Hashtbl.find_opt bins (lo, hi)) ~default:0))
-      t.hist;
-    Hashtbl.fold (fun (lo, hi) c acc -> (lo, hi, c) :: acc) bins []
-    |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
+    let n = Array.length t.hist in
+    let rec bins lo acc =
+      if lo >= n then List.rev acc
+      else
+        let hi = if lo = 0 then 0 else (2 * lo) - 1 in
+        let c = ref 0 in
+        for d = lo to min hi (n - 1) do
+          c := !c + t.hist.(d)
+        done;
+        bins (hi + 1) (if !c > 0 then (lo, hi, !c) :: acc else acc)
+    in
+    bins 0 []
 
   let implied_misses t ~blocks =
-    t.cold
-    + Hashtbl.fold (fun d c acc -> if d >= blocks then acc + c else acc) t.hist 0
+    let s = ref t.cold in
+    for d = max 0 blocks to Array.length t.hist - 1 do
+      s := !s + t.hist.(d)
+    done;
+    !s
 
   let implied_miss_rate t ~blocks =
     if t.time = 0 then 0.
@@ -189,7 +221,7 @@ module Spatial = struct
     block_bytes : int;
     word_bytes : int;
     words_per_block : int;
-    masks : (int, int) Hashtbl.t;  (* block index -> touched-word bitmask *)
+    masks : T.t;  (* block index -> touched-word bitmask, never 0 *)
     mutable accesses : int;
   }
 
@@ -197,24 +229,31 @@ module Spatial = struct
     if not (A.is_pow2 block_bytes && A.is_pow2 word_bytes) then
       invalid_arg "Spatial.create: sizes must be powers of two";
     let words_per_block = block_bytes / word_bytes in
-    if words_per_block < 1 || words_per_block > 64 then
-      invalid_arg "Spatial.create: between 1 and 64 words per block";
-    { block_bytes; word_bytes; words_per_block; masks = Hashtbl.create 4096; accesses = 0 }
+    (* one mask bit per word, and an int has [Sys.int_size] bits *)
+    if words_per_block < 1 || words_per_block > Sys.int_size then
+      invalid_arg
+        (Printf.sprintf "Spatial.create: between 1 and %d words per block"
+           Sys.int_size);
+    { block_bytes; word_bytes; words_per_block; masks = T.create 128; accesses = 0 }
 
   let on_access t _write addr =
     t.accesses <- t.accesses + 1;
     let b = A.block_index addr ~block_bytes:t.block_bytes in
     let w = A.offset_in_block addr ~block_bytes:t.block_bytes / t.word_bytes in
-    let prev = Option.value (Hashtbl.find_opt t.masks b) ~default:0 in
-    Hashtbl.replace t.masks b (prev lor (1 lsl w))
+    let prev = T.find_or t.masks b ~default:0 in
+    let mask = prev lor (1 lsl w) in
+    if mask <> prev then T.replace t.masks b mask
 
   let popcount m =
     let rec go m acc = if m = 0 then acc else go (m lsr 1) (acc + (m land 1)) in
     go m 0
 
-  let blocks_touched t = Hashtbl.length t.masks
+  let blocks_touched t = T.length t.masks
 
-  let touched_words t = Hashtbl.fold (fun _ m acc -> acc + popcount m) t.masks 0
+  let touched_words t =
+    let n = ref 0 in
+    T.iter (fun _ m -> n := !n + popcount m) t.masks;
+    !n
 
   let avg_words_touched t =
     let n = blocks_touched t in
@@ -230,7 +269,7 @@ module Spatial = struct
 
   let words_histogram t =
     let counts = Array.make (t.words_per_block + 1) 0 in
-    Hashtbl.iter (fun _ m -> counts.(popcount m) <- counts.(popcount m) + 1) t.masks;
+    T.iter (fun _ m -> counts.(popcount m) <- counts.(popcount m) + 1) t.masks;
     Array.to_list counts
     |> List.mapi (fun w c -> (w, c))
     |> List.filter (fun (_, c) -> c > 0)
@@ -350,26 +389,25 @@ end
 (* ------------------------------------------------------------------ *)
 
 module Counts = struct
-  type t = { tbl : (int, int) Hashtbl.t; mutable total : int }
+  type t = { tbl : T.t; mutable total : int }
 
-  let create () = { tbl = Hashtbl.create 4096; total = 0 }
+  let create () = { tbl = T.create 128; total = 0 }
   let word addr = addr land lnot 3
 
   let on_access t _write addr =
     let w = word addr in
-    Hashtbl.replace t.tbl w
-      (1 + Option.value ~default:0 (Hashtbl.find_opt t.tbl w));
+    T.replace t.tbl w (1 + T.find_or t.tbl w ~default:0);
     t.total <- t.total + 1
 
   let attach t m = Memsim.Machine.subscribe m (on_access t)
   let total t = t.total
-  let count t addr = Option.value ~default:0 (Hashtbl.find_opt t.tbl (word addr))
+  let count t addr = T.find_or t.tbl (word addr) ~default:0
 
   let weight_in t addr ~bytes =
     let sum = ref 0 in
     let w = ref (word addr) in
     while !w < addr + bytes do
-      sum := !sum + Option.value ~default:0 (Hashtbl.find_opt t.tbl !w);
+      sum := !sum + T.find_or t.tbl !w ~default:0;
       w := !w + 4
     done;
     float_of_int !sum
@@ -380,7 +418,7 @@ module Counts = struct
     Json.Obj
       [
         ("accesses", Json.Int t.total);
-        ("distinct_words", Json.Int (Hashtbl.length t.tbl));
+        ("distinct_words", Json.Int (T.length t.tbl));
       ]
 end
 

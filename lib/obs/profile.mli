@@ -11,7 +11,10 @@
       cache — a whole miss-rate-versus-capacity curve from one run,
       the measured counterpart of the model's reuse term [R_s] and a
       live-run complement to {!Memsim.Trace.miss_rate_curve}.
-      O(log n) per access (Fenwick tree over access time).
+      O(log b) per access and O(b) memory for [b] distinct blocks: a
+      Fenwick tree over a compacted clock holds one flag per block, at
+      its latest access, and renumbers the flags 1..b in place when the
+      clock reaches the tree's capacity (kept at least [4b]).
     - {!Spatial}: per-block utilization — which words of each block were
       ever touched — giving the measured spatial-locality factor [K]
       (how many co-located elements a block fill actually delivers).
@@ -87,7 +90,9 @@ module Spatial : sig
 
   val create : ?word_bytes:int -> block_bytes:int -> unit -> t
   (** [word_bytes] defaults to 4 (the simulated word); a block may hold
-      at most 64 words.  @raise Invalid_argument otherwise. *)
+      at most [Sys.int_size] (63) words, one bit of an [int] mask each,
+      so with both sizes powers of two at most 32.
+      @raise Invalid_argument otherwise. *)
 
   val on_access : t -> bool -> Memsim.Addr.t -> unit
   val blocks_touched : t -> int

@@ -341,6 +341,30 @@ let test_health_words_per_access () =
     Alcotest.failf "%.2f host words per simulated access (budget 1.5)"
       per_access
 
+(* The same arm with the locality profilers subscribed, on the machine
+   [ccsl-cli profile] uses: the observers add no per-access boxes (the
+   Hashtbl-based profilers took ~6 words per access). *)
+let test_profiled_health_words_per_access () =
+  let placement = Olden.Common.Base in
+  let config = Harness.Profiles.default_config placement in
+  let ctx = Olden.Common.make_ctx ~config placement in
+  let m = ctx.Olden.Common.machine in
+  let profile = Obs.Profile.for_machine m in
+  let sub = Obs.Profile.attach profile m in
+  let params =
+    { Olden.Health.levels = 3; steps = 100; morph_interval = 50; seed = 5 }
+  in
+  let words =
+    minor_words (fun () ->
+        ignore (Olden.Health.run ~params ~measure_whole:true ~ctx placement))
+  in
+  Machine.unsubscribe m sub;
+  let accesses = Obs.Profile.Reuse.accesses profile.Obs.Profile.reuse in
+  let per_access = words /. float_of_int accesses in
+  if per_access >= 1.5 then
+    Alcotest.failf
+      "%.2f host words per profiled access (budget 1.5)" per_access
+
 (* A morph of a 2^14-1-node random BST, per engine: discovery, planning,
    copy and rewrite allocate no per-node list, tuple, closure or
    [Bytes] (the list- and Hashtbl-based morph took 72-101 words per
@@ -389,5 +413,7 @@ let tests =
           test_alloc_free_allocation_free;
         Alcotest.test_case "health under 1.5 words per access" `Quick
           test_health_words_per_access;
+        Alcotest.test_case "profiled health under 1.5 words per access"
+          `Quick test_profiled_health_words_per_access;
       ] );
   ]

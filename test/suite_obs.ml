@@ -248,12 +248,11 @@ let test_spans () =
 (* ------------------------------------------------------------------ *)
 
 (* O(n^2) oracle: the stack distance of an access is its block's
-   position in a most-recent-first list of all blocks seen so far. *)
-let brute_force_histogram stream =
+   position in a most-recent-first list of all blocks seen so far (-1
+   on a first touch). *)
+let brute_force_distances stream =
   let stack = ref [] in
-  let hist = Hashtbl.create 64 in
-  let cold = ref 0 in
-  List.iter
+  Array.map
     (fun b ->
       let rec remove acc i = function
         | [] -> (None, List.rev acc)
@@ -261,15 +260,28 @@ let brute_force_histogram stream =
         | x :: tl -> remove (x :: acc) (i + 1) tl
       in
       let idx, rest = remove [] 0 !stack in
-      (match idx with
-      | None -> incr cold
-      | Some d ->
-          Hashtbl.replace hist d
-            (1 + Option.value (Hashtbl.find_opt hist d) ~default:0));
-      stack := b :: rest)
-    stream;
+      stack := b :: rest;
+      Option.value idx ~default:(-1))
+    (Array.of_list stream)
+
+(* (cold misses, ascending (distance, count)) over the first [n]
+   distances *)
+let histogram_of_distances ?n dists =
+  let n = Option.value n ~default:(Array.length dists) in
+  let hist = Hashtbl.create 64 in
+  let cold = ref 0 in
+  for i = 0 to n - 1 do
+    let d = dists.(i) in
+    if d < 0 then incr cold
+    else
+      Hashtbl.replace hist d
+        (1 + Option.value (Hashtbl.find_opt hist d) ~default:0)
+  done;
   let pairs = Hashtbl.fold (fun d c acc -> (d, c) :: acc) hist [] in
   (!cold, List.sort compare pairs)
+
+let brute_force_histogram stream =
+  histogram_of_distances (brute_force_distances stream)
 
 let reuse_vs_oracle ~accesses ~universe ~block_bytes ~seed =
   let rng = Workload.Rng.create seed in
@@ -310,9 +322,9 @@ let reuse_vs_oracle ~accesses ~universe ~block_bytes ~seed =
 let test_reuse_oracle_small () =
   reuse_vs_oracle ~accesses:3000 ~universe:48 ~block_bytes:64 ~seed:11
 
-(* More accesses than the Fenwick tree's initial 4096-slot capacity, so
-   the growable-tree path is exercised (a node added before a capacity
-   doubling must still be covered by prefix sums taken after it). *)
+(* More accesses than the compacted clock's initial 128 positions, so
+   the live flags are renumbered several times, and a distance that
+   spans a renumbering must still come out exact. *)
 let test_reuse_oracle_growth () =
   reuse_vs_oracle ~accesses:10_000 ~universe:96 ~block_bytes:128 ~seed:23
 
@@ -329,6 +341,104 @@ let test_reuse_binned () =
   Alcotest.(check (list (triple int int int))) "binned into [8,15]"
     [ (8, 15, 1) ]
     (Obs.Profile.Reuse.binned r)
+
+(* Rounds that take the compacted clock through many compactions and
+   every capacity doubling from 128 to 32768 positions: a wide phase
+   brings in 400 new blocks (4800 in all), a hot phase hammers 16 of
+   them for 6000 accesses, so most positions between two compactions
+   hold dead flags, and a revisit phase reaches back to blocks whose
+   flags several compactions have renumbered since.  After every round
+   the histogram, implied misses and an epoch window opened at the
+   round's start must match the oracle. *)
+let test_reuse_oracle_compaction () =
+  let module R = Obs.Profile.Reuse in
+  let rng = Workload.Rng.create 37 in
+  let rounds = 12 and block_bytes = 64 in
+  let fresh = ref 0 and stream = ref [] and count = ref 0 and ends = ref [] in
+  let emit b =
+    stream := b :: !stream;
+    incr count
+  in
+  for _ = 1 to rounds do
+    for _ = 1 to 400 do
+      emit !fresh;
+      incr fresh;
+      if Workload.Rng.int rng 2 = 0 then emit (Workload.Rng.int rng !fresh)
+    done;
+    let base = Workload.Rng.int rng (!fresh - 16) in
+    for _ = 1 to 6000 do
+      emit (base + Workload.Rng.int rng 16)
+    done;
+    for _ = 1 to 300 do
+      emit (Workload.Rng.int rng !fresh)
+    done;
+    ends := !count :: !ends
+  done;
+  let dists = brute_force_distances (List.rev !stream) in
+  let stream = Array.of_list (List.rev !stream) in
+  let r = R.create ~block_bytes in
+  let capacities = [| 16; 100; 1000; 3000 |] in
+  let start = ref 0 in
+  List.iteri
+    (fun round stop ->
+      let blocks = capacities.(round mod Array.length capacities) in
+      let epoch = R.epoch_start r ~blocks in
+      for i = !start to stop - 1 do
+        R.on_access r false ((stream.(i) * block_bytes) + (i mod block_bytes))
+      done;
+      let cold, hist = histogram_of_distances ~n:stop dists in
+      let where = Printf.sprintf "round %d: " round in
+      Alcotest.(check int) (where ^ "accesses") stop (R.accesses r);
+      Alcotest.(check int) (where ^ "cold misses") cold (R.cold_misses r);
+      Alcotest.(check int) (where ^ "distinct blocks") cold (R.distinct_blocks r);
+      Alcotest.(check (list (pair int int))) (where ^ "histogram") hist
+        (R.histogram r);
+      List.iter
+        (fun cap ->
+          let oracle =
+            cold
+            + List.fold_left
+                (fun acc (d, c) -> if d >= cap then acc + c else acc)
+                0 hist
+          in
+          Alcotest.(check int)
+            (Printf.sprintf "%simplied misses at %d blocks" where cap)
+            oracle
+            (R.implied_misses r ~blocks:cap))
+        [ 1; 16; 100; 1000; 3000; 10_000 ];
+      let window = ref 0 in
+      for i = !start to stop - 1 do
+        if dists.(i) < 0 || dists.(i) >= blocks then incr window
+      done;
+      Alcotest.(check int) (where ^ "epoch accesses") (stop - !start)
+        (R.epoch_accesses r ~since:epoch);
+      Alcotest.(check int)
+        (Printf.sprintf "%sepoch misses at %d blocks" where blocks)
+        !window
+        (R.epoch_implied_misses r ~since:epoch);
+      start := stop)
+    (List.rev !ends)
+
+(* The profiler's state grows with the distinct blocks, not with the
+   accesses: 2M accesses over 1000 blocks. *)
+let test_reuse_footprint () =
+  let module R = Obs.Profile.Reuse in
+  let accesses = 2_000_000 and blocks = 1000 in
+  let top_heap () = (Gc.quick_stat ()).Gc.top_heap_words in
+  let before = top_heap () in
+  let r = R.create ~block_bytes:64 in
+  let rng = Workload.Rng.create 3 in
+  for _ = 1 to accesses do
+    R.on_access r false (64 * Workload.Rng.int rng blocks)
+  done;
+  let grown = top_heap () - before in
+  Alcotest.(check int) "accesses" accesses (R.accesses r);
+  Alcotest.(check int) "distinct blocks" blocks (R.distinct_blocks r);
+  let words = Obj.reachable_words (Obj.repr r) in
+  if words > accesses / 50 then
+    Alcotest.failf "profiler holds %d words after %d accesses" words accesses;
+  if grown > accesses / 8 then
+    Alcotest.failf "top heap grew by %d words over %d accesses" grown accesses
 
 (* ------------------------------------------------------------------ *)
 (* Spatial and occupancy profilers                                     *)
@@ -350,6 +460,32 @@ let test_spatial () =
     (Obs.Profile.Spatial.measured_k s ~elem_bytes:6);
   Alcotest.(check (list (pair int int))) "words histogram" [ (1, 1); (2, 1) ]
     (Obs.Profile.Spatial.words_histogram s)
+
+(* One mask bit per word: the largest block holds [Sys.int_size] words.
+   Both sizes are powers of two, so 32 words is the largest block that
+   fits, and every one of its words counts; 64 words (the last one's
+   bit would be [1 lsl 63 = 0]) must be refused, not silently dropped. *)
+let test_spatial_word_limit () =
+  let s = Obs.Profile.Spatial.create ~block_bytes:128 () in
+  for w = 0 to 31 do
+    Obs.Profile.Spatial.on_access s false (128 + (4 * w))
+  done;
+  Alcotest.(check (list (pair int int))) "all 32 words counted" [ (32, 1) ]
+    (Obs.Profile.Spatial.words_histogram s);
+  Alcotest.(check (float 0.)) "fully used" 1.
+    (Obs.Profile.Spatial.utilization s);
+  let edge = Obs.Profile.Spatial.create ~word_bytes:1 ~block_bytes:32 () in
+  Obs.Profile.Spatial.on_access edge false 31;
+  Alcotest.(check (list (pair int int))) "last byte-word counted" [ (1, 1) ]
+    (Obs.Profile.Spatial.words_histogram edge);
+  List.iter
+    (fun (word_bytes, block_bytes) ->
+      match Obs.Profile.Spatial.create ~word_bytes ~block_bytes () with
+      | _ ->
+          Alcotest.failf "%d-byte blocks of %d-byte words accepted" block_bytes
+            word_bytes
+      | exception Invalid_argument _ -> ())
+    [ (4, 256); (1, 64); (1, 128) ]
 
 let test_occupancy () =
   let cfg =
@@ -555,5 +691,10 @@ let tests =
         Alcotest.test_case "profile cross-check within one point" `Quick
           test_profile_cross_check;
         Alcotest.test_case "profile json export" `Quick test_profile_json;
+        Alcotest.test_case "reuse oracle across compactions" `Quick
+          test_reuse_oracle_compaction;
+        Alcotest.test_case "reuse footprint per distinct block" `Quick
+          test_reuse_footprint;
+        Alcotest.test_case "spatial word limit" `Quick test_spatial_word_limit;
       ] );
   ]
