@@ -240,39 +240,6 @@ let () =
       Harness.Experiments.names;
     print_endline "=== Ablations and extensions ===";
     export "ablations" (Harness.Ablations.all ?seed Format.std_formatter);
-    print_endline "=== Adaptive placement (profile-guided, online) ===";
-    let reports =
-      List.filter_map
-        (fun b ->
-          match Harness.Adaptive.run ?seed b with
-          | Some r ->
-              Format.printf "%a@." Harness.Adaptive.pp r;
-              Some r
-          | None -> None)
-        [ "treeadd"; "health"; "mst" ]
-    in
-    let data =
-      Obs.Json.Obj
-        (List.map
-           (fun r ->
-             (r.Harness.Adaptive.bench, Harness.Adaptive.to_json r))
-           reports)
-    in
-    let recommended =
-      Obs.Json.Obj
-        (List.filter_map
-           (fun r ->
-             Option.map
-               (fun j -> (r.Harness.Adaptive.bench, j))
-               (Harness.Adaptive.recommendation_json r))
-           reports)
-    in
-    let file = "BENCH_adaptive.json" in
-    Obs.Export.write_file file
-      (Obs.Export.envelope ~experiment:"adaptive" ~scale:scale_name ?seed
-         ~extra:[ ("recommended_params", recommended) ]
-         data);
-    Printf.printf "wrote %s\n%!" file;
     print_endline "=== Simulator self-benchmark ===";
     let simspeed = Harness.Simbench.run () in
     Format.printf "%a@." Harness.Simbench.pp simspeed;

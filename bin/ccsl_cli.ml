@@ -193,30 +193,25 @@ let profile_cmd =
       $ json_term)
 
 (* ------------------------------------------------------------------ *)
-(* run subcommand (adaptive placement ablation)                        *)
+(* run subcommand (whole-program static placement arms)                *)
 (* ------------------------------------------------------------------ *)
 
-let run_adaptive bench adapt parallel seed json_file =
-  match Harness.Adaptive.run ?seed ~adapt ~parallel bench with
+let run_whole_program bench parallel seed json_file =
+  match Harness.Whole_program.run ?seed ~parallel bench with
   | None ->
       Format.eprintf "unknown benchmark %S (expected %s)@." bench
         (String.concat ", " Harness.Experiments.olden_names);
       exit 2
   | Some report ->
-      Format.printf "%a@." Harness.Adaptive.pp report;
+      Format.printf "%a@." Harness.Whole_program.pp report;
       (match json_file with
       | None -> ()
       | Some file ->
-          let extra =
-            match Harness.Adaptive.recommendation_json report with
-            | Some j -> [ ("recommended_params", j) ]
-            | None -> []
-          in
           Obs.Export.write_file file
             (Obs.Export.envelope
                ~experiment:("run-" ^ bench)
-               ?seed ~extra
-               (Harness.Adaptive.to_json report));
+               ?seed
+               (Harness.Whole_program.to_json report));
           Format.printf "wrote %s@." file)
 
 let run_cmd =
@@ -226,15 +221,6 @@ let run_cmd =
        $(b,perimeter)."
     in
     Arg.(required & pos 0 (some string) None & info [] ~docv:"BENCH" ~doc)
-  in
-  let adapt_term =
-    let doc =
-      "Add the adaptive arm: ccmalloc wrapped by the online hint advisor, \
-       reorganization gated by the miss-rate policy, morph parameters \
-       chosen by the autotuner.  Without this flag only the base and \
-       static ccmorph arms run."
-    in
-    Arg.(value & flag & info [ "adapt" ] ~doc)
   in
   let parallel_term =
     let doc =
@@ -246,15 +232,14 @@ let run_cmd =
     Arg.(value & flag & info [ "parallel" ] ~doc)
   in
   let doc =
-    "Run one Olden benchmark whole-program under the placement arms: \
-     no-placement base, the static Figure 7 ccmorph arm, and (with \
-     $(b,--adapt)) the profile-guided adaptive arm.  JSON export \
-     includes the autotuner's $(b,recommended_params) section."
+    "Run one Olden benchmark whole-program under three placement arms: \
+     the no-placement base, the static Figure 7 ccmorph arm (malloc plus \
+     ccmorph), and $(b,static-ccmalloc) (ccmalloc new-block plus ccmorph)."
   in
   Cmd.v
     (Cmd.info "run" ~doc)
     Term.(
-      const run_adaptive $ bench_term $ adapt_term $ parallel_term $ seed_term
+      const run_whole_program $ bench_term $ parallel_term $ seed_term
       $ json_term)
 
 (* ------------------------------------------------------------------ *)

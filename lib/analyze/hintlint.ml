@@ -19,7 +19,6 @@ type t = {
   blocks_in : (int, int) Hashtbl.t;
   sites_in : (string, int) Hashtbl.t;
   sites : (string, site_stats) Hashtbl.t;
-  mutable attributed : int;  (* total accesses attributed to known sites *)
 }
 
 let anon = "<unlabeled>"
@@ -34,7 +33,6 @@ let create ?(window = 32) () =
     blocks_in = Hashtbl.create 64;
     sites_in = Hashtbl.create 16;
     sites = Hashtbl.create 16;
-    attributed = 0;
   }
 
 let stats t site =
@@ -85,7 +83,6 @@ let push_unattributed t ~block = push t { w_block = block; w_site = None }
 let on_access t ~block ~site ~hint_block =
   let s = stats t site in
   s.accesses <- s.accesses + 1;
-  t.attributed <- t.attributed + 1;
   let self = match site with Some x -> x | None -> anon in
   (* co-access: which sites' objects share the current window with us *)
   Hashtbl.iter
@@ -106,37 +103,6 @@ let best_partner s =
       | Some (_, bn) when bn >= n -> best
       | _ -> Some (partner, n))
     s.coacc None
-
-(* ------------------------------------------------------------------ *)
-(* Live feed: the co-access window as an online signal                 *)
-(* ------------------------------------------------------------------ *)
-
-type live = {
-  l_allocs : int;
-  l_hinted_allocs : int;
-  l_accesses : int;
-  l_affinity_tries : int;
-  l_affinity : float;
-  l_best_partner : (string * int) option;
-}
-
-let attributed_accesses t = t.attributed
-
-let live t ~site =
-  match Hashtbl.find_opt t.sites site with
-  | None -> None
-  | Some s ->
-      Some
-        {
-          l_allocs = s.allocs;
-          l_hinted_allocs = s.hinted_allocs;
-          l_accesses = s.accesses;
-          l_affinity_tries = s.affinity_tries;
-          l_affinity =
-            (if s.affinity_tries = 0 then 1.
-             else float_of_int s.affinity_hits /. float_of_int s.affinity_tries);
-          l_best_partner = best_partner s;
-        }
 
 let suggestion s =
   match best_partner s with

@@ -46,30 +46,3 @@ val diags : t -> total_accesses:int -> Diag.t list
 (** Findings at end of run.  [total_accesses] scales the hot-path
     threshold: a site is "hot" when its objects absorb at least 10% of
     all attributed accesses. *)
-
-(** {1 Live feed}
-
-    The same co-access window, consumable {e during} the run rather than
-    as a post-hoc lint — this is what turns the lint into an adaptive
-    signal ([Adapt.Advisor] rewrites hints from it online). *)
-
-type live = {
-  l_allocs : int;
-  l_hinted_allocs : int;
-  l_accesses : int;  (** traced accesses attributed to this site *)
-  l_affinity_tries : int;
-  l_affinity : float;
-      (** fraction of hinted-object accesses whose hint block was in the
-          window; [1.0] before any try (benefit of the doubt) *)
-  l_best_partner : (string * int) option;
-      (** the site whose objects most often share the window, with its
-          co-access count *)
-}
-
-val live : t -> site:string -> live option
-(** Current statistics for [site]; [None] before its first allocation
-    or access. *)
-
-val attributed_accesses : t -> int
-(** Total accesses attributed to known sites so far (the live
-    denominator for access-share thresholds). *)

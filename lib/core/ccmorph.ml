@@ -2,7 +2,6 @@ module A = Memsim.Addr
 module Machine = Memsim.Machine
 module Memory = Memsim.Memory
 module Int_table = Alloc.Int_table
-module Int_stack = Alloc.Int_stack
 
 type desc = {
   elem_bytes : int;
@@ -56,41 +55,6 @@ type result = {
   bytes_copied : int;
   pages_used : int;
 }
-
-(* A session remembers the block addresses the previous morph handed out
-   and a stable per-element identity, so a structure that is re-morphed
-   periodically (health's lists, an adaptive policy's re-triggers) keeps
-   landing in the same footprint instead of marching through fresh
-   address space — and keeps the same hot cache region, whose capacity
-   is a property of the cache, not of how many times we morphed.
-
-   A morph takes its blocks from the front of each pool, in order, and
-   draws fresh ones only past the end, appending them; blocks a shrunken
-   structure leaves unused stay at the back for a later regrowth. *)
-type session = {
-  s_hot : Int_stack.t;  (* reusable hot-region block addresses *)
-  s_cold : Int_stack.t;  (* reusable cold/uncolored block addresses *)
-  mutable s_ids : Int_table.t;  (* current elem addr -> stable id *)
-  mutable s_next_id : int;
-  mutable s_key : (bool * float * int) option;  (* coloring geometry guard *)
-  mutable s_morphs : int;
-}
-
-let session () =
-  {
-    s_hot = Int_stack.create 16;
-    s_cold = Int_stack.create 16;
-    s_ids = Int_table.create 256;
-    s_next_id = 0;
-    s_key = None;
-    s_morphs = 0;
-  }
-
-let elem_id s addr =
-  let id = Int_table.find_or s.s_ids addr ~default:(-1) in
-  if id < 0 then None else Some id
-
-let session_morphs s = s.s_morphs
 
 let is_ptr desc w =
   (not (A.is_null w))
@@ -171,7 +135,7 @@ let discover m desc roots =
   f.first_kid.(f.n) <- f.n;
   f
 
-let do_morph ?session params m desc roots =
+let do_morph params m desc roots =
   let block_bytes = Machine.l2_block_bytes m in
   if desc.elem_bytes > block_bytes then
     invalid_arg "Ccmorph: element larger than an L2 block";
@@ -225,24 +189,6 @@ let do_morph ?session params m desc roots =
       | Some c -> min nblocks (Coloring.hot_capacity_blocks c)
       | None -> 0
     in
-    (* Session recycling: prefer block addresses the previous morph of
-       this structure used (in the same order, so an unchanged structure
-       re-morphs to identical addresses); only draw fresh blocks for
-       growth. *)
-    let hot_pool, cold_pool =
-      match session with
-      | None -> (Int_stack.create 16, Int_stack.create 16)
-      | Some s ->
-          let key = (params.color, params.color_frac, params.color_first_set) in
-          if s.s_key <> Some key then begin
-            (* coloring geometry changed: cached addresses belong to the
-               wrong regions, start over *)
-            s.s_key <- Some key;
-            Int_stack.clear s.s_hot;
-            Int_stack.clear s.s_cold
-          end;
-          (s.s_hot, s.s_cold)
-    in
     let arenas = Option.map (Coloring.arenas m) coloring in
     let next = ref A.null and left = ref 0 in
     let fresh_uncolored () =
@@ -257,25 +203,12 @@ let do_morph ?session params m desc roots =
       decr left;
       a
     in
-    let hot_taken = ref 0 and cold_taken = ref 0 in
     let block_addr j =
-      let hot = j < hot_cap in
-      let pool = if hot then hot_pool else cold_pool in
-      let taken = if hot then hot_taken else cold_taken in
-      let i = !taken in
-      incr taken;
-      if i < Int_stack.length pool then Int_stack.get pool i
-      else begin
-        let a =
-          match arenas with
-          | Some ar ->
-              if hot then Coloring.next_hot_block ar
-              else Coloring.next_cold_block ar
-          | None -> fresh_uncolored ()
-        in
-        Int_stack.push pool a;
-        a
-      end
+      match arenas with
+      | Some ar ->
+          if j < hot_cap then Coloring.next_hot_block ar
+          else Coloring.next_cold_block ar
+      | None -> fresh_uncolored ()
     in
     (* Assign block base addresses: the plan's hot prefix first (the
        plan emits blocks nearest the root first, which is what coloring
@@ -369,30 +302,12 @@ let do_morph ?session params m desc roots =
       done;
       Int_table.length pages
     in
-    (match session with
-    | None -> ()
-    | Some s ->
-        let ids = Int_table.create (2 * n) in
-        for v = 0 to n - 1 do
-          let id = Int_table.find_or s.s_ids old_addrs.(v) ~default:(-1) in
-          let id =
-            if id >= 0 then id
-            else begin
-              let id = s.s_next_id in
-              s.s_next_id <- id + 1;
-              id
-            end
-          in
-          Int_table.replace ids new_addrs.(v) id
-        done;
-        s.s_ids <- ids;
-        s.s_morphs <- s.s_morphs + 1);
     {
       new_root = (if Array.length new_roots > 0 then new_roots.(0) else A.null);
       new_roots;
       nodes = n;
       blocks_used = nblocks;
-      hot_blocks = !hot_taken;
+      hot_blocks = hot_cap;
       bytes_copied = n * eb;
       pages_used;
     }
@@ -433,8 +348,8 @@ let observed params m desc result =
       !observers;
   result
 
-let morph ?(params = default_params) ?session m desc ~root =
-  observed params m desc (do_morph ?session params m desc [| root |])
+let morph ?(params = default_params) m desc ~root =
+  observed params m desc (do_morph params m desc [| root |])
 
-let morph_forest ?(params = default_params) ?session m desc ~roots =
-  observed params m desc (do_morph ?session params m desc roots)
+let morph_forest ?(params = default_params) m desc ~roots =
+  observed params m desc (do_morph params m desc roots)

@@ -93,33 +93,8 @@ type result = {
   pages_used : int;  (** distinct VM pages holding the new layout *)
 }
 
-(** {1 Re-morph sessions}
-
-    A structure that is reorganized {e periodically} (health's lists, an
-    adaptive policy's re-triggers) must not march through fresh address
-    space on every morph: the hot cache region's capacity is a property
-    of the cache, and abandoning its blocks each time would both leak
-    reserved address space and hand later morphs {e conflicting} hot
-    blocks from new stripes.  A [session] caches the block addresses the
-    previous morph handed out — an unchanged structure re-morphs to
-    identical addresses; a grown one draws fresh blocks only for the
-    growth — and maintains a stable integer identity per element across
-    morphs (keyed by the element's current address), so observers can
-    track "the same node" through repeated relocation. *)
-
-type session
-
-val session : unit -> session
-
-val elem_id : session -> Memsim.Addr.t -> int option
-(** Stable identity of the element whose {e current} (post-latest-morph)
-    address is given; [None] if the address is not a morphed element. *)
-
-val session_morphs : session -> int
-(** How many non-empty morphs this session has recycled addresses for. *)
-
 val morph :
-  ?params:params -> ?session:session ->
+  ?params:params ->
   Memsim.Machine.t -> desc -> root:Memsim.Addr.t -> result
 (** Reorganize the structure reachable from [root].  A parent/predecessor
     pointer that leads {e outside} the morphed set (morphing a subtree of
@@ -130,7 +105,7 @@ val morph :
     the structure is not tree-shaped (an element reachable twice). *)
 
 val morph_forest :
-  ?params:params -> ?session:session ->
+  ?params:params ->
   Memsim.Machine.t -> desc -> roots:Memsim.Addr.t array -> result
 (** Reorganize several disjoint structures (e.g. every chain of a hash
     table) into one shared layout, so short chains pack together.  Null

@@ -6,8 +6,8 @@
     planning algorithms are the pluggable {!Layout} engines (the paper's
     scheme is {!Layout.Subtree}, its depth-first baseline
     {!Layout.Depth_first}); this module keeps the expected number of
-    accesses per entered block under each built-in engine, which
-    {!Model} and the autotuner use. *)
+    accesses per entered block under each built-in engine: the
+    spatial-locality factor [K] that {!Model.Ctree.miss_rate_k} takes. *)
 
 val expected_accesses_subtree : k:int -> float
 (** Expected number of accesses to a block per traversal through it under

@@ -170,7 +170,7 @@ let olden_row (k : Experiments.kernel) (name, scheme) =
     row_pages_used = pages;
   }
 
-(* --- payload codec (fork pipe; see Adaptive) --- *)
+(* --- payload codec (fork pipe; see Whole_program) --- *)
 
 let level_payload l =
   J.Obj

@@ -23,7 +23,7 @@
 
     Each engine runs as an independent job through {!Parallel}, so
     [~parallel:true] forks them and reassembles byte-identical results
-    (the payload codec pattern of {!Adaptive}). *)
+    (the payload codec pattern of {!Whole_program}). *)
 
 type level = {
   lv_accesses : int;

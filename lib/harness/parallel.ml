@@ -3,7 +3,7 @@
 
    Forking (rather than threads/domains) gives each job a private copy
    of every piece of global simulator state — allocator site counters,
-   morph sessions, RNG streams — so a job computes exactly what it would
+   ccmorph observers, RNG streams — so a job computes exactly what it would
    have computed in a fresh serial process.  Determinism requirement on
    callers: jobs must not read state mutated by an *earlier* job, i.e.
    each job seeds its own RNGs.  Every runner in this repository does

@@ -8,10 +8,9 @@
     count, children as flat offset and child-id arrays, forest roots,
     optional per-node access weights; validated once when built) and
     produce a {!Plan} — a partition of the nodes into cache blocks —
-    so [Ccmorph], [Adapt.Autotune], and the harnesses can
-    treat "which layout" as a parameter.  Engines walk the arrays with
-    int stacks and queues and allocate no per-node list, tuple or
-    closure.
+    so [Ccmorph] and the harnesses can treat "which layout" as a
+    parameter.  Engines walk the arrays with int stacks and queues and
+    allocate no per-node list, tuple or closure.
 
     Built-in engines ({!Engine.builtins}): the paper's two schemes, a
     recursive van Emde Boas engine ({!Veb}, cache-oblivious: optimal

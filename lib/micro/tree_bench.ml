@@ -102,52 +102,6 @@ let fig5 ?(elem_bytes = Bst.default_elem_bytes) ?(seed = 2023) ~keys ~searches
       { variant; points; total_cycles = total; l2_miss_rate = l2 })
     all_variants
 
-let adaptive_series ?(elem_bytes = Bst.default_elem_bytes) ?(seed = 2023)
-    ?(poll = 1000) ~keys ~searches ~checkpoints ~gate ~note () =
-  validate_checkpoints checkpoints searches;
-  let key_array = Array.init keys (fun i -> i) in
-  let m = Machine.create (Config.ultrasparc_e5000 ~tlb:true ()) in
-  let t =
-    Bst.build m ~elem_bytes
-      ~alloc:(Alloc.Malloc.allocator (Alloc.Malloc.create m))
-      (Bst.Random (Rng.create seed))
-      ~keys:key_array
-  in
-  let tree = ref t in
-  let rng = Rng.create (seed + 17) in
-  let points = ref [] in
-  let remaining = ref checkpoints in
-  Machine.cold_start m;
-  for i = 1 to searches do
-    let key = key_array.(Rng.int rng keys) in
-    ignore (Bst.search !tree key);
-    if i mod poll = 0 && gate () then begin
-      let r = Ccsl.Ccmorph.morph m (Bst.desc ~elem_bytes) ~root:!tree.Bst.root in
-      note r;
-      tree := Bst.of_root m ~elem_bytes ~n:keys r.Ccsl.Ccmorph.new_root
-    end;
-    match !remaining with
-    | c :: rest when c = i ->
-        points :=
-          {
-            searches = i;
-            avg_cycles = float_of_int (Machine.cycles m) /. float_of_int i;
-          }
-          :: !points;
-        remaining := rest
-    | _ -> ()
-  done;
-  let l2 =
-    Memsim.Cache.miss_rate
-      (Memsim.Cache.stats (Memsim.Hierarchy.l2 (Machine.hierarchy m)))
-  in
-  {
-    variant = C_tree;
-    points = List.rev !points;
-    total_cycles = Machine.cycles m;
-    l2_miss_rate = l2;
-  }
-
 type fig10_point = { tree_size : int; predicted : float; actual : float }
 
 let measure_steady m s ~keys ~searches ~seed =

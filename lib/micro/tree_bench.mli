@@ -43,28 +43,6 @@ val fig5 :
     @raise Invalid_argument if checkpoints are not increasing or exceed
     [searches]. *)
 
-val adaptive_series :
-  ?elem_bytes:int ->
-  ?seed:int ->
-  ?poll:int ->
-  keys:int ->
-  searches:int ->
-  checkpoints:int list ->
-  gate:(unit -> bool) ->
-  note:(Ccsl.Ccmorph.result -> unit) ->
-  unit ->
-  series
-(** The Figure 5 random tree, reorganized {e during} the search run: the
-    tree starts at random heap addresses and every [poll] searches
-    (default 1000) [gate] is consulted; when it approves, the tree is
-    [ccmorph]ed in place (subtree clustering + coloring, the transparent
-    C-tree transformation) and [note] is told the result, mirroring
-    {!Olden.Common.morph_gate}.  The returned series is labeled
-    [C_tree] — that is what the structure has become.  Drive [gate] with
-    [Adapt.Policy] for the closed loop, or a fixed schedule for
-    controls.  This is a separate entry point: {!fig5}'s four static
-    series are unchanged. *)
-
 type fig10_point = {
   tree_size : int;
   predicted : float;  (** Model.Ctree prediction (Figure 9/10) *)

@@ -1,6 +1,6 @@
 let schema_version = 1
 
-let envelope ~experiment ?scale ?seed ?extra data =
+let envelope ~experiment ?scale ?seed data =
   Json.Obj
     ([
        ("schema_version", Json.Int schema_version);
@@ -9,8 +9,7 @@ let envelope ~experiment ?scale ?seed ?extra data =
      ]
     @ (match scale with None -> [] | Some s -> [ ("scale", Json.String s) ])
     @ (match seed with None -> [] | Some s -> [ ("seed", Json.Int s) ])
-    @ [ ("data", data) ]
-    @ match extra with None -> [] | Some fields -> fields)
+    @ [ ("data", data) ])
 
 let validate_envelope j =
   let ( let* ) = Result.bind in

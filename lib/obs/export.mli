@@ -19,12 +19,8 @@ val envelope :
   experiment:string ->
   ?scale:string ->
   ?seed:int ->
-  ?extra:(string * Json.t) list ->
   Json.t ->
   Json.t
-(** [extra] appends experiment-specific top-level sections after
-    ["data"] (e.g. the adaptive ablation's ["recommended_params"]).
-    Additions are non-breaking per the schema rules above. *)
 
 val validate_envelope : Json.t -> (unit, string) result
 (** Structural check used by tests and the CI smoke run: required fields

@@ -161,25 +161,6 @@ module Reuse = struct
   let miss_rate_curve t ~capacities_blocks =
     List.map (fun c -> (c, implied_miss_rate t ~blocks:c)) capacities_blocks
 
-  (* Epoch snapshots: the histogram's counters only grow, so a snapshot
-     of (accesses, implied misses at a fixed capacity) turns the
-     whole-run histogram into a windowed one by subtraction — an O(1)
-     mark and an O(histogram) delta, no second profiler needed. *)
-  type epoch = { e_time : int; e_implied : int; e_blocks : int }
-
-  let epoch_start t ~blocks =
-    { e_time = t.time; e_implied = implied_misses t ~blocks; e_blocks = blocks }
-
-  let epoch_accesses t ~since = t.time - since.e_time
-
-  let epoch_implied_misses t ~since =
-    implied_misses t ~blocks:since.e_blocks - since.e_implied
-
-  let epoch_miss_rate t ~since =
-    let a = epoch_accesses t ~since in
-    if a = 0 then 0.
-    else float_of_int (epoch_implied_misses t ~since) /. float_of_int a
-
   let to_json t =
     Json.Obj
       [

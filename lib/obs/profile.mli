@@ -57,30 +57,6 @@ module Reuse : sig
 
   val miss_rate_curve : t -> capacities_blocks:int list -> (int * float) list
 
-  (** {2 Epoch snapshots}
-
-      An adaptive policy needs the miss rate of the {e recent} access
-      window, not the whole run: after a reorganization the historical
-      tail would mask any later degradation.  The histogram's counters
-      only grow, so an epoch is a constant-time snapshot and the
-      windowed quantities are subtractions. *)
-
-  type epoch
-
-  val epoch_start : t -> blocks:int -> epoch
-  (** Snapshot now, fixing the capacity the windowed miss counts are
-      evaluated at. *)
-
-  val epoch_accesses : t -> since:epoch -> int
-
-  val epoch_implied_misses : t -> since:epoch -> int
-  (** Misses a fully-associative LRU cache of the epoch's [blocks]
-      capacity would take on the accesses since the snapshot. *)
-
-  val epoch_miss_rate : t -> since:epoch -> float
-  (** [epoch_implied_misses / epoch_accesses]; 0 when the window is
-      empty. *)
-
   val to_json : t -> Json.t
   val pp : Format.formatter -> t -> unit
 end

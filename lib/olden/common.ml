@@ -61,12 +61,6 @@ let of_string s =
   | "nullhint" | "null-hint" -> Some Null_hint_control
   | _ -> None
 
-type morph_gate = {
-  g_should : unit -> bool;
-  g_note : Ccsl.Ccmorph.result -> unit;
-  g_session : Ccsl.Ccmorph.session option;
-}
-
 type ctx = {
   placement : placement;
   machine : Machine.t;
@@ -74,18 +68,7 @@ type ctx = {
   sw_prefetch : bool;
   morph_params : Ccsl.Ccmorph.params option;
   cc : Ccsl.Ccmalloc.t option;
-  mutable gate : morph_gate option;
 }
-
-let want_morph ctx ~default =
-  ctx.morph_params <> None
-  && (match ctx.gate with Some g -> g.g_should () | None -> default)
-
-let morph_session ctx =
-  match ctx.gate with Some g -> g.g_session | None -> None
-
-let note_morph ctx r =
-  match ctx.gate with Some g -> g.g_note r | None -> ()
 
 let drop_hints (a : Alloc.Allocator.t) =
   {
@@ -135,7 +118,6 @@ let make_ctx ?config placement =
     sw_prefetch = placement = Sw_prefetch;
     morph_params;
     cc = !cc;
-    gate = None;
   }
 
 type result = {

@@ -31,46 +31,18 @@ val of_string : string -> placement option
     [cluster], [cluster-color], [null-hint]), ignoring case; [None] for
     anything else. *)
 
-type morph_gate = {
-  g_should : unit -> bool;
-      (** consulted at each structure-safe reorganization point; [true]
-          means "morph now" *)
-  g_note : Ccsl.Ccmorph.result -> unit;
-      (** told the outcome of every gated morph (cost feedback) *)
-  g_session : Ccsl.Ccmorph.session option;
-      (** address-recycling session threaded through repeated morphs *)
-}
-(** An adaptive reorganization policy, seen from a benchmark kernel.
-    Kernels stay policy-agnostic: where they would morph on a fixed
-    schedule they first consult the gate, and report every morph result
-    back to it.  The concrete policy ([Adapt.Policy]) lives upstack —
-    this record is the dependency-free seam. *)
-
 type ctx = {
   placement : placement;
   machine : Memsim.Machine.t;
   alloc : Alloc.Allocator.t;
   sw_prefetch : bool;  (** kernels consult this to issue greedy prefetches *)
   morph_params : Ccsl.Ccmorph.params option;
-      (** Some p for the two ccmorph placements, None otherwise *)
+      (** Some p for the two ccmorph placements, None otherwise; a
+          caller may set it on any placement's ctx to morph there too *)
   cc : Ccsl.Ccmalloc.t option;
       (** the concrete ccmalloc behind [alloc], when the placement uses
           one — exposes placement counters to the telemetry layer *)
-  mutable gate : morph_gate option;
-      (** when set, replaces the kernels' fixed morph schedule *)
 }
-
-val want_morph : ctx -> default:bool -> bool
-(** Should the kernel reorganize at this point?  [default] is the
-    kernel's own fixed-schedule decision (e.g. [step mod interval = 0]),
-    used when no gate is installed; requires [morph_params] either
-    way. *)
-
-val morph_session : ctx -> Ccsl.Ccmorph.session option
-(** The gate's morph session, to pass to [Ccmorph.morph ?session]. *)
-
-val note_morph : ctx -> Ccsl.Ccmorph.result -> unit
-(** Report a completed morph to the gate (no-op without one). *)
 
 val make_ctx : ?config:Memsim.Config.t -> placement -> ctx
 (** Build the machine ([Config.rsim_table1] by default, with the hardware

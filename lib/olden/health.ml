@@ -150,7 +150,7 @@ let step_village (ctx : Common.ctx) w villages v processed =
   (* arrivals at the leaves *)
   if v.is_leaf && Rng.float v.rng < arrival_prob then new_patient ctx v
 
-let morph_all_lists (ctx : Common.ctx) params villages =
+let morph_all_lists (ctx : Common.ctx) villages =
   match ctx.Common.morph_params with
   | None -> ()
   | Some p ->
@@ -161,15 +161,12 @@ let morph_all_lists (ctx : Common.ctx) params villages =
       let roots = Array.of_list (List.map (fun l -> l.Ll.head) lists) in
       let desc = Ll.desc ~elem_bytes:12 in
       let r =
-        Ccsl.Ccmorph.morph_forest ~params:p
-          ?session:(Common.morph_session ctx) ctx.Common.machine desc ~roots
+        Ccsl.Ccmorph.morph_forest ~params:p ctx.Common.machine desc ~roots
       in
       List.iteri
         (fun i l ->
           Ll.set_head l r.Ccsl.Ccmorph.new_roots.(i) ~length:l.Ll.length)
-        lists;
-      Common.note_morph ctx r;
-      ignore params
+        lists
 
 let run ?(params = default_params) ?(measure_whole = false) ?config ?ctx
     placement =
@@ -187,8 +184,7 @@ let run ?(params = default_params) ?(measure_whole = false) ?config ?ctx
     for i = Array.length villages - 1 downto 0 do
       step_village ctx w villages villages.(i) processed
     done;
-    if Common.want_morph ctx ~default:(step mod params.morph_interval = 0)
-    then morph_all_lists ctx params villages
+    if step mod params.morph_interval = 0 then morph_all_lists ctx villages
   done;
   let remaining =
     Array.fold_left

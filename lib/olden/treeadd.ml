@@ -64,16 +64,13 @@ let run ?(params = default_params) ?(measure_whole = false) ?config ?ctx
   let root =
     match ctx.morph_params with
     | None -> root
-    | Some _ when ctx.Common.gate <> None ->
-        (* gated: the adaptive policy decides between passes, below *)
-        root
     | Some p ->
         (* treeadd's only traversal is a full depth-first walk; per the
            paper's Section 2.1 ("for specific access patterns, such as
            depth-first search, other clustering schemes may be better")
            the programmer parameterizes ccmorph with depth-first
            clustering here.  An explicitly requested engine (a layout
-           shootout, an autotune recommendation) is honored as given. *)
+           shootout) is honored as given. *)
         let p =
           match p.Ccsl.Ccmorph.cluster with
           | Ccsl.Ccmorph.Subtree ->
@@ -87,24 +84,7 @@ let run ?(params = default_params) ?(measure_whole = false) ?config ?ctx
      initialization fast-forwarded.  Caches stay warm. *)
   if not measure_whole then Machine.reset_measurement ctx.machine;
   let total = ref 0 in
-  let root = ref root in
   for _ = 1 to params.passes do
-    total := sum ctx !root;
-    if Common.want_morph ctx ~default:false then
-      match ctx.morph_params with
-      | Some p ->
-          let p =
-            match p.Ccsl.Ccmorph.cluster with
-            | Ccsl.Ccmorph.Subtree ->
-                { p with Ccsl.Ccmorph.cluster = Ccsl.Ccmorph.Depth_first }
-            | _ -> p
-          in
-          let r =
-            Ccsl.Ccmorph.morph ~params:p ?session:(Common.morph_session ctx)
-              ctx.machine desc ~root:!root
-          in
-          Common.note_morph ctx r;
-          root := r.Ccsl.Ccmorph.new_root
-      | None -> ()
+    total := sum ctx root
   done;
   Common.finish ctx ~checksum:!total

@@ -2,8 +2,10 @@
    before both moved to flat int arrays, kept here unchanged as the
    oracle for [Suite_ccmorph_flat]'s differential tests.  The only edits:
    the engines take the old closure-based [Tree] and the old
-   [Plan.of_blocks], and [do_morph] takes its engine as an argument (a
-   [Layout.Engine.t] plans over the new flat tree).  Nothing outside the tests uses them. *)
+   [Plan.of_blocks], [do_morph] takes its engine as an argument (a
+   [Layout.Engine.t] plans over the new flat tree), and the re-morph
+   session, deleted from [Ccmorph], is gone here too.  Nothing outside
+   the tests uses them. *)
 
 module A = Memsim.Addr
 module Machine = Memsim.Machine
@@ -328,34 +330,6 @@ module Ccmorph = struct
 
   let debug_check_plans = ref false
 
-  (* A session remembers the block addresses the previous morph handed out
-     and a stable per-element identity, so a structure that is re-morphed
-     periodically (health's lists, an adaptive policy's re-triggers) keeps
-     landing in the same footprint instead of marching through fresh
-     address space — and keeps the same hot cache region, whose capacity
-     is a property of the cache, not of how many times we morphed. *)
-  type session = {
-    mutable s_hot : A.t list;  (* reusable hot-region block addresses *)
-    mutable s_cold : A.t list;  (* reusable cold/uncolored block addresses *)
-    mutable s_ids : (A.t, int) Hashtbl.t;  (* current elem addr -> stable id *)
-    mutable s_next_id : int;
-    mutable s_key : (bool * float * int) option;  (* coloring geometry guard *)
-    mutable s_morphs : int;
-  }
-
-  let session () =
-    {
-      s_hot = [];
-      s_cold = [];
-      s_ids = Hashtbl.create 256;
-      s_next_id = 0;
-      s_key = None;
-      s_morphs = 0;
-    }
-
-  let elem_id s addr = Hashtbl.find_opt s.s_ids addr
-  let session_morphs s = s.s_morphs
-
   (* Discover the structure with a timed breadth-first traversal.  Each
      element is read exactly once: its bytes are buffered so the copy
      phase is write-only (a second scattered read pass over a structure
@@ -421,7 +395,7 @@ module Ccmorph = struct
     let kids = Array.of_list (List.rev !kids_rev) in
     (addrs, images, kids, index_of)
 
-  let do_morph ?session ~engine params m desc roots =
+  let do_morph ~engine params m desc roots =
     let block_bytes = Machine.l2_block_bytes m in
     if desc.elem_bytes > block_bytes then
       invalid_arg "Ccmorph: element larger than an L2 block";
@@ -492,37 +466,6 @@ module Ccmorph = struct
         | Some c -> min nblocks (Coloring.hot_capacity_blocks c)
         | None -> 0
       in
-      (* Session recycling: prefer block addresses the previous morph of
-         this structure used (in the same order, so an unchanged structure
-         re-morphs to identical addresses); only draw fresh blocks for
-         growth.  The avail lists are consumed, the used lists written back
-         to the session below. *)
-      let hot_avail, cold_avail =
-        match session with
-        | None -> (ref [], ref [])
-        | Some s ->
-            let key = (params.color, params.color_frac, params.color_first_set) in
-            if s.s_key <> Some key then begin
-              (* coloring geometry changed: cached addresses belong to the
-                 wrong regions, start over *)
-              s.s_key <- Some key;
-              s.s_hot <- [];
-              s.s_cold <- []
-            end;
-            (ref s.s_hot, ref s.s_cold)
-      in
-      let hot_used = ref [] and cold_used = ref [] in
-      let take avail fresh used =
-        let a =
-          match !avail with
-          | a :: rest ->
-              avail := rest;
-              a
-          | [] -> fresh ()
-        in
-        used := a :: !used;
-        a
-      in
       let hot_blocks = ref 0 in
       let block_addr : int -> A.t =
         match coloring with
@@ -531,14 +474,9 @@ module Ccmorph = struct
             fun j ->
               if j < hot_cap then begin
                 incr hot_blocks;
-                take hot_avail
-                  (fun () -> Coloring.next_hot_block (Lazy.force ar))
-                  hot_used
+                Coloring.next_hot_block (Lazy.force ar)
               end
-              else
-                take cold_avail
-                  (fun () -> Coloring.next_cold_block (Lazy.force ar))
-                  cold_used
+              else Coloring.next_cold_block (Lazy.force ar)
         | None ->
             let next = ref A.null in
             let left = ref 0 in
@@ -554,7 +492,7 @@ module Ccmorph = struct
               decr left;
               a
             in
-            fun _ -> take cold_avail fresh cold_used
+            fun _ -> fresh ()
       in
       (* Assign block base addresses: the plan's hot prefix first, then
          the cold blocks in the page order the engine asked for.  Engines
@@ -648,27 +586,6 @@ module Ccmorph = struct
           block_base;
         Hashtbl.length pages
       in
-      (match session with
-      | None -> ()
-      | Some s ->
-          (* Keep leftover cached addresses (structure shrank) behind the
-             ones just used, so a later regrowth reclaims them. *)
-          s.s_hot <- List.rev !hot_used @ !hot_avail;
-          s.s_cold <- List.rev !cold_used @ !cold_avail;
-          let ids = Hashtbl.create (2 * n) in
-          for v = 0 to n - 1 do
-            let id =
-              match Hashtbl.find_opt s.s_ids old_addrs.(v) with
-              | Some id -> id
-              | None ->
-                  let id = s.s_next_id in
-                  s.s_next_id <- id + 1;
-                  id
-            in
-            Hashtbl.replace ids new_addrs.(v) id
-          done;
-          s.s_ids <- ids;
-          s.s_morphs <- s.s_morphs + 1);
       {
         new_root = (if Array.length new_roots > 0 then new_roots.(0) else A.null);
         new_roots;
@@ -680,7 +597,7 @@ module Ccmorph = struct
       }
     end
 
-  let morph_forest ?(params = Ccsl.Ccmorph.default_params) ?session ~engine m
-      desc ~roots =
-    do_morph ?session ~engine params m desc roots
+  let morph_forest ?(params = Ccsl.Ccmorph.default_params) ~engine m desc
+      ~roots =
+    do_morph ~engine params m desc roots
 end

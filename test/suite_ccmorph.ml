@@ -305,35 +305,29 @@ let test_parent_slot_respects_kid_filter () =
   Alcotest.(check int) "real parent pointer rewritten" a'
     (Machine.uload32 m (b' + 8))
 
-(* Re-morph sessions: an unchanged structure re-morphs to identical
-   addresses (no address-space churn, no fresh hot stripes), and every
-   element keeps its stable identity across the move. *)
-let test_session_reuses_addresses () =
+(* Re-morphing an already-morphed structure (health re-morphs its lists
+   on a fixed schedule): each morph copies the whole structure into
+   freshly reserved space, so the root moves, the reservation grows, and
+   the keys survive every round. *)
+let test_remorph_moves_and_preserves () =
   let m = mk () in
   let t = build_tree m 255 11 in
   let before = Bst.to_sorted_list t in
-  let s = Ccmorph.session () in
   let desc = Bst.desc ~elem_bytes:20 in
-  let r1 = Ccmorph.morph ~session:s m desc ~root:t.Bst.root in
-  let root_id = Ccmorph.elem_id s r1.Ccmorph.new_root in
-  Alcotest.(check bool) "root has an id" true (root_id <> None);
-  let reserved_after_first = Machine.reserved_bytes m in
-  let r2 = Ccmorph.morph ~session:s m desc ~root:r1.Ccmorph.new_root in
-  let r3 = Ccmorph.morph ~session:s m desc ~root:r2.Ccmorph.new_root in
-  Alcotest.(check int) "re-morph reuses the same root address"
-    r1.Ccmorph.new_root r2.Ccmorph.new_root;
-  Alcotest.(check int) "and again" r1.Ccmorph.new_root r3.Ccmorph.new_root;
-  Alcotest.(check int) "no fresh address space reserved"
-    reserved_after_first (Machine.reserved_bytes m);
-  Alcotest.(check bool) "root id stable across morphs" true
-    (root_id = Ccmorph.elem_id s r3.Ccmorph.new_root);
-  Alcotest.(check int) "three session morphs" 3 (Ccmorph.session_morphs s);
-  let t' = Bst.of_root m ~elem_bytes:20 ~n:255 r3.Ccmorph.new_root in
-  Alcotest.(check (list int)) "semantics intact" before (Bst.to_sorted_list t');
-  (* contrast: a session-less re-morph marches into fresh address space *)
-  let r4 = Ccmorph.morph m desc ~root:r3.Ccmorph.new_root in
-  Alcotest.(check bool) "without a session the root moves" true
-    (r4.Ccmorph.new_root <> r3.Ccmorph.new_root)
+  let root = ref t.Bst.root in
+  for round = 1 to 3 do
+    let reserved = Machine.reserved_bytes m in
+    let r = Ccmorph.morph m desc ~root:!root in
+    let where = Printf.sprintf "re-morph %d: " round in
+    Alcotest.(check bool) (where ^ "the root moves") true
+      (r.Ccmorph.new_root <> !root);
+    Alcotest.(check bool) (where ^ "fresh address space reserved") true
+      (Machine.reserved_bytes m > reserved);
+    let t' = Bst.of_root m ~elem_bytes:20 ~n:255 r.Ccmorph.new_root in
+    Alcotest.(check (list int)) (where ^ "keys intact") before
+      (Bst.to_sorted_list t');
+    root := r.Ccmorph.new_root
+  done
 
 let prop_morph_preserves_bst =
   QCheck.Test.make ~count:40 ~name:"morph preserves random BSTs"
@@ -389,8 +383,8 @@ let tests =
           test_morph_subtree_of_larger_structure;
         Alcotest.test_case "parent slot respects kid_filter" `Quick
           test_parent_slot_respects_kid_filter;
-        Alcotest.test_case "session reuses addresses" `Quick
-          test_session_reuses_addresses;
+        Alcotest.test_case "re-morphs move and keep keys" `Quick
+          test_remorph_moves_and_preserves;
         QCheck_alcotest.to_alcotest prop_morph_preserves_bst;
         QCheck_alcotest.to_alcotest prop_morph_parent_pointers;
       ] );

@@ -1,7 +1,7 @@
 (* The flat-array ccmorph and layout engines checked against their list-
    and Hashtbl-based predecessors ([Ccmorph_ref]): the same plans on
    random trees, and on random structures in simulated memory the same
-   results, copies, simulated statistics, session ids and errors.  Also:
+   results, copies, simulated statistics and errors.  Also:
    every engine rejects a malformed tree the same way. *)
 
 module Machine = Memsim.Machine
@@ -109,7 +109,7 @@ type case = {
   color : int;  (* 0: off; 1-3: color_frac 0.25, 0.5, 0.75 *)
   page_aware : bool;
   tlb : bool;  (* the E5000 with a TLB instead of the tiny machine *)
-  session : bool;  (* three morphs, the structure growing and shrinking *)
+  remorph : bool;  (* three morphs, the structure growing and shrinking *)
   fault : int;  (* first try a bad morph: 1 duplicate root, 2 DAG, 3 oversized *)
 }
 
@@ -128,50 +128,37 @@ let gen_case =
     let* color = int_bound 3 in
     let* page_aware = bool in
     let* tlb = bool in
-    let* session = bool in
+    let* remorph = bool in
     let+ fault = map (fun i -> max 0 (i - 4)) (int_bound 7) in
     {
       seed; nodes; elem_bytes; slots; parent; filter; weights; forest;
-      subtree; engine; color; page_aware; tlb; session; fault;
+      subtree; engine; color; page_aware; tlb; remorph; fault;
     })
 
 let print_case c =
   Printf.sprintf
     "{seed=%d; nodes=%d; elem_bytes=%d; slots=%d; parent=%b; filter=%b; \
      weights=%b; forest=%d; subtree=%b; engine=%s; color=%d; page_aware=%b; \
-     tlb=%b; session=%b; fault=%d}"
+     tlb=%b; remorph=%b; fault=%d}"
     c.seed c.nodes c.elem_bytes c.slots c.parent c.filter c.weights c.forest
-    c.subtree c.engine c.color c.page_aware c.tlb c.session c.fault
+    c.subtree c.engine c.color c.page_aware c.tlb c.remorph c.fault
 
-(* One implementation under test: a morph and its session's ids. *)
-type impl = {
-  morph :
-    Machine.t -> Ccmorph.desc -> Ccmorph.params -> roots:A.t array ->
-    Ccmorph.result;
-  elem_id : A.t -> int option;
-}
+(* One implementation under test. *)
+type impl =
+  Machine.t -> Ccmorph.desc -> Ccmorph.params -> roots:A.t array ->
+  Ccmorph.result
 
-let current ~session ~engine =
-  let s = if session then Some (Ccmorph.session ()) else None in
+let current ~engine : impl =
   let engine = Option.get (Layout.Engine.of_name engine) in
-  {
-    morph =
-      (fun m desc params ~roots ->
-        Ccmorph.morph_forest ?session:s
-          ~params:{ params with Ccmorph.cluster = Ccmorph.Engine engine }
-          m desc ~roots);
-    elem_id = (fun a -> Option.bind s (fun s -> Ccmorph.elem_id s a));
-  }
+  fun m desc params ~roots ->
+    Ccmorph.morph_forest
+      ~params:{ params with Ccmorph.cluster = Ccmorph.Engine engine }
+      m desc ~roots
 
-let reference ~session ~engine =
-  let s = if session then Some (R.Ccmorph.session ()) else None in
+let reference ~engine : impl =
   let engine = R.engine_of_name engine in
-  {
-    morph =
-      (fun m desc params ~roots ->
-        R.Ccmorph.morph_forest ?session:s ~params ~engine m desc ~roots);
-    elem_id = (fun a -> Option.bind s (fun s -> R.Ccmorph.elem_id s a));
-  }
+  fun m desc params ~roots ->
+    R.Ccmorph.morph_forest ~params ~engine m desc ~roots
 
 (* What one morph attempt leaves behind. *)
 type obs = {
@@ -180,7 +167,6 @@ type obs = {
   stats : Hierarchy.stats;
   reserved : int;
   copies : (A.t * string) list;  (* every new element and its bytes *)
-  ids : int option list;  (* the session id of each new element *)
 }
 
 (* The structure's geometry, fixed per case: kid (and parent) slots at
@@ -265,18 +251,16 @@ let elements m desc roots =
   done;
   Array.of_list (List.rev !out)
 
-let observe impl m desc outcome =
-  let copies, ids =
+let observe m desc outcome =
+  let copies =
     match outcome with
-    | Error _ -> ([], [])
+    | Error _ -> []
     | Ok r ->
         let mem = Machine.memory m in
         let eb = desc.Ccmorph.elem_bytes in
-        let els = Array.to_list (elements m desc r.Ccmorph.new_roots) in
-        ( List.map
-            (fun a -> (a, String.init eb (fun i -> Char.chr (Memory.load8 mem (a + i)))))
-            els,
-          List.map impl.elem_id els )
+        List.map
+          (fun a -> (a, String.init eb (fun i -> Char.chr (Memory.load8 mem (a + i)))))
+          (Array.to_list (elements m desc r.Ccmorph.new_roots))
   in
   {
     outcome;
@@ -284,12 +268,11 @@ let observe impl m desc outcome =
     stats = Hierarchy.stats (Machine.hierarchy m);
     reserved = Machine.reserved_bytes m;
     copies;
-    ids;
   }
 
-let attempt impl m params desc roots =
-  observe impl m desc
-    (try Ok (impl.morph m desc params ~roots)
+let attempt (impl : impl) m params desc roots =
+  observe m desc
+    (try Ok (impl m desc params ~roots)
      with Invalid_argument msg -> Error msg)
 
 (* Build the case's structure on a fresh machine, then morph it with
@@ -358,7 +341,7 @@ let run c impl =
         [ attempt impl m params big roots ]
     | _ -> []
   in
-  let morphs = if c.session then 3 else 1 in
+  let morphs = if c.remorph then 3 else 1 in
   let rec go i roots acc =
     let o = attempt impl m params desc roots in
     let acc = o :: acc in
@@ -386,11 +369,10 @@ let run c impl =
 
 let prop_morph_matches_reference =
   QCheck.Test.make ~count:400
-    ~name:"morphs equal the Hashtbl-based ccmorph's: results, copies, stats, ids, errors"
+    ~name:"morphs equal the Hashtbl-based ccmorph's: results, copies, stats, errors"
     (QCheck.make ~print:print_case gen_case)
     (fun c ->
-      let session = c.session and engine = c.engine in
-      run c (current ~session ~engine) = run c (reference ~session ~engine))
+      run c (current ~engine:c.engine) = run c (reference ~engine:c.engine))
 
 (* Elements at chunk offset 65528 straddle two 64 KB chunks of simulated
    memory (malloc can place a 20-byte node there); discovery's bulk
@@ -422,7 +404,7 @@ let test_morph_straddling_elements () =
       [ (root, left, right, 0); (left, 0, 0, root); (right, 0, 0, root) ];
     let payload a = List.init 4 (fun i -> Memory.load8 mem (a + 16 + i)) in
     let before = List.map payload [ root; left; right ] in
-    let impl = make ~session:true ~engine:"subtree" in
+    let impl = make ~engine:"subtree" in
     let o = attempt impl m Ccmorph.default_params desc [| root |] in
     match o.outcome with
     | Error e -> Alcotest.fail e

@@ -220,28 +220,14 @@ let fake_result =
   }
 
 let test_arm_payload_roundtrip () =
-  let rec_json = J.Obj [ ("color_frac", J.Float 0.25) ] in
   let arm =
-    {
-      Harness.Adaptive.arm_label = "static";
-      arm_result = fake_result;
-      arm_advisor = None;
-      arm_policy = None;
-    }
+    { Harness.Whole_program.arm_label = "static"; arm_result = fake_result }
   in
-  let arm', rec' =
-    Harness.Adaptive.arm_of_payload
-      (Harness.Adaptive.arm_payload arm ~recommendation:(Some rec_json))
+  let arm' =
+    Harness.Whole_program.arm_of_payload
+      (Harness.Whole_program.arm_payload arm)
   in
-  Alcotest.(check bool) "arm survives" true (arm = arm');
-  Alcotest.(check bool) "recommendation survives" true
-    (match rec' with Some j -> J.equal j rec_json | None -> false);
-  (* and with no recommendation attached *)
-  let arm'', rec'' =
-    Harness.Adaptive.arm_of_payload
-      (Harness.Adaptive.arm_payload arm ~recommendation:None)
-  in
-  Alcotest.(check bool) "None round-trips" true (arm = arm'' && rec'' = None)
+  Alcotest.(check bool) "arm survives" true (arm = arm')
 
 let tests =
   [

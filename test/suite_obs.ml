@@ -348,8 +348,7 @@ let test_reuse_binned () =
    them for 6000 accesses, so most positions between two compactions
    hold dead flags, and a revisit phase reaches back to blocks whose
    flags several compactions have renumbered since.  After every round
-   the histogram, implied misses and an epoch window opened at the
-   round's start must match the oracle. *)
+   the histogram and implied misses must match the oracle. *)
 let test_reuse_oracle_compaction () =
   let module R = Obs.Profile.Reuse in
   let rng = Workload.Rng.create 37 in
@@ -377,12 +376,9 @@ let test_reuse_oracle_compaction () =
   let dists = brute_force_distances (List.rev !stream) in
   let stream = Array.of_list (List.rev !stream) in
   let r = R.create ~block_bytes in
-  let capacities = [| 16; 100; 1000; 3000 |] in
   let start = ref 0 in
   List.iteri
     (fun round stop ->
-      let blocks = capacities.(round mod Array.length capacities) in
-      let epoch = R.epoch_start r ~blocks in
       for i = !start to stop - 1 do
         R.on_access r false ((stream.(i) * block_bytes) + (i mod block_bytes))
       done;
@@ -406,16 +402,6 @@ let test_reuse_oracle_compaction () =
             oracle
             (R.implied_misses r ~blocks:cap))
         [ 1; 16; 100; 1000; 3000; 10_000 ];
-      let window = ref 0 in
-      for i = !start to stop - 1 do
-        if dists.(i) < 0 || dists.(i) >= blocks then incr window
-      done;
-      Alcotest.(check int) (where ^ "epoch accesses") (stop - !start)
-        (R.epoch_accesses r ~since:epoch);
-      Alcotest.(check int)
-        (Printf.sprintf "%sepoch misses at %d blocks" where blocks)
-        !window
-        (R.epoch_implied_misses r ~since:epoch);
       start := stop)
     (List.rev !ends)
 

@@ -2,6 +2,7 @@
    oracles and placement-invariance of results. *)
 
 module C = Olden.Common
+module Ex = Harness.Experiments
 
 let small_treeadd = { Olden.Treeadd.levels = 10; passes = 1 }
 
@@ -139,7 +140,6 @@ let test_placement_names () =
    few hundred host bytes; building any machine, whatever its caches,
    allocates tens of kilobytes. *)
 let test_kernel_table_names () =
-  let module Ex = Harness.Experiments in
   Alcotest.(check (list string)) "Table 2 order"
     [ "treeadd"; "health"; "mst"; "perimeter" ]
     Ex.olden_names;
@@ -166,7 +166,8 @@ let test_kernel_table_names () =
   rejects "olden_kernel" (fun () -> Ex.olden_kernel Ex.Quick "treeadd2");
   rejects "Profiles.run" (fun () -> Harness.Profiles.run "treeadd2");
   rejects "Lint.run" (fun () -> Harness.Lint.run "treeadd2");
-  rejects "Adaptive.run" (fun () -> Harness.Adaptive.run "treeadd2");
+  rejects "Whole_program.run" (fun () ->
+      Harness.Whole_program.run "treeadd2");
   rejects "Layout_shootout.run" (fun () ->
       Harness.Layout_shootout.run "treeadd2");
   rejects "Layout_shootout.run mst" (fun () ->
@@ -196,6 +197,70 @@ let prop_perimeter_matches_oracle =
       let r = Olden.Perimeter.run ~params Olden.Common.Ccmorph_cluster_color in
       r.C.checksum = Olden.Perimeter.oracle_perimeter params)
 
+(* The kernels' fixed morph schedule at quick scale, counted through
+   the ccmorph observer hook: treeadd, mst and perimeter morph once at
+   start-up, health every [morph_interval] (50) of its 365 steps, and a
+   placement without ccmorph never morphs. *)
+let test_fixed_morph_schedule () =
+  let morphs = ref 0 in
+  let id = Ccsl.Ccmorph.add_observer (fun _ -> incr morphs) in
+  Fun.protect
+    ~finally:(fun () -> Ccsl.Ccmorph.remove_observer id)
+    (fun () ->
+      List.iter
+        (fun (k : Ex.kernel) ->
+          let scheduled = if k.k_name = "health" then 7 else 1 in
+          List.iter
+            (fun (p, want) ->
+              morphs := 0;
+              ignore (k.k_run p);
+              Alcotest.(check int)
+                (Printf.sprintf "%s under %s" k.k_name (C.label p))
+                want !morphs)
+            [
+              (C.Ccmorph_cluster, scheduled);
+              (C.Ccmorph_cluster_color, scheduled);
+              (C.Ccmalloc_new_block, 0);
+            ])
+        (Ex.olden_kernels Ex.Quick))
+
+(* [ccsl-cli run]'s three static arms: in order, computing one answer,
+   and both placements beating the base on treeadd's deep, repeatedly
+   traversed tree. *)
+let test_whole_program_arms () =
+  match Harness.Whole_program.run "treeadd" with
+  | None -> Alcotest.fail "treeadd must be a known benchmark"
+  | Some r ->
+      let arm label =
+        (List.find
+           (fun a -> a.Harness.Whole_program.arm_label = label)
+           r.Harness.Whole_program.arms)
+          .Harness.Whole_program.arm_result
+      in
+      Alcotest.(check (list string)) "three arms in order"
+        [ "base"; "static"; "static-ccmalloc" ]
+        (List.map
+           (fun a -> a.Harness.Whole_program.arm_label)
+           r.Harness.Whole_program.arms);
+      let base = arm "base" in
+      List.iter
+        (fun label ->
+          let res = arm label in
+          Alcotest.(check int) (label ^ " checksum") base.C.checksum
+            res.C.checksum;
+          Alcotest.(check bool) (label ^ " beats base") true
+            (C.normalized res ~base < 1.))
+        [ "static"; "static-ccmalloc" ];
+      Alcotest.(check string) "static-ccmalloc runs on ccmalloc new-block"
+        "NA" (arm "static-ccmalloc").C.r_label;
+      match
+        Obs.Export.validate_envelope
+          (Obs.Export.envelope ~experiment:"run-treeadd"
+             (Harness.Whole_program.to_json r))
+      with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail e
+
 let tests =
   [
     ( "olden",
@@ -223,5 +288,9 @@ let tests =
         QCheck_alcotest.to_alcotest prop_treeadd_sum_any_size;
         QCheck_alcotest.to_alcotest prop_mst_matches_oracle;
         QCheck_alcotest.to_alcotest prop_perimeter_matches_oracle;
+        Alcotest.test_case "fixed morph schedule" `Slow
+          test_fixed_morph_schedule;
+        Alcotest.test_case "whole-program static arms" `Quick
+          test_whole_program_arms;
       ] );
   ]
