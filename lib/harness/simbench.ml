@@ -1,7 +1,7 @@
 (* Simulator self-benchmark: how fast does the simulator itself run?
 
    Three workloads stress the per-access path from different angles —
-   raw sequential loads (MRU-filter friendly, like array sweeps),
+   raw sequential loads (L1-hit dominated, like array sweeps),
    a dependent pointer chase over a clustered ring (the access pattern
    the paper's placements produce), and a full health benchmark arm
    (every subsystem: allocator, ccmorph, timed copies).  Each row

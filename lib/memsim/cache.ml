@@ -13,7 +13,9 @@ type t = {
   (* ways are stored row-major: entry (set, way) at [set * assoc + way] *)
   tags : int array;  (* -1 = invalid *)
   dirty : bool array;
-  last_use : int array;  (* global tick of last touch; LRU = smallest *)
+  (* global tick of each way's last touch; LRU = smallest.  Only sets
+     with a choice of victim read it, so direct-mapped hits skip it. *)
+  last_use : int array;
   mutable tick : int;
   stats : stats;
   (* precomputed geometry so the hot path never divides *)
@@ -21,13 +23,6 @@ type t = {
   block_shift : int;
   set_mask : int;
   write_back : bool;
-  (* MRU block filter: the last line that served a hit or fill, as
-     (set, absolute index).  Valid iff [tags.(mru_idx)] still holds the
-     probed tag — eviction and invalidation self-invalidate the memo, so
-     no extra bookkeeping is needed on those paths. *)
-  mutable mru_set : int;
-  mutable mru_idx : int;
-  mutable mru_hits : int;
 }
 
 let fresh_stats () =
@@ -54,127 +49,143 @@ let create cfg =
     block_shift = Addr.log2 cfg.Cache_config.block_bytes;
     set_mask = cfg.Cache_config.sets - 1;
     write_back = cfg.Cache_config.policy = Cache_config.Write_back;
-    mru_set = -1;
-    mru_idx = 0;
-    mru_hits = 0;
   }
 
 let config t = t.cfg
 
-(* Allocation-free way lookup: absolute index, or -1 when absent.  The
-   scan is a top-level recursive function (a local [let rec] would
-   allocate its closure on every call without flambda), and the
-   direct-mapped case needs no scan at all.  [set * assoc + w] is in
-   range by construction ([set] < sets, [w] < assoc). *)
+(* Every index below is [set * assoc + w] with [set] < sets and [w] <
+   assoc, in range by construction.  Sets wider than two ways are
+   scanned by top-level recursive functions (a local [let rec] would
+   allocate its closure on every call without flambda). *)
 let rec find_from tags tag i stop =
   if i = stop then -1
   else if Array.unsafe_get tags i = tag then i
   else find_from tags tag (i + 1) stop
 
-let[@inline] find_way t set tag =
-  if t.assoc = 1 then if Array.unsafe_get t.tags set = tag then set else -1
+(* The first invalid way of [i, stop), else the least recently used. *)
+let rec victim_from t best i stop =
+  if i = stop || Array.unsafe_get t.tags best = -1 then best
+  else if Array.unsafe_get t.tags i = -1 then i
+  else if Array.unsafe_get t.last_use i < Array.unsafe_get t.last_use best then
+    victim_from t i (i + 1) stop
+  else victim_from t best (i + 1) stop
+
+(* The way holding [tag] in [set], or -1 when absent. *)
+let find_way t set tag =
+  match t.assoc with
+  | 1 -> if Array.unsafe_get t.tags set = tag then set else -1
+  | 2 ->
+      let i = set + set in
+      if Array.unsafe_get t.tags i = tag then i
+      else if Array.unsafe_get t.tags (i + 1) = tag then i + 1
+      else -1
+  | n ->
+      let base = set * n in
+      find_from t.tags tag base (base + n)
+
+(* The victim of the 2-way set at [i], whose ways hold [w0] and [w1]: an
+   invalid way first, else the older stamp.  Stamps lie in [0, 2^62),
+   so way 1 is older exactly when the sign bit of the difference is set;
+   reading it off replaces a data-dependent branch. *)
+let[@inline] victim2 t i w0 w1 =
+  if w0 = -1 then i
+  else if w1 = -1 then i + 1
   else
-    let base = set * t.assoc in
-    find_from t.tags tag base (base + t.assoc)
+    i
+    + (Array.unsafe_get t.last_use (i + 1) - Array.unsafe_get t.last_use i)
+      lsr 62
 
 let victim_way t set =
-  (* Prefer an invalid way; otherwise the least-recently-used one.  A
-     direct-mapped set has only the one candidate. *)
-  if t.assoc = 1 then set
-  else begin
-    let base = set * t.assoc in
-    let best = ref base in
-    let found_invalid = ref (t.tags.(base) = -1) in
-    for w = 1 to t.assoc - 1 do
-      let i = base + w in
-      if not !found_invalid then
-        if t.tags.(i) = -1 then begin
-          best := i;
-          found_invalid := true
-        end
-        else if t.last_use.(i) < t.last_use.(!best) then best := i
-    done;
-    !best
-  end
+  match t.assoc with
+  | 1 -> set
+  | 2 ->
+      let i = set + set in
+      victim2 t i (Array.unsafe_get t.tags i) (Array.unsafe_get t.tags (i + 1))
+  | n ->
+      let base = set * n in
+      victim_from t base (base + 1) (base + n)
 
 let[@inline] touch t i =
   t.tick <- t.tick + 1;
   Array.unsafe_set t.last_use i t.tick
 
-let fill t set tag ~dirty =
-  let i = victim_way t set in
-  if t.tags.(i) <> -1 then begin
+(* Put [tag] in way [i], evicting (and writing back) what it held.  The
+   caller stamps the way; a direct-mapped demand miss need not. *)
+let[@inline] replace t i tag ~dirty =
+  if Array.unsafe_get t.tags i <> -1 then begin
     t.stats.evictions <- t.stats.evictions + 1;
-    if t.dirty.(i) then t.stats.writebacks <- t.stats.writebacks + 1
+    if Array.unsafe_get t.dirty i then
+      t.stats.writebacks <- t.stats.writebacks + 1
   end;
-  t.tags.(i) <- tag;
-  t.dirty.(i) <- dirty;
-  touch t i;
-  t.mru_set <- set;
-  t.mru_idx <- i
+  Array.unsafe_set t.tags i tag;
+  Array.unsafe_set t.dirty i dirty
 
-(* Demand-hit bookkeeping shared by [lookup] and the MRU filter. *)
-let[@inline] record_hit t ~write i =
-  touch t i;
-  if write && t.write_back then Array.unsafe_set t.dirty i true
+let[@inline] hit t ~write i =
+  if write && t.write_back then Array.unsafe_set t.dirty i true;
+  true
 
-(* The full lookup, without the MRU memo probe: for callers that have
-   just probed the memo and missed it. *)
-let lookup t ~write a =
+let[@inline] miss t ~write i tag =
+  if write then t.stats.write_misses <- t.stats.write_misses + 1
+  else t.stats.read_misses <- t.stats.read_misses + 1;
+  replace t i tag ~dirty:(write && t.write_back);
+  false
+
+(* Straight-line sets for the two associativities the paper's machines
+   use: a direct-mapped set is one compare and keeps no stamp; a 2-way
+   set is two compares and the two-way victim choice.  Wider sets
+   scan. *)
+let access t ~write a =
   let tag = a lsr t.block_shift in
   let set = tag land t.set_mask in
   if write then t.stats.writes <- t.stats.writes + 1
   else t.stats.reads <- t.stats.reads + 1;
-  let i = find_way t set tag in
-  if i >= 0 then begin
-    record_hit t ~write i;
-    t.mru_set <- set;
-    t.mru_idx <- i;
-    true
-  end
-  else begin
-    if write then t.stats.write_misses <- t.stats.write_misses + 1
-    else t.stats.read_misses <- t.stats.read_misses + 1;
-    fill t set tag ~dirty:(write && t.write_back);
-    false
-  end
-
-(* [mru_idx] is always a valid index (it only ever holds values
-   produced by [fill] or [find_way]). *)
-let[@inline] mru_hit t ~write a =
-  let tag = a lsr t.block_shift in
-  let set = tag land t.set_mask in
-  if set = t.mru_set && Array.unsafe_get t.tags t.mru_idx = tag then begin
-    if write then t.stats.writes <- t.stats.writes + 1
-    else t.stats.reads <- t.stats.reads + 1;
-    record_hit t ~write t.mru_idx;
-    t.mru_hits <- t.mru_hits + 1;
-    true
-  end
-  else false
-
-let access t ~write a = mru_hit t ~write a || lookup t ~write a
-
-let mru_filter_hits t = t.mru_hits
+  match t.assoc with
+  | 1 ->
+      if Array.unsafe_get t.tags set = tag then hit t ~write set
+      else miss t ~write set tag
+  | 2 ->
+      let i = set + set in
+      let w0 = Array.unsafe_get t.tags i in
+      let w1 = Array.unsafe_get t.tags (i + 1) in
+      let w = if w0 = tag then i else if w1 = tag then i + 1 else -1 in
+      if w >= 0 then begin
+        touch t w;
+        hit t ~write w
+      end
+      else
+        let v = victim2 t i w0 w1 in
+        touch t v;
+        miss t ~write v tag
+  | n ->
+      let base = set * n in
+      let w = find_from t.tags tag base (base + n) in
+      if w >= 0 then begin
+        touch t w;
+        hit t ~write w
+      end
+      else
+        let v = victim_from t base (base + 1) (base + n) in
+        touch t v;
+        miss t ~write v tag
 
 let probe t a =
   let tag = a lsr t.block_shift in
-  let set = tag land t.set_mask in
-  find_way t set tag >= 0
+  find_way t (tag land t.set_mask) tag >= 0
 
 let install t ?(prefetch = false) a =
   let tag = a lsr t.block_shift in
   let set = tag land t.set_mask in
   if find_way t set tag < 0 then begin
-    fill t set tag ~dirty:false;
+    let i = victim_way t set in
+    replace t i tag ~dirty:false;
+    touch t i;
     if prefetch then
       t.stats.prefetch_installs <- t.stats.prefetch_installs + 1
   end
 
 let invalidate t a =
   let tag = a lsr t.block_shift in
-  let set = tag land t.set_mask in
-  let i = find_way t set tag in
+  let i = find_way t (tag land t.set_mask) tag in
   if i >= 0 then begin
     t.tags.(i) <- -1;
     t.dirty.(i) <- false
@@ -183,9 +194,7 @@ let invalidate t a =
 let clear t =
   Array.fill t.tags 0 (Array.length t.tags) (-1);
   Array.fill t.dirty 0 (Array.length t.dirty) false;
-  Array.fill t.last_use 0 (Array.length t.last_use) 0;
-  t.mru_set <- -1;
-  t.mru_idx <- 0
+  Array.fill t.last_use 0 (Array.length t.last_use) 0
 
 let stats t = t.stats
 

@@ -22,29 +22,11 @@ val config : t -> Cache_config.t
 val access : t -> write:bool -> Addr.t -> bool
 (** [access t ~write a] simulates a demand reference to the block holding
     [a].  Returns [true] on hit.  On a miss the block is installed,
-    evicting the LRU way of its set.  Statistics are updated.
+    evicting the LRU way of its set (an invalid way first).  Statistics
+    are updated.
 
-    The lookup is an allocation-free scan (none at all when the cache
-    is direct-mapped) fronted by an MRU block filter — a memo of the
-    last line that served a hit or fill, so repeated same-block accesses
-    (the common case for clustered layouts) skip the associative scan.
-    It is exactly [mru_hit t ~write a || lookup t ~write a]. *)
-
-val mru_hit : t -> write:bool -> Addr.t -> bool
-(** MRU filter probe for {!Hierarchy} and {!Machine}: if the filter
-    proves the block holding [a] is resident, account a demand hit
-    exactly as {!access} would and return [true]; otherwise do
-    {e nothing} and return [false] (the caller falls back to
-    {!lookup}). *)
-
-val lookup : t -> write:bool -> Addr.t -> bool
-(** {!access} without the MRU filter probe, for callers that have just
-    probed with {!mru_hit} and missed: the probe would miss again, so it
-    is skipped. *)
-
-val mru_filter_hits : t -> int
-(** Accesses served by the MRU filter without an associative scan
-    (telemetry; not part of {!stats}). *)
+    Allocation-free.  Direct-mapped and 2-way sets, the only shapes the
+    paper's machines use, take straight-line paths; wider sets scan. *)
 
 val probe : t -> Addr.t -> bool
 (** Non-intrusive lookup: does not update LRU state or statistics. *)

@@ -5,6 +5,11 @@ type t = {
   l2 : Cache.t;
   tlb : Tlb.t option;
   lat : latencies;
+  (* precomputed so the walk below the L1 makes no cross-module call
+     but [Cache.access] on the L2 *)
+  l2_hit_cycles : int;
+  l2_miss_cycles : int;
+  l2_block_mask : int;  (* [-block_bytes]: [a land mask] is a's block *)
   hw_prefetch : bool;
   mshrs : int;
   (* MSHR table as a fixed-size ring sized by [mshrs]: slot i holds an
@@ -30,6 +35,9 @@ let create ?tlb ?(hw_prefetch = false) ?(mshrs = 8) ~l1 ~l2 ~latencies () =
     l2 = Cache.create l2;
     tlb = Option.map Tlb.create tlb;
     lat = latencies;
+    l2_hit_cycles = latencies.l1_hit + latencies.l1_miss;
+    l2_miss_cycles = latencies.l1_hit + latencies.l1_miss + latencies.l2_miss;
+    l2_block_mask = lnot (l2.Cache_config.block_bytes - 1);
     hw_prefetch;
     mshrs;
     pend_blk = Array.make mshrs (-1);
@@ -46,9 +54,6 @@ let l2 t = t.l2
 let tlb t = t.tlb
 let latencies t = t.lat
 let hw_prefetch_enabled t = t.hw_prefetch
-
-let l2_block_base t a =
-  Addr.block_base a ~block_bytes:(Cache.config t.l2).Cache_config.block_bytes
 
 let fill_latency t = t.lat.l1_miss + t.lat.l2_miss
 
@@ -91,16 +96,15 @@ let drain_completed t ~now =
   done
 
 let schedule t ~now a =
-  let blk = l2_block_base t a in
+  let blk = a land t.l2_block_mask in
   if (not (Cache.probe t.l2 blk)) && pend_find t blk < 0 then begin
     if t.pend_count >= t.mshrs then drain_completed t ~now;
     if t.pend_count >= t.mshrs then t.dropped <- t.dropped + 1
     else pend_add t blk (now + fill_latency t)
   end
 
-let next_line_prefetch t ~now a =
-  let b = (Cache.config t.l2).Cache_config.block_bytes in
-  let next = l2_block_base t a + b in
+let next_line_prefetch t ~now blk =
+  let next = blk - t.l2_block_mask in
   if (not (Cache.probe t.l2 next)) && pend_find t next < 0 then begin
     if t.pend_count >= t.mshrs then drain_completed t ~now;
     if t.pend_count < t.mshrs then begin
@@ -109,39 +113,45 @@ let next_line_prefetch t ~now a =
     end
   end
 
-(* Everything below a demand L1 miss.  [Cache.access] on the L2 keeps
-   the L2's own MRU filter. *)
-let below_l1 t ~now ~write a =
-  if Cache.access t.l2 ~write a then t.lat.l1_hit + t.lat.l1_miss
+(* An L2 miss: an in-flight prefetch absorbs part of the latency. *)
+let l2_miss t ~now blk =
+  let slot = pend_find t blk in
+  if slot >= 0 then begin
+    let ready = t.pend_ready.(slot) in
+    pend_remove t slot;
+    (* never worse than a plain demand miss: the controller simply
+       reissues the fetch if the prefetch is still far out *)
+    let remaining = min (max 0 (ready - now)) t.lat.l2_miss in
+    t.consumed <- t.consumed + 1;
+    t.saved <- t.saved + (t.lat.l2_miss - remaining);
+    t.l2_hit_cycles + remaining
+  end
   else begin
-    (* L2 miss; an in-flight prefetch absorbs part of the latency *)
-    let blk = l2_block_base t a in
-    let slot = pend_find t blk in
-    if slot >= 0 then begin
-      let ready = t.pend_ready.(slot) in
-      pend_remove t slot;
-      (* never worse than a plain demand miss: the controller simply
-         reissues the fetch if the prefetch is still far out *)
-      let remaining = min (max 0 (ready - now)) t.lat.l2_miss in
-      t.consumed <- t.consumed + 1;
-      t.saved <- t.saved + (t.lat.l2_miss - remaining);
-      t.lat.l1_hit + t.lat.l1_miss + remaining
-    end
-    else begin
-      if t.hw_prefetch then next_line_prefetch t ~now a;
-      t.lat.l1_hit + t.lat.l1_miss + t.lat.l2_miss
-    end
+    if t.hw_prefetch then next_line_prefetch t ~now blk;
+    t.l2_miss_cycles
   end
 
-let access_after_probe t ~now ~write a =
-  if Cache.lookup t.l1 ~write a then t.lat.l1_hit else below_l1 t ~now ~write a
+(* The demand walk below an L1 miss, at absolute cycle [now + Cost.total
+   clock].  The clock is read only on an L2 miss that can meet the MSHRs
+   or the prefetcher, so {!Machine} passes its cost record instead of
+   summing it on every miss.  Dune's dev profile compiles with [-opaque]:
+   nothing is inlined across modules, so every module boundary crossed
+   here is a real call, and the walk crosses one ([Cache.access] on the
+   L2) unless it reads the clock. *)
+let[@inline] walk_l2 t ~clock ~now ~write a =
+  if Cache.access t.l2 ~write a then t.l2_hit_cycles
+  else if t.pend_count = 0 && not t.hw_prefetch then t.l2_miss_cycles
+  else l2_miss t ~now:(now + Cost.total clock) (a land t.l2_block_mask)
 
-(* [Cache.access] on the L1 is its MRU filter probe followed, on a
-   filter miss, by the lookup that skips it. *)
+let l1_miss t clock ~write a = walk_l2 t ~clock ~now:0 ~write a
+
+(* A clock that stays at zero, for callers that pass [now] themselves. *)
+let stopped = Cost.create ()
+
 let access t ~now ~write a =
   let tlb = match t.tlb with None -> 0 | Some tlb -> Tlb.access tlb a in
   if Cache.access t.l1 ~write a then tlb + t.lat.l1_hit
-  else tlb + below_l1 t ~now ~write a
+  else tlb + walk_l2 t ~clock:stopped ~now ~write a
 
 let access_range t ~now ~write a ~bytes =
   if bytes <= 0 then invalid_arg "Hierarchy.access_range: bytes <= 0";

@@ -42,16 +42,13 @@ val hw_prefetch_enabled : t -> bool
 val access : t -> now:int -> write:bool -> Addr.t -> int
 (** Simulate a demand access at absolute cycle [now]; returns total
     cycles including the L1 hit time.  A pending prefetch of the target
-    block reduces the stall to the cycles still outstanding.
+    block reduces the stall to the cycles still outstanding. *)
 
-    An L1-resident block filter (the L1's MRU memo) short-circuits the
-    two-level walk on repeated same-block accesses. *)
-
-val access_after_probe : t -> now:int -> write:bool -> Addr.t -> int
-(** The two-level walk of {!access}, without the TLB and without the L1
-    filter probe, for callers that have just probed {!Cache.mru_hit} on
-    the L1 and missed: with the TLB translation and the probe, this is
-    {!access}, split so that {!Machine} can probe the filter itself. *)
+val l1_miss : t -> Cost.t -> write:bool -> Addr.t -> int
+(** [l1_miss t clock ~write a] is the rest of {!access}'s walk, without
+    the TLB, for a caller that has just missed [Cache.access] on the L1
+    with [a]: the total cycles, including the L1 hit time.  The absolute
+    cycle is [Cost.total clock], read only on an L2 miss. *)
 
 val access_range : t -> now:int -> write:bool -> Addr.t -> bytes:int -> int
 (** Like {!access} but touches every L1 block overlapped by

@@ -6,8 +6,8 @@ type t = {
   hier : Hierarchy.t;
   cost : Cost.t;
   (* hot-path shortcuts, all fixed at creation: the TLB, the L1 cache and
-     its hit latency let the word accessors translate and probe the MRU
-     filter themselves *)
+     its hit latency let the word accessors translate and serve L1 hits
+     themselves *)
   tlb : Tlb.t option;
   l1 : Cache.t;
   l1_hit_lat : int;
@@ -105,9 +105,10 @@ let unsubscribe t id =
   rebuild_notify t
 
 (* Timed word accessors: the observers (if any), then one monomorphic
-   walk — the TLB (if any), one L1 filter probe, and on a filter miss
-   the walk that skips the probe.  The absolute cycle [now] is computed
-   only on that miss path, where the prefetch engine needs it.
+   walk -- the TLB (if any) and the L1, and on an L1 miss the
+   hierarchy's walk below it, clocked by [t.cost] so that the absolute
+   cycle is summed only on the L2 misses that need it.  An L1 hit is one
+   call into the cache model.
 
    The observer match wraps the whole access instead of falling through
    to a shared tail: after a join with the observer call the compiler
@@ -116,8 +117,8 @@ let unsubscribe t id =
 
 let[@inline] fast_latency t ~write a =
   let tlb = match t.tlb with None -> 0 | Some tlb -> Tlb.access tlb a in
-  if Cache.mru_hit t.l1 ~write a then t.l1_hit_lat + tlb
-  else Hierarchy.access_after_probe t.hier ~now:(now t) ~write a + tlb
+  if Cache.access t.l1 ~write a then t.l1_hit_lat + tlb
+  else Hierarchy.l1_miss t.hier t.cost ~write a + tlb
 
 let[@inline] timed_load32 t a =
   charge_load t (fast_latency t ~write:false a);

@@ -1,8 +1,8 @@
 (* The throughput engine's correctness contract: the tuned access path
-   (MRU block filters, allocation-free lookups, the monomorphic machine
-   path) must leave every simulated number where the straightforward
-   scan-based simulator put it, and the parallel experiment runner must
-   reproduce serial results exactly. *)
+   (straight-line direct-mapped and 2-way sets, allocation-free lookups,
+   the monomorphic machine path) must leave every simulated number where
+   the straightforward scan-based simulator put it, and the parallel
+   experiment runner must reproduce serial results exactly. *)
 
 module M = Memsim
 module CC = Memsim.Cache_config
@@ -25,9 +25,7 @@ let stats_tuple (s : Cache.stats) =
 (* Differential: whole Olden benchmarks against pinned statistics      *)
 (* ------------------------------------------------------------------ *)
 
-(* Everything the simulator reports, as one comparable value, plus the
-   L1 MRU filter hit count, so the run can prove the filter actually
-   engaged (a filter that never fires would make the pin vacuous). *)
+(* Everything the simulator reports, as one comparable value. *)
 let olden_fingerprint ~placement which =
   let ctx = OC.make_ctx placement in
   let r =
@@ -44,13 +42,10 @@ let olden_fingerprint ~placement which =
           ~ctx placement
   in
   let h = Machine.hierarchy ctx.OC.machine in
-  let fp =
-    ( r.OC.checksum,
-      r.OC.snapshot,
-      stats_tuple (Cache.stats (Hierarchy.l1 h)),
-      stats_tuple (Cache.stats (Hierarchy.l2 h)) )
-  in
-  (fp, Cache.mru_filter_hits (Hierarchy.l1 h))
+  ( r.OC.checksum,
+    r.OC.snapshot,
+    stats_tuple (Cache.stats (Hierarchy.l1 h)),
+    stats_tuple (Cache.stats (Hierarchy.l2 h)) )
 
 let snap busy load store total =
   {
@@ -90,23 +85,57 @@ let pinned =
   ]
 
 let check_differential which placement () =
-  let fp, mru = olden_fingerprint ~placement which in
   Alcotest.(check bool)
     "cycles, misses, evictions and writebacks equal the pinned run" true
-    (fp = List.assoc (which, placement) pinned);
-  Alcotest.(check bool) "MRU filter engaged" true (mru > 0)
+    (olden_fingerprint ~placement which = List.assoc (which, placement) pinned)
 
-let test_mru_filter_counts () =
-  let c = Cache.create (CC.v ~name:"m" ~sets:4 ~assoc:2 ~block_bytes:16 ()) in
-  (* miss installs the block and primes the memo; the next three
-     same-block accesses are pure filter hits *)
-  ignore (Cache.access c ~write:false 0);
-  ignore (Cache.access c ~write:false 4);
-  ignore (Cache.access c ~write:false 8);
-  ignore (Cache.access c ~write:true 12);
-  Alcotest.(check int) "filter hits" 3 (Cache.mru_filter_hits c);
-  Alcotest.(check int) "demand accesses still counted" 4
-    (Cache.accesses (Cache.stats c))
+(* The straight-line set paths: 2-way LRU order, invalid ways first, and
+   direct-mapped write-back accounting. *)
+let test_straight_line_sets () =
+  let c = Cache.create (CC.v ~name:"2w" ~sets:4 ~assoc:2 ~block_bytes:16 ()) in
+  (* blocks 0, 4, 8, ... all map to set 0 *)
+  let blk k = k * 4 * 16 in
+  let resident ks = List.map (fun k -> Cache.probe c (blk k)) ks in
+  let touch ks =
+    List.iter (fun k -> ignore (Cache.access c ~write:false (blk k))) ks
+  in
+  (* blocks 0 and 1 fill ways 0 and 1; a hit on way 0 leaves way 1 the
+     least recent *)
+  touch [ 0; 1; 0; 2 ];
+  Alcotest.(check (list bool)) "the miss after a way-0 hit evicts way 1"
+    [ true; false; true ] (resident [ 0; 1; 2 ]);
+  (* way 1 (block 2) was filled after way 0's last hit; hitting both
+     again, way 1 last, leaves way 0 the least recent *)
+  touch [ 0; 2; 3 ];
+  Alcotest.(check (list bool)) "the miss after a way-1 hit evicts way 0"
+    [ false; true; true ] (resident [ 0; 2; 3 ]);
+  (* block 3 (way 0) is the most recent; once invalidated, its way is
+     refilled before block 2's least-recently-used one *)
+  Cache.invalidate c (blk 3);
+  touch [ 4 ];
+  Alcotest.(check (list bool)) "an invalid way 0 is refilled first"
+    [ true; false; true ] (resident [ 2; 3; 4 ]);
+  touch [ 2 ];
+  Cache.invalidate c (blk 2);
+  touch [ 5 ];
+  Alcotest.(check (list bool)) "an invalid way 1 is refilled first"
+    [ false; true; true ] (resident [ 2; 4; 5 ]);
+  Alcotest.(check int) "demand accesses still counted" 10
+    (Cache.accesses (Cache.stats c));
+  Alcotest.(check int) "no eviction into an invalid way" 2
+    (Cache.stats c).Cache.evictions;
+  let d = Cache.create (CC.v ~name:"dm" ~sets:4 ~assoc:1 ~block_bytes:16 ()) in
+  (* 0, 64 and 128 share set 0: a read miss, a write hit that dirties
+     the line, then two evictions, only the first of them dirty *)
+  ignore (Cache.access d ~write:false 0);
+  Alcotest.(check bool) "write hit" true (Cache.access d ~write:true 4);
+  ignore (Cache.access d ~write:false 64);
+  ignore (Cache.access d ~write:false 128);
+  let s = Cache.stats d in
+  Alcotest.(check (pair int int)) "direct-mapped evictions, writebacks"
+    (2, 1) (s.Cache.evictions, s.Cache.writebacks);
+  Alcotest.(check int) "direct-mapped demand accesses counted" 4
+    (Cache.accesses s)
 
 (* ------------------------------------------------------------------ *)
 (* Machine.subscribe: O(1) prepend, stable observer order              *)
@@ -241,8 +270,8 @@ let tests =
           (check_differential `Health OC.Base);
         Alcotest.test_case "differential health (cluster+color)" `Quick
           (check_differential `Health OC.Ccmorph_cluster_color);
-        Alcotest.test_case "MRU filter hit accounting" `Quick
-          test_mru_filter_counts;
+        Alcotest.test_case "straight-line set paths" `Quick
+          test_straight_line_sets;
         Alcotest.test_case "subscription order" `Quick test_subscription_order;
         Alcotest.test_case "MSHR fixed-slot table" `Quick test_mshr_table;
         Alcotest.test_case "parallel runner matches serial" `Quick

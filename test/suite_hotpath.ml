@@ -75,8 +75,11 @@ let prop_tlb_matches_naive_lru =
 (* Textbook LRU: each set is a list of (block, dirty) pairs, most
    recently used first, at most [assoc] long.  A miss in a full set
    evicts the last pair and writes it back if it is dirty; a write
-   dirties its block only under write-back.  No MRU memo, no way
-   indices, no tick stamps: nothing shared with [Cache]. *)
+   dirties its block only under write-back.  An install of an absent
+   block fills like a clean read miss but counts no demand access (and
+   a prefetch install counts itself); an install of a resident block
+   changes nothing.  No way indices, no tick stamps: nothing shared with
+   [Cache]. *)
 let naive_cache (cfg : CC.t) =
   let lru = Array.make cfg.CC.sets [] in
   let s =
@@ -89,6 +92,19 @@ let naive_cache (cfg : CC.t) =
       writebacks = 0;
       prefetch_installs = 0;
     }
+  in
+  let fill set blk ~dirty =
+    let kept =
+      if List.length lru.(set) < cfg.CC.assoc then lru.(set)
+      else
+        match List.rev lru.(set) with
+        | (_, dirty) :: older ->
+            s.Cache.evictions <- s.Cache.evictions + 1;
+            if dirty then s.Cache.writebacks <- s.Cache.writebacks + 1;
+            List.rev older
+        | [] -> []
+    in
+    lru.(set) <- (blk, dirty) :: kept
   in
   let access ~write a =
     let dirties = write && cfg.CC.policy = CC.Write_back in
@@ -103,21 +119,22 @@ let naive_cache (cfg : CC.t) =
     | None ->
         if write then s.Cache.write_misses <- s.Cache.write_misses + 1
         else s.Cache.read_misses <- s.Cache.read_misses + 1;
-        let kept =
-          if List.length lru.(set) < cfg.CC.assoc then lru.(set)
-          else
-            match List.rev lru.(set) with
-            | (_, dirty) :: older ->
-                s.Cache.evictions <- s.Cache.evictions + 1;
-                if dirty then s.Cache.writebacks <- s.Cache.writebacks + 1;
-                List.rev older
-            | [] -> []
-        in
-        lru.(set) <- (blk, dirties) :: kept;
+        fill set blk ~dirty:dirties;
         false
   in
-  (access, s)
+  let install ~prefetch a =
+    let blk = a / cfg.CC.block_bytes in
+    let set = blk mod cfg.CC.sets in
+    if not (List.mem_assoc blk lru.(set)) then begin
+      fill set blk ~dirty:false;
+      if prefetch then
+        s.Cache.prefetch_installs <- s.Cache.prefetch_installs + 1
+    end
+  in
+  (access, install, s)
 
+(* Every shape the straight-line and scanning set paths take: 2-way,
+   direct-mapped and wider sets, each under both write policies. *)
 let cache_shapes =
   [|
     CC.v ~name:"2-way" ~sets:4 ~assoc:2 ~block_bytes:16 ();
@@ -126,20 +143,36 @@ let cache_shapes =
       ~block_bytes:32 ();
     CC.v ~policy:CC.Write_through ~name:"4-way" ~sets:2 ~assoc:4
       ~block_bytes:16 ();
+    CC.v ~name:"direct write-back" ~sets:8 ~assoc:1 ~block_bytes:64 ();
+    CC.v ~policy:CC.Write_through ~name:"2-way write-through" ~sets:4
+      ~assoc:2 ~block_bytes:16 ();
   |]
 
+(* Op kinds 0-3 read, 4-5 write, 6 installs and 7 installs as a
+   prefetch, the way the MSHRs' completed fills reach the L2. *)
 let prop_cache_matches_naive_lru =
   QCheck.Test.make ~count:200 ~name:"cache access = naive LRU cache"
     QCheck.(
       pair
         (int_bound (Array.length cache_shapes - 1))
-        (list_of_size (Gen.int_range 1 300) (pair (int_bound 2047) bool)))
+        (list_of_size (Gen.int_range 1 300)
+           (pair (int_bound 2047) (int_bound 7))))
     (fun (shape, ops) ->
       let cfg = cache_shapes.(shape) in
       let c = Cache.create cfg in
-      let access, s = naive_cache cfg in
+      let access, install, s = naive_cache cfg in
       List.for_all
-        (fun (a, write) -> Cache.access c ~write (a * 4) = access ~write (a * 4))
+        (fun (a, kind) ->
+          let a = a * 4 in
+          if kind >= 6 then begin
+            let prefetch = kind = 7 in
+            Cache.install c ~prefetch a;
+            install ~prefetch a;
+            true
+          end
+          else
+            let write = kind >= 4 in
+            Cache.access c ~write a = access ~write a)
         ops
       && Cache.stats c = s)
 
@@ -149,8 +182,8 @@ let prop_cache_matches_naive_lru =
    too.  No prefetching (the configurations below have none).  Memory
    is a [Hashtbl] of 32-bit words. *)
 let naive_machine (cfg : M.Config.t) =
-  let l1, s1 = naive_cache cfg.M.Config.l1 in
-  let l2, s2 = naive_cache cfg.M.Config.l2 in
+  let l1, _, s1 = naive_cache cfg.M.Config.l1 in
+  let l2, _, s2 = naive_cache cfg.M.Config.l2 in
   let tlb = Option.map naive_tlb cfg.M.Config.tlb in
   let lat = cfg.M.Config.latencies in
   let load_stall = ref 0 and store_stall = ref 0 and busy = ref 0 in
@@ -192,7 +225,7 @@ let naive_machine (cfg : M.Config.t) =
    Addresses fall in [rows] rows one L1 capacity apart, spanning four L2
    capacities, so both levels see conflict misses, evictions and (in
    the write-back L2) writebacks; an op whose low two bits are 0 stays
-   in the previous op's L1 block, which the MRU filter serves.  Kind 0
+   in the previous op's L1 block, so it hits the L1.  Kind 0
    loads, 1 loads sign-extended, 2 stores [v]. *)
 let machine_matches_naive cfg ops =
   let m = Machine.create cfg in
