@@ -202,8 +202,15 @@ let run_bechamel () =
   in
   Notty_unix.eol img |> Notty_unix.output_image
 
+let usage () =
+  prerr_endline
+    "usage: main.exe [--paper] [--no-bechamel] [--no-tables] [--seed N]";
+  exit 2
+
 let rec seed_of_args = function
-  | "--seed" :: v :: _ -> Some (int_of_string v)
+  | "--seed" :: v :: _ -> (
+      match int_of_string_opt v with Some n -> Some n | None -> usage ())
+  | [ "--seed" ] -> usage ()
   | _ :: rest -> seed_of_args rest
   | [] -> None
 

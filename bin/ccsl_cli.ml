@@ -29,13 +29,6 @@ let json_term =
   in
   Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
 
-let metrics_term =
-  let doc =
-    "Write harness telemetry (experiment counters and timing spans) as \
-     JSON to $(docv)."
-  in
-  Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
-
 let scale_of paper =
   if paper then Harness.Experiments.Paper else Harness.Experiments.Quick
 
@@ -43,27 +36,18 @@ let scale_of paper =
 (* Default command: run experiments / ablations                        *)
 (* ------------------------------------------------------------------ *)
 
-let run_experiments names paper seed json_file metrics_file =
+let run_experiments names paper seed json_file =
   let scale = scale_of paper in
   let ppf = Format.std_formatter in
-  let metrics = Obs.Metrics.create () in
-  let ran =
-    Obs.Metrics.counter metrics
-      ~help:"experiments executed by this invocation" "experiments_run"
-  in
-  let spans = Obs.Span.create () in
   let dispatch name =
     let payload =
-      Obs.Span.with_ spans name (fun () ->
-          match name with
-          | "ablations" -> Some (Harness.Ablations.all ?seed ppf)
-          | "all" -> Some (Harness.Experiments.all ~scale ?seed ppf)
-          | name -> Harness.Experiments.run_named ~scale ?seed name ppf)
+      match name with
+      | "ablations" -> Some (Harness.Ablations.all ?seed ppf)
+      | "all" -> Some (Harness.Experiments.all ~scale ?seed ppf)
+      | name -> Harness.Experiments.run_named ~scale ?seed name ppf
     in
     match payload with
-    | Some p ->
-        Obs.Metrics.incr ran;
-        (name, p)
+    | Some p -> (name, p)
     | None ->
         Format.eprintf "unknown experiment %S (expected %s, ablations or all)@."
           name
@@ -72,7 +56,7 @@ let run_experiments names paper seed json_file metrics_file =
   in
   let names = if names = [] then [ "all" ] else names in
   let results = List.map dispatch names in
-  (match json_file with
+  match json_file with
   | None -> ()
   | Some file ->
       let experiment = String.concat "+" (List.map fst results) in
@@ -85,16 +69,6 @@ let run_experiments names paper seed json_file metrics_file =
         (Obs.Export.envelope ~experiment
            ~scale:(Harness.Experiments.scale_name scale)
            ?seed data);
-      Format.fprintf ppf "wrote %s@." file);
-  match metrics_file with
-  | None -> ()
-  | Some file ->
-      Obs.Json.write_file file
-        (Obs.Json.Obj
-           [
-             ("metrics", Obs.Metrics.to_json metrics);
-             ("spans", Obs.Span.to_json spans);
-           ]);
       Format.fprintf ppf "wrote %s@." file
 
 let names_term =
@@ -106,9 +80,7 @@ let names_term =
   Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT" ~doc)
 
 let run_term =
-  Term.(
-    const run_experiments $ names_term $ scale_term $ seed_term $ json_term
-    $ metrics_term)
+  Term.(const run_experiments $ names_term $ scale_term $ seed_term $ json_term)
 
 (* Each experiment name is also a subcommand (cmdliner groups route the
    first positional argument to a command), so [ccsl-cli fig5 fig10]
@@ -120,14 +92,12 @@ let experiment_cmd exp_name =
     Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT" ~doc)
   in
   let doc = Printf.sprintf "Run the %s experiment" exp_name in
-  let run extra paper seed json metrics =
-    run_experiments (exp_name :: extra) paper seed json metrics
+  let run extra paper seed json =
+    run_experiments (exp_name :: extra) paper seed json
   in
   Cmd.v
     (Cmd.info exp_name ~doc)
-    Term.(
-      const run $ extra_term $ scale_term $ seed_term $ json_term
-      $ metrics_term)
+    Term.(const run $ extra_term $ scale_term $ seed_term $ json_term)
 
 (* ------------------------------------------------------------------ *)
 (* profile subcommand                                                  *)
@@ -224,10 +194,10 @@ let run_cmd =
   in
   let parallel_term =
     let doc =
-      "Run the placement arms as concurrent forked processes \
-       (JSON-over-pipe).  Results, including the JSON export, are \
-       byte-identical to a serial run; wall time drops to the slowest \
-       arm on multi-core machines."
+      "Run the placement arms as concurrent forked processes, each \
+       marshalling its typed result back.  Results, including the JSON \
+       export, are byte-identical to a serial run; wall time drops to \
+       the slowest arm on multi-core machines."
     in
     Arg.(value & flag & info [ "parallel" ] ~doc)
   in
@@ -321,9 +291,9 @@ let layout_cmd =
   in
   let parallel_term =
     let doc =
-      "Run the engines as concurrent forked jobs (JSON-over-pipe); \
-       results, including the JSON export, are byte-identical to a \
-       serial run."
+      "Run the engines as concurrent forked jobs, each marshalling its \
+       typed row back; results, including the JSON export, are \
+       byte-identical to a serial run."
     in
     Arg.(value & flag & info [ "parallel" ] ~doc)
   in

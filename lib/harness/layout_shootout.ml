@@ -170,73 +170,20 @@ let olden_row (k : Experiments.kernel) (name, scheme) =
     row_pages_used = pages;
   }
 
-(* --- payload codec (fork pipe; see Whole_program) --- *)
-
-let level_payload l =
-  J.Obj
-    [
-      ("accesses", J.Int l.lv_accesses);
-      ("misses", J.Int l.lv_misses);
-      ("miss_rate", J.Float l.lv_miss_rate);
-    ]
-
-let level_of_payload j =
-  {
-    lv_accesses = Report.geti "accesses" j;
-    lv_misses = Report.geti "misses" j;
-    lv_miss_rate = Report.getf "miss_rate" j;
-  }
-
-let row_payload r =
-  J.Obj
-    ([
-       ("engine", J.String r.row_engine);
-       ("cycles", J.Int r.row_cycles);
-       ("checksum", J.Int r.row_checksum);
-       ("l1", level_payload r.row_l1);
-       ("l2", level_payload r.row_l2);
-     ]
-    @ (match r.row_tlb with
-      | Some t -> [ ("tlb", level_payload t) ]
-      | None -> [])
-    @ [
-        ("blocks_used", J.Int r.row_blocks_used);
-        ("hot_blocks", J.Int r.row_hot_blocks);
-        ("pages_used", J.Int r.row_pages_used);
-      ])
-
-let row_of_payload j =
-  {
-    row_engine = Report.gets "engine" j;
-    row_cycles = Report.geti "cycles" j;
-    row_checksum = Report.geti "checksum" j;
-    row_l1 = level_of_payload (Report.getobj "l1" j);
-    row_l2 = level_of_payload (Report.getobj "l2" j);
-    row_tlb = Option.map level_of_payload (J.member "tlb" j);
-    row_blocks_used = Report.geti "blocks_used" j;
-    row_hot_blocks = Report.geti "hot_blocks" j;
-    row_pages_used = Report.geti "pages_used" j;
-  }
-
-let jobs ~scale ~seed bench =
+(* One engine's row for [bench]: an independent job for {!Parallel.map}. *)
+let row_of_bench ~scale ~seed bench =
   let seed = Option.value ~default:2023 seed in
-  let wrap f =
-    List.map (fun es -> (fst es, fun () -> row_payload (f es))) engine_schemes
-  in
   match bench with
-  | "micro" -> Some (wrap (micro_row ~scale ~seed))
+  | "micro" -> Some (micro_row ~scale ~seed)
   | _ when List.mem bench names ->
-      Option.map
-        (fun k -> wrap (olden_row k))
-        (Experiments.olden_kernel ~seed scale bench)
+      Option.map olden_row (Experiments.olden_kernel ~seed scale bench)
   | _ -> None
 
 let run ?(scale = Experiments.Quick) ?seed ?(parallel = false) bench =
   Option.map
-    (fun js ->
-      let payloads = Parallel.run_jobs ~parallel js in
-      { bench; scale; rows = List.map (fun (_, j) -> row_of_payload j) payloads })
-    (jobs ~scale ~seed bench)
+    (fun row ->
+      { bench; scale; rows = Parallel.map ~parallel row engine_schemes })
+    (row_of_bench ~scale ~seed bench)
 
 let pp ppf r =
   Format.fprintf ppf "layout shootout: %s (%s scale)@." r.bench
@@ -264,10 +211,38 @@ let pp ppf r =
       Format.fprintf ppf "  fastest: %s@." best.row_engine
   | [] -> ()
 
+(* --- JSON export --- *)
+
+let level_json l =
+  J.Obj
+    [
+      ("accesses", J.Int l.lv_accesses);
+      ("misses", J.Int l.lv_misses);
+      ("miss_rate", J.Float l.lv_miss_rate);
+    ]
+
+let row_json r =
+  J.Obj
+    ([
+       ("engine", J.String r.row_engine);
+       ("cycles", J.Int r.row_cycles);
+       ("checksum", J.Int r.row_checksum);
+       ("l1", level_json r.row_l1);
+       ("l2", level_json r.row_l2);
+     ]
+    @ (match r.row_tlb with
+      | Some t -> [ ("tlb", level_json t) ]
+      | None -> [])
+    @ [
+        ("blocks_used", J.Int r.row_blocks_used);
+        ("hot_blocks", J.Int r.row_hot_blocks);
+        ("pages_used", J.Int r.row_pages_used);
+      ])
+
 let to_json r =
   J.Obj
     [
       ("bench", J.String r.bench);
       ("engines", J.List (List.map (fun (n, _) -> J.String n) engine_schemes));
-      ("rows", J.List (List.map row_payload r.rows));
+      ("rows", J.List (List.map row_json r.rows));
     ]

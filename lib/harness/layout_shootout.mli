@@ -21,9 +21,9 @@
       [morph_params], whole-program measurement, on [rsim_table1] with
       a TLB.
 
-    Each engine runs as an independent job through {!Parallel}, so
-    [~parallel:true] forks them and reassembles byte-identical results
-    (the payload codec pattern of {!Whole_program}). *)
+    Each engine runs as an independent job through {!Parallel.map}, so
+    [~parallel:true] forks them and the typed rows come back marshalled,
+    byte-identical to a serial run. *)
 
 type level = {
   lv_accesses : int;
@@ -63,10 +63,6 @@ val run :
   string ->
   report option
 (** [None] for an unknown workload name.  Defaults: [Quick], serial. *)
-
-val row_payload : row -> Obs.Json.t
-val row_of_payload : Obs.Json.t -> row
-(** Codec for the fork pipe; [row_of_payload (row_payload r) = r]. *)
 
 val pp : Format.formatter -> report -> unit
 val to_json : report -> Obs.Json.t

@@ -1,5 +1,5 @@
-(* Process-parallel experiment runner: fork one child per job, collect a
-   JSON document from each over a pipe, reassemble in job order.
+(* Process-parallel map: fork one child per element, marshal each typed
+   result back over a pipe, reassemble in list order.
 
    Forking (rather than threads/domains) gives each job a private copy
    of every piece of global simulator state — allocator site counters,
@@ -10,49 +10,21 @@
    (benchmark params carry explicit seeds), which is what makes the
    parallel output byte-identical to the serial one. *)
 
-module J = Obs.Json
-
-let error_key = "__job_error"
-
-let available = Sys.os_type = "Unix"
-
-let write_all fd s =
-  let b = Bytes.of_string s in
-  let n = Bytes.length b in
-  let off = ref 0 in
-  while !off < n do
-    off := !off + Unix.write fd b !off (n - !off)
-  done
-
-let read_all fd =
-  let buf = Buffer.create 4096 in
-  let chunk = Bytes.create 65536 in
-  let rec go () =
-    let n = Unix.read fd chunk 0 (Bytes.length chunk) in
-    if n > 0 then begin
-      Buffer.add_subbytes buf chunk 0 n;
-      go ()
-    end
+let child_main fd f x =
+  let oc = Unix.out_channel_of_descr fd in
+  let result =
+    match f x with v -> Ok v | exception e -> Error (Printexc.to_string e)
   in
-  go ();
-  Buffer.contents buf
-
-let run_serial jobs = List.map (fun (name, job) -> (name, job ())) jobs
-
-let child_main fd job =
-  let payload =
-    match job () with
-    | j -> j
-    | exception e -> J.Obj [ (error_key, J.String (Printexc.to_string e)) ]
-  in
-  (try write_all fd (J.to_string ~minify:true payload)
-   with _ -> ());
-  (try Unix.close fd with _ -> ());
+  (* without [Closures], a result holding a function fails to marshal:
+     report that as the job's error rather than dying silently *)
+  (try Marshal.to_channel oc result []
+   with e -> Marshal.to_channel oc (Error (Printexc.to_string e)) []);
+  (try close_out oc with _ -> ());
   (* _exit: never rerun the parent's at_exit hooks or flush its
      buffered output a second time from the child *)
   Unix._exit 0
 
-let run_forked jobs =
+let map_forked f xs =
   (* Anything buffered before the fork would be flushed once per child. *)
   flush stdout;
   flush stderr;
@@ -60,42 +32,40 @@ let run_forked jobs =
   Format.pp_print_flush Format.err_formatter ();
   let children =
     List.map
-      (fun (name, job) ->
+      (fun x ->
         let r, w = Unix.pipe () in
         match Unix.fork () with
         | 0 ->
             Unix.close r;
-            child_main w job
+            child_main w f x
         | pid ->
             Unix.close w;
-            (name, pid, r))
-      jobs
+            (pid, r))
+      xs
   in
-  (* Payloads are small (kilobytes), far below the pipe buffer, so
-     collecting sequentially in job order cannot deadlock. *)
-  List.map
-    (fun (name, pid, r) ->
-      let raw = read_all r in
-      Unix.close r;
+  (* Each child writes only to its own pipe, so draining them one by one
+     in list order cannot deadlock. *)
+  List.mapi
+    (fun i (pid, r) ->
+      let ic = Unix.in_channel_of_descr r in
+      let result =
+        match (Marshal.from_channel ic : (_, string) result) with
+        | res -> Some res
+        | exception End_of_file -> None
+      in
+      close_in ic;
+      let fail msg = failwith (Printf.sprintf "parallel job %d: %s" i msg) in
       let _, status = Unix.waitpid [] pid in
-      (match status with
-      | Unix.WEXITED 0 -> ()
-      | Unix.WEXITED n ->
-          failwith (Printf.sprintf "parallel job %s: exit %d" name n)
-      | Unix.WSIGNALED n | Unix.WSTOPPED n ->
-          failwith (Printf.sprintf "parallel job %s: signal %d" name n));
-      match J.of_string raw with
-      | Error e ->
-          failwith (Printf.sprintf "parallel job %s: bad payload: %s" name e)
-      | Ok j -> (
-          match J.member error_key j with
-          | Some (J.String msg) ->
-              failwith (Printf.sprintf "parallel job %s: %s" name msg)
-          | _ -> (name, j)))
+      match (status, result) with
+      | Unix.WEXITED 0, Some (Ok v) -> v
+      | Unix.WEXITED 0, Some (Error msg) -> fail msg
+      | Unix.WEXITED 0, None -> fail "no result"
+      | Unix.WEXITED n, _ -> fail (Printf.sprintf "exit %d" n)
+      | (Unix.WSIGNALED n | Unix.WSTOPPED n), _ ->
+          fail (Printf.sprintf "signal %d" n))
     children
 
-let run_jobs ?(parallel = true) jobs =
-  match jobs with
-  | [] -> []
-  | [ _ ] -> run_serial jobs
-  | _ -> if parallel && available then run_forked jobs else run_serial jobs
+let map ?(parallel = true) f xs =
+  if parallel && Sys.os_type = "Unix" && List.compare_length_with xs 1 > 0
+  then map_forked f xs
+  else List.map f xs

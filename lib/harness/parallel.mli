@@ -1,25 +1,18 @@
-(** Process-parallel experiment runner: one forked child per job, JSON
-    results collected over pipes and returned in job order.
+(** Process-parallel map: one forked child per element, each typed
+    result marshalled back over a pipe and returned in list order.
 
     Each child inherits a snapshot of the parent's state at fork time
     and runs in isolation, so a job that seeds its own RNGs (every
     benchmark runner here does — params carry explicit seeds) produces
-    exactly the document it would produce serially; the assembled output
-    is byte-identical to a serial run.  Jobs must return their result as
-    JSON and must not print to stdout/stderr. *)
+    exactly the value it would produce serially; the assembled output
+    is byte-identical to a serial run.  Results must be plain data (no
+    functions) and jobs must not print to stdout/stderr. *)
 
-val available : bool
-(** [Unix.fork] support on this platform. *)
-
-val run_serial : (string * (unit -> Obs.Json.t)) list -> (string * Obs.Json.t) list
-(** Run the jobs in order in this process (the reference mode). *)
-
-val run_jobs :
-  ?parallel:bool ->
-  (string * (unit -> Obs.Json.t)) list ->
-  (string * Obs.Json.t) list
-(** [run_jobs ~parallel jobs] runs every [(name, job)] and returns
-    [(name, result)] in the original job order.  With [parallel:true]
-    (the default) each job runs in a forked child; single-job lists and
-    [parallel:false] fall back to {!run_serial}.  A job that raises (or
-    a child that dies) turns into [Failure] in the parent. *)
+val map : ?parallel:bool -> ('a -> 'b) -> 'a list -> 'b list
+(** [map ~parallel f xs] is [List.map f xs].  With [parallel:true] (the
+    default) each [f x] runs in a forked child; single-element lists,
+    [parallel:false] and platforms without [Unix.fork] run in this
+    process.  In a child, an exception (or a result that cannot be
+    marshalled, or the child dying) turns into
+    [Failure "parallel job i: ..."] in the parent, [i] being the
+    element's index. *)

@@ -14,23 +14,3 @@ val olden_result : Olden.Common.result -> Obs.Json.t
 
 val pct : int -> int -> float
 (** [pct part total] as a percentage; [0.] when [total = 0]. *)
-
-(** {1 Decoders}
-
-    Inverses of the serializers above, used by the parallel experiment
-    runner ({!Parallel}) to rebuild typed results from a child's
-    JSON-over-pipe payload. *)
-
-exception Corrupt of string
-(** Raised by the [get*] helpers on a missing or mistyped field; the
-    payload carries the field name. *)
-
-val geti : string -> Obs.Json.t -> int
-val getf : string -> Obs.Json.t -> float
-val gets : string -> Obs.Json.t -> string
-val getobj : string -> Obs.Json.t -> Obs.Json.t
-
-val cost_snapshot_of_json : Obs.Json.t -> Memsim.Cost.snapshot
-
-val olden_result_of_json :
-  Obs.Json.t -> (Olden.Common.result, string) result

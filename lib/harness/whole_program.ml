@@ -5,23 +5,7 @@ type arm = { arm_label : string; arm_result : C.result }
 type report = { bench : string; arms : arm list }
 
 (* ------------------------------------------------------------------ *)
-(* Arm payloads: the JSON each (possibly forked) arm job returns       *)
-(* ------------------------------------------------------------------ *)
-
-let arm_payload a =
-  J.Obj
-    [
-      ("arm", J.String a.arm_label);
-      ("result", Report.olden_result a.arm_result);
-    ]
-
-let arm_of_payload j =
-  match Report.olden_result_of_json (Report.getobj "result" j) with
-  | Error e -> failwith ("arm payload: " ^ e)
-  | Ok res -> { arm_label = Report.gets "arm" j; arm_result = res }
-
-(* ------------------------------------------------------------------ *)
-(* The three arms, as independent jobs for the (parallel) runner       *)
+(* The three arms, as independent thunks for {!Parallel.map}           *)
 (* ------------------------------------------------------------------ *)
 
 let arm_jobs ?seed bench =
@@ -32,8 +16,7 @@ let arm_jobs ?seed bench =
     (fun (k : Experiments.kernel) ->
       let k = if k.k_name = "treeadd" then Experiments.treeadd ta else k in
       let job label ?ctx p () =
-        arm_payload
-          { arm_label = label; arm_result = k.k_run ~measure_whole:true ?ctx p }
+        { arm_label = label; arm_result = k.k_run ~measure_whole:true ?ctx p }
       in
       let ccmalloc_morph () =
         let ctx =
@@ -45,17 +28,16 @@ let arm_jobs ?seed bench =
         job "static-ccmalloc" ~ctx C.Ccmalloc_new_block ()
       in
       [
-        ("base", job "base" C.Base);
-        ("static", job "static" C.Ccmorph_cluster_color);
-        ("static-ccmalloc", ccmalloc_morph);
+        job "base" C.Base;
+        job "static" C.Ccmorph_cluster_color;
+        ccmalloc_morph;
       ])
     (Experiments.olden_kernel ?seed Experiments.Quick bench)
 
 let run ?seed ?(parallel = false) bench =
   Option.map
     (fun jobs ->
-      let payloads = Parallel.run_jobs ~parallel jobs in
-      { bench; arms = List.map (fun (_, j) -> arm_of_payload j) payloads })
+      { bench; arms = Parallel.map ~parallel (fun job -> job ()) jobs })
     (arm_jobs ?seed bench)
 
 (* ------------------------------------------------------------------ *)

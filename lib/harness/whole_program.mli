@@ -18,22 +18,14 @@ type arm = {
 
 type report = { bench : string; arms : arm list }
 
-val arm_payload : arm -> Obs.Json.t
-(** The self-describing JSON document one arm job returns (over the
-    {!Parallel} pipe or in-process). *)
-
-val arm_of_payload : Obs.Json.t -> arm
-(** Inverse of {!arm_payload}; raises [Failure] on a corrupt payload. *)
-
 val run : ?seed:int -> ?parallel:bool -> string -> report option
 (** Run the arms for one of {!Experiments.olden_names} (treeadd with a
     14-level tree traversed 8 times); [None] for an unknown name.
 
     With [parallel:true] (default false) each arm runs in a forked
-    child via {!Parallel} and results come back as JSON-over-pipe.
+    child via {!Parallel.map}, which marshals the typed arm back.
     Every arm seeds its own RNGs from the benchmark params, so the
-    report (and its JSON export) is byte-identical to a serial run;
-    both modes decode through the same {!arm_of_payload} path. *)
+    report (and its JSON export) is byte-identical to a serial run. *)
 
 val pp : Format.formatter -> report -> unit
 

@@ -42,18 +42,3 @@ let weighted =
   }
 
 let builtins = [ subtree; depth_first; veb; weighted ]
-let registry : t list ref = ref []
-
-let register e =
-  registry := e :: List.filter (fun x -> x.name <> e.name) !registry
-
-let of_name name =
-  match List.find_opt (fun e -> e.name = name) !registry with
-  | Some _ as r -> r
-  | None -> List.find_opt (fun e -> e.name = name) builtins
-
-let all () =
-  builtins
-  @ List.filter
-      (fun e -> List.for_all (fun b -> b.name <> e.name) builtins)
-      (List.rev !registry)

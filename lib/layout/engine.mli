@@ -36,13 +36,3 @@ val weighted : t
 
 val builtins : t list
 (** [subtree; depth_first; veb; weighted]. *)
-
-val register : t -> unit
-(** Add (or replace, by name) an engine in the dynamic registry, so
-    out-of-tree engines are resolvable by name. *)
-
-val of_name : string -> t option
-(** Look up an engine by name: registry first, then builtins. *)
-
-val all : unit -> t list
-(** Builtins followed by registered non-builtin engines. *)

@@ -1,5 +1,4 @@
-let plan (t : Tree.t) ~k =
-  if k < 1 then invalid_arg "Layout.Veb: k < 1";
+let order (t : Tree.t) =
   let n = t.Tree.n and kid_start = t.Tree.kid_start and kid = t.Tree.kid in
   (* heights drives the split rule *)
   let heights = Tree.heights t in
@@ -55,4 +54,8 @@ let plan (t : Tree.t) ~k =
     end
   in
   Array.iter (fun r -> lay r heights.(r)) t.Tree.roots;
-  Plan.chunk ~n ~order ~k
+  order
+
+let plan (t : Tree.t) ~k =
+  if k < 1 then invalid_arg "Layout.Veb: k < 1";
+  Plan.chunk ~n:t.Tree.n ~order:(order t) ~k

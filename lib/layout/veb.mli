@@ -19,8 +19,13 @@
     and the plan composes with {!Ccmorph}'s coloring hot-prefix and its
     cold-block emission. *)
 
+val order : Tree.t -> int array
+(** The recursive emission order: every node once, each tree of the
+    forest in turn, starting at its root.  Runs in O(n log h) for
+    height [h].  [Structures.Bst]'s [Van_emde_boas] allocation order is
+    this order. *)
+
 val plan : Tree.t -> k:int -> Plan.t
-(** Chunks the recursive emission order into [k]-element blocks.  Runs
-    in O(n log h) for height [h].
+(** Chunks {!order} into [k]-element blocks.
     @raise Invalid_argument if [k < 1] ({!Tree} rejects malformed trees
     when they are built). *)

@@ -16,9 +16,9 @@ type layout =
       (** nodes allocated in random order: the paper's "randomly
           clustered" naive tree *)
   | Depth_first  (** preorder allocation: "depth-first clustered" *)
-  | Breadth_first  (** level-order allocation *)
   | Van_emde_boas
-      (** recursive height-halving layout — the classic hand-designed
+      (** recursive height-halving layout ([Layout.Veb.order] over the
+          tree's shape) — the classic hand-designed
           ("CC design" in the paper's Table 3) cache-oblivious tree,
           good for every block size simultaneously but unaware of cache
           {e capacity}, so it cannot pin a hot region the way coloring

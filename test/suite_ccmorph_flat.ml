@@ -149,7 +149,9 @@ type impl =
   Ccmorph.result
 
 let current ~engine : impl =
-  let engine = Option.get (Layout.Engine.of_name engine) in
+  let engine =
+    List.find (fun e -> e.Layout.Engine.name = engine) Layout.Engine.builtins
+  in
   fun m desc params ~roots ->
     Ccmorph.morph_forest
       ~params:{ params with Ccmorph.cluster = Ccmorph.Engine engine }

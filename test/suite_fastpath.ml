@@ -10,7 +10,6 @@ module Cache = Memsim.Cache
 module Hierarchy = Memsim.Hierarchy
 module Machine = Memsim.Machine
 module OC = Olden.Common
-module J = Obs.Json
 
 let stats_tuple (s : Cache.stats) =
   ( s.Cache.reads,
@@ -198,24 +197,19 @@ let test_mshr_table () =
 (* Parallel runner                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let toy_jobs =
-  List.init 5 (fun i ->
-      ( "job" ^ string_of_int i,
-        fun () -> J.Obj [ ("i", J.Int i); ("sq", J.Int (i * i)) ] ))
+(* Typed results with a float: nothing passes through JSON. *)
+let toy_job i = (i, "job" ^ string_of_int i, float_of_int i /. 3.)
 
 let test_parallel_matches_serial () =
-  let serial = Harness.Parallel.run_serial toy_jobs in
-  let par = Harness.Parallel.run_jobs ~parallel:true toy_jobs in
-  Alcotest.(check bool) "same names, same payloads, same order" true
-    (List.for_all2
-       (fun (n1, j1) (n2, j2) -> n1 = n2 && J.equal j1 j2)
-       serial par)
+  let xs = List.init 5 Fun.id in
+  Alcotest.(check (list (triple int string (float 0.))))
+    "same values, same order"
+    (Harness.Parallel.map ~parallel:false toy_job xs)
+    (Harness.Parallel.map ~parallel:true toy_job xs)
 
 let test_parallel_error_propagates () =
-  let jobs =
-    [ ("ok", fun () -> J.Int 1); ("bad", fun () -> failwith "boom") ]
-  in
-  match Harness.Parallel.run_jobs ~parallel:true jobs with
+  let job i = if i = 1 then failwith "boom" else toy_job i in
+  match Harness.Parallel.map ~parallel:true job [ 0; 1; 2 ] with
   | _ -> Alcotest.fail "expected the child's failure to propagate"
   | exception Failure msg ->
       let contains sub s =
@@ -223,40 +217,10 @@ let test_parallel_error_propagates () =
         let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
         go 0
       in
-      Alcotest.(check bool) "names the job" true (contains "bad" msg)
-
-(* ------------------------------------------------------------------ *)
-(* Arm payload codec                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let fake_result =
-  {
-    OC.r_label = "Cl+Col";
-    checksum = 424242;
-    snapshot =
-      {
-        M.Cost.s_busy = 100;
-        s_load_stall = 40;
-        s_store_stall = 10;
-        s_prefetch_issue = 2;
-        s_total = 152;
-      };
-    l1_miss_rate = 0.125;
-    l2_miss_rate = 0.5;
-    l2_misses_per_ref = 0.0625;
-    memory_bytes = 8192;
-    structures_bytes = 6144;
-  }
-
-let test_arm_payload_roundtrip () =
-  let arm =
-    { Harness.Whole_program.arm_label = "static"; arm_result = fake_result }
-  in
-  let arm' =
-    Harness.Whole_program.arm_of_payload
-      (Harness.Whole_program.arm_payload arm)
-  in
-  Alcotest.(check bool) "arm survives" true (arm = arm')
+      Alcotest.(check bool)
+        (Printf.sprintf "%S names the job and its error" msg)
+        true
+        (contains "job 1" msg && contains "boom" msg)
 
 let tests =
   [
@@ -278,7 +242,5 @@ let tests =
           test_parallel_matches_serial;
         Alcotest.test_case "parallel runner propagates errors" `Quick
           test_parallel_error_propagates;
-        Alcotest.test_case "arm payload round-trip" `Quick
-          test_arm_payload_roundtrip;
       ] );
   ]

@@ -111,7 +111,7 @@ let prop_all_engines_valid =
         (fun e ->
           Layout.check_plan (e.Layout.Engine.plan t ~k) ~n ~k;
           true)
-        (Layout.Engine.all ()))
+        Layout.Engine.builtins)
 
 (* ------------------------------------------------------------------ *)
 (* vEB: recursive-subdivision order, pinned on a complete tree         *)
@@ -333,31 +333,8 @@ let test_layoutfit () =
           ~l2_misses:0 ~tlb_misses:0))
 
 (* ------------------------------------------------------------------ *)
-(* Shootout harness: codec, report shape, parallel == serial           *)
+(* Shootout harness: report shape, parallel == serial                  *)
 (* ------------------------------------------------------------------ *)
-
-let fake_level = { LS.lv_accesses = 100; lv_misses = 7; lv_miss_rate = 0.07 }
-
-let fake_row tlb =
-  {
-    LS.row_engine = "veb";
-    row_cycles = 123_456;
-    row_checksum = 99;
-    row_l1 = fake_level;
-    row_l2 = { fake_level with LS.lv_misses = 3; lv_miss_rate = 0.03 };
-    row_tlb = tlb;
-    row_blocks_used = 42;
-    row_hot_blocks = 21;
-    row_pages_used = 5;
-  }
-
-let test_row_payload_roundtrip () =
-  let with_tlb = fake_row (Some { fake_level with LS.lv_misses = 1 }) in
-  let without = fake_row None in
-  Alcotest.(check bool) "row with TLB survives the pipe" true
-    (LS.row_of_payload (LS.row_payload with_tlb) = with_tlb);
-  Alcotest.(check bool) "row without TLB survives the pipe" true
-    (LS.row_of_payload (LS.row_payload without) = without)
 
 let test_shootout_report_shape () =
   match LS.run "micro" with
@@ -415,8 +392,6 @@ let tests =
         Alcotest.test_case "closed forms" `Quick test_closed_forms;
         Alcotest.test_case "lint layout-mismatch diagnostic" `Quick
           test_layoutfit;
-        Alcotest.test_case "shootout row codec round-trip" `Quick
-          test_row_payload_roundtrip;
         Alcotest.test_case "shootout report shape (micro)" `Quick
           test_shootout_report_shape;
         Alcotest.test_case "shootout parallel == serial (treeadd)" `Quick

@@ -1,6 +1,5 @@
 (* Tests for the telemetry layer: JSON round-trips and envelope
-   validation, the metrics registry, span recording, the locality
-   profilers (reuse distance checked against a brute-force LRU-stack
+   validation, the locality profilers (reuse distance checked against a brute-force LRU-stack
    oracle), trace replay against a live machine, and the profile
    subcommand's implied-vs-simulated miss-rate cross-check. *)
 
@@ -147,101 +146,6 @@ let test_envelope () =
          ("experiment", J.String "x");
          ("data", J.Obj []);
        ])
-
-(* ------------------------------------------------------------------ *)
-(* Metrics                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let test_metrics_counters () =
-  let r = Obs.Metrics.create () in
-  let c = Obs.Metrics.counter r ~help:"test" "hits" in
-  Obs.Metrics.incr c;
-  Obs.Metrics.add c 4;
-  Alcotest.(check int) "counts" 5 (Obs.Metrics.counter_value c);
-  (* Interned: a second acquisition is the same cell. *)
-  let c' = Obs.Metrics.counter r "hits" in
-  Obs.Metrics.incr c';
-  Alcotest.(check int) "interned" 6 (Obs.Metrics.counter_value c);
-  (* Distinct labels are distinct cells. *)
-  let cl = Obs.Metrics.counter r ~labels:[ ("bench", "mst") ] "hits" in
-  Obs.Metrics.incr cl;
-  Alcotest.(check int) "labelled separate" 1 (Obs.Metrics.counter_value cl);
-  Alcotest.(check int) "unlabelled untouched" 6 (Obs.Metrics.counter_value c)
-
-let test_metrics_gauge_histogram () =
-  let r = Obs.Metrics.create () in
-  let g = Obs.Metrics.gauge r "ratio" in
-  Obs.Metrics.set g 0.5;
-  Obs.Metrics.set g 0.75;
-  Alcotest.(check (float 0.)) "gauge keeps last" 0.75 (Obs.Metrics.gauge_value g);
-  let h = Obs.Metrics.histogram r ~buckets:[ 1.; 10.; 100. ] "lat" in
-  List.iter (Obs.Metrics.observe h) [ 0.5; 5.; 5.; 50.; 500. ];
-  Alcotest.(check int) "histogram count" 5 (Obs.Metrics.histogram_count h);
-  Alcotest.(check (float 1e-9)) "histogram sum" 560.5 (Obs.Metrics.histogram_sum h);
-  (match Obs.Metrics.histogram_counts h with
-  | [ (_, c1); (_, c2); (_, c3); (inf_b, c4) ] ->
-      Alcotest.(check (list int)) "cumulative buckets" [ 1; 3; 4; 5 ]
-        [ c1; c2; c3; c4 ];
-      Alcotest.(check bool) "last bucket is +inf" true (inf_b = infinity)
-  | l -> Alcotest.failf "expected 4 buckets, got %d" (List.length l));
-  Alcotest.check_raises "non-increasing buckets"
-    (Invalid_argument "Metrics.histogram: buckets must be strictly increasing")
-    (fun () -> ignore (Obs.Metrics.histogram r ~buckets:[ 2.; 1. ] "bad"))
-
-let test_metrics_disabled_and_json () =
-  let d = Obs.Metrics.disabled in
-  let c = Obs.Metrics.counter d "noop" in
-  Obs.Metrics.incr c;
-  Obs.Metrics.add c 100;
-  Alcotest.(check int) "disabled counter stays 0" 0 (Obs.Metrics.counter_value c);
-  let r = Obs.Metrics.create () in
-  Obs.Metrics.incr (Obs.Metrics.counter r "a");
-  Obs.Metrics.set (Obs.Metrics.gauge r "b") 2.;
-  let dump = Obs.Metrics.to_json r in
-  (match Option.bind (J.member "metrics" dump) J.to_list with
-  | Some [ _; _ ] -> ()
-  | _ -> Alcotest.fail "to_json lists both instruments");
-  (* Sinks receive the dump on flush. *)
-  let got = ref None in
-  Obs.Metrics.add_sink r (fun v -> got := Some v);
-  Obs.Metrics.flush r;
-  match !got with
-  | Some v -> Alcotest.(check bool) "sink got dump" true (J.equal v dump)
-  | None -> Alcotest.fail "sink not called"
-
-(* ------------------------------------------------------------------ *)
-(* Spans                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let test_spans () =
-  let rec_ = Obs.Span.create () in
-  let m = Machine.create (Config.tiny ()) in
-  let base = Machine.reserve m ~bytes:4096 ~align:64 in
-  let v =
-    Obs.Span.with_ rec_ ~machine:m "outer" (fun () ->
-        Obs.Span.with_ rec_ "inner" (fun () -> ());
-        for i = 0 to 63 do
-          ignore (Machine.load32 m (base + (4 * i)))
-        done;
-        17)
-  in
-  Alcotest.(check int) "with_ returns" 17 v;
-  (match Obs.Span.completed rec_ with
-  | [ inner; outer ] ->
-      Alcotest.(check string) "inner first (completion order)" "inner"
-        inner.Obs.Span.sp_name;
-      Alcotest.(check int) "inner depth" 1 inner.Obs.Span.sp_depth;
-      Alcotest.(check int) "outer depth" 0 outer.Obs.Span.sp_depth;
-      Alcotest.(check bool) "inner has no cycles" true
-        (inner.Obs.Span.sp_cycles = None);
-      (match outer.Obs.Span.sp_cycles with
-      | Some c -> Alcotest.(check bool) "outer counted cycles" true (c > 0)
-      | None -> Alcotest.fail "outer span lost its machine")
-  | l -> Alcotest.failf "expected 2 completed spans, got %d" (List.length l));
-  (* Exceptions close the span. *)
-  (try Obs.Span.with_ rec_ "boom" (fun () -> failwith "x") with _ -> ());
-  Alcotest.(check int) "span closed on raise" 3
-    (List.length (Obs.Span.completed rec_))
 
 (* ------------------------------------------------------------------ *)
 (* Reuse distance vs a brute-force LRU stack                           *)
@@ -654,12 +558,6 @@ let tests =
         Alcotest.test_case "json accessors" `Quick test_json_accessors;
         QCheck_alcotest.to_alcotest prop_json_roundtrip;
         Alcotest.test_case "export envelope" `Quick test_envelope;
-        Alcotest.test_case "metrics counters" `Quick test_metrics_counters;
-        Alcotest.test_case "metrics gauge and histogram" `Quick
-          test_metrics_gauge_histogram;
-        Alcotest.test_case "metrics disabled and json" `Quick
-          test_metrics_disabled_and_json;
-        Alcotest.test_case "spans" `Quick test_spans;
         Alcotest.test_case "reuse vs LRU-stack oracle" `Quick
           test_reuse_oracle_small;
         Alcotest.test_case "reuse oracle across Fenwick growth" `Quick

@@ -27,8 +27,7 @@ let test_bst_search_all_layouts () =
       Alcotest.(check (list int)) "inorder sorted" (Array.to_list keys)
         (Bst.to_sorted_list t))
     [
-      Bst.Random (Rng.create 42); Bst.Depth_first; Bst.Breadth_first;
-      Bst.Van_emde_boas;
+      Bst.Random (Rng.create 42); Bst.Depth_first; Bst.Van_emde_boas;
     ]
 
 let test_bst_dfs_layout_adjacency () =
@@ -69,7 +68,40 @@ let test_bst_veb_layout () =
   (* and searches behave *)
   for k = 0 to 1022 do
     Alcotest.(check bool) "hit" true (Bst.mem_oracle t k)
-  done
+  done;
+  (* nodes are allocated in [Layout.Veb.order] of the tree's shape; 64
+     is the first size where a plain height-halving split differs *)
+  List.iter
+    (fun n ->
+      let m = mk () in
+      let t = Bst.build m Bst.Van_emde_boas ~keys:(Array.init n Fun.id) in
+      (* number the nodes in preorder from their addresses *)
+      let addr = Array.make n 0 and kids = Array.make n [] in
+      let next = ref 0 in
+      let rec walk a =
+        if a = 0 then None
+        else begin
+          let id = !next in
+          incr next;
+          addr.(id) <- a;
+          let l = walk (Machine.uload32 m (a + 4)) in
+          let r = walk (Machine.uload32 m (a + 8)) in
+          kids.(id) <- List.filter_map Fun.id [ l; r ];
+          Some id
+        end
+      in
+      ignore (walk t.Bst.root);
+      let order =
+        Layout.Veb.order
+          (Layout.Tree.v ~n ~kids:(Array.get kids) ~roots:[ 0 ] ())
+      in
+      for i = 1 to n - 1 do
+        Alcotest.(check bool)
+          (Printf.sprintf "n=%d: slot %d follows slot %d" n i (i - 1))
+          true
+          (addr.(order.(i - 1)) < addr.(order.(i)))
+      done)
+    [ 64; 1023 ]
 
 let test_bst_insert () =
   let m = mk () in
