@@ -1,15 +1,32 @@
 (** The simulated physical address space.
 
-    A sparse, growable, byte-addressable store backed by fixed-size chunks.
-    This is where every simulated structure's fields actually live; pointer
-    fields hold {!Addr.t} values.  [Memory] itself is *untimed* — cycle and
-    cache accounting happen in {!Machine}, which wraps each load/store
-    here with a {!Hierarchy.access}. *)
+    A byte-addressable store behind a page table: [pages.(a lsr
+    page_shift)] holds the page of address [a], a [Bytes.t] of
+    [page_bytes] bytes once anything has touched it, and the shared
+    zero-length page before that.  This is where every
+    simulated structure's fields actually live; pointer fields hold
+    {!Addr.t} values.  [Memory] itself is *untimed* — cycle and cache
+    accounting happen in {!Machine}, which wraps each load/store here
+    with a {!Hierarchy.access}.
 
-type t
+    Simulated addresses are 32-bit: every accessor raises
+    [Invalid_argument] naming the address for [a < 0] or [a >= 2^32]. *)
 
-val create : ?chunk_bytes:int -> unit -> t
-(** [chunk_bytes] (default 64 KiB, power of two) sets backing granularity. *)
+type t = private {
+  page_bytes : int;
+  page_shift : int;  (** [log2 page_bytes] *)
+  off_mask : int;  (** [page_bytes - 1] *)
+  mutable pages : Bytes.t array;
+      (** Indexed by page number; grows on demand, so an index past its
+          end is untouched too. *)
+  mutable materialized : int;
+}
+(** Private, not abstract, so that {!Machine} can read a word inside a
+    materialized page inline; every other access goes through the
+    accessors below. *)
+
+val create : page_bytes:int -> t
+(** [page_bytes] (a power of two) is the machine's page size. *)
 
 val load8 : t -> Addr.t -> int
 val store8 : t -> Addr.t -> int -> unit
@@ -17,7 +34,8 @@ val store8 : t -> Addr.t -> int -> unit
 val load32 : t -> Addr.t -> int
 (** Loads a 32-bit little-endian value as a non-negative int (0..2^32-1).
     32 bits is the simulated word/pointer size: the paper's structures are
-    C structs with 4-byte pointers and ints. *)
+    C structs with 4-byte pointers and ints.  Every accessor materializes
+    the pages it touches, reads included. *)
 
 val store32 : t -> Addr.t -> int -> unit
 (** Stores the low 32 bits of the argument. *)
@@ -35,9 +53,7 @@ val storef : t -> Addr.t -> float -> unit
 
 val load_bytes : t -> Addr.t -> Bytes.t -> pos:int -> len:int -> unit
 (** [load_bytes t a buf ~pos ~len] copies the [len] simulated bytes at
-    [a] into [buf] at [pos] (untimed).  A range that straddles a chunk
-    boundary is copied piecewise; chunks it reaches are materialized,
-    as by {!load8}.
+    [a] into [buf] at [pos] (untimed), one [Bytes.blit] per page.
     @raise Invalid_argument if [pos]/[len] do not fit [buf]. *)
 
 val store_bytes : t -> Addr.t -> Bytes.t -> pos:int -> len:int -> unit
@@ -46,13 +62,8 @@ val store_bytes : t -> Addr.t -> Bytes.t -> pos:int -> len:int -> unit
     {!load_bytes}.  [ccmorph] snapshots and writes elements with these
     two and charges the accesses separately. *)
 
-val blit : t -> src:Addr.t -> dst:Addr.t -> bytes:int -> unit
-(** Raw copy (untimed), through a host buffer: overlapping ranges copy
-    as [memmove] does. *)
-
 val fill_zero : t -> Addr.t -> bytes:int -> unit
+(** Zeroes [bytes] bytes at [a], one [Bytes.fill] per page. *)
 
-val chunks_allocated : t -> int
-(** Number of backing chunks materialized so far (footprint telemetry). *)
-
-val chunk_bytes : t -> int
+val pages_materialized : t -> int
+(** Number of pages materialized so far (footprint telemetry). *)

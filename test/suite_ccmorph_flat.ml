@@ -376,7 +376,7 @@ let prop_morph_matches_reference =
     (fun c ->
       run c (current ~engine:c.engine) = run c (reference ~engine:c.engine))
 
-(* Elements at chunk offset 65528 straddle two 64 KB chunks of simulated
+(* Elements at offset 65528 straddle a page boundary of simulated
    memory (malloc can place a 20-byte node there); discovery's bulk
    snapshot must read them whole. *)
 let test_morph_straddling_elements () =

@@ -225,23 +225,31 @@ let naive_machine (cfg : M.Config.t) =
    Addresses fall in [rows] rows one L1 capacity apart, spanning four L2
    capacities, so both levels see conflict misses, evictions and (in
    the write-back L2) writebacks; an op whose low two bits are 0 stays
-   in the previous op's L1 block, so it hits the L1.  Kind 0
-   loads, 1 loads sign-extended, 2 stores [v]. *)
+   in the previous op's L1 block, so it hits the L1, and one whose low
+   two bits are 1 takes the last word of a page in the same span, the
+   last offset the machine reads inline.  Simulated memory starts
+   empty, so each page's first access, often at its last word, is a
+   first touch of an untouched page.  Kind 0 loads, 1 loads
+   sign-extended, 2 stores [v]. *)
 let machine_matches_naive cfg ops =
   let m = Machine.create cfg in
   let load, store, snapshot, tlb_counts, s1, s2 = naive_machine cfg in
   let b1 = cfg.M.Config.l1.CC.block_bytes in
+  let page = cfg.M.Config.page_bytes in
   let stride = CC.capacity_bytes cfg.M.Config.l1 in
   let rows = 4 * CC.capacity_bytes cfg.M.Config.l2 / stride in
   let base = Machine.reserve m ~bytes:(rows * stride) ~align:stride in
+  let pages = rows * stride / page in
   let prev = ref base in
   let agree =
     List.for_all
       (fun (x, kind, v) ->
         let a =
-          if x land 3 = 0 then
-            !prev - (!prev land (b1 - 1)) + ((x lsr 2) * 4 land (b1 - 1))
-          else base + ((x lsr 2) mod rows * stride) + ((x lsr 12) * 4 land 255)
+          match x land 3 with
+          | 0 -> !prev - (!prev land (b1 - 1)) + ((x lsr 2) * 4 land (b1 - 1))
+          | 1 -> base + ((x lsr 2) mod pages * page) + page - 4
+          | _ ->
+              base + ((x lsr 2) mod rows * stride) + ((x lsr 12) * 4 land 255)
         in
         prev := a;
         match kind with
@@ -312,7 +320,7 @@ let test_misses_allocation_free () =
       else Machine.store32 m a i
     done
   in
-  (* the first sweep materializes the simulated memory chunks *)
+  (* the first sweep materializes the simulated memory pages *)
   sweep 16;
   let before = Machine.snapshot m in
   let h = Machine.hierarchy m in
