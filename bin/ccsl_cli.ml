@@ -238,9 +238,9 @@ let simbench_cmd =
   let doc =
     "Benchmark the simulator itself: accesses/sec on raw sequential \
      loads, a clustered pointer chase, and a full health benchmark arm, \
-     with each workload's simulated statistics.  $(b,bench) archives \
-     the same report as BENCH_simspeed.json, against which CI checks \
-     the statistics exactly and the throughput with a 70% floor."
+     with each workload's simulated statistics.  The committed \
+     BENCH_simspeed.json is this report at the default $(b,--n); CI \
+     checks the statistics exactly and the throughput with a 70% floor."
   in
   Cmd.v
     (Cmd.info "simbench" ~doc)

@@ -11,9 +11,6 @@ type t = {
   mutable accesses : int;
   mutable sub : Machine.subscription option;
   mutable morph_obs : Ccsl.Ccmorph.observer_id option;
-  mutable morphs : (string * (string * bool)) list;
-      (* struct_id -> (engine name, page_aware) of its latest morph,
-         for the layout-fit check at finalize *)
 }
 
 let create ?window m =
@@ -27,7 +24,6 @@ let create ?window m =
     accesses = 0;
     sub = None;
     morph_obs = None;
-    morphs = [];
   }
 
 let set_ccmalloc t cc =
@@ -79,15 +75,9 @@ let note_morph t ?struct_id ~params ~desc result =
     | None -> Shadow.default_struct_id desc
   in
   Shadow.note_morph t.shadow ~struct_id ~params ~desc result;
-  if result.Ccsl.Ccmorph.nodes > 0 then begin
+  if result.Ccsl.Ccmorph.nodes > 0 then
     Fields.note_struct t.fields ~struct_id
-      ~elem_bytes:desc.Ccsl.Ccmorph.elem_bytes;
-    t.morphs <-
-      ( struct_id,
-        ( Ccsl.Ccmorph.scheme_name params.Ccsl.Ccmorph.cluster,
-          params.Ccsl.Ccmorph.page_aware ) )
-      :: List.remove_assoc struct_id t.morphs
-  end
+      ~elem_bytes:desc.Ccsl.Ccmorph.elem_bytes
 
 let attach t =
   if t.sub = None then
@@ -125,24 +115,7 @@ let finalize t =
         @ Hintlint.diags t.hints ~total_accesses:t.accesses
     | None -> []
   in
-  let cfg = Machine.config t.m in
-  let stats = Memsim.Hierarchy.stats (Machine.hierarchy t.m) in
-  let layout_diags =
-    List.concat_map
-      (fun (struct_id, (scheme, page_aware)) ->
-        Layoutfit.check ~struct_id ~scheme ~page_aware
-          ~l1_block_bytes:cfg.Memsim.Config.l1.Memsim.Cache_config.block_bytes
-          ~l2_block_bytes:cfg.Memsim.Config.l2.Memsim.Cache_config.block_bytes
-          ~lat:cfg.Memsim.Config.latencies
-          ~tlb_penalty:
-            (Option.map
-               (fun (c : Memsim.Tlb.config) -> c.Memsim.Tlb.miss_penalty)
-               cfg.Memsim.Config.tlb)
-          ~stats)
-      t.morphs
-  in
   List.sort Diag.order
     (Shadow.diags t.shadow
     @ cc_diags
-    @ Fields.diags t.fields ~block_bytes:t.block_bytes
-    @ layout_diags)
+    @ Fields.diags t.fields ~block_bytes:t.block_bytes)

@@ -1,7 +1,7 @@
 (** The [cclint] orchestrator: wires the placement sanitizer
-    ({!Shadow}), the hint-quality lint ({!Hintlint}), the field-hotness
-    advisor ({!Fields}) and the layout-fit check ({!Layoutfit}) into
-    one machine-attached analysis.
+    ({!Shadow}), the hint-quality lint ({!Hintlint}) and the
+    field-hotness advisor ({!Fields}) into one machine-attached
+    analysis.
 
     Typical use (the harness lint runner follows this shape):
 

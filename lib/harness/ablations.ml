@@ -395,7 +395,7 @@ let dynamic_updates ?seed ppf =
       (fun frac ->
         let c = run_ctree frac and b = run_btree frac in
         Format.fprintf ppf "  %-14s %12.1f %12.1f %10s@."
-          (Printf.sprintf "%.0f%%" (100. *. frac))
+          (Printf.sprintf "%g%%" (100. *. frac))
           c b
           (if c < b then "C-tree" else "B-tree");
         J.Obj

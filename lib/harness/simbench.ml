@@ -5,8 +5,10 @@
    a dependent pointer chase over a clustered ring (the access pattern
    the paper's placements produce), and a full health benchmark arm
    (every subsystem: allocator, ccmorph, timed copies).  Each row
-   reports real-world accesses/sec plus the simulated statistics, which
-   CI compares exactly against the committed [BENCH_simspeed.json]. *)
+   reports real-world accesses/sec plus the simulated statistics.
+   [ccsl-cli simbench --json BENCH_simspeed.json] writes the committed
+   reference, against which CI checks the statistics exactly and the
+   throughput with a 70% floor. *)
 
 module Machine = Memsim.Machine
 module Hierarchy = Memsim.Hierarchy

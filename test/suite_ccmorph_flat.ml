@@ -430,7 +430,7 @@ let tests =
         Alcotest.test_case "malformed trees fail alike in every engine" `Quick
           test_malformed_rejected_alike;
         QCheck_alcotest.to_alcotest prop_morph_matches_reference;
-        Alcotest.test_case "elements straddling a 64 KB chunk" `Quick
+        Alcotest.test_case "elements straddling a page boundary" `Quick
           test_morph_straddling_elements;
       ] );
   ]

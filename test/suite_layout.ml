@@ -256,83 +256,6 @@ let test_closed_forms () =
     (Model.Multilevel.path_transfers ~d:9.0 ~block_elems:7)
 
 (* ------------------------------------------------------------------ *)
-(* cclint layout-fit check                                             *)
-(* ------------------------------------------------------------------ *)
-
-let cache_stats ~misses =
-  {
-    Cache.reads = 1000;
-    writes = 0;
-    read_misses = misses;
-    write_misses = 0;
-    evictions = 0;
-    writebacks = 0;
-    prefetch_installs = 0;
-  }
-
-(* UltraSPARC-shaped latencies: 16 B L1 blocks under 64 B L2 blocks,
-   6-cycle L1 miss, 64-cycle L2 miss. *)
-let fit_check ~scheme ~page_aware ~l1_misses ~l2_misses ~tlb_misses =
-  Analyze.Layoutfit.check ~struct_id:"tree" ~scheme ~page_aware
-    ~l1_block_bytes:16 ~l2_block_bytes:64
-    ~lat:{ Hierarchy.l1_hit = 1; l1_miss = 6; l2_miss = 64 }
-    ~tlb_penalty:(Some 100)
-    ~stats:
-      {
-        Hierarchy.h_l1 = cache_stats ~misses:l1_misses;
-        h_l2 = cache_stats ~misses:l2_misses;
-        h_tlb = Some { M.Tlb.t_hits = 1000; t_misses = tlb_misses };
-        h_hw_prefetches = 0;
-        h_sw_prefetches_dropped = 0;
-        h_prefetches_consumed = 0;
-        h_prefetch_cycles_saved = 0;
-      }
-
-let test_layoutfit () =
-  (* TLB-dominated (100k TLB stall vs 6k + 6.4k cache stall) under a
-     dfs-order engine with page-aware emission off: mismatch *)
-  let d =
-    fit_check ~scheme:"depth_first" ~page_aware:false ~l1_misses:1000
-      ~l2_misses:100 ~tlb_misses:1000
-  in
-  Alcotest.(check int) "TLB-dominated dfs plan without page_aware fires" 1
-    (List.length d);
-  (match d with
-  | [ d ] ->
-      Alcotest.(check string) "rule id" "layout/layout-mismatch" d.Analyze.Diag.rule;
-      Alcotest.(check bool) "advisory severity" true
-        (d.Analyze.Diag.severity = Analyze.Diag.Info)
-  | _ -> ());
-  Alcotest.(check int) "page_aware emission clears the TLB mismatch" 0
-    (List.length
-       (fit_check ~scheme:"depth_first" ~page_aware:true ~l1_misses:1000
-          ~l2_misses:100 ~tlb_misses:1000));
-  Alcotest.(check int) "vEB serves the page level by construction" 0
-    (List.length
-       (fit_check ~scheme:"veb" ~page_aware:false ~l1_misses:1000
-          ~l2_misses:100 ~tlb_misses:1000));
-  (* L1-dominated (60k L1 stall) under subtree, which packs only the L2
-     block: mismatch; vEB packs the L1 granularity too *)
-  Alcotest.(check int) "L1-dominated subtree plan fires" 1
-    (List.length
-       (fit_check ~scheme:"subtree" ~page_aware:true ~l1_misses:10_000
-          ~l2_misses:100 ~tlb_misses:10));
-  Alcotest.(check int) "same profile under veb is a fit" 0
-    (List.length
-       (fit_check ~scheme:"veb" ~page_aware:true ~l1_misses:10_000
-          ~l2_misses:100 ~tlb_misses:10));
-  (* L2-dominated is what every engine optimizes: never a mismatch *)
-  Alcotest.(check int) "L2-dominated profile never fires" 0
-    (List.length
-       (fit_check ~scheme:"subtree" ~page_aware:false ~l1_misses:100
-          ~l2_misses:5_000 ~tlb_misses:10));
-  (* no stall at all: nothing to attribute *)
-  Alcotest.(check int) "idle run is silent" 0
-    (List.length
-       (fit_check ~scheme:"subtree" ~page_aware:false ~l1_misses:0
-          ~l2_misses:0 ~tlb_misses:0))
-
-(* ------------------------------------------------------------------ *)
 (* Shootout harness: report shape, parallel == serial                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -390,8 +313,6 @@ let tests =
         Alcotest.test_case "page_aware TLB sensitivity per engine" `Quick
           test_page_aware_tlb_sensitivity;
         Alcotest.test_case "closed forms" `Quick test_closed_forms;
-        Alcotest.test_case "lint layout-mismatch diagnostic" `Quick
-          test_layoutfit;
         Alcotest.test_case "shootout report shape (micro)" `Quick
           test_shootout_report_shape;
         Alcotest.test_case "shootout parallel == serial (treeadd)" `Quick
