@@ -1,9 +1,11 @@
 (** A small translation lookaside buffer.
 
-    Modelled as a set-associative cache of page numbers.  The paper's
-    Section 5.4 notes that TLB effects (which its analytic model omits)
-    contribute to the model's systematic ~15% underestimate; the TLB here
-    lets experiments quantify that component. *)
+    Modelled as a set-associative cache of page numbers with exact
+    per-set LRU replacement; a translation costs O(1) host time, hit or
+    miss, whatever the associativity.  The paper's Section 5.4 notes that
+    TLB effects (which its analytic model omits) contribute to the
+    model's systematic ~15% underestimate; the TLB here lets experiments
+    quantify that component. *)
 
 type t
 

@@ -104,7 +104,16 @@ let test_tlb () =
   let c3 = H.access h ~now:600 ~write:false 8 in
   (* L1 set 0 was reclaimed by those accesses but the L2 block survives:
      1 (hit) + 6 (L1 miss) + 30 (TLB re-miss) *)
-  Alcotest.(check int) "page 0 re-misses in tlb" 37 c3
+  Alcotest.(check int) "page 0 re-misses in tlb" 37 c3;
+  (* a non-positive way count is rejected up front, as Cache_config.v
+     rejects it: 0 would divide by zero, and -4 divides 64 *)
+  List.iter
+    (fun assoc ->
+      Alcotest.check_raises
+        (Printf.sprintf "assoc %d rejected" assoc)
+        (Invalid_argument "Tlb.create: assoc must be positive and divide entries")
+        (fun () -> ignore (Memsim.Tlb.create { tlb with entries = 64; assoc })))
+    [ 0; -4 ]
 
 let test_machine_cost_split () =
   let m = Machine.create (Config.tiny ()) in

@@ -15,7 +15,8 @@ module Ccmalloc = Ccsl.Ccmalloc
 (* ------------------------------------------------------------------ *)
 
 (* Each set is a list of pages, most recently used first, at most
-   [assoc] long: the textbook LRU the TLB's tick stamps implement. *)
+   [assoc] long: textbook LRU, sharing no recency list, way index or
+   page table with [Tlb]. *)
 let naive_tlb (cfg : Tlb.config) =
   let sets = cfg.Tlb.entries / cfg.Tlb.assoc in
   let lru = Array.make sets [] in
@@ -36,37 +37,74 @@ let naive_tlb (cfg : Tlb.config) =
     end
   in
   let clear () = Array.fill lru 0 sets [] in
-  (access, clear, hits, misses)
+  let reset_stats () =
+    hits := 0;
+    misses := 0
+  in
+  (access, clear, reset_stats, hits, misses)
 
-let tlb_shapes = [| (4, 4); (8, 2); (8, 1); (16, 4); (64, 64) |]
+let tlb_shapes = [| (4, 4); (8, 2); (8, 1); (16, 4); (64, 64); (128, 32) |]
+
+type tlb_op =
+  | Translate of int  (* page index, before striding *)
+  | Clear  (* empties both models: a cold start *)
+  | Reset_stats  (* counters restart, entries persist *)
+
+let gen_tlb_case =
+  QCheck.Gen.(
+    triple
+      (int_bound (Array.length tlb_shapes - 1))
+      (* log2 of the page stride: 0 is dense page numbers; the others
+         are sparse ones that a hashed page index sees as large keys *)
+      (oneofl [ 0; 12; 20; 32 ])
+      (list_size (int_range 1 400)
+         (frequency
+            [
+              (1, return Clear);
+              (1, return Reset_stats);
+              (80, map (fun i -> Translate i) (int_bound 1000));
+            ])))
+
+let print_tlb_op = function
+  | Translate i -> Printf.sprintf "Translate %d" i
+  | Clear -> "Clear"
+  | Reset_stats -> "Reset_stats"
 
 let prop_tlb_matches_naive_lru =
-  QCheck.Test.make ~count:200 ~name:"TLB hits, misses and penalties = naive LRU"
-    QCheck.(
-      pair (int_bound (Array.length tlb_shapes - 1))
-        (list_of_size (Gen.int_range 1 400) (int_bound 200)))
-    (fun (shape, ops) ->
+  QCheck.Test.make ~count:300 ~name:"TLB hits, misses and penalties = naive LRU"
+    (QCheck.make
+       ~print:QCheck.Print.(triple int int (list print_tlb_op))
+       gen_tlb_case)
+    (fun (shape, stride_log, ops) ->
       let entries, assoc = tlb_shapes.(shape) in
       let cfg = { Tlb.entries; assoc; page_bytes = 256; miss_penalty = 40 } in
       let tlb = Tlb.create cfg in
-      let access, clear, hits, misses = naive_tlb cfg in
-      (* op 0 empties both (cold start); otherwise an address spread
-         over ~3x more pages than the TLB holds, with offsets inside
-         the page so the page-number mapping is exercised too *)
-      let penalties_agree =
-        List.for_all
-          (fun op ->
-            if op = 0 then begin
-              Tlb.clear tlb;
-              clear ();
-              true
-            end
-            else
-              let a = (op mod (3 * entries + 1) * 256) + (op * 37 mod 256) in
-              Tlb.access tlb a = access a)
-          ops
+      let access, clear, reset_stats, hits, misses = naive_tlb cfg in
+      (* page indices spread over ~3x more pages than the TLB holds; a
+         strided page number keeps the index's low two bits, so the
+         set-associative shapes still spread over several sets.  The
+         offset inside the page exercises the page-number mapping. *)
+      let address i =
+        let i = i mod ((3 * entries) + 1) in
+        let page = (i lsl stride_log) lor (i land 3) in
+        (page * 256) + (i * 37 mod 256)
       in
-      penalties_agree && Tlb.hits tlb = !hits && Tlb.misses tlb = !misses)
+      let agree = function
+        | Clear ->
+            Tlb.clear tlb;
+            clear ();
+            true
+        | Reset_stats ->
+            Tlb.reset_stats tlb;
+            reset_stats ();
+            true
+        | Translate i ->
+            let a = address i in
+            Tlb.access tlb a = access a
+            && Tlb.hits tlb = !hits
+            && Tlb.misses tlb = !misses
+      in
+      List.for_all agree ops && Tlb.hits tlb = !hits && Tlb.misses tlb = !misses)
 
 (* ------------------------------------------------------------------ *)
 (* Caches and machines against a naive two-level model                 *)
@@ -189,7 +227,7 @@ let naive_machine (cfg : M.Config.t) =
   let load_stall = ref 0 and store_stall = ref 0 and busy = ref 0 in
   let mem = Hashtbl.create 64 in
   let access ~write a =
-    let penalty = match tlb with None -> 0 | Some (f, _, _, _) -> f a in
+    let penalty = match tlb with None -> 0 | Some (f, _, _, _, _) -> f a in
     let l =
       if l1 ~write a then lat.Hierarchy.l1_hit
       else if l2 ~write a then lat.Hierarchy.l1_hit + lat.Hierarchy.l1_miss
@@ -217,7 +255,7 @@ let naive_machine (cfg : M.Config.t) =
     }
   in
   let tlb_counts () =
-    Option.map (fun (_, _, hits, misses) -> (!hits, !misses)) tlb
+    Option.map (fun (_, _, _, hits, misses) -> (!hits, !misses)) tlb
   in
   (load, store, snapshot, tlb_counts, s1, s2)
 
