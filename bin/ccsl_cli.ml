@@ -321,8 +321,7 @@ let run_lint bench paper seed fail_on json_file =
     match Analyze.Diag.severity_of_name fail_on with
     | Some s -> s
     | None ->
-        Format.eprintf "unknown severity %S (expected error, warn or info)@."
-          fail_on;
+        Format.eprintf "unknown severity %S (expected error or warn)@." fail_on;
         exit 2
   in
   match Harness.Lint.run ~scale ?seed bench with
@@ -350,16 +349,16 @@ let lint_cmd =
   let fail_on_term =
     let doc =
       "Exit nonzero when any diagnostic is at least this severe: \
-       $(b,error) (default), $(b,warn) or $(b,info)."
+       $(b,error) (default) or $(b,warn)."
     in
     Arg.(value & opt string "error" & info [ "fail-on" ] ~docv:"SEV" ~doc)
   in
   let doc =
     "Run the cclint layout analysis over one Olden benchmark: the \
      placement sanitizer (shadow-heap bounds, ccmorph block packing, \
-     coloring ranges, allocator counter identity), the hint-quality \
-     lint, and the field-hotness advisor.  Exits nonzero if any \
-     diagnostic reaches the $(b,--fail-on) severity."
+     coloring ranges, allocator counter identity) and a per-site count \
+     of ccmalloc hints that point outside its pages.  Exits nonzero if \
+     any diagnostic reaches the $(b,--fail-on) severity."
   in
   Cmd.v
     (Cmd.info "lint" ~doc)

@@ -1,16 +1,15 @@
 module J = Obs.Json
 
-type severity = Error | Warn | Info
+type severity = Error | Warn
 
-let severity_name = function Error -> "error" | Warn -> "warn" | Info -> "info"
+let severity_name = function Error -> "error" | Warn -> "warn"
 
 let severity_of_name = function
   | "error" -> Some Error
   | "warn" | "warning" -> Some Warn
-  | "info" -> Some Info
   | _ -> None
 
-let rank = function Error -> 0 | Warn -> 1 | Info -> 2
+let rank = function Error -> 0 | Warn -> 1
 let at_least s threshold = rank s <= rank threshold
 
 type subject =
@@ -43,16 +42,15 @@ let order a b =
     let c = compare a.rule b.rule in
     if c <> 0 then c else compare (subject_key a.subject) (subject_key b.subject)
 
-type summary = { n_errors : int; n_warns : int; n_infos : int }
+type summary = { n_errors : int; n_warns : int }
 
 let summarize diags =
   List.fold_left
     (fun s d ->
       match d.severity with
       | Error -> { s with n_errors = s.n_errors + 1 }
-      | Warn -> { s with n_warns = s.n_warns + 1 }
-      | Info -> { s with n_infos = s.n_infos + 1 })
-    { n_errors = 0; n_warns = 0; n_infos = 0 }
+      | Warn -> { s with n_warns = s.n_warns + 1 })
+    { n_errors = 0; n_warns = 0 }
     diags
 
 let exit_code ?(fail_on = Error) diags =
@@ -82,12 +80,7 @@ let to_json d =
     ]
 
 let summary_to_json s =
-  J.Obj
-    [
-      ("errors", J.Int s.n_errors);
-      ("warnings", J.Int s.n_warns);
-      ("infos", J.Int s.n_infos);
-    ]
+  J.Obj [ ("errors", J.Int s.n_errors); ("warnings", J.Int s.n_warns) ]
 
 let pp_subject ppf = function
   | Address a -> Format.fprintf ppf " at %a" Memsim.Addr.pp a

@@ -1,4 +1,4 @@
-(** The diagnostic type shared by every [cclint] analysis pass.
+(** The diagnostic type of every [cclint] rule.
 
     A diagnostic is one finding of one rule: an identifier
     (["pass/rule-name"]), a severity, the subject it is about (an
@@ -10,14 +10,12 @@
     Severities follow sanitizer convention: [Error] marks a violated
     layout invariant (the run's placement cannot be trusted), [Warn] a
     hint-quality problem that costs performance but never correctness
-    (the paper's Section 3.2 contract for ccmalloc misuse), [Info] an
-    optimization opportunity such as a structure-splitting
-    recommendation (Section 6 future work). *)
+    (the paper's Section 3.2 contract for ccmalloc misuse). *)
 
-type severity = Error | Warn | Info
+type severity = Error | Warn
 
 val severity_name : severity -> string
-(** ["error"], ["warn"], ["info"]. *)
+(** ["error"], ["warn"]. *)
 
 val severity_of_name : string -> severity option
 
@@ -50,7 +48,7 @@ val v :
 val order : t -> t -> int
 (** Sort key: severity (errors first), then rule, then subject. *)
 
-type summary = { n_errors : int; n_warns : int; n_infos : int }
+type summary = { n_errors : int; n_warns : int }
 
 val summarize : t list -> summary
 

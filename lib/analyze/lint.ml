@@ -1,25 +1,25 @@
 module A = Memsim.Addr
 module Machine = Memsim.Machine
 
+(* Per allocation site: hinted allocations, and those whose hint lies
+   outside the cache-conscious allocator's pages. *)
+type site_hints = { mutable hinted : int; mutable unmanaged : int }
+
 type t = {
   m : Machine.t;
   shadow : Shadow.t;
-  hints : Hintlint.t;
-  fields : Fields.t;
-  block_bytes : int;
+  sites : (string, site_hints) Hashtbl.t;
   mutable cc : Ccsl.Ccmalloc.t option;
   mutable accesses : int;
   mutable sub : Machine.subscription option;
   mutable morph_obs : Ccsl.Ccmorph.observer_id option;
 }
 
-let create ?window m =
+let create m =
   {
     m;
     shadow = Shadow.create m;
-    hints = Hintlint.create ?window ();
-    fields = Fields.create ();
-    block_bytes = Machine.l2_block_bytes m;
+    sites = Hashtbl.create 16;
     cc = None;
     accesses = 0;
     sub = None;
@@ -30,25 +30,28 @@ let set_ccmalloc t cc =
   t.cc <- Some cc;
   Shadow.set_ccmalloc t.shadow cc
 
+let note_hint t cc ?(site = "<unlabeled>") hint =
+  let s =
+    match Hashtbl.find_opt t.sites site with
+    | Some s -> s
+    | None ->
+        let s = { hinted = 0; unmanaged = 0 } in
+        Hashtbl.replace t.sites site s;
+        s
+  in
+  s.hinted <- s.hinted + 1;
+  if not (Ccsl.Ccmalloc.manages cc hint) then s.unmanaged <- s.unmanaged + 1
+
 let wrap_allocator t (a : Alloc.Allocator.t) =
   {
     a with
     Alloc.Allocator.alloc =
       (fun ?hint ?site bytes ->
         let addr = a.Alloc.Allocator.alloc ?hint ?site bytes in
-        Shadow.note_alloc t.shadow ?hint ?site addr bytes;
-        let hinted =
-          match hint with Some h -> not (A.is_null h) | None -> false
-        in
-        let hint_managed =
-          hinted
-          &&
-          match (t.cc, hint) with
-          | Some cc, Some h -> Ccsl.Ccmalloc.manages cc h
-          | None, _ -> true (* nothing to judge against *)
-          | _, None -> false
-        in
-        Hintlint.note_alloc t.hints ?site ~hinted ~hint_managed ();
+        Shadow.note_alloc t.shadow addr bytes;
+        (match (t.cc, hint) with
+        | Some cc, Some h when not (A.is_null h) -> note_hint t cc ?site h
+        | _ -> ());
         addr);
     free =
       (fun addr ->
@@ -56,32 +59,16 @@ let wrap_allocator t (a : Alloc.Allocator.t) =
         a.Alloc.Allocator.free addr);
   }
 
-let on_trace t write addr =
-  t.accesses <- t.accesses + 1;
-  let block = A.block_index addr ~block_bytes:t.block_bytes in
-  match Shadow.record_access t.shadow ~write addr with
-  | Shadow.Heap { site; hint_block; _ } ->
-      Hintlint.on_access t.hints ~block ~site ~hint_block
-  | Shadow.Elem { base; struct_id } ->
-      Fields.on_access t.fields ~struct_id ~offset:(addr - base);
-      Hintlint.push_unattributed t.hints ~block
-  | Shadow.Outside | Shadow.Violation ->
-      Hintlint.push_unattributed t.hints ~block
-
 let note_morph t ?struct_id ~params ~desc result =
-  let struct_id =
-    match struct_id with
-    | Some s -> s
-    | None -> Shadow.default_struct_id desc
-  in
-  Shadow.note_morph t.shadow ~struct_id ~params ~desc result;
-  if result.Ccsl.Ccmorph.nodes > 0 then
-    Fields.note_struct t.fields ~struct_id
-      ~elem_bytes:desc.Ccsl.Ccmorph.elem_bytes
+  Shadow.note_morph t.shadow ?struct_id ~params ~desc result
 
 let attach t =
   if t.sub = None then
-    t.sub <- Some (Machine.subscribe t.m (fun write addr -> on_trace t write addr));
+    t.sub <-
+      Some
+        (Machine.subscribe t.m (fun write addr ->
+             t.accesses <- t.accesses + 1;
+             Shadow.record_access t.shadow ~write addr));
   if t.morph_obs = None then
     t.morph_obs <-
       Some
@@ -104,18 +91,31 @@ let detach t =
 
 let accesses_seen t = t.accesses
 
+let unmanaged_diags t =
+  Hashtbl.fold
+    (fun site s acc ->
+      if s.unmanaged > 0 then
+        Diag.v ~rule:"hint/unmanaged" Diag.Warn ~subject:(Diag.Site site)
+          ~evidence:
+            [
+              ("unmanaged_hints", float_of_int s.unmanaged);
+              ("hinted_allocations", float_of_int s.hinted);
+            ]
+          (Printf.sprintf
+             "%d of %d hints point outside the allocator's managed pages \
+              (another allocator's arena?); each degrades to an unhinted \
+              allocation"
+             s.unmanaged s.hinted)
+        :: acc
+      else acc)
+    t.sites []
+
 let finalize t =
-  (* Hint quality (and the counter identity) are only meaningful when a
-     cache-conscious allocator is actually behind the run; a plain-malloc
-     phase would repeat the same findings with no hint to fix. *)
+  (* The counter identity needs a cache-conscious allocator behind the
+     run; without one, no hint was judged either. *)
   let cc_diags =
     match t.cc with
-    | Some cc ->
-        Shadow.check_counters (Ccsl.Ccmalloc.counters cc)
-        @ Hintlint.diags t.hints ~total_accesses:t.accesses
+    | Some cc -> Shadow.check_counters (Ccsl.Ccmalloc.counters cc)
     | None -> []
   in
-  List.sort Diag.order
-    (Shadow.diags t.shadow
-    @ cc_diags
-    @ Fields.diags t.fields ~block_bytes:t.block_bytes)
+  List.sort Diag.order (Shadow.diags t.shadow @ cc_diags @ unmanaged_diags t)

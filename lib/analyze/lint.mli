@@ -1,7 +1,6 @@
-(** The [cclint] orchestrator: wires the placement sanitizer
-    ({!Shadow}), the hint-quality lint ({!Hintlint}) and the
-    field-hotness advisor ({!Fields}) into one machine-attached
-    analysis.
+(** The [cclint] orchestrator: the placement sanitizer ({!Shadow})
+    attached to one machine, plus a per-site count of allocation hints
+    that point outside the cache-conscious allocator's pages.
 
     Typical use (the harness lint runner follows this shape):
 
@@ -15,14 +14,18 @@
       let diags = Lint.finalize lint
     ]}
 
-    While attached, every timed access on the machine is classified by
-    the shadow heap and fed to the downstream passes; every
-    [Ccmorph.morph] on the same machine is observed automatically. *)
+    While attached, every timed access on the machine is checked by the
+    shadow heap; every [Ccmorph.morph] on the same machine is observed
+    automatically.
+
+    Besides the sanitizer's [placement/*] rules, {!finalize} reports
+    [hint/unmanaged] (Warn): a site whose non-null hints point outside
+    the registered ccmalloc's pages, so each degrades to an unhinted
+    allocation (the paper's Section 3.2 misuse mode). *)
 
 type t
 
-val create : ?window:int -> Memsim.Machine.t -> t
-(** [window] is forwarded to {!Hintlint.create}. *)
+val create : Memsim.Machine.t -> t
 
 val set_ccmalloc : t -> Ccsl.Ccmalloc.t -> unit
 (** Scope out-of-bounds checks to this allocator's pages, judge hint
@@ -31,7 +34,8 @@ val set_ccmalloc : t -> Ccsl.Ccmalloc.t -> unit
 
 val wrap_allocator : t -> Alloc.Allocator.t -> Alloc.Allocator.t
 (** An allocator that forwards to the wrapped one and reports every
-    allocation and free to the analysis. *)
+    allocation and free to the shadow heap, and every non-null hint to
+    the per-site hint count. *)
 
 val attach : t -> unit
 (** Subscribe to the machine's timed-access feed and to global
@@ -53,7 +57,7 @@ val accesses_seen : t -> int
 (** Timed accesses observed while attached. *)
 
 val finalize : t -> Diag.t list
-(** All findings from all passes, sorted by {!Diag.order}.  Includes
-    the {!Ccsl.Ccmalloc.counters} identity check when an allocator was
-    registered.  Idempotent with respect to accumulated state (can be
+(** All findings, sorted by {!Diag.order}.  Includes the
+    {!Ccsl.Ccmalloc.counters} identity check and [hint/unmanaged] when an
+    allocator was registered.  Idempotent with respect to accumulated state (can be
     called after {!detach} at any time). *)

@@ -3,9 +3,6 @@ module Machine = Memsim.Machine
 module CC = Memsim.Cache_config
 module IMap = Map.Make (Int)
 
-type obj = { o_bytes : int; o_site : string option; o_hint_block : int }
-type elem = { e_bytes : int; e_struct : string }
-
 type violation = {
   mutable v_count : int;
   v_first : A.t;
@@ -21,8 +18,8 @@ type t = {
   block_bytes : int;
   l2 : CC.t;
   mutable cc : Ccsl.Ccmalloc.t option;
-  mutable objects : obj IMap.t;  (* live heap objects, keyed by payload *)
-  mutable elems : elem IMap.t;  (* morphed elements, keyed by base *)
+  mutable objects : int IMap.t;  (* live heap object bytes, keyed by payload *)
+  mutable elems : int IMap.t;  (* morphed element bytes, keyed by base *)
   morph_blocks : (int, string) Hashtbl.t;  (* block index -> struct_id *)
   violations : (int, violation) Hashtbl.t;  (* block index -> record *)
   mutable dropped_violations : int;
@@ -48,22 +45,14 @@ let create m =
 
 let set_ccmalloc t cc = t.cc <- Some cc
 
-let note_alloc t ?hint ?site payload bytes =
-  let hint_block =
-    match hint with
-    | Some h when not (A.is_null h) -> A.block_index h ~block_bytes:t.block_bytes
-    | _ -> -1
-  in
-  t.objects <-
-    IMap.add payload { o_bytes = bytes; o_site = site; o_hint_block = hint_block }
-      t.objects
+let note_alloc t payload bytes = t.objects <- IMap.add payload bytes t.objects
 
 let note_free t payload = t.objects <- IMap.remove payload t.objects
 
-let find_in map addr bytes_of =
+let inside map addr =
   match IMap.find_last_opt (fun base -> base <= addr) map with
-  | Some (base, x) when addr < base + bytes_of x -> Some (base, x)
-  | _ -> None
+  | Some (base, bytes) -> addr < base + bytes
+  | None -> false
 
 let default_struct_id (desc : Ccsl.Ccmorph.desc) =
   Printf.sprintf "elem%dB/kids@%s" desc.Ccsl.Ccmorph.elem_bytes
@@ -187,8 +176,7 @@ let note_morph t ?struct_id ~(params : Ccsl.Ccmorph.params)
     let first_straddle = ref A.null in
     List.iter
       (fun a ->
-        t.elems <-
-          IMap.add a { e_bytes = elem_bytes; e_struct = struct_id } t.elems;
+        t.elems <- IMap.add a elem_bytes t.elems;
         let base = A.block_base a ~block_bytes:t.block_bytes in
         Hashtbl.replace blocks base ();
         Hashtbl.replace t.morph_blocks
@@ -224,17 +212,6 @@ let note_morph t ?struct_id ~(params : Ccsl.Ccmorph.params)
       check_coloring t ~struct_id ~params ~result blocks
   end
 
-type hit =
-  | Heap of {
-      base : Memsim.Addr.t;
-      bytes : int;
-      site : string option;
-      hint_block : int;
-    }
-  | Elem of { base : Memsim.Addr.t; struct_id : string }
-  | Outside
-  | Violation
-
 let record_violation t ~write addr =
   let block = A.block_index addr ~block_bytes:t.block_bytes in
   match Hashtbl.find_opt t.violations block with
@@ -246,26 +223,16 @@ let record_violation t ~write addr =
       else t.dropped_violations <- t.dropped_violations + 1
 
 let record_access t ~write addr =
-  match find_in t.objects addr (fun o -> o.o_bytes) with
-  | Some (base, o) ->
-      Heap
-        { base; bytes = o.o_bytes; site = o.o_site; hint_block = o.o_hint_block }
-  | None -> (
-      match find_in t.elems addr (fun e -> e.e_bytes) with
-      | Some (base, e) -> Elem { base; struct_id = e.e_struct }
-      | None ->
-          let disciplined =
-            (match t.cc with
-            | Some cc -> Ccsl.Ccmalloc.manages cc addr
-            | None -> false)
-            || Hashtbl.mem t.morph_blocks
-                 (A.block_index addr ~block_bytes:t.block_bytes)
-          in
-          if disciplined then begin
-            record_violation t ~write addr;
-            Violation
-          end
-          else Outside)
+  if not (inside t.objects addr || inside t.elems addr) then begin
+    let disciplined =
+      (match t.cc with
+      | Some cc -> Ccsl.Ccmalloc.manages cc addr
+      | None -> false)
+      || Hashtbl.mem t.morph_blocks
+           (A.block_index addr ~block_bytes:t.block_bytes)
+    in
+    if disciplined then record_violation t ~write addr
+  end
 
 let check_counters (c : Ccsl.Ccmalloc.counters) =
   let open Ccsl.Ccmalloc in
@@ -347,6 +314,3 @@ let diags t =
     else []
   in
   List.rev_append t.morph_diags (oob @ dropped)
-
-let objects_live t = IMap.cardinal t.objects
-let elems_registered t = IMap.cardinal t.elems

@@ -48,9 +48,8 @@ val set_ccmalloc : t -> Ccsl.Ccmalloc.t -> unit
 
 (** {1 Event feed} *)
 
-val note_alloc :
-  t -> ?hint:Memsim.Addr.t -> ?site:string -> Memsim.Addr.t -> int -> unit
-(** [note_alloc t ?hint ?site payload bytes]: a live object is born. *)
+val note_alloc : t -> Memsim.Addr.t -> int -> unit
+(** [note_alloc t payload bytes]: a live object is born. *)
 
 val note_free : t -> Memsim.Addr.t -> unit
 
@@ -66,24 +65,12 @@ val note_morph :
     [struct_id] defaults to a stable digest of [desc], so repeated morphs
     of the same structure supersede each other. *)
 
-val default_struct_id : Ccsl.Ccmorph.desc -> string
+(** {1 Access checking} *)
 
-(** {1 Access classification} *)
-
-type hit =
-  | Heap of {
-      base : Memsim.Addr.t;
-      bytes : int;
-      site : string option;
-      hint_block : int;  (** block index of the allocation hint; -1 none *)
-    }
-  | Elem of { base : Memsim.Addr.t; struct_id : string }
-  | Outside  (** not in any disciplined region; ignored *)
-  | Violation  (** out-of-bounds inside a disciplined region; recorded *)
-
-val record_access : t -> write:bool -> Memsim.Addr.t -> hit
-(** Classify one traced access, recording an out-of-bounds violation when
-    it lands in a disciplined region without hitting a live object. *)
+val record_access : t -> write:bool -> Memsim.Addr.t -> unit
+(** Check one traced access: record an out-of-bounds violation when it
+    lands in a disciplined region without hitting a live object or
+    element.  Addresses outside every disciplined region are ignored. *)
 
 (** {1 Results} *)
 
@@ -94,6 +81,3 @@ val check_counters : Ccsl.Ccmalloc.counters -> Diag.t list
 val diags : t -> Diag.t list
 (** All sanitizer findings so far (morph-time findings plus accumulated
     out-of-bounds records, at most one per offending cache block). *)
-
-val objects_live : t -> int
-val elems_registered : t -> int

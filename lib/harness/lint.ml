@@ -34,8 +34,8 @@ let run_phase (k : Experiments.kernel) placement =
     ph_diags = Analyze.Lint.finalize lint;
   }
 
-(* One phase per analysis family: the allocator rules need a hinted
-   ccmalloc run, the morph and field rules a colored ccmorph run. *)
+(* One phase per rule family: the allocator rules need a hinted ccmalloc
+   run, the morph rules a colored ccmorph run. *)
 let phase_placements = [ C.Ccmalloc_new_block; C.Ccmorph_cluster_color ]
 
 let run ?(scale = Experiments.Quick) ?seed name =
@@ -66,9 +66,8 @@ let pp ppf r =
   | [] -> Format.fprintf ppf "no findings.@."
   | diags ->
       List.iter (fun d -> Format.fprintf ppf "%a@." Analyze.Diag.pp d) diags);
-  Format.fprintf ppf "@.%d error(s), %d warning(s), %d info(s)@."
+  Format.fprintf ppf "@.%d error(s), %d warning(s)@."
     r.summary.Analyze.Diag.n_errors r.summary.Analyze.Diag.n_warns
-    r.summary.Analyze.Diag.n_infos
 
 let phase_to_json p =
   J.Obj

@@ -1,14 +1,13 @@
 (** The [cclint] benchmark runner behind [ccsl-cli lint].
 
-    Each benchmark is linted in two phases, chosen so every analysis
-    pass sees the configuration it is about:
+    Each benchmark is linted in two phases, chosen so every rule sees
+    the configuration it is about:
 
     - under [Ccmalloc_new_block] (Figure 7's "NA"), exercising the
       placement sanitizer's out-of-bounds and counter-identity rules and
-      the whole hint-quality lint;
+      the unmanaged-hint count;
     - under [Ccmorph_cluster_color] ("Cl+Col"), exercising the morph
-      sanitizer (straddle / hot-range / overlap) and the field-hotness
-      advisor.
+      sanitizer (straddle / hot-range / overlap).
 
     The merged, sorted diagnostics decide the process exit code via
     {!Analyze.Diag.exit_code}. *)
