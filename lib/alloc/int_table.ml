@@ -108,6 +108,13 @@ let remove t k =
     end
   end
 
+let map_inplace f t =
+  let keys = t.keys and vals = t.vals in
+  for i = 0 to Array.length keys - 1 do
+    let k = keys.(i) in
+    if k <> empty then vals.(i) <- f k vals.(i)
+  done
+
 let iter f t =
   let keys = t.keys and vals = t.vals in
   for i = 0 to Array.length keys - 1 do

@@ -30,6 +30,11 @@ val replace : t -> int -> int -> unit
 val remove : t -> int -> unit
 (** Drop a key's binding, if any. *)
 
+val map_inplace : (int -> int -> int) -> t -> unit
+(** Rebind every key [k] to [f k v], where [v] is its value, in place:
+    no entry moves and the table allocates nothing.  [f] must not
+    modify the table. *)
+
 val iter : (int -> int -> unit) -> t -> unit
 (** In slot order, which depends on the keys and the capacity but not
     on insertion order alone; callers must not depend on it. *)

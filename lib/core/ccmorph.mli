@@ -113,13 +113,13 @@ val morph_forest :
 
 (** {1 Morph observations}
 
-    Diagnostic passes (the [cclint] placement sanitizer and field-hotness
-    advisor) need to see every reorganization a program performs — which
-    machine it ran on, with which description and parameters, and what
-    layout came out — without the benchmark kernels knowing they are
-    being watched.  Observers are called after each successful
-    non-empty [morph]/[morph_forest]; they must not morph structures
-    themselves. *)
+    Diagnostic passes (the [cclint] placement sanitizer, the layout
+    shoot-out's plan-footprint columns) need to see every reorganization
+    a program performs — which machine it ran on, with which description
+    and parameters, and what layout came out — without the benchmark
+    kernels knowing they are being watched.  Observers are called after
+    each successful non-empty [morph]/[morph_forest]; they must not morph
+    structures themselves. *)
 
 type observation = {
   obs_machine : Memsim.Machine.t;

@@ -6,24 +6,32 @@ module T = Alloc.Int_table
 (* ------------------------------------------------------------------ *)
 
 module Reuse = struct
-  (* Every block seen so far holds one flag in a Fenwick tree, at the
-     clock position of its latest access, and [owner] maps a position
-     back to its block (-1 once the flag has moved on).  The flags after
-     position [t0] belong to exactly the other blocks touched since [t0],
-     so an access whose block's flag sits at [t0] has distance
-     [distinct - prefix t0].
+  (* Every block seen so far holds one flag, at the clock position of
+     its latest access, and [last] maps the block to that position.  The
+     flags after position [t0] belong to exactly the other blocks touched
+     since [t0], so an access whose block's flag sits at [t0] has
+     distance [distinct - (flags at 1..t0)].
 
-     When the clock reaches the tree's capacity, the live flags are
+     The flags are bits, 32 positions to an int word: position [p] is
+     bit [p land 31] of word [p lsr 5], and position 0 is never used.
+     The word holding the clock is open; every earlier word is closed and
+     counts in a Fenwick tree over words, which it enters with one
+     popcount when the clock leaves it.  A re-reference whose flag is in
+     the open word costs one popcount, any other one prefix query and one
+     update over capacity/32 words.
+
+     When the clock reaches the last position, the live flags are
      renumbered 1..distinct in clock order, which keeps every distance,
-     and the capacity doubles until it is at least four times [distinct].
-     Memory is O(distinct blocks), an access costs O(log distinct
-     blocks), and a compaction's O(capacity) is paid for by the three
-     quarters of the capacity it frees. *)
+     and the capacity doubles until it is at least four times
+     [distinct].  Memory is O(distinct blocks), an access costs
+     O(log distinct blocks), and a compaction's O(distinct log distinct)
+     is paid for by the three quarters of the capacity it frees. *)
   type t = {
     block_bytes : int;
+    block_shift : int;
     last : T.t;  (* block index -> position of its flag *)
-    mutable tree : int array;  (* Fenwick tree over positions 1..capacity *)
-    mutable owner : int array;  (* position -> block index, or -1 *)
+    mutable flags : int array;  (* capacity / 32 words of flags *)
+    mutable tree : int array;  (* Fenwick tree over closed words' counts *)
     mutable clock : int;  (* the last position handed out *)
     mutable hist : int array;  (* finite distance -> count *)
     mutable time : int;
@@ -35,26 +43,36 @@ module Reuse = struct
       invalid_arg "Reuse.create: block_bytes must be a power of two";
     {
       block_bytes;
+      block_shift = A.log2 block_bytes;
       last = T.create 128;
-      tree = Array.make 129 0;
-      owner = Array.make 129 (-1);
+      flags = Array.make 4 0;
+      tree = Array.make 5 0;
       clock = 0;
       hist = Array.make 64 0;
       time = 0;
       cold = 0;
     }
 
-  let add tree i delta =
+  (* set bits of a word of at most 32 *)
+  let popcount x =
+    let x = x - ((x lsr 1) land 0x55555555) in
+    let x = (x land 0x33333333) + ((x lsr 2) land 0x33333333) in
+    let x = (x + (x lsr 4)) land 0x0f0f0f0f in
+    ((x * 0x01010101) lsr 24) land 0xff
+
+  (* Word [w] is tree node [w + 1]; node [i] covers words
+     [i - lowbit i, i). *)
+  let add tree w delta =
     let n = Array.length tree in
-    let i = ref i in
+    let i = ref (w + 1) in
     while !i < n do
       Array.unsafe_set tree !i (Array.unsafe_get tree !i + delta);
       i := !i + (!i land - !i)
     done
 
-  (* sum of positions [1..i] *)
-  let prefix tree i =
-    let i = ref i in
+  (* flags in the closed words [0, w) *)
+  let prefix tree w =
+    let i = ref w in
     let s = ref 0 in
     while !i > 0 do
       s := !s + Array.unsafe_get tree !i;
@@ -62,32 +80,39 @@ module Reuse = struct
     done;
     !s
 
+  (* flags at positions 1..p, for [p] no later than the clock *)
+  let rank t p =
+    let w = p lsr 5 in
+    prefix t.tree w + popcount (t.flags.(w) land ((2 lsl (p land 31)) - 1))
+
   let compact t =
     let distinct = T.length t.last in
-    let cap = ref (Array.length t.tree - 1) in
-    while !cap < 4 * distinct do
-      cap := 2 * !cap
+    T.map_inplace (fun _ p -> rank t p) t.last;
+    let words = ref (Array.length t.flags) in
+    while 32 * !words < 4 * distinct do
+      words := 2 * !words
     done;
-    let src = t.owner in
-    if !cap >= Array.length t.tree then begin
-      t.owner <- Array.make (!cap + 1) (-1);
-      t.tree <- Array.make (!cap + 1) 0
+    if !words > Array.length t.flags then begin
+      t.flags <- Array.make !words 0;
+      t.tree <- Array.make (!words + 1) 0
     end;
-    (* [k <= p], so the renumbering may run in place *)
-    let k = ref 0 in
-    for p = 1 to t.clock do
-      let b = src.(p) in
-      if b >= 0 then begin
-        incr k;
-        t.owner.(!k) <- b;
-        T.replace t.last b !k
-      end
+    (* flags fill 1..distinct, so the clock's word is the only open one *)
+    let flags = t.flags and tree = t.tree in
+    let open_w = distinct lsr 5 in
+    for w = 0 to !words - 1 do
+      flags.(w) <-
+        (if w < open_w then 0xffffffff
+         else if w = open_w then (2 lsl (distinct land 31)) - 1
+         else 0)
     done;
-    t.clock <- !k;
-    (* node [i] covers positions (i - lowbit i, i]; flags fill 1..k *)
-    let tree = t.tree in
-    for i = 1 to Array.length tree - 1 do
-      tree.(i) <- max 0 (min i !k - (i - (i land -i)))
+    flags.(0) <- flags.(0) land lnot 1;
+    t.clock <- distinct;
+    for i = 1 to !words do
+      tree.(i) <- (if i <= open_w then popcount flags.(i - 1) else 0)
+    done;
+    for i = 1 to !words do
+      let j = i + (i land -i) in
+      if j <= !words then tree.(j) <- tree.(j) + tree.(i)
     done
 
   let record t d =
@@ -100,24 +125,36 @@ module Reuse = struct
     t.hist.(d) <- t.hist.(d) + 1
 
   let on_access t _write addr =
-    let b = A.block_index addr ~block_bytes:t.block_bytes in
+    let b = addr lsr t.block_shift in
     t.time <- t.time + 1;
-    if t.clock = Array.length t.tree - 1 then compact t;
+    if t.clock = (Array.length t.flags lsl 5) - 1 then compact t;
     let t0 = T.find_or t.last b ~default:0 in
+    let clock = t.clock in
     (* a re-reference to the newest flag's block has distance 0 and
        leaves the flags in order *)
-    if t0 = t.clock && t0 > 0 then record t 0
+    if t0 = clock && t0 > 0 then record t 0
     else begin
-      let now = t.clock + 1 in
-      t.clock <- now;
+      let flags = t.flags in
+      let open_w = clock lsr 5 in
       if t0 = 0 then t.cold <- t.cold + 1
       else begin
-        record t (T.length t.last - prefix t.tree t0);
-        add t.tree t0 (-1);
-        t.owner.(t0) <- -1
+        let w0 = t0 lsr 5 and bit = 1 lsl (t0 land 31) in
+        let word = flags.(w0) in
+        if w0 = open_w then record t (popcount (word land -(bit lsl 1)))
+        else begin
+          record t
+            (T.length t.last - prefix t.tree w0
+            - popcount (word land ((bit lsl 1) - 1)));
+          add t.tree w0 (-1)
+        end;
+        flags.(w0) <- word lxor bit
       end;
-      add t.tree now 1;
-      t.owner.(now) <- b;
+      let now = clock + 1 in
+      let w = now lsr 5 in
+      if w <> open_w then
+        add t.tree open_w (popcount flags.(open_w));
+      flags.(w) <- flags.(w) lor (1 lsl (now land 31));
+      t.clock <- now;
       T.replace t.last b now
     end
 
@@ -202,6 +239,8 @@ module Spatial = struct
     block_bytes : int;
     word_bytes : int;
     words_per_block : int;
+    block_shift : int;
+    word_shift : int;
     masks : T.t;  (* block index -> touched-word bitmask, never 0 *)
     mutable accesses : int;
   }
@@ -215,12 +254,20 @@ module Spatial = struct
       invalid_arg
         (Printf.sprintf "Spatial.create: between 1 and %d words per block"
            Sys.int_size);
-    { block_bytes; word_bytes; words_per_block; masks = T.create 128; accesses = 0 }
+    {
+      block_bytes;
+      word_bytes;
+      words_per_block;
+      block_shift = A.log2 block_bytes;
+      word_shift = A.log2 word_bytes;
+      masks = T.create 128;
+      accesses = 0;
+    }
 
   let on_access t _write addr =
     t.accesses <- t.accesses + 1;
-    let b = A.block_index addr ~block_bytes:t.block_bytes in
-    let w = A.offset_in_block addr ~block_bytes:t.block_bytes / t.word_bytes in
+    let b = addr lsr t.block_shift in
+    let w = (addr lsr t.word_shift) land (t.words_per_block - 1) in
     let prev = T.find_or t.masks b ~default:0 in
     let mask = prev lor (1 lsl w) in
     if mask <> prev then T.replace t.masks b mask
@@ -287,7 +334,8 @@ end
 
 module Occupancy = struct
   type t = {
-    cfg : Memsim.Cache_config.t;
+    block_shift : int;
+    set_mask : int;
     hot_first_set : int;
     hot_sets : int;
     counts : int array;
@@ -299,10 +347,17 @@ module Occupancy = struct
     let hot_sets = Option.value hot_sets ~default:(sets / 2) in
     if hot_first_set < 0 || hot_sets < 0 || hot_first_set + hot_sets > sets then
       invalid_arg "Occupancy.create: hot region exceeds the cache";
-    { cfg; hot_first_set; hot_sets; counts = Array.make sets 0; accesses = 0 }
+    {
+      block_shift = A.log2 cfg.Memsim.Cache_config.block_bytes;
+      set_mask = sets - 1;
+      hot_first_set;
+      hot_sets;
+      counts = Array.make sets 0;
+      accesses = 0;
+    }
 
   let on_access t _write addr =
-    let s = Memsim.Cache_config.set_of_addr t.cfg addr in
+    let s = (addr lsr t.block_shift) land t.set_mask in
     t.counts.(s) <- t.counts.(s) + 1;
     t.accesses <- t.accesses + 1
 

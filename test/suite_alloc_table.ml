@@ -66,6 +66,31 @@ let test_negative_key_rejected () =
   Alcotest.(check int) "find_or" 3 (Int_table.find_or t (-1) ~default:3);
   Alcotest.(check bool) "mem" false (Int_table.mem t (-1))
 
+(* [map_inplace] rebinds every key, including keys that collided and
+   keys that moved back when an earlier one was removed, and leaves the
+   count and the lookups of absent keys alone. *)
+let test_map_inplace () =
+  let t = Int_table.create 8 in
+  let h = Hashtbl.create 16 in
+  for i = 0 to 99 do
+    Int_table.replace t (key_of i) i;
+    Hashtbl.replace h (key_of i) i
+  done;
+  for i = 0 to 24 do
+    Int_table.remove t (key_of (4 * i));
+    Hashtbl.remove h (key_of (4 * i))
+  done;
+  Int_table.map_inplace (fun k v -> (3 * v) + (k land 7)) t;
+  Hashtbl.filter_map_inplace (fun k v -> Some ((3 * v) + (k land 7))) h;
+  Alcotest.(check int) "length" (Hashtbl.length h) (Int_table.length t);
+  for i = 0 to 99 do
+    let k = key_of i in
+    Alcotest.(check int)
+      (Printf.sprintf "key %d" k)
+      (Option.value (Hashtbl.find_opt h k) ~default:(-1))
+      (Int_table.find_or t k ~default:(-1))
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Allocators against the Hashtbl-backed oracle                        *)
 (* ------------------------------------------------------------------ *)
@@ -293,6 +318,7 @@ let tests =
       [
         QCheck_alcotest.to_alcotest prop_int_table_is_a_map;
         Alcotest.test_case "negative keys" `Quick test_negative_key_rejected;
+        Alcotest.test_case "map_inplace" `Quick test_map_inplace;
         QCheck_alcotest.to_alcotest prop_malloc_matches_hashtbl;
         QCheck_alcotest.to_alcotest
           (prop_ccmalloc_matches_hashtbl Ccmalloc.Closest);

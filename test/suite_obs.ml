@@ -309,6 +309,149 @@ let test_reuse_oracle_compaction () =
       start := stop)
     (List.rev !ends)
 
+(* The profiler keeps its flags as bits, 32 clock positions to a word
+   (position [p] is bit [p land 31] of word [p lsr 5]; position 0 is
+   unused), counts closed words in a Fenwick tree and answers an access
+   whose old flag is in the clock's own open word with a popcount.  The
+   streams below are built so that the first round of a fresh run puts
+   block [i] at position [i + 1], and are checked against the oracle
+   after every access. *)
+let check_every_access ?(block_bytes = 64) stream =
+  let module R = Obs.Profile.Reuse in
+  let stream = Array.of_list stream in
+  let dists = brute_force_distances (Array.to_list stream) in
+  let r = R.create ~block_bytes in
+  let hist = Array.make (Array.length stream + 1) 0 in
+  let cold = ref 0 in
+  Array.iteri
+    (fun i b ->
+      R.on_access r false ((b * block_bytes) + (i land (block_bytes - 1)));
+      if dists.(i) < 0 then incr cold
+      else hist.(dists.(i)) <- hist.(dists.(i)) + 1;
+      let expected = ref [] in
+      for d = Array.length hist - 1 downto 0 do
+        if hist.(d) > 0 then expected := (d, hist.(d)) :: !expected
+      done;
+      let where = Printf.sprintf "access %d (block %d): " i b in
+      Alcotest.(check int) (where ^ "cold misses") !cold (R.cold_misses r);
+      Alcotest.(check int) (where ^ "distinct blocks") !cold
+        (R.distinct_blocks r);
+      Alcotest.(check (list (pair int int))) (where ^ "histogram") !expected
+        (R.histogram r))
+    stream
+
+let range lo hi = List.init (hi - lo + 1) (fun i -> lo + i)
+
+(* Blocks 0..9 take positions 1..10 of word 0, and their re-references
+   find the old flag in the open word.  Fresh blocks then fill word 0
+   up to block 26 at position 31, and block 27 opens word 1 at position
+   32, which closes word 0; the re-references after that find flags in
+   the word just closed (26, 1, 3, 24) and in the open word (27, then 26
+   again).  The last run does the same across the boundary at position
+   64. *)
+let test_reuse_open_and_closed_word () =
+  check_every_access
+    (range 0 9
+    @ [ 4; 0; 9; 9; 5; 2 ]
+    @ range 10 24
+    @ [ 26; 27; 25; 26; 1; 27; 3; 26; 24 ]
+    @ range 28 80
+    @ [ 60; 79; 30; 80; 62; 63; 64; 0; 40; 40; 79 ])
+
+(* Block [i] of a fresh run sits at position [i + 1]: block 30 at bit 31
+   of word 0 and block 31 at bit 0 of word 1, whose position closes word
+   0.  Block 31 is re-referenced while its word is open, block 30 after
+   its word closed; then blocks 60 and 61 sit at bits 31 and 0 either
+   side of the next boundary and are re-referenced the same way.  A flag
+   at bit 31 is always the newest of the open word, so it is re-read
+   only once the word has closed.  At block sizes 1 and 256. *)
+let test_reuse_word_edge_bits () =
+  List.iter
+    (fun block_bytes ->
+      check_every_access ~block_bytes
+        (range 0 33 @ [ 31; 30 ] @ range 34 62 @ [ 61; 60; 0; 31; 30 ]))
+    [ 1; 256 ]
+
+(* The clock's first 127 positions fill before the first compaction, so
+   the 128th access of a round-robin over 32 blocks compacts to exactly
+   32 live flags: the clock lands on bit 0 of word 1, with word 0 closed
+   and holding 31 flags.  Reverse sweeps and near and far re-references
+   follow, through the compactions after. *)
+let test_reuse_compaction_on_word_boundary () =
+  let rng = Workload.Rng.create 41 in
+  let rr = List.concat (List.init 4 (fun _ -> range 0 31)) in
+  let after =
+    [ 0; 31; 0; 1; 30 ] @ List.rev (range 0 31)
+    @ List.init 600 (fun i ->
+          if i mod 3 = 0 then Workload.Rng.int rng 4
+          else Workload.Rng.int rng 32)
+  in
+  check_every_access (rr @ after)
+
+(* 33 and then 100 distinct blocks against a clock of 128 positions:
+   each compaction must grow the capacity to keep it at least four times
+   the live flags, and renumber the flags into the new words. *)
+let test_reuse_compaction_grows () =
+  let rng = Workload.Rng.create 43 in
+  let rr n rounds = List.concat (List.init rounds (fun _ -> range 0 (n - 1))) in
+  check_every_access
+    (rr 33 5
+    @ List.init 400 (fun _ -> Workload.Rng.int rng 33)
+    @ rr 100 4
+    @ List.init 800 (fun i ->
+          if i mod 2 = 0 then Workload.Rng.int rng 8 else Workload.Rng.int rng 100)
+    )
+
+(* Random block sizes (1..256 bytes, powers of two) and universes
+   (1..3000 blocks); each stream mixes a hot set, uniform picks and a
+   sequential sweep, so distances span closed and open words and
+   compactions at every capacity the stream reaches. *)
+let prop_reuse_matches_oracle =
+  let module R = Obs.Profile.Reuse in
+  let gen =
+    QCheck.Gen.(
+      quad (int_bound 8) (int_range 1 3000) (int_range 1 1200) (int_bound 1_000_000))
+  in
+  QCheck.Test.make ~count:300
+    ~name:"reuse profiler equals the LRU-stack oracle"
+    (QCheck.make
+       ~print:(fun (lg, u, n, seed) ->
+         Printf.sprintf "block_bytes %d, universe %d, %d accesses, seed %d"
+           (1 lsl lg) u n seed)
+       gen)
+    (fun (lg, universe, accesses, seed) ->
+      let block_bytes = 1 lsl lg in
+      let rng = Workload.Rng.create seed in
+      let hot = 1 + Workload.Rng.int rng 40 and sweep = ref 0 in
+      let stream =
+        List.init accesses (fun _ ->
+            match Workload.Rng.int rng 5 with
+            | 0 | 1 -> Workload.Rng.int rng (min hot universe)
+            | 2 | 3 -> Workload.Rng.int rng universe
+            | _ ->
+                sweep := (!sweep + 1) mod universe;
+                !sweep)
+      in
+      let r = R.create ~block_bytes in
+      List.iter
+        (fun b ->
+          R.on_access r false
+            ((b * block_bytes) + Workload.Rng.int rng block_bytes))
+        stream;
+      let cold, hist = brute_force_histogram stream in
+      let implied cap =
+        cold
+        + List.fold_left
+            (fun acc (d, c) -> if d >= cap then acc + c else acc)
+            0 hist
+      in
+      R.histogram r = hist
+      && R.cold_misses r = cold
+      && R.distinct_blocks r = cold
+      && List.for_all
+           (fun cap -> R.implied_misses r ~blocks:cap = implied cap)
+           [ 0; 1; 31; 32; 33; universe; 2 * universe ])
+
 (* The profiler's state grows with the distinct blocks, not with the
    accesses: 2M accesses over 1000 blocks. *)
 let test_reuse_footprint () =
@@ -579,6 +722,15 @@ let tests =
           test_reuse_oracle_compaction;
         Alcotest.test_case "reuse footprint per distinct block" `Quick
           test_reuse_footprint;
+        Alcotest.test_case "reuse: open word and word just closed" `Quick
+          test_reuse_open_and_closed_word;
+        Alcotest.test_case "reuse: flags at bits 0 and 31" `Quick
+          test_reuse_word_edge_bits;
+        Alcotest.test_case "reuse: compaction onto a word boundary" `Quick
+          test_reuse_compaction_on_word_boundary;
+        Alcotest.test_case "reuse: compaction grows the capacity" `Quick
+          test_reuse_compaction_grows;
+        QCheck_alcotest.to_alcotest prop_reuse_matches_oracle;
         Alcotest.test_case "spatial word limit" `Quick test_spatial_word_limit;
       ] );
   ]
