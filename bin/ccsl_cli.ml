@@ -100,6 +100,40 @@ let experiment_cmd exp_name =
     Term.(const run $ extra_term $ scale_term $ seed_term $ json_term)
 
 (* ------------------------------------------------------------------ *)
+(* Single-benchmark subcommands                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* The steps profile, run, layout and lint share: an unknown name exits
+   2; otherwise the report is printed and, with [--json], its payload is
+   written in the export envelope as experiment "<kind>-<name>". *)
+let report_bench (what, names) ~kind ?scale ?seed json_file pp to_json name
+    = function
+  | None ->
+      Format.eprintf "unknown %s %S (expected %s)@." what name
+        (String.concat ", " names);
+      exit 2
+  | Some report ->
+      Format.printf "%a@." pp report;
+      Option.iter
+        (fun file ->
+          Obs.Export.write_file file
+            (Obs.Export.envelope ~experiment:(kind ^ "-" ^ name) ?scale ?seed
+               (to_json report));
+          Format.printf "wrote %s@." file)
+        json_file;
+      report
+
+let olden_bench = ("benchmark", Harness.Experiments.olden_names)
+
+let bench_arg doc =
+  Arg.(required & pos 0 (some string) None & info [] ~docv:"BENCH" ~doc)
+
+let olden_bench_arg verb =
+  bench_arg
+    ("Benchmark to " ^ verb
+   ^ ": $(b,treeadd), $(b,health), $(b,mst) or $(b,perimeter).")
+
+(* ------------------------------------------------------------------ *)
 (* profile subcommand                                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -116,32 +150,13 @@ let run_profile bench placement_str paper seed json_file =
           placement_str;
         exit 2
   in
-  match Harness.Profiles.run ~scale ?seed ~placement bench with
-  | None ->
-      Format.eprintf "unknown benchmark %S (expected %s)@." bench
-        (String.concat ", " Harness.Experiments.olden_names);
-      exit 2
-  | Some report -> (
-      Format.printf "%a@." Harness.Profiles.pp report;
-      match json_file with
-      | None -> ()
-      | Some file ->
-          Obs.Export.write_file file
-            (Obs.Export.envelope
-               ~experiment:("profile-" ^ bench)
-               ~scale:(Harness.Experiments.scale_name scale)
-               ?seed
-               (Harness.Profiles.to_json report));
-          Format.printf "wrote %s@." file)
+  ignore
+    (report_bench olden_bench ~kind:"profile"
+       ~scale:(Harness.Experiments.scale_name scale)
+       ?seed json_file Harness.Profiles.pp Harness.Profiles.to_json bench
+       (Harness.Profiles.run ~scale ?seed ~placement bench))
 
 let profile_cmd =
-  let bench_term =
-    let doc =
-      "Benchmark to profile: $(b,treeadd), $(b,health), $(b,mst) or \
-       $(b,perimeter)."
-    in
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"BENCH" ~doc)
-  in
   let placement_term =
     let doc =
       "Placement configuration (Figure 7 legend code or long name): \
@@ -159,58 +174,31 @@ let profile_cmd =
   Cmd.v
     (Cmd.info "profile" ~doc)
     Term.(
-      const run_profile $ bench_term $ placement_term $ scale_term $ seed_term
-      $ json_term)
+      const run_profile $ olden_bench_arg "profile" $ placement_term
+      $ scale_term $ seed_term $ json_term)
 
 (* ------------------------------------------------------------------ *)
 (* run subcommand (whole-program static placement arms)                *)
 (* ------------------------------------------------------------------ *)
 
-let run_whole_program bench parallel seed json_file =
-  match Harness.Whole_program.run ?seed ~parallel bench with
-  | None ->
-      Format.eprintf "unknown benchmark %S (expected %s)@." bench
-        (String.concat ", " Harness.Experiments.olden_names);
-      exit 2
-  | Some report ->
-      Format.printf "%a@." Harness.Whole_program.pp report;
-      (match json_file with
-      | None -> ()
-      | Some file ->
-          Obs.Export.write_file file
-            (Obs.Export.envelope
-               ~experiment:("run-" ^ bench)
-               ?seed
-               (Harness.Whole_program.to_json report));
-          Format.printf "wrote %s@." file)
+let run_whole_program bench seed json_file =
+  ignore
+    (report_bench olden_bench ~kind:"run" ?seed json_file
+       Harness.Whole_program.pp Harness.Whole_program.to_json bench
+       (Harness.Whole_program.run ?seed bench))
 
 let run_cmd =
-  let bench_term =
-    let doc =
-      "Benchmark to run: $(b,treeadd), $(b,health), $(b,mst) or \
-       $(b,perimeter)."
-    in
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"BENCH" ~doc)
-  in
-  let parallel_term =
-    let doc =
-      "Run the placement arms as concurrent forked processes, each \
-       marshalling its typed result back.  Results, including the JSON \
-       export, are byte-identical to a serial run; wall time drops to \
-       the slowest arm on multi-core machines."
-    in
-    Arg.(value & flag & info [ "parallel" ] ~doc)
-  in
   let doc =
     "Run one Olden benchmark whole-program under three placement arms: \
      the no-placement base, the static Figure 7 ccmorph arm (malloc plus \
-     ccmorph), and $(b,static-ccmalloc) (ccmalloc new-block plus ccmorph)."
+     ccmorph), and $(b,static-ccmalloc) (ccmalloc new-block plus ccmorph). \
+     The arms run as concurrent forked processes when the machine has \
+     more than one core."
   in
   Cmd.v
     (Cmd.info "run" ~doc)
     Term.(
-      const run_whole_program $ bench_term $ parallel_term $ seed_term
-      $ json_term)
+      const run_whole_program $ olden_bench_arg "run" $ seed_term $ json_term)
 
 (* ------------------------------------------------------------------ *)
 (* simbench subcommand (simulator self-benchmark)                      *)
@@ -250,34 +238,23 @@ let simbench_cmd =
 (* layout subcommand (multi-level layout-engine shootout)              *)
 (* ------------------------------------------------------------------ *)
 
-let run_layout bench paper seed parallel json_file =
+let run_layout bench paper seed json_file =
   let scale = scale_of paper in
-  match Harness.Layout_shootout.run ~scale ?seed ~parallel bench with
-  | None ->
-      Format.eprintf "unknown workload %S (expected %s)@." bench
-        (String.concat ", " Harness.Layout_shootout.names);
-      exit 2
-  | Some report -> (
-      Format.printf "%a@." Harness.Layout_shootout.pp report;
-      match json_file with
-      | None -> ()
-      | Some file ->
-          Obs.Export.write_file file
-            (Obs.Export.envelope
-               ~experiment:("layout-" ^ bench)
-               ~scale:(Harness.Experiments.scale_name scale)
-               ?seed
-               (Harness.Layout_shootout.to_json report));
-          Format.printf "wrote %s@." file)
+  ignore
+    (report_bench
+       ("workload", Harness.Layout_shootout.names)
+       ~kind:"layout"
+       ~scale:(Harness.Experiments.scale_name scale)
+       ?seed json_file Harness.Layout_shootout.pp
+       Harness.Layout_shootout.to_json bench
+       (Harness.Layout_shootout.run ~scale ?seed bench))
 
 let layout_cmd =
   let bench_term =
-    let doc =
+    bench_arg
       "Workload to race the engines on: $(b,micro) (the Figure 5 tree \
        search benchmark with the TLB modeled), $(b,health) or \
        $(b,treeadd)."
-    in
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"BENCH" ~doc)
   in
   let json_term =
     let doc =
@@ -289,27 +266,18 @@ let layout_cmd =
       & opt ~vopt:(Some "layout.json") (some string) None
       & info [ "json" ] ~docv:"FILE" ~doc)
   in
-  let parallel_term =
-    let doc =
-      "Run the engines as concurrent forked jobs, each marshalling its \
-       typed row back; results, including the JSON export, are \
-       byte-identical to a serial run."
-    in
-    Arg.(value & flag & info [ "parallel" ] ~doc)
-  in
   let doc =
     "Race every layout engine — the paper's subtree and depth-first \
      schemes, recursive van Emde Boas, and the profile-weighted engine \
      — on one workload, reporting per-level results: L1 misses, L2 \
      misses, TLB misses and cycles.  The multilevel view is what \
      distinguishes a cache-oblivious layout from the paper's L2-only \
-     clustering."
+     clustering.  The engines run as concurrent forked processes when \
+     the machine has more than one core."
   in
   Cmd.v
     (Cmd.info "layout" ~doc)
-    Term.(
-      const run_layout $ bench_term $ scale_term $ seed_term $ parallel_term
-      $ json_term)
+    Term.(const run_layout $ bench_term $ scale_term $ seed_term $ json_term)
 
 (* ------------------------------------------------------------------ *)
 (* lint subcommand                                                     *)
@@ -324,28 +292,15 @@ let run_lint bench paper seed fail_on json_file =
         Format.eprintf "unknown severity %S (expected error or warn)@." fail_on;
         exit 2
   in
-  match Harness.Lint.run ~scale ?seed bench with
-  | None ->
-      Format.eprintf "unknown benchmark %S (expected %s)@." bench
-        (String.concat ", " Harness.Experiments.olden_names);
-      exit 2
-  | Some report ->
-      Format.printf "%a@." Harness.Lint.pp report;
-      (match json_file with
-      | None -> ()
-      | Some file ->
-          Obs.Export.write_file file (Harness.Lint.to_json report);
-          Format.printf "wrote %s@." file);
-      exit (Analyze.Diag.exit_code ~fail_on report.Harness.Lint.diags)
+  let report =
+    report_bench olden_bench ~kind:"lint"
+      ~scale:(Harness.Experiments.scale_name scale)
+      json_file Harness.Lint.pp Harness.Lint.to_json bench
+      (Harness.Lint.run ~scale ?seed bench)
+  in
+  exit (Analyze.Diag.exit_code ~fail_on report.Harness.Lint.diags)
 
 let lint_cmd =
-  let bench_term =
-    let doc =
-      "Benchmark to lint: $(b,treeadd), $(b,health), $(b,mst) or \
-       $(b,perimeter)."
-    in
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"BENCH" ~doc)
-  in
   let fail_on_term =
     let doc =
       "Exit nonzero when any diagnostic is at least this severe: \
@@ -363,8 +318,8 @@ let lint_cmd =
   Cmd.v
     (Cmd.info "lint" ~doc)
     Term.(
-      const run_lint $ bench_term $ scale_term $ seed_term $ fail_on_term
-      $ json_term)
+      const run_lint $ olden_bench_arg "lint" $ scale_term $ seed_term
+      $ fail_on_term $ json_term)
 
 (* ------------------------------------------------------------------ *)
 

@@ -12,8 +12,10 @@ let () =
     "Searching a %d-key tree on the simulated E5000 (cycles/search)...@.@."
     keys;
   let series =
-    Micro.Tree_bench.fig5 ~keys ~searches:20_000
-      ~checkpoints:[ 10; 100; 1_000; 20_000 ] ()
+    List.map
+      (Micro.Tree_bench.fig5 ~keys ~searches:20_000
+         ~checkpoints:[ 10; 100; 1_000; 20_000 ])
+      Micro.Tree_bench.all_variants
   in
   Format.printf "%-38s %8s %8s %8s %8s@." "" "10" "100" "1k" "20k";
   List.iter

@@ -3,7 +3,6 @@ module Machine = Memsim.Machine
 
 type t = {
   m : Machine.t;
-  grow_pages : int;
   name : string;
   mutable cur : int;  (* next free byte *)
   mutable limit : int;  (* end of current region *)
@@ -12,11 +11,14 @@ type t = {
   mutable bytes_reserved : int;
 }
 
-let create ?(grow_pages = 16) ?(name = "bump") m =
-  { m; grow_pages; name; cur = 0; limit = 0; allocations = 0;
+let create ?(name = "bump") m =
+  { m; name; cur = 0; limit = 0; allocations = 0;
     bytes_requested = 0; bytes_reserved = 0 }
 
 let alloc_cycles = 4
+
+(* Pages reserved per region (more when one object needs more). *)
+let grow_pages = 16
 
 let alloc t ?(align = 4) bytes =
   if bytes <= 0 then invalid_arg "Bump.alloc: bytes <= 0";
@@ -24,7 +26,7 @@ let alloc t ?(align = 4) bytes =
   let aligned = A.align_up t.cur align in
   if aligned + bytes > t.limit then begin
     let pages =
-      max t.grow_pages
+      max grow_pages
         ((bytes + Machine.page_bytes t.m - 1) / Machine.page_bytes t.m)
     in
     let base = Machine.reserve_pages t.m pages in

@@ -5,7 +5,7 @@
 
 type t
 
-val create : ?grow_pages:int -> ?name:string -> Memsim.Machine.t -> t
+val create : ?name:string -> Memsim.Machine.t -> t
 
 val alloc : t -> ?align:int -> int -> Memsim.Addr.t
 (** Default alignment 4 bytes. *)

@@ -7,12 +7,15 @@ let header_bytes = 8
 let alloc_cycles = 12
 let free_cycles = 8
 
+(* Pages drawn from the machine's reservation broker when the
+   wilderness runs dry. *)
+let grow_pages = 16
+
 (* One exact-size LIFO bin: a stack of chunk base addresses. *)
 type bin = { size : int; chunks : Int_stack.t }
 
 type t = {
   m : Machine.t;
-  grow_pages : int;
   (* exact-size bins: carved size -> index into [bins] *)
   bin_of_size : Int_table.t;
   mutable bins : bin array;
@@ -28,10 +31,9 @@ type t = {
 
 let no_bin = { size = 0; chunks = Int_stack.create 1 }
 
-let create ?(grow_pages = 16) m =
+let create m =
   {
     m;
-    grow_pages;
     bin_of_size = Int_table.create 16;
     bins = Array.make 8 no_bin;
     nbins = 0;
@@ -63,7 +65,7 @@ let bin t size =
 let carve t need =
   if t.wilderness + need > t.wilderness_end then begin
     let pages =
-      max t.grow_pages
+      max grow_pages
         ((need + Machine.page_bytes t.m - 1) / Machine.page_bytes t.m)
     in
     let base = Machine.reserve_pages t.m pages in

@@ -13,9 +13,9 @@
 
 type t
 
-val create : ?grow_pages:int -> Memsim.Machine.t -> t
-(** [grow_pages] (default 16) is how many pages are drawn from the
-    machine's reservation broker when the wilderness runs dry. *)
+val create : Memsim.Machine.t -> t
+(** 16 pages are drawn from the machine's reservation broker whenever
+    the wilderness runs dry. *)
 
 val allocator : t -> Allocator.t
 (** The {!Allocator.t} view (ignores hints). *)

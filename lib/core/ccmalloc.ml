@@ -57,7 +57,6 @@ type page = {
 type t = {
   m : Machine.t;
   strategy : strategy;
-  pages_per_grow : int;
   block_bytes : int;
   blocks_per_page : int;
   pages : Int_table.t;  (* page index -> page id *)
@@ -103,13 +102,12 @@ let no_page =
   { id = -1; base = A.null; fill = [||]; freed = [||]; opened = [||];
     hinted = false }
 
-let create ?(strategy = New_block) ?(pages_per_grow = 1) m =
+let create ?(strategy = New_block) m =
   let block_bytes = Machine.l2_block_bytes m in
   let page_bytes = Machine.page_bytes m in
   {
     m;
     strategy;
-    pages_per_grow;
     block_bytes;
     blocks_per_page = page_bytes / block_bytes;
     pages = Int_table.create 128;
@@ -188,30 +186,24 @@ let rec take_slot s p b unit prev c =
     else take_slot s p b unit c s.s_next.(c)
 
 let open_page t =
-  let base = Machine.reserve_pages t.m t.pages_per_grow in
-  (* reserve_pages may hand out multiple pages; register each. *)
-  let first = ref no_page in
-  for i = 0 to t.pages_per_grow - 1 do
-    let b = base + (i * page_bytes t) in
-    let id = t.pages_opened in
-    let p =
-      {
-        id;
-        base = b;
-        fill = Array.make t.blocks_per_page 0;
-        freed = Array.make t.blocks_per_page (-1);
-        opened = Array.make t.blocks_per_page false;
-        hinted = false;
-      }
-    in
-    if id = Array.length t.page_vec then
-      t.page_vec <- Array.append t.page_vec (Array.make id no_page);
-    t.page_vec.(id) <- p;
-    Int_table.replace t.pages (A.page_index b ~page_bytes:(page_bytes t)) id;
-    t.pages_opened <- t.pages_opened + 1;
-    if !first == no_page then first := p
-  done;
-  !first
+  let base = Machine.reserve_pages t.m 1 in
+  let id = t.pages_opened in
+  let p =
+    {
+      id;
+      base;
+      fill = Array.make t.blocks_per_page 0;
+      freed = Array.make t.blocks_per_page (-1);
+      opened = Array.make t.blocks_per_page false;
+      hinted = false;
+    }
+  in
+  if id = Array.length t.page_vec then
+    t.page_vec <- Array.append t.page_vec (Array.make id no_page);
+  t.page_vec.(id) <- p;
+  Int_table.replace t.pages (A.page_index base ~page_bytes:(page_bytes t)) id;
+  t.pages_opened <- t.pages_opened + 1;
+  p
 
 (* Place a [unit]-byte object (header + payload) in block [b] of [p];
    caller checked it fits (a freed slot or bump room).  Returns the

@@ -27,8 +27,7 @@ val strategy_name : strategy -> string
 
 type t
 
-val create :
-  ?strategy:strategy -> ?pages_per_grow:int -> Memsim.Machine.t -> t
+val create : ?strategy:strategy -> Memsim.Machine.t -> t
 (** The block size is the machine's L2 block size (the paper's choice:
     L1 blocks at 16 B are too small to co-locate anything).  Default
     strategy is {!New_block}, the paper's consistent winner. *)

@@ -3,10 +3,10 @@ module Config = Memsim.Config
 module Bst = Structures.Bst
 module Rng = Workload.Rng
 module Ccmorph = Ccsl.Ccmorph
+module Tb = Micro.Tree_bench
 module J = Obs.Json
 
 let section = Report.section
-let elem = Bst.default_elem_bytes
 
 (* Every study derives its random streams from [?seed]: [None] keeps the
    repository's historical constants (reference output stays bit-exact),
@@ -14,29 +14,21 @@ let elem = Bst.default_elem_bytes
 let sd seed default offset =
   match seed with None -> default | Some s -> s + offset
 
-(* Build a random-layout tree on a fresh E5000+TLB machine, morph it with
-   [params] (or leave it naive), and measure steady-state searches whose
-   keys come from [next_key]. *)
-let measure_tree ?params ?(build_seed = 17) ~n ~searches ~next_key () =
-  let m = Machine.create (Config.ultrasparc_e5000 ~tlb:true ()) in
-  let keys = Array.init n (fun i -> i) in
-  let t = Bst.build m ~elem_bytes:elem (Bst.Random (Rng.create build_seed)) ~keys in
-  let t =
-    match params with
-    | None -> t
-    | Some p ->
-        let r = Ccmorph.morph ~params:p m (Bst.desc ~elem_bytes:elem) ~root:t.Bst.root in
-        Bst.of_root m ~elem_bytes:elem ~n r.Ccmorph.new_root
-  in
-  Machine.cold_start m;
-  for i = 1 to searches / 4 do
-    ignore (Bst.search t (next_key i))
-  done;
-  Machine.reset_measurement m;
-  for i = 1 to searches do
-    ignore (Bst.search t (next_key i))
-  done;
-  float_of_int (Machine.cycles m) /. float_of_int searches
+let e5000 () = Config.ultrasparc_e5000 ~tlb:true ()
+
+(* The historical random tree layout, from build seed 17 by default. *)
+let random_layout seed = Bst.Random (Rng.create (sd seed 17 0))
+
+(* One tree-search arm: build a tree in [layout] on a fresh [config]
+   machine, morph it with [morph] (or leave it as built), and measure
+   steady-state searches whose keys come from [next_key]; cycles per
+   search. *)
+let measure_tree ?morph config layout ~n ~searches ~next_key =
+  let m = Machine.create config in
+  let t = Tb.build ?morph m layout ~keys:(Array.init n (fun i -> i)) in
+  let search i = ignore (Bst.search t (next_key i)) in
+  let cycles = Tb.measure m ~searches search in
+  float_of_int cycles /. float_of_int searches
 
 let uniform_keys n seed =
   let rng = Rng.create seed in
@@ -50,8 +42,8 @@ let color_frac ?seed ppf =
   let searches = 20_000 in
   let run label params =
     let c =
-      measure_tree ?params ~build_seed:(sd seed 17 0) ~n ~searches
-        ~next_key:(uniform_keys n (sd seed 5 1)) ()
+      measure_tree ?morph:params (e5000 ()) (random_layout seed) ~n ~searches
+        ~next_key:(uniform_keys n (sd seed 5 1))
     in
     Format.fprintf ppf "  %-28s %8.1f cycles/search@." label c;
     J.Obj [ ("label", J.String label); ("cycles_per_search", J.Float c) ]
@@ -76,10 +68,10 @@ let cluster_scheme ?seed ppf =
   (* (a) random searches *)
   let search_cost scheme =
     measure_tree
-      ~params:
+      ~morph:
         { Ccmorph.default_params with Ccmorph.cluster = scheme; color = false }
-      ~build_seed:(sd seed 17 0) ~n ~searches:20_000
-      ~next_key:(uniform_keys n (sd seed 5 1)) ()
+      (e5000 ()) (random_layout seed) ~n ~searches:20_000
+      ~next_key:(uniform_keys n (sd seed 5 1))
   in
   let search_sub = search_cost Ccmorph.Subtree in
   let search_dfs = search_cost Ccmorph.Depth_first in
@@ -90,12 +82,14 @@ let cluster_scheme ?seed ppf =
      schemes both pack walk-consecutive nodes, so subtree clustering must
      merely not lose here while winning the searches above *)
   let walk_cost scheme =
-    let m = Machine.create (Config.ultrasparc_e5000 ~tlb:true ()) in
-    let keys = Array.init n (fun i -> i) in
-    let t = Bst.build m ~elem_bytes:elem (Bst.Random (Rng.create (sd seed 17 0))) ~keys in
-    let p = { Ccmorph.default_params with Ccmorph.cluster = scheme; color = false } in
-    let r = Ccmorph.morph ~params:p m (Bst.desc ~elem_bytes:elem) ~root:t.Bst.root in
-    let root = r.Ccmorph.new_root in
+    let m = Machine.create (e5000 ()) in
+    let t =
+      Tb.build
+        ~morph:
+          { Ccmorph.default_params with Ccmorph.cluster = scheme; color = false }
+        m (random_layout seed) ~keys:(Array.init n (fun i -> i))
+    in
+    let root = t.Bst.root in
     Machine.reset_measurement m;
     let rec walk node =
       if not (Memsim.Addr.is_null node) then begin
@@ -147,9 +141,9 @@ let zipf_skew ?seed ppf =
       (fun (label, theta) ->
         let cost colored =
           measure_tree
-            ~params:{ Ccmorph.default_params with Ccmorph.color = colored }
-            ~build_seed:(sd seed 17 0) ~n ~searches
-            ~next_key:(next_key_of theta) ()
+            ~morph:{ Ccmorph.default_params with Ccmorph.color = colored }
+            (e5000 ()) (random_layout seed) ~n ~searches
+            ~next_key:(next_key_of theta)
         in
         let un = cost false and co = cost true in
         let gain = 100. *. (1. -. (co /. un)) in
@@ -172,7 +166,7 @@ let hint_quality ?seed ppf =
   section ppf "Ablation: ccmalloc hint quality on a list-churn workload";
   let lists = 512 and cells = 80 and rounds = 60 in
   let run hint_mode =
-    let m = Machine.create (Config.ultrasparc_e5000 ~tlb:true ()) in
+    let m = Machine.create (e5000 ()) in
     let cc = Ccsl.Ccmalloc.create ~strategy:Ccsl.Ccmalloc.New_block m in
     let rng = Rng.create (sd seed 31 0) in
     let live = ref [] in
@@ -255,14 +249,14 @@ let hint_quality ?seed ppf =
 let mshr_sweep ?seed ppf =
   ignore seed;
   section ppf "Ablation: MSHR count vs. greedy software prefetching (treeadd)";
+  let treeadd = Experiments.treeadd { Olden.Treeadd.levels = 15; passes = 1 } in
   let rows =
     List.map
       (fun mshrs ->
-        let cfg = Config.rsim_table1 ~mshrs () in
+        let config = Config.rsim_table1 ~mshrs () in
         let r =
-          Olden.Treeadd.run
-            ~params:{ Olden.Treeadd.levels = 15; passes = 1 }
-            ~config:cfg Olden.Common.Sw_prefetch
+          treeadd.Experiments.k_run
+            (Olden.Common.make_ctx ~config Olden.Common.Sw_prefetch)
         in
         Format.fprintf ppf "  mshrs = %2d   %9d cycles@." mshrs
           r.Olden.Common.snapshot.Memsim.Cost.s_total;
@@ -281,9 +275,9 @@ let page_aware ?seed ppf =
   let n = 1 lsl 19 in
   let run pa =
     measure_tree
-      ~params:{ Ccmorph.default_params with Ccmorph.page_aware = pa }
-      ~build_seed:(sd seed 17 0) ~n ~searches:20_000
-      ~next_key:(uniform_keys n (sd seed 5 1)) ()
+      ~morph:{ Ccmorph.default_params with Ccmorph.page_aware = pa }
+      (e5000 ()) (random_layout seed) ~n ~searches:20_000
+      ~next_key:(uniform_keys n (sd seed 5 1))
   in
   let bf = run false and df = run true in
   Format.fprintf ppf
@@ -298,30 +292,21 @@ let interference ?seed ppf =
   let n = 1 lsl 17 in
   let searches = 20_000 in
   let run label p1 p2 =
-    let m = Machine.create (Config.ultrasparc_e5000 ~tlb:true ()) in
+    let m = Machine.create (e5000 ()) in
     let keys = Array.init n (fun i -> i) in
-    let build bs = Bst.build m ~elem_bytes:elem (Bst.Random (Rng.create bs)) ~keys in
+    let build bs = Tb.build m (Bst.Random (Rng.create bs)) ~keys in
     let t1 = build (sd seed 1 0) and t2 = build (sd seed 2 1) in
     let morph t p =
-      match p with
-      | None -> t
-      | Some p ->
-          let r = Ccmorph.morph ~params:p m (Bst.desc ~elem_bytes:elem) ~root:t.Bst.root in
-          Bst.of_root m ~elem_bytes:elem ~n r.Ccmorph.new_root
+      match p with None -> t | Some params -> fst (Tb.morph ~params t)
     in
     let t1 = morph t1 p1 and t2 = morph t2 p2 in
     let rng = Rng.create (sd seed 5 2) in
-    Machine.cold_start m;
-    for _ = 1 to searches / 4 do
-      ignore (Bst.search t1 (Rng.int rng n));
-      ignore (Bst.search t2 (Rng.int rng n))
-    done;
-    Machine.reset_measurement m;
-    for _ = 1 to searches do
-      ignore (Bst.search t1 (Rng.int rng n));
-      ignore (Bst.search t2 (Rng.int rng n))
-    done;
-    let c = float_of_int (Machine.cycles m) /. float_of_int (2 * searches) in
+    let cycles =
+      Tb.measure m ~searches (fun _ ->
+          ignore (Bst.search t1 (Rng.int rng n));
+          ignore (Bst.search t2 (Rng.int rng n)))
+    in
+    let c = float_of_int cycles /. float_of_int (2 * searches) in
     Format.fprintf ppf "  %-34s %8.1f cycles/search@." label c;
     J.Obj [ ("label", J.String label); ("cycles_per_search", J.Float c) ]
   in
@@ -359,25 +344,24 @@ let dynamic_updates ?seed ppf =
   let ops = 40_000 in
   let keys = Array.init n (fun i -> i * 2) in
   let run_ctree insert_frac =
-    let m = Machine.create (Config.ultrasparc_e5000 ~tlb:true ()) in
-    let t = Bst.build m ~elem_bytes:elem (Bst.Random (Rng.create (sd seed 3 0))) ~keys in
-    let morph t =
-      let r = Ccmorph.morph m (Bst.desc ~elem_bytes:elem) ~root:t.Bst.root in
-      Bst.of_root m ~elem_bytes:elem ~n:t.Bst.n r.Ccmorph.new_root
+    let m = Machine.create (e5000 ()) in
+    let t =
+      ref
+        (Tb.build ~morph:Ccmorph.default_params m
+           (Bst.Random (Rng.create (sd seed 3 0))) ~keys)
     in
-    let t = ref (morph t) in
     let rng = Rng.create (sd seed 4 1) in
     Machine.reset_measurement m;
     for i = 1 to ops do
       if Rng.float rng < insert_frac then
         ignore (Bst.insert !t ((2 * Rng.int rng (4 * n)) + 1))
       else ignore (Bst.search !t (2 * Rng.int rng n));
-      if i mod 8192 = 0 && insert_frac > 0. then t := morph !t
+      if i mod 8192 = 0 && insert_frac > 0. then t := fst (Tb.morph !t)
     done;
     float_of_int (Machine.cycles m) /. float_of_int ops
   in
   let run_btree insert_frac =
-    let m = Machine.create (Config.ultrasparc_e5000 ~tlb:true ()) in
+    let m = Machine.create (e5000 ()) in
     let t = ref (Structures.Btree.build m ~colored:true ~keys) in
     let rng = Rng.create (sd seed 4 1) in
     Machine.reset_measurement m;
@@ -420,14 +404,9 @@ let miss_curves ?seed ppf =
   let n = 1 lsl 18 in
   let record params =
     let m = Machine.create (Config.ultrasparc_e5000 ()) in
-    let keys = Array.init n (fun i -> i) in
-    let t = Bst.build m ~elem_bytes:elem (Bst.Random (Rng.create (sd seed 17 0))) ~keys in
     let t =
-      match params with
-      | None -> t
-      | Some p ->
-          let r = Ccmorph.morph ~params:p m (Bst.desc ~elem_bytes:elem) ~root:t.Bst.root in
-          Bst.of_root m ~elem_bytes:elem ~n r.Ccmorph.new_root
+      Tb.build ?morph:params m (random_layout seed)
+        ~keys:(Array.init n (fun i -> i))
     in
     let tr = Memsim.Trace.create () in
     let rng = Rng.create (sd seed 5 1) in
@@ -435,12 +414,14 @@ let miss_curves ?seed ppf =
     for _ = 1 to 4000 do
       ignore (Bst.search t (Rng.int rng n))
     done;
-    Machine.set_tracer m
-      (Some (fun w a -> Memsim.Trace.record tr (if w then Memsim.Trace.Store else Memsim.Trace.Load) a));
+    let sub =
+      Machine.subscribe m (fun w a ->
+          Memsim.Trace.record tr (if w then Memsim.Trace.Store else Memsim.Trace.Load) a)
+    in
     for _ = 1 to 4000 do
       ignore (Bst.search t (Rng.int rng n))
     done;
-    Machine.set_tracer m None;
+    Machine.unsubscribe m sub;
     tr
   in
   let naive = record None in
@@ -486,7 +467,7 @@ let associativity ?seed ppf =
     List.map
       (fun assoc ->
         let cfg =
-          let base = Config.ultrasparc_e5000 ~tlb:true () in
+          let base = e5000 () in
           {
             base with
             Config.l2 =
@@ -495,22 +476,10 @@ let associativity ?seed ppf =
           }
         in
         let cost colored =
-          let m = Machine.create cfg in
-          let keys = Array.init n (fun i -> i) in
-          let t = Bst.build m ~elem_bytes:elem (Bst.Random (Rng.create (sd seed 17 0))) ~keys in
-          let p = { Ccmorph.default_params with Ccmorph.color = colored } in
-          let r = Ccmorph.morph ~params:p m (Bst.desc ~elem_bytes:elem) ~root:t.Bst.root in
-          let t = Bst.of_root m ~elem_bytes:elem ~n r.Ccmorph.new_root in
-          let rng = Rng.create (sd seed 5 1) in
-          Machine.cold_start m;
-          for _ = 1 to searches / 4 do
-            ignore (Bst.search t (Rng.int rng n))
-          done;
-          Machine.reset_measurement m;
-          for _ = 1 to searches do
-            ignore (Bst.search t (Rng.int rng n))
-          done;
-          float_of_int (Machine.cycles m) /. float_of_int searches
+          measure_tree
+            ~morph:{ Ccmorph.default_params with Ccmorph.color = colored }
+            cfg (random_layout seed) ~n ~searches
+            ~next_key:(uniform_keys n (sd seed 5 1))
         in
         let un = cost false and co = cost true in
         let gain = 100. *. (1. -. (co /. un)) in
@@ -538,20 +507,9 @@ let veb_layout ?seed ppf =
      reserve a hot region the way coloring does.@.@.";
   let n = 1 lsl 19 in
   let searches = 20_000 in
-  let measure_layout layout =
-    let m = Machine.create (Config.ultrasparc_e5000 ~tlb:true ()) in
-    let keys = Array.init n (fun i -> i) in
-    let t = Bst.build m ~elem_bytes:elem layout ~keys in
-    let rng = Rng.create (sd seed 5 1) in
-    Machine.cold_start m;
-    for _ = 1 to searches / 4 do
-      ignore (Bst.search t (Rng.int rng n))
-    done;
-    Machine.reset_measurement m;
-    for _ = 1 to searches do
-      ignore (Bst.search t (Rng.int rng n))
-    done;
-    float_of_int (Machine.cycles m) /. float_of_int searches
+  let measure_layout ?morph layout =
+    measure_tree ?morph (e5000 ()) layout ~n ~searches
+      ~next_key:(uniform_keys n (sd seed 5 1))
   in
   let row label c =
     Format.fprintf ppf "  %-34s %8.1f cycles/search@." label c;
@@ -559,14 +517,11 @@ let veb_layout ?seed ppf =
   in
   let rows =
     [
-      row "random layout"
-        (measure_layout (Bst.Random (Rng.create (sd seed 17 0))));
+      row "random layout" (measure_layout (random_layout seed));
       row "depth-first layout" (measure_layout Bst.Depth_first);
       row "van Emde Boas layout" (measure_layout Bst.Van_emde_boas);
       row "C-tree (ccmorph cluster+color)"
-        (measure_tree ~params:Ccmorph.default_params
-           ~build_seed:(sd seed 17 0) ~n ~searches
-           ~next_key:(uniform_keys n (sd seed 5 1)) ());
+        (measure_layout ~morph:Ccmorph.default_params (random_layout seed));
     ]
   in
   Format.fprintf ppf
@@ -605,5 +560,20 @@ let run_named ?seed name ppf =
   | "veb-layout" -> Some (veb_layout ?seed ppf)
   | _ -> None
 
+(* One job per study, each printing into its own buffer; the texts are
+   printed in study order once every study is done. *)
 let all ?seed ppf =
-  J.Obj (List.map (fun n -> (n, Option.get (run_named ?seed n ppf))) names)
+  let study name =
+    let buf = Buffer.create 1024 in
+    let bppf = Format.formatter_of_buffer buf in
+    let json = Option.get (run_named ?seed name bppf) in
+    Format.pp_print_flush bppf ();
+    (Buffer.contents buf, json)
+  in
+  let studies = Parallel.map study names in
+  J.Obj
+    (List.map2
+       (fun name (text, json) ->
+         Format.pp_print_string ppf text;
+         (name, json))
+       names studies)

@@ -74,5 +74,6 @@ val names : string list
 val run_named : ?seed:int -> string -> Format.formatter -> Obs.Json.t option
 
 val all : ?seed:int -> Format.formatter -> Obs.Json.t
-(** Every study; the returned object maps each study name to its
-    payload. *)
+(** Every study, each one {!Parallel.map} job, printed in {!names}
+    order once all are done; the returned object maps each study name
+    to its payload. *)

@@ -24,11 +24,13 @@ let fig5_params = function
 
 let fig5 ?(scale = Quick) ?seed ppf =
   let keys, searches, checkpoints = fig5_params scale in
+  let series =
+    Parallel.map (Tb.fig5 ?seed ~keys ~searches ~checkpoints) Tb.all_variants
+  in
   section ppf
     (Printf.sprintf
        "Figure 5: tree microbenchmark -- avg cycles/search (E5000, %d keys)"
        keys);
-  let series = Tb.fig5 ?seed ~keys ~searches ~checkpoints () in
   Format.fprintf ppf "%-10s" "searches";
   List.iter
     (fun s ->
@@ -121,19 +123,41 @@ let radiance_json (r : Radiance.Radiance_bench.result) =
     ]
 
 let fig6 ?(scale = Quick) ?seed ppf =
-  section ppf "Figure 6: RADIANCE and VIS macrobenchmarks (E5000)";
-  (* RADIANCE *)
   let params =
     let p = radiance_params scale in
     match seed with
     | None -> p
     | Some s -> { p with Radiance.Radiance_bench.seed = s }
   in
-  let base = Radiance.Radiance_bench.run ~params Radiance.Radiance_bench.Base in
-  let cc =
-    Radiance.Radiance_bench.run ~params
-      Radiance.Radiance_bench.Ccmorph_cluster_color
+  let circuits =
+    match scale with
+    | Quick ->
+        [
+          Vis.Circuit.counter 7;
+          Vis.Circuit.gray_counter 7;
+          Vis.Circuit.shifter 14;
+          Vis.Circuit.lfsr 8;
+          Vis.Circuit.token_ring 12;
+        ]
+    | Paper -> Vis.Circuit.all_default
   in
+  let radiance p () = Either.Left (Radiance.Radiance_bench.run ~params p) in
+  let vis p () = Either.Right (Vis.Vis_bench.run ~circuits p) in
+  let base, cc, vb, vc =
+    match
+      Parallel.map
+        (fun arm -> arm ())
+        [
+          radiance Radiance.Radiance_bench.Base;
+          radiance Radiance.Radiance_bench.Ccmorph_cluster_color;
+          vis Vis.Vis_bench.Base;
+          vis (Vis.Vis_bench.Ccmalloc Ccsl.Ccmalloc.New_block);
+        ]
+    with
+    | [ Either.Left base; Left cc; Right vb; Right vc ] -> (base, cc, vb, vc)
+    | _ -> assert false
+  in
+  section ppf "Figure 6: RADIANCE and VIS macrobenchmarks (E5000)";
   let steady =
     float_of_int cc.Radiance.Radiance_bench.render_cycles
     /. float_of_int base.Radiance.Radiance_bench.render_cycles
@@ -157,22 +181,6 @@ let fig6 ?(scale = Quick) ?seed ppf =
   in
   Format.fprintf ppf "  image checksums agree: %b@.@." checksums_agree;
   (* VIS *)
-  let circuits =
-    match scale with
-    | Quick ->
-        [
-          Vis.Circuit.counter 7;
-          Vis.Circuit.gray_counter 7;
-          Vis.Circuit.shifter 14;
-          Vis.Circuit.lfsr 8;
-          Vis.Circuit.token_ring 12;
-        ]
-    | Paper -> Vis.Circuit.all_default
-  in
-  let vb = Vis.Vis_bench.run ~circuits Vis.Vis_bench.Base in
-  let vc =
-    Vis.Vis_bench.run ~circuits (Vis.Vis_bench.Ccmalloc Ccsl.Ccmalloc.New_block)
-  in
   let vis_norm =
     float_of_int vc.Vis.Vis_bench.cycles /. float_of_int vb.Vis.Vis_bench.cycles
   in
@@ -245,23 +253,23 @@ let olden_params ?seed scale =
 
 type kernel = {
   k_name : string;
-  k_run : ?measure_whole:bool -> ?ctx:C.ctx -> C.placement -> C.result;
+  k_run : ?measure_whole:bool -> C.ctx -> C.result;
 }
 
 (* Every [Olden.*.run] shares one signature, so one constructor covers
-   all four; [?config] is left out because callers that want another
-   machine pass a [ctx] built on it. *)
+   all four. *)
 let kernel k_name
     (run :
       ?params:'p ->
       ?measure_whole:bool ->
-      ?config:Memsim.Config.t ->
       ?ctx:C.ctx ->
       C.placement ->
       C.result) params =
   {
     k_name;
-    k_run = (fun ?measure_whole ?ctx p -> run ~params ?measure_whole ?ctx p);
+    k_run =
+      (fun ?measure_whole ctx ->
+        run ~params ?measure_whole ~ctx ctx.C.placement);
   }
 
 let treeadd = kernel "treeadd" Olden.Treeadd.run
@@ -280,9 +288,23 @@ let olden_names = List.map (fun k -> k.k_name) (olden_kernels Quick)
 let olden_kernel ?seed scale name =
   List.find_opt (fun k -> k.k_name = name) (olden_kernels ?seed scale)
 
+(* Every (kernel, placement) arm is its own job on a fresh machine; each
+   kernel comes back with its results in [placements] order. *)
+let run_arms ?measure_whole kernels placements =
+  let results =
+    Parallel.map
+      (fun (k, p) -> k.k_run ?measure_whole (C.make_ctx p))
+      (List.concat_map (fun k -> List.map (fun p -> (k, p)) placements) kernels)
+  in
+  let n = List.length placements in
+  List.mapi
+    (fun i k -> (k, List.filteri (fun j _ -> j / n = i) results))
+    kernels
+
 let table2 ?(scale = Quick) ?seed ppf =
-  section ppf "Table 2: benchmark characteristics";
   let ta, h, mst, per = olden_params ?seed scale in
+  let arms = run_arms (olden_kernels ?seed scale) [ C.Base ] in
+  section ppf "Table 2: benchmark characteristics";
   let row name structure input mem =
     Format.fprintf ppf "%-10s %-26s %-24s %8s@." name structure input mem
   in
@@ -307,8 +329,8 @@ let table2 ?(scale = Quick) ?seed ppf =
   in
   let rows =
     List.map2
-      (fun (title, structure, input) k ->
-        let r = k.k_run C.Base in
+      (fun (title, structure, input) (k, rs) ->
+        let r = List.hd rs in
         row title structure input
           (Printf.sprintf "%d KB" (r.C.memory_bytes / 1024));
         J.Obj
@@ -319,7 +341,7 @@ let table2 ?(scale = Quick) ?seed ppf =
             ("memory_bytes", J.Int r.C.memory_bytes);
           ])
       described
-      (olden_kernels ?seed scale)
+      arms
   in
   Format.fprintf ppf
     "(paper: 4 MB / 828 KB / 12 KB / 64 MB at its input sizes)@.@.";
@@ -329,17 +351,14 @@ let table2 ?(scale = Quick) ?seed ppf =
 (* Figure 7                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let fig7_one ppf k =
+let fig7_one ppf (k, results) =
   Format.fprintf ppf
     "%-10s %-8s %12s %6s %6s %6s %6s %6s %9s@." k.k_name "config" "cycles"
     "norm" "busy%" "load%" "store%" "l2mr" "mem(KB)";
-  let base = ref None in
+  let b = List.hd results in
   let rows =
-    List.map
-      (fun p ->
-        let r = k.k_run p in
-        if p = C.Base then base := Some r;
-        let b = Option.get !base in
+    List.map2
+      (fun p r ->
         let s = r.C.snapshot in
         Format.fprintf ppf "%-10s %-8s %12d %6.2f %6.1f %6.1f %6.1f %6.3f %9d@."
           k.k_name (C.label p) s.Memsim.Cost.s_total
@@ -354,16 +373,19 @@ let fig7_one ppf k =
             ("normalized", J.Float (C.normalized r ~base:b));
             ("result", Report.olden_result r);
           ])
-      C.all_placements
+      C.all_placements results
   in
   Format.fprintf ppf "@.";
   J.Obj [ ("name", J.String k.k_name); ("rows", J.List rows) ]
 
+(* One job per (kernel, placement) arm: health's eight arms take most of
+   the time, so one job per kernel would leave cores idle. *)
 let fig7 ?(scale = Quick) ?seed ppf =
+  let arms = run_arms (olden_kernels ?seed scale) C.all_placements in
   section ppf
     "Figure 7: Olden benchmarks under cache-conscious placement (RSIM \
      machine)";
-  let benches = List.map (fig7_one ppf) (olden_kernels ?seed scale) in
+  let benches = List.map (fig7_one ppf) arms in
   Format.fprintf ppf
     "(paper: ccmorph beats base by 28-138%% and prefetching by 3-138%%; \
      ccmalloc new-block@. beats prefetching by 20-194%% except treeadd; \
@@ -375,12 +397,15 @@ let fig7 ?(scale = Quick) ?seed ppf =
 (* ------------------------------------------------------------------ *)
 
 let control ?(scale = Quick) ?seed ppf =
+  let arms =
+    run_arms ~measure_whole:true (olden_kernels ?seed scale)
+      [ C.Base; C.Null_hint_control ]
+  in
   section ppf
     "Section 4.4 control: ccmalloc with null hints vs. system malloc \
      (whole program)";
-  let one k =
-    let rb = k.k_run ~measure_whole:true C.Base in
-    let rn = k.k_run ~measure_whole:true C.Null_hint_control in
+  let one (k, rs) =
+    let rb = List.nth rs 0 and rn = List.nth rs 1 in
     let delta = 100. *. (C.normalized rn ~base:rb -. 1.) in
     Format.fprintf ppf
       "%-10s base %12d cycles   null-hint ccmalloc %12d cycles   -> %+.1f%% \
@@ -395,7 +420,7 @@ let control ?(scale = Quick) ?seed ppf =
         ("overhead_pct", J.Float delta);
       ]
   in
-  let rows = List.map one (olden_kernels ?seed scale) in
+  let rows = List.map one arms in
   Format.fprintf ppf "@.";
   J.Obj [ ("rows", J.List rows) ]
 
@@ -409,10 +434,10 @@ let fig10_params = function
       ([ 1 lsl 18; 1 lsl 19; 1 lsl 20; 1 lsl 21; 1 lsl 22 ], 200_000)
 
 let fig10 ?(scale = Quick) ?seed ppf =
+  let sizes, searches = fig10_params scale in
+  let pts = Parallel.map (Tb.fig10 ?seed ~searches) sizes in
   section ppf
     "Figure 10: predicted vs. measured C-tree speedup (model validation)";
-  let sizes, searches = fig10_params scale in
-  let pts = Tb.fig10 ?seed ~sizes ~searches () in
   Format.fprintf ppf "%-12s %12s %12s %8s@." "tree size" "predicted"
     "measured" "ratio";
   List.iter

@@ -11,7 +11,11 @@
 
     [seed] reseeds the workload generators (key streams, graph and
     scene generation); omitting it reproduces the repository's
-    long-standing default streams bit for bit. *)
+    long-standing default streams bit for bit.
+
+    Each driver computes its independent arms through {!Parallel.map}
+    (one job per Olden arm, Figure 5 variant, Figure 10 tree size or
+    Figure 6 arm) and prints once they are all done. *)
 
 type scale = Quick | Paper
 
@@ -57,13 +61,9 @@ val olden_params :
     runs treeadd, health, mst or perimeter. *)
 type kernel = {
   k_name : string;
-  k_run :
-    ?measure_whole:bool ->
-    ?ctx:Olden.Common.ctx ->
-    Olden.Common.placement ->
-    Olden.Common.result;
-      (** [Olden.*.run] with the kernel's params; without [ctx] it runs
-          on a fresh default machine for the placement *)
+  k_run : ?measure_whole:bool -> Olden.Common.ctx -> Olden.Common.result;
+      (** [Olden.*.run] with the kernel's params on [ctx], under
+          [ctx.placement] *)
 }
 
 val treeadd : Olden.Treeadd.params -> kernel

@@ -94,9 +94,9 @@ let micro_row ~scale ~seed (name, scheme) =
   let m = Machine.create (Config.ultrasparc_e5000 ~tlb:true ()) in
   let keys = Array.init n (fun i -> i) in
   let t =
-    Bst.build m ~elem_bytes
+    Micro.Tree_bench.build
       ~alloc:(Alloc.Malloc.allocator (Alloc.Malloc.create m))
-      (Bst.Random (Rng.create seed)) ~keys
+      m (Bst.Random (Rng.create seed)) ~keys
   in
   (* profile phase: count per-word accesses over a representative mix;
      the counts become the weighted engine's per-node weights *)
@@ -114,8 +114,7 @@ let micro_row ~scale ~seed (name, scheme) =
       weights = Some (Obs.Profile.Counts.weight_fn counts ~elem_bytes);
     }
   in
-  let r = Ccmorph.morph ~params m (Bst.desc ~elem_bytes) ~root:t.Bst.root in
-  let t = Bst.of_root m ~elem_bytes ~n r.Ccmorph.new_root in
+  let t, r = Micro.Tree_bench.morph ~params t in
   (* measured phase: cold caches and TLB, zeroed counters *)
   Machine.cold_start m;
   let rng = Rng.create (seed + 17) in
@@ -150,7 +149,7 @@ let olden_row (k : Experiments.kernel) (name, scheme) =
   in
   let res, morph =
     with_morph_capture ctx.C.machine (fun () ->
-        k.k_run ~measure_whole:true ~ctx C.Ccmorph_cluster_color)
+        k.k_run ~measure_whole:true ctx)
   in
   let st = Hierarchy.stats (Machine.hierarchy ctx.C.machine) in
   let blocks, hot, pages =
@@ -179,10 +178,9 @@ let row_of_bench ~scale ~seed bench =
       Option.map olden_row (Experiments.olden_kernel ~seed scale bench)
   | _ -> None
 
-let run ?(scale = Experiments.Quick) ?seed ?(parallel = false) bench =
+let run ?(scale = Experiments.Quick) ?seed bench =
   Option.map
-    (fun row ->
-      { bench; scale; rows = Parallel.map ~parallel row engine_schemes })
+    (fun row -> { bench; scale; rows = Parallel.map row engine_schemes })
     (row_of_bench ~scale ~seed bench)
 
 let pp ppf r =

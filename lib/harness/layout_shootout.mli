@@ -21,9 +21,9 @@
       [morph_params], whole-program measurement, on [rsim_table1] with
       a TLB.
 
-    Each engine runs as an independent job through {!Parallel.map}, so
-    [~parallel:true] forks them and the typed rows come back marshalled,
-    byte-identical to a serial run. *)
+    Each engine runs as an independent job through {!Parallel.map}; the
+    typed rows come back marshalled, byte-identical to an in-process
+    run. *)
 
 type level = {
   lv_accesses : int;
@@ -56,13 +56,8 @@ val engine_schemes : (string * Ccsl.Ccmorph.cluster_scheme) list
 (** The contenders ([Layout.Engine.builtins] as explicit [Engine]
     schemes), name first. *)
 
-val run :
-  ?scale:Experiments.scale ->
-  ?seed:int ->
-  ?parallel:bool ->
-  string ->
-  report option
-(** [None] for an unknown workload name.  Defaults: [Quick], serial. *)
+val run : ?scale:Experiments.scale -> ?seed:int -> string -> report option
+(** [None] for an unknown workload name.  Default scale: [Quick]. *)
 
 val pp : Format.formatter -> report -> unit
 val to_json : report -> Obs.Json.t

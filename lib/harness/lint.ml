@@ -25,7 +25,7 @@ let run_phase (k : Experiments.kernel) placement =
   in
   Analyze.Lint.attach lint;
   let result = Fun.protect ~finally:(fun () -> Analyze.Lint.detach lint)
-      (fun () -> k.k_run ~measure_whole:true ~ctx placement)
+      (fun () -> k.k_run ~measure_whole:true ctx)
   in
   {
     ph_placement = placement;
@@ -41,7 +41,7 @@ let phase_placements = [ C.Ccmalloc_new_block; C.Ccmorph_cluster_color ]
 let run ?(scale = Experiments.Quick) ?seed name =
   Option.map
     (fun k ->
-      let phases = List.map (run_phase k) phase_placements in
+      let phases = Parallel.map (run_phase k) phase_placements in
       let diags =
         List.sort Analyze.Diag.order
           (List.concat_map (fun p -> p.ph_diags) phases)
@@ -79,13 +79,10 @@ let phase_to_json p =
     ]
 
 let to_json r =
-  Obs.Export.envelope
-    ~experiment:("lint-" ^ r.bench)
-    ~scale:(Experiments.scale_name r.scale)
-    (J.Obj
-       [
-         ("bench", J.String r.bench);
-         ("phases", J.List (List.map phase_to_json r.phases));
-         ("diagnostics", J.List (List.map Analyze.Diag.to_json r.diags));
-         ("summary", Analyze.Diag.summary_to_json r.summary);
-       ])
+  J.Obj
+    [
+      ("bench", J.String r.bench);
+      ("phases", J.List (List.map phase_to_json r.phases));
+      ("diagnostics", J.List (List.map Analyze.Diag.to_json r.diags));
+      ("summary", Analyze.Diag.summary_to_json r.summary);
+    ]

@@ -34,10 +34,11 @@ val run_phase : Experiments.kernel -> Olden.Common.placement -> phase
 
 val run : ?scale:Experiments.scale -> ?seed:int -> string -> report option
 (** [run name] lints the {!Experiments.olden_kernels} kernel [name] at
-    [scale] (default [Quick]); [None] for an unknown name. *)
+    [scale] (default [Quick]), one {!Parallel.map} job per phase;
+    [None] for an unknown name. *)
 
 val pp : Format.formatter -> report -> unit
 
 val to_json : report -> Obs.Json.t
-(** The report under the [schema_version] envelope, with
-    [experiment = "lint-<bench>"]. *)
+(** The ["data"] payload: per-phase results and diagnostics, the merged
+    diagnostics and their summary. *)

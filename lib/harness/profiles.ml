@@ -27,7 +27,7 @@ let profile_kernel ~config placement (k : Experiments.kernel) =
   let m = ctx.C.machine in
   let profile = Obs.Profile.for_machine m in
   let sub = Obs.Profile.attach profile m in
-  let result = k.k_run ~measure_whole:true ~ctx placement in
+  let result = k.k_run ~measure_whole:true ctx in
   Machine.unsubscribe m sub;
   let h = Machine.hierarchy m in
   let hstats = Hierarchy.stats h in

@@ -80,7 +80,7 @@ let health_arm () =
     Option.get (Experiments.olden_kernel Experiments.Quick "health")
   in
   let ctx = C.make_ctx C.Ccmorph_cluster_color in
-  ignore (health.k_run ~ctx C.Ccmorph_cluster_color);
+  ignore (health.k_run ctx);
   ctx.C.machine
 
 (* ------------------------------------------------------------------ *)

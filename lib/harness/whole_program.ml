@@ -8,37 +8,32 @@ type report = { bench : string; arms : arm list }
 (* The three arms, as independent thunks for {!Parallel.map}           *)
 (* ------------------------------------------------------------------ *)
 
-let arm_jobs ?seed bench =
+(* Each arm's ctx: the Figure 7 placement, plus ccmorph on ccmalloc for
+   the static-ccmalloc arm. *)
+let arm_ctxs =
+  [
+    ("base", fun () -> C.make_ctx C.Base);
+    ("static", fun () -> C.make_ctx C.Ccmorph_cluster_color);
+    ( "static-ccmalloc",
+      fun () ->
+        {
+          (C.make_ctx C.Ccmalloc_new_block) with
+          C.morph_params = Some Ccsl.Ccmorph.default_params;
+        } );
+  ]
+
+let run ?seed bench =
   (* a whole-program measurement charges the start-up morph to the run,
      so treeadd gets several passes over a deeper tree to amortize it *)
   let ta = { Olden.Treeadd.levels = 14; passes = 8 } in
   Option.map
     (fun (k : Experiments.kernel) ->
       let k = if k.k_name = "treeadd" then Experiments.treeadd ta else k in
-      let job label ?ctx p () =
-        { arm_label = label; arm_result = k.k_run ~measure_whole:true ?ctx p }
+      let arm (label, ctx) =
+        { arm_label = label; arm_result = k.k_run ~measure_whole:true (ctx ()) }
       in
-      let ccmalloc_morph () =
-        let ctx =
-          {
-            (C.make_ctx C.Ccmalloc_new_block) with
-            C.morph_params = Some Ccsl.Ccmorph.default_params;
-          }
-        in
-        job "static-ccmalloc" ~ctx C.Ccmalloc_new_block ()
-      in
-      [
-        job "base" C.Base;
-        job "static" C.Ccmorph_cluster_color;
-        ccmalloc_morph;
-      ])
+      { bench; arms = Parallel.map arm arm_ctxs })
     (Experiments.olden_kernel ?seed Experiments.Quick bench)
-
-let run ?seed ?(parallel = false) bench =
-  Option.map
-    (fun jobs ->
-      { bench; arms = Parallel.map ~parallel (fun job -> job ()) jobs })
-    (arm_jobs ?seed bench)
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)

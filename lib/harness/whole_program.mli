@@ -18,14 +18,13 @@ type arm = {
 
 type report = { bench : string; arms : arm list }
 
-val run : ?seed:int -> ?parallel:bool -> string -> report option
+val run : ?seed:int -> string -> report option
 (** Run the arms for one of {!Experiments.olden_names} (treeadd with a
     14-level tree traversed 8 times); [None] for an unknown name.
 
-    With [parallel:true] (default false) each arm runs in a forked
-    child via {!Parallel.map}, which marshals the typed arm back.
-    Every arm seeds its own RNGs from the benchmark params, so the
-    report (and its JSON export) is byte-identical to a serial run. *)
+    Each arm is one {!Parallel.map} job, marshalled back typed.  Every
+    arm seeds its own RNGs from the benchmark params, so the report
+    (and its JSON export) does not depend on where the arms ran. *)
 
 val pp : Format.formatter -> report -> unit
 

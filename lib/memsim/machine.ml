@@ -12,10 +12,9 @@ type t = {
   l1 : Cache.t;
   l1_hit_lat : int;
   mutable brk : Addr.t;
-  mutable tracer : (bool -> Addr.t -> unit) option;
   mutable subs : (subscription * (bool -> Addr.t -> unit)) list;
   mutable next_sub : int;
-  (* fan-out over tracer + subs, cached so the per-access observer check
+  (* fan-out over subs, cached so the per-access observer check
      stays a single option match *)
   mutable notify : (bool -> Addr.t -> unit) option;
 }
@@ -35,7 +34,6 @@ let create (cfg : Config.t) =
     l1_hit_lat = (Hierarchy.latencies hier).Hierarchy.l1_hit;
     (* Start allocation at one page so address 0 stays null. *)
     brk = cfg.page_bytes;
-    tracer = None;
     subs = [];
     next_sub = 0;
     notify = None;
@@ -76,22 +74,14 @@ let rebuild_notify t =
      sorts it by subscription id here, once per (un)subscribe, so
      observers still run in subscription order. *)
   t.notify <-
-    (match (t.tracer, t.subs) with
-    | None, [] -> None
-    | Some f, [] -> Some f
-    | None, [ (_, f) ] -> Some f
-    | tracer, subs ->
+    (match t.subs with
+    | [] -> None
+    | [ (_, f) ] -> Some f
+    | subs ->
         let subs =
           List.sort (fun (a, _) (b, _) -> Stdlib.compare a b) subs
         in
-        Some
-          (fun w a ->
-            (match tracer with None -> () | Some f -> f w a);
-            List.iter (fun (_, f) -> f w a) subs))
-
-let set_tracer t f =
-  t.tracer <- f;
-  rebuild_notify t
+        Some (fun w a -> List.iter (fun (_, f) -> f w a) subs))
 
 let subscribe t f =
   let id = t.next_sub in

@@ -69,22 +69,15 @@ val ustoref : t -> Addr.t -> float -> unit
 (** {1 Tracing}
 
     Observers are called on every timed access with [(is_write,
-    address)]; untimed accesses are not observed.  Two mechanisms
-    coexist: a single primary tracer slot ([set_tracer], kept for the
-    classic capture-a-trace workflow) and any number of subscriptions
-    ([subscribe]), so several profilers can watch one run without
-    displacing each other.  An access costs one option match when
-    nothing is attached. *)
-
-val set_tracer : t -> (bool -> Addr.t -> unit) option -> unit
-(** Install (or remove) the primary observer — typically
-    [Trace.record].  Subscriptions are unaffected. *)
+    address)]; untimed accesses are not observed.  Any number of
+    observers may subscribe, so several profilers can watch one run
+    without displacing each other.  An access costs one option match
+    when nothing is attached. *)
 
 type subscription
 
 val subscribe : t -> (bool -> Addr.t -> unit) -> subscription
-(** Add an additional observer; observers run in subscription order
-    after the primary tracer. *)
+(** Add an observer; observers run in subscription order. *)
 
 val unsubscribe : t -> subscription -> unit
 

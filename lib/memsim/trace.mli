@@ -17,7 +17,7 @@ val create : unit -> t
 val length : t -> int
 
 val record : t -> kind -> Addr.t -> unit
-(** Append one event (the hook {!Machine.set_tracer} installs). *)
+(** Append one event (the hook a {!Machine.subscribe} observer calls). *)
 
 val iter : t -> (kind -> Addr.t -> unit) -> unit
 

@@ -16,6 +16,34 @@
     The paper's node size is 20 bytes (2,097,151 nodes = 40 MB), giving
     [k = 3] nodes per 64-byte L2 block. *)
 
+(** {1 One tree-search arm} *)
+
+val build :
+  ?alloc:Alloc.Allocator.t ->
+  ?morph:Ccsl.Ccmorph.params ->
+  Memsim.Machine.t ->
+  Structures.Bst.layout ->
+  keys:int array ->
+  Structures.Bst.t
+(** A balanced tree of paper-sized nodes over [keys]
+    ({!Structures.Bst.build}: nodes from [alloc], or a bump arena, in
+    [layout] order) on the machine, which carries the config; with
+    [morph], then reorganized by {!morph}. *)
+
+val morph :
+  ?params:Ccsl.Ccmorph.params ->
+  Structures.Bst.t ->
+  Structures.Bst.t * Ccsl.Ccmorph.result
+(** Reorganize the tree with [Ccmorph.morph] and re-wrap its new root. *)
+
+val measure : Memsim.Machine.t -> searches:int -> (int -> unit) -> int
+(** [measure m ~searches search] is the steady-state measurement: cold
+    caches, a warm-up of [searches/4] calls [search i] ([i] from 1),
+    {!Memsim.Machine.reset_measurement}, then [searches] measured calls.
+    Returns the measured cycles. *)
+
+(** {1 Figures 5 and 10} *)
+
 type variant = Random_tree | Dfs_tree | B_tree | C_tree
 
 val variant_name : variant -> string
@@ -34,9 +62,9 @@ type series = {
 }
 
 val fig5 :
-  ?elem_bytes:int -> ?seed:int -> keys:int -> searches:int ->
-  checkpoints:int list -> unit -> series list
-(** Run the Figure 5 experiment: build each variant over the same
+  ?seed:int -> keys:int -> searches:int -> checkpoints:int list -> variant ->
+  series
+(** One variant's Figure 5 series: build it over a
     [keys]-element key set, warm nothing (cold caches, as in the paper's
     transient curves), then perform [searches] random searches recording
     the running average at each checkpoint.
@@ -49,10 +77,8 @@ type fig10_point = {
   actual : float;  (** measured naive-cycles / C-tree-cycles *)
 }
 
-val fig10 :
-  ?elem_bytes:int -> ?seed:int -> sizes:int list -> searches:int -> unit ->
-  fig10_point list
-(** The Section 5.4 validation: for each tree size, measure the speedup
+val fig10 : ?seed:int -> searches:int -> int -> fig10_point
+(** One tree size of the Section 5.4 validation: measure the speedup
     of the C-tree over the random tree for [searches] random searches
     (steady state: a warm-up pass of [searches/4] precedes measurement),
     and compare against the analytic model's prediction. *)

@@ -468,22 +468,21 @@ type t = {
   occupancy : Occupancy.t;
 }
 
-let create ?hot_first_set ?(hot_frac = 0.5) ~l2 () =
+let create ?hot_first_set ~l2 () =
   let block_bytes = l2.Memsim.Cache_config.block_bytes in
-  let hot_sets =
-    int_of_float (hot_frac *. float_of_int l2.Memsim.Cache_config.sets)
-  in
+  (* the paper's Color_const: the hot region is half the sets *)
+  let hot_sets = l2.Memsim.Cache_config.sets / 2 in
   {
     reuse = Reuse.create ~block_bytes;
     spatial = Spatial.create ~block_bytes ();
     occupancy = Occupancy.create ?hot_first_set ~hot_sets l2;
   }
 
-let for_machine ?hot_first_set ?hot_frac m =
+let for_machine ?hot_first_set m =
   let l2 =
     Memsim.Cache.config (Memsim.Hierarchy.l2 (Memsim.Machine.hierarchy m))
   in
-  create ?hot_first_set ?hot_frac ~l2 ()
+  create ?hot_first_set ~l2 ()
 
 let tracer t write addr =
   Reuse.on_access t.reuse write addr;

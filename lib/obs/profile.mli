@@ -159,13 +159,11 @@ type t = {
   occupancy : Occupancy.t;
 }
 
-val create :
-  ?hot_first_set:int -> ?hot_frac:float -> l2:Memsim.Cache_config.t -> unit -> t
-(** All three profilers at the L2's geometry ([hot_frac] defaults to the
-    paper's Color_const, 0.5). *)
+val create : ?hot_first_set:int -> l2:Memsim.Cache_config.t -> unit -> t
+(** All three profilers at the L2's geometry; the occupancy profiler's
+    hot region is half the sets (the paper's Color_const). *)
 
-val for_machine :
-  ?hot_first_set:int -> ?hot_frac:float -> Memsim.Machine.t -> t
+val for_machine : ?hot_first_set:int -> Memsim.Machine.t -> t
 
 val tracer : t -> bool -> Memsim.Addr.t -> unit
 val attach : t -> Memsim.Machine.t -> Memsim.Machine.subscription

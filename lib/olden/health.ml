@@ -170,10 +170,9 @@ let morph_all_lists (ctx : Common.ctx) villages =
           Ll.set_head l r.Ccsl.Ccmorph.new_roots.(i) ~length:l.Ll.length)
         lists
 
-let run ?(params = default_params) ?(measure_whole = false) ?config ?ctx
-    placement =
+let run ?(params = default_params) ?(measure_whole = false) ?ctx placement =
   let ctx =
-    match ctx with Some c -> c | None -> Common.make_ctx ?config placement
+    match ctx with Some c -> c | None -> Common.make_ctx placement
   in
   let villages = make_villages ctx params in
   (* the measured region is the whole simulation, including every

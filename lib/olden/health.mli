@@ -31,8 +31,8 @@ val paper_params : params
 val villages_of : params -> int
 
 val run :
-  ?params:params -> ?measure_whole:bool -> ?config:Memsim.Config.t ->
-  ?ctx:Common.ctx -> Common.placement -> Common.result
+  ?params:params -> ?measure_whole:bool -> ?ctx:Common.ctx ->
+  Common.placement -> Common.result
 (** Measures the simulation loop including every periodic reorganization,
     as the paper does ("despite this overhead...").  The checksum folds
     the number of treated patients and the final list populations; it is

@@ -24,8 +24,8 @@ val default_params : params
 val paper_params : params
 
 val run :
-  ?params:params -> ?measure_whole:bool -> ?config:Memsim.Config.t ->
-  ?ctx:Common.ctx -> Common.placement -> Common.result
+  ?params:params -> ?measure_whole:bool -> ?ctx:Common.ctx ->
+  Common.placement -> Common.result
 (** By default measures the MST computation only (graph construction and
     one-time reorganization are fast-forwarded start-up). *)
 

@@ -144,10 +144,9 @@ let rec perimeter (ctx : Common.ctx) node size =
   end
   else 0
 
-let run ?(params = default_params) ?(measure_whole = false) ?config ?ctx
-    placement =
+let run ?(params = default_params) ?(measure_whole = false) ?ctx placement =
   let ctx =
-    match ctx with Some c -> c | None -> Common.make_ctx ?config placement
+    match ctx with Some c -> c | None -> Common.make_ctx placement
   in
   let m = ctx.Common.machine in
   let tree =

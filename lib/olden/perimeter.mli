@@ -20,8 +20,8 @@ val default_params : params
 val paper_params : params
 
 val run :
-  ?params:params -> ?measure_whole:bool -> ?config:Memsim.Config.t ->
-  ?ctx:Common.ctx -> Common.placement -> Common.result
+  ?params:params -> ?measure_whole:bool -> ?ctx:Common.ctx ->
+  Common.placement -> Common.result
 (** Checksum is the perimeter (in unit-pixel edges).  By default only
     the perimeter computation is measured (build and one-time morph are
     fast-forwarded start-up). *)

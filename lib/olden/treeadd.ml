@@ -55,10 +55,9 @@ let rec sum (ctx : Common.ctx) node =
     v + sl + sr
   end
 
-let run ?(params = default_params) ?(measure_whole = false) ?config ?ctx
-    placement =
+let run ?(params = default_params) ?(measure_whole = false) ?ctx placement =
   let ctx =
-    match ctx with Some c -> c | None -> Common.make_ctx ?config placement
+    match ctx with Some c -> c | None -> Common.make_ctx placement
   in
   let root = build ctx params.levels A.null in
   let root =

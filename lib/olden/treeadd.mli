@@ -22,8 +22,8 @@ val node_bytes : int
 val nodes_of : params -> int
 
 val run :
-  ?params:params -> ?measure_whole:bool -> ?config:Memsim.Config.t ->
-  ?ctx:Common.ctx -> Common.placement -> Common.result
+  ?params:params -> ?measure_whole:bool -> ?ctx:Common.ctx ->
+  Common.placement -> Common.result
 (** Execute the benchmark (build, optional morph, sum) under a placement.
     By default only the compute kernel is measured — construction and
     one-time reorganization are treated as fast-forwarded start-up, as in

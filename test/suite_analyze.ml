@@ -254,8 +254,9 @@ let small_health =
   {
     Harness.Experiments.k_name = "health";
     k_run =
-      (fun ?measure_whole ?ctx p ->
-        Olden.Health.run ~params ?measure_whole ?ctx p);
+      (fun ?measure_whole ctx ->
+        Olden.Health.run ~params ?measure_whole ~ctx
+          ctx.Olden.Common.placement);
   }
 
 let test_lint_observes_only () =
@@ -266,7 +267,9 @@ let test_lint_observes_only () =
           let linted =
             (Harness.Lint.run_phase k placement).Harness.Lint.ph_result
           in
-          let plain = k.k_run ~measure_whole:true placement in
+          let plain =
+            k.k_run ~measure_whole:true (Olden.Common.make_ctx placement)
+          in
           let what = k.k_name ^ " " ^ Olden.Common.label placement in
           Alcotest.(check int) (what ^ " checksum") plain.Olden.Common.checksum
             linted.Olden.Common.checksum;
@@ -308,12 +311,18 @@ let test_report_json_envelope () =
       summary = Diag.summarize diags;
     }
   in
-  let json = Harness.Lint.to_json report in
+  let data = Harness.Lint.to_json report in
+  let json = Obs.Export.envelope ~experiment:"lint-treeadd" data in
   (match Obs.Export.validate_envelope json with
   | Ok () -> ()
   | Error e -> Alcotest.fail ("invalid envelope: " ^ e));
-  Alcotest.(check (option string)) "experiment name" (Some "lint-treeadd")
-    Obs.Json.(Option.bind (member "experiment" json) to_str)
+  Alcotest.(check (option string)) "bench" (Some "treeadd")
+    Obs.Json.(Option.bind (member "bench" data) to_str);
+  List.iter
+    (fun field ->
+      Alcotest.(check bool) (field ^ " present") true
+        (Obs.Json.member field data <> None))
+    [ "phases"; "diagnostics"; "summary" ]
 
 let tests =
   [

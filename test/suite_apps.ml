@@ -213,7 +213,9 @@ let test_radiance_amortization_math () =
 
 let test_fig5_small () =
   let series =
-    Micro.Tree_bench.fig5 ~keys:2047 ~searches:2000 ~checkpoints:[ 100; 2000 ] ()
+    List.map
+      (Micro.Tree_bench.fig5 ~keys:2047 ~searches:2000 ~checkpoints:[ 100; 2000 ])
+      Micro.Tree_bench.all_variants
   in
   Alcotest.(check int) "four variants" 4 (List.length series);
   List.iter
@@ -234,10 +236,12 @@ let test_fig5_small () =
 let test_fig5_validation () =
   Alcotest.check_raises "bad checkpoints"
     (Invalid_argument "Tree_bench: checkpoints must increase") (fun () ->
-      ignore (Micro.Tree_bench.fig5 ~keys:100 ~searches:10 ~checkpoints:[ 5; 5 ] ()))
+      ignore
+        (Micro.Tree_bench.fig5 ~keys:100 ~searches:10 ~checkpoints:[ 5; 5 ]
+           Micro.Tree_bench.Random_tree))
 
 let test_fig10_small () =
-  let pts = Micro.Tree_bench.fig10 ~sizes:[ 4095; 16383 ] ~searches:2000 () in
+  let pts = List.map (Micro.Tree_bench.fig10 ~searches:2000) [ 4095; 16383 ] in
   List.iter
     (fun p ->
       Alcotest.(check bool) "predicted positive" true

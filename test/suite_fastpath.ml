@@ -197,30 +197,70 @@ let test_mshr_table () =
 (* Parallel runner                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Typed results with a float: nothing passes through JSON. *)
+(* Typed results with a float: nothing passes through JSON.  These
+   tests fork wherever [Parallel.width ()] > 1 and run in process
+   otherwise; they hold either way. *)
 let toy_job i = (i, "job" ^ string_of_int i, float_of_int i /. 3.)
 
 let test_parallel_matches_serial () =
   let xs = List.init 5 Fun.id in
   Alcotest.(check (list (triple int string (float 0.))))
-    "same values, same order"
-    (Harness.Parallel.map ~parallel:false toy_job xs)
-    (Harness.Parallel.map ~parallel:true toy_job xs)
+    "same values, same order" (List.map toy_job xs)
+    (Harness.Parallel.map toy_job xs)
 
+(* More jobs than cores: children are recycled, results keep list
+   order, and a result larger than a pipe buffer still comes back. *)
+let test_parallel_more_jobs_than_width () =
+  let xs = List.init (max 9 (2 * Domain.recommended_domain_count ())) Fun.id in
+  let job i = (toy_job i, String.make (if i = 3 then 1 lsl 20 else i) 'x') in
+  Alcotest.(check (list (pair (triple int string (float 0.)) string)))
+    "same values, same order" (List.map job xs) (Harness.Parallel.map job xs)
+
+(* A job never forks again: a map inside a job runs in the job's own
+   process, so every inner job reports the outer job's pid. *)
+let test_parallel_nested_runs_in_job () =
+  let outer _ =
+    (Unix.getpid (), Harness.Parallel.map (fun _ -> Unix.getpid ()) [ 0; 1; 2 ])
+  in
+  List.iter
+    (fun (pid, inner) ->
+      Alcotest.(check (list int)) "inner jobs ran in the job's process"
+        [ pid; pid; pid ] inner)
+    (Harness.Parallel.map outer [ 0; 1; 2 ])
+
+let contains sub s =
+  let n = String.length sub and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+(* The same [Failure] on both paths: forked here (when the width allows)
+   and in process inside a job. *)
 let test_parallel_error_propagates () =
-  let job i = if i = 1 then failwith "boom" else toy_job i in
-  match Harness.Parallel.map ~parallel:true job [ 0; 1; 2 ] with
-  | _ -> Alcotest.fail "expected the child's failure to propagate"
-  | exception Failure msg ->
-      let contains sub s =
-        let n = String.length sub and m = String.length s in
-        let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-        go 0
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "%S names the job and its error" msg)
-        true
-        (contains "job 1" msg && contains "boom" msg)
+  let job i =
+    if i >= 1 then failwith ("boom" ^ string_of_int i) else toy_job i
+  in
+  let check what f =
+    match f () with
+    | _ -> Alcotest.fail (what ^ ": expected the job's failure to propagate")
+    | exception Failure msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %S names the first failing job and its error"
+             what msg)
+          true
+          (contains "parallel job 1:" msg && contains "boom1" msg)
+  in
+  check "top level" (fun () -> Harness.Parallel.map job [ 0; 1; 2 ]);
+  check "in process" (fun () ->
+      match
+        Harness.Parallel.map
+          (fun () ->
+            match Harness.Parallel.map job [ 0; 1; 2 ] with
+            | _ -> "no failure"
+            | exception Failure msg -> msg)
+          [ (); () ]
+      with
+      | msg :: _ -> failwith msg
+      | [] -> assert false)
 
 let tests =
   [
@@ -242,5 +282,9 @@ let tests =
           test_parallel_matches_serial;
         Alcotest.test_case "parallel runner propagates errors" `Quick
           test_parallel_error_propagates;
+        Alcotest.test_case "parallel runner bounds its width" `Quick
+          test_parallel_more_jobs_than_width;
+        Alcotest.test_case "parallel runner never forks inside a job" `Quick
+          test_parallel_nested_runs_in_job;
       ] );
   ]

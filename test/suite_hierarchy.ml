@@ -211,15 +211,16 @@ let prop_cycles_monotone =
 let test_trace_record_replay () =
   let m = Machine.create (Config.tiny ()) in
   let tr = Memsim.Trace.create () in
-  Machine.set_tracer m
-    (Some (fun w a ->
-         Memsim.Trace.record tr (if w then Memsim.Trace.Store else Memsim.Trace.Load) a));
+  let sub =
+    Machine.subscribe m (fun w a ->
+        Memsim.Trace.record tr (if w then Memsim.Trace.Store else Memsim.Trace.Load) a)
+  in
   let base = Machine.reserve m ~bytes:4096 ~align:64 in
   for i = 0 to 99 do
     ignore (Machine.load32 m (base + (i * 4)))
   done;
   Machine.store32 m base 7;
-  Machine.set_tracer m None;
+  Machine.unsubscribe m sub;
   ignore (Machine.load32 m base);  (* untraced *)
   Alcotest.(check int) "101 events" 101 (Memsim.Trace.length tr);
   let loads = ref 0 and stores = ref 0 in
@@ -241,9 +242,10 @@ let test_trace_record_replay () =
 let test_trace_miss_curve () =
   let m = Machine.create (Config.tiny ()) in
   let tr = Memsim.Trace.create () in
-  Machine.set_tracer m
-    (Some (fun w a ->
-         Memsim.Trace.record tr (if w then Memsim.Trace.Store else Memsim.Trace.Load) a));
+  let sub =
+    Machine.subscribe m (fun w a ->
+        Memsim.Trace.record tr (if w then Memsim.Trace.Store else Memsim.Trace.Load) a)
+  in
   let base = Machine.reserve m ~bytes:65536 ~align:64 in
   (* two sweeps over 32 KB: the second sweep hits iff capacity >= 32 KB *)
   for _ = 1 to 2 do
@@ -251,7 +253,7 @@ let test_trace_miss_curve () =
       ignore (Machine.load32 m (base + (i * 64)))
     done
   done;
-  Machine.set_tracer m None;
+  Machine.unsubscribe m sub;
   let curve =
     Memsim.Trace.miss_rate_curve tr ~block_bytes:64 ~assoc:1
       ~capacities:[ 8192; 32768; 65536 ]

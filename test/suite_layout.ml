@@ -1,8 +1,8 @@
 (* The layout-engine subsystem's contract: the refactored engines are
    bit-identical to the schemes they replaced, every engine (built-in or
    not) emits a valid partition on arbitrary unbalanced trees, and the
-   multi-level shootout harness reproduces itself exactly under the
-   parallel runner. *)
+   multi-level shootout harness reproduces its committed export exactly
+   under the parallel runner. *)
 
 module M = Memsim
 module Machine = Memsim.Machine
@@ -284,15 +284,25 @@ let test_shootout_report_shape () =
             (row.LS.row_tlb <> None))
         r.LS.rows
 
+(* The reference is the committed BENCH_layout_treeadd.json, which
+   [ccsl-cli layout treeadd --json] writes: the rows [Parallel.map]
+   reassembles (forked wherever the machine has more than one core)
+   must export byte-identically to it. *)
 let test_shootout_parallel_matches_serial () =
-  let serial = LS.run "treeadd" in
-  let par = LS.run ~parallel:true "treeadd" in
-  match (serial, par) with
-  | Some s, Some p ->
+  match LS.run "treeadd" with
+  | Some r ->
+      let golden =
+        In_channel.with_open_bin "../BENCH_layout_treeadd.json"
+          In_channel.input_all
+      in
+      let export =
+        Obs.Export.envelope ~experiment:"layout-treeadd" ~scale:"quick"
+          (LS.to_json r)
+      in
       Alcotest.(check string) "forked shootout reassembles byte-identically"
-        (J.to_string (LS.to_json s))
-        (J.to_string (LS.to_json p))
-  | _ -> Alcotest.fail "treeadd is a known workload"
+        golden
+        (J.to_string export ^ "\n")
+  | None -> Alcotest.fail "treeadd is a known workload"
 
 let test_shootout_unknown_bench () =
   Alcotest.(check bool) "unknown workload is None" true

@@ -573,12 +573,12 @@ let test_trace_replay_matches_live () =
   let cfg = Config.tiny () in
   let m = Machine.create cfg in
   let tr = Memsim.Trace.create () in
-  Machine.set_tracer m
-    (Some
-       (fun write a ->
-         Memsim.Trace.record tr
-           (if write then Memsim.Trace.Store else Memsim.Trace.Load)
-           a));
+  let sub =
+    Machine.subscribe m (fun write a ->
+        Memsim.Trace.record tr
+          (if write then Memsim.Trace.Store else Memsim.Trace.Load)
+          a)
+  in
   let base = Machine.reserve m ~bytes:65536 ~align:64 in
   let rng = Workload.Rng.create 7 in
   for _ = 1 to 5000 do
@@ -586,7 +586,7 @@ let test_trace_replay_matches_live () =
     if Workload.Rng.int rng 3 = 0 then Machine.store32 m a 42
     else ignore (Machine.load32 m a)
   done;
-  Machine.set_tracer m None;
+  Machine.unsubscribe m sub;
   let h = Hierarchy.stats (Machine.hierarchy m) in
   let live_l1 = Cache.misses h.Hierarchy.h_l1 in
   let live_l2 = Cache.misses h.Hierarchy.h_l2 in

@@ -213,7 +213,7 @@ let test_fixed_morph_schedule () =
           List.iter
             (fun (p, want) ->
               morphs := 0;
-              ignore (k.k_run p);
+              ignore (k.k_run (C.make_ctx p));
               Alcotest.(check int)
                 (Printf.sprintf "%s under %s" k.k_name (C.label p))
                 want !morphs)
