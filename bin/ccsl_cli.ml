@@ -295,7 +295,7 @@ let run_lint bench paper seed fail_on json_file =
   let report =
     report_bench olden_bench ~kind:"lint"
       ~scale:(Harness.Experiments.scale_name scale)
-      json_file Harness.Lint.pp Harness.Lint.to_json bench
+      ?seed json_file Harness.Lint.pp Harness.Lint.to_json bench
       (Harness.Lint.run ~scale ?seed bench)
   in
   exit (Analyze.Diag.exit_code ~fail_on report.Harness.Lint.diags)

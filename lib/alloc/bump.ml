@@ -40,8 +40,6 @@ let alloc t ?(align = 4) bytes =
   t.bytes_reserved <- t.bytes_reserved + bytes + (addr - A.align_down addr 1);
   addr
 
-let used_bytes t = t.bytes_reserved
-
 let allocator t =
   {
     Allocator.name = t.name;

@@ -12,5 +12,3 @@ val alloc : t -> ?align:int -> int -> Memsim.Addr.t
 
 val allocator : t -> Allocator.t
 (** [free] is a no-op in this view. *)
-
-val used_bytes : t -> int

@@ -59,7 +59,12 @@ let mem t k = k >= 0 && Array.unsafe_get t.keys (slot t k (home t k)) = k
 let rec insert t k v =
   let i = slot t k (home t k) in
   if Array.unsafe_get t.keys i = k then Array.unsafe_set t.vals i v
-  else if 4 * (t.count + 1) > 3 * (t.mask + 1) then begin
+  else add_at t i k v
+
+(* Bind [k], absent, at [i], the free slot that ends its probe run; a
+   growth moves every slot, so [k] is then probed for again. *)
+and add_at t i k v =
+  if 4 * (t.count + 1) > 3 * (t.mask + 1) then begin
     grow t;
     insert t k v
   end
@@ -78,6 +83,19 @@ and grow t =
   t.shift <- t.shift - 2;
   t.count <- 0;
   Array.iteri (fun i k -> if k <> empty then insert t k vals.(i)) keys
+
+let exchange t k v ~default =
+  if k < 0 then invalid_arg "Int_table.exchange: negative key";
+  let i = slot t k (home t k) in
+  if Array.unsafe_get t.keys i = k then begin
+    let old = Array.unsafe_get t.vals i in
+    Array.unsafe_set t.vals i v;
+    old
+  end
+  else begin
+    add_at t i k v;
+    default
+  end
 
 let replace t k v =
   if k < 0 then invalid_arg "Int_table.replace: negative key";

@@ -23,6 +23,12 @@ val find_or : t -> int -> default:int -> int
 
 val mem : t -> int -> bool
 
+val exchange : t -> int -> int -> default:int -> int
+(** [exchange t k v ~default] binds [k] to [v] and returns the value [k]
+    was bound to before, or [default] when it was unbound: [find_or]
+    and [replace] in one probe run.
+    @raise Invalid_argument on a negative key. *)
+
 val replace : t -> int -> int -> unit
 (** Bind a key, replacing any previous binding.
     @raise Invalid_argument on a negative key. *)

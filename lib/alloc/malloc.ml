@@ -127,7 +127,10 @@ let check_invariants t =
       ranges := (Int_stack.get b.chunks j, b.size) :: !ranges
     done
   done;
-  let sorted = List.sort compare !ranges in
+  let by_start (a1, s1) (a2, s2) =
+    if a1 <> a2 then Int.compare a1 a2 else Int.compare s1 s2
+  in
+  let sorted = List.sort by_start !ranges in
   let rec go = function
     | [] | [ _ ] -> ()
     | (a1, s1) :: ((a2, _) :: _ as rest) ->

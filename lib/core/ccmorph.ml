@@ -23,8 +23,6 @@ let engine_of_scheme = function
   | Depth_first -> Layout.Engine.depth_first
   | Engine e -> e
 
-let scheme_name s = (engine_of_scheme s).Layout.Engine.name
-
 type params = {
   cluster : cluster_scheme;
   color : bool;

@@ -48,11 +48,6 @@ val engine_of_scheme : cluster_scheme -> Layout.Engine.t
 (** The engine a scheme resolves to ([Subtree]/[Depth_first] map to the
     built-in engines of the same name). *)
 
-val scheme_name : cluster_scheme -> string
-(** Stable name of the scheme's engine ("subtree", "depth_first",
-    "veb", ...).  Use this for comparisons and serialization: comparing
-    [cluster_scheme] values with [(=)] raises on [Engine] (closures). *)
-
 type params = {
   cluster : cluster_scheme;
   color : bool;  (** apply coloring on top of clustering *)

@@ -58,8 +58,6 @@ type arenas = {
   mutable cold_left : int;  (* cold blocks left in current span *)
   mutable cold_spans_left : (int * int) list;  (* spans of current stripe *)
   mutable cold_stripe : int;  (* base of the stripe being carved for cold *)
-  mutable hot_count : int;
-  mutable cold_count : int;
 }
 
 let arenas m coloring =
@@ -72,8 +70,6 @@ let arenas m coloring =
     cold_left = 0;
     cold_spans_left = [];
     cold_stripe = 0;
-    hot_count = 0;
-    cold_count = 0;
   }
 
 let new_stripe ar =
@@ -90,7 +86,6 @@ let next_hot_block ar =
   let addr = ar.hot_next in
   ar.hot_next <- addr + b;
   ar.hot_left <- ar.hot_left - 1;
-  ar.hot_count <- ar.hot_count + 1;
   addr
 
 let rec next_cold_block ar =
@@ -111,9 +106,5 @@ let rec next_cold_block ar =
     let addr = ar.cold_next in
     ar.cold_next <- addr + b;
     ar.cold_left <- ar.cold_left - 1;
-    ar.cold_count <- ar.cold_count + 1;
     addr
   end
-
-let hot_blocks_handed_out ar = ar.hot_count
-let cold_blocks_handed_out ar = ar.cold_count

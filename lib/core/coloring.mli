@@ -62,6 +62,3 @@ val next_hot_block : arenas -> Memsim.Addr.t
 (** Address of the next unused hot cache block (block-aligned). *)
 
 val next_cold_block : arenas -> Memsim.Addr.t
-
-val hot_blocks_handed_out : arenas -> int
-val cold_blocks_handed_out : arenas -> int

@@ -39,8 +39,3 @@ let diff a b =
     s_prefetch_issue = a.s_prefetch_issue - b.s_prefetch_issue;
     s_total = a.s_total - b.s_total;
   }
-
-let pp_snapshot ppf s =
-  Format.fprintf ppf
-    "total=%d busy=%d load_stall=%d store_stall=%d prefetch_issue=%d" s.s_total
-    s.s_busy s.s_load_stall s.s_store_stall s.s_prefetch_issue

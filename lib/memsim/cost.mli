@@ -27,5 +27,3 @@ val reset : t -> unit
 val snapshot : t -> snapshot
 val diff : snapshot -> snapshot -> snapshot
 (** [diff later earlier] is the per-component difference. *)
-
-val pp_snapshot : Format.formatter -> snapshot -> unit

@@ -45,7 +45,6 @@ let hierarchy t = t.hier
 let cost t = t.cost
 let page_bytes t = t.cfg.page_bytes
 let l2_block_bytes t = t.cfg.l2.Cache_config.block_bytes
-let l1_block_bytes t = t.cfg.l1.Cache_config.block_bytes
 
 let reserve t ~bytes ~align =
   if bytes <= 0 then invalid_arg "Machine.reserve: bytes <= 0";
@@ -207,8 +206,6 @@ let touch t ?(write = false) a ~bytes =
 let uload32 t a = mem_load32 t.mem a
 let ustore32 t a v = mem_store32 t.mem a v
 let uload32s t a = mem_load32s t.mem a
-let uloadf t a = Memory.loadf t.mem a
-let ustoref t a v = Memory.storef t.mem a v
 let cycles t = Cost.total t.cost
 let snapshot t = Cost.snapshot t.cost
 

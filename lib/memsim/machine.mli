@@ -17,7 +17,6 @@ val cost : t -> Cost.t
 
 val page_bytes : t -> int
 val l2_block_bytes : t -> int
-val l1_block_bytes : t -> int
 
 (** {1 Address-space reservation}
 
@@ -63,8 +62,6 @@ val touch : t -> ?write:bool -> Addr.t -> bytes:int -> unit
 val uload32 : t -> Addr.t -> int
 val ustore32 : t -> Addr.t -> int -> unit
 val uload32s : t -> Addr.t -> int
-val uloadf : t -> Addr.t -> float
-val ustoref : t -> Addr.t -> float -> unit
 
 (** {1 Tracing}
 

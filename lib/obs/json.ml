@@ -266,16 +266,6 @@ let of_string s =
   | exception Parse_error (p, msg) ->
       Error (Printf.sprintf "JSON parse error at offset %d: %s" p msg)
 
-let parse_file path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | s -> of_string s
-  | exception Sys_error msg -> Error msg
-
 (* ------------------------------------------------------------------ *)
 (* Access helpers                                                      *)
 (* ------------------------------------------------------------------ *)

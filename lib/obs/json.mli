@@ -38,8 +38,6 @@ val of_string : string -> (t, string) result
     character offset.  Numbers without ['.'], ['e'] or ['E'] parse as
     [Int], all others as [Float]. *)
 
-val parse_file : string -> (t, string) result
-
 (** {1 Access helpers (tests and the CLI smoke checks)} *)
 
 val member : string -> t -> t option

@@ -30,6 +30,7 @@ module Reuse = struct
     block_bytes : int;
     block_shift : int;
     last : T.t;  (* block index -> position of its flag *)
+    mutable prev : int;  (* the previous access's block, -1 before any *)
     mutable flags : int array;  (* capacity / 32 words of flags *)
     mutable tree : int array;  (* Fenwick tree over closed words' counts *)
     mutable clock : int;  (* the last position handed out *)
@@ -45,6 +46,7 @@ module Reuse = struct
       block_bytes;
       block_shift = A.log2 block_bytes;
       last = T.create 128;
+      prev = -1;
       flags = Array.make 4 0;
       tree = Array.make 5 0;
       clock = 0;
@@ -124,16 +126,22 @@ module Reuse = struct
     end;
     t.hist.(d) <- t.hist.(d) + 1
 
+  (* The flag at the clock always belongs to the previous access's
+     block (a compaction keeps the clock order), so a re-reference to
+     that block has distance 0 and leaves the flags as they are: it needs
+     no table probe and no compaction check.  Every other access moves
+     its block's flag to the next position, reading the old one and
+     writing the new one in one probe of [last]. *)
   let on_access t _write addr =
     let b = addr lsr t.block_shift in
     t.time <- t.time + 1;
-    if t.clock = (Array.length t.flags lsl 5) - 1 then compact t;
-    let t0 = T.find_or t.last b ~default:0 in
-    let clock = t.clock in
-    (* a re-reference to the newest flag's block has distance 0 and
-       leaves the flags in order *)
-    if t0 = clock && t0 > 0 then record t 0
+    if b = t.prev then t.hist.(0) <- t.hist.(0) + 1
     else begin
+      t.prev <- b;
+      if t.clock = (Array.length t.flags lsl 5) - 1 then compact t;
+      let clock = t.clock in
+      let now = clock + 1 in
+      let t0 = T.exchange t.last b now ~default:0 in
       let flags = t.flags in
       let open_w = clock lsr 5 in
       if t0 = 0 then t.cold <- t.cold + 1
@@ -149,13 +157,11 @@ module Reuse = struct
         end;
         flags.(w0) <- word lxor bit
       end;
-      let now = clock + 1 in
       let w = now lsr 5 in
       if w <> open_w then
         add t.tree open_w (popcount flags.(open_w));
       flags.(w) <- flags.(w) lor (1 lsl (now land 31));
-      t.clock <- now;
-      T.replace t.last b now
+      t.clock <- now
     end
 
   let accesses t = t.time

@@ -107,10 +107,6 @@ module Occupancy : sig
   val hot_share : t -> float
   (** Fraction of accesses landing in the hot region. *)
 
-  val pp_heatmap : Format.formatter -> t -> unit
-  (** ASCII set-occupancy heatmap (sets compressed into 64 buckets,
-      intensity = access share), hot region marked. *)
-
   val to_json : t -> Json.t
 end
 
@@ -141,12 +137,10 @@ module Counts : sig
   val count : t -> Memsim.Addr.t -> int
   (** Accesses to the word containing the address. *)
 
-  val weight_in : t -> Memsim.Addr.t -> bytes:int -> float
-  (** Sum of word counts over [addr .. addr+bytes-1] — the access weight
-      of an element occupying that range. *)
-
   val weight_fn : t -> elem_bytes:int -> Memsim.Addr.t -> float
-  (** [weight_in] shaped for [Ccsl.Ccmorph.params.weights]. *)
+  (** Sum of word counts over [addr .. addr+elem_bytes-1] — the access
+      weight of an element occupying that range, shaped for
+      [Ccsl.Ccmorph.params.weights]. *)
 
   val to_json : t -> Json.t
 end

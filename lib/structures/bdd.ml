@@ -15,7 +15,6 @@ type t = {
   one : node;
   mutable nodes : int;
   mutable probes : int;
-  mutable chain_steps : int;
   mutable cache_lookups : int;
   mutable cache_hits : int;
 }
@@ -68,7 +67,6 @@ let create ?alloc ?(unique_bits = 14) ?(cache_bits = 12) ~nvars m =
     one = o;
     nodes = 0;
     probes = 0;
-    chain_steps = 0;
     cache_lookups = 0;
     cache_hits = 0;
   }
@@ -122,7 +120,6 @@ let mk t ~var ~low ~high =
         a
       end
       else begin
-        t.chain_steps <- t.chain_steps + 1;
         if
           Machine.load32 m (cur + off_var) = var
           && Machine.load_ptr m (cur + off_low) = low
@@ -378,6 +375,5 @@ let gc t ~roots =
 
 let live_nodes t = t.nodes
 let unique_table_probes t = t.probes
-let unique_table_chain_steps t = t.chain_steps
 let cache_lookups t = t.cache_lookups
 let cache_hits t = t.cache_hits

@@ -101,9 +101,8 @@ val gc : t -> roots:node list -> int
     their hint. *)
 
 val unique_table_probes : t -> int
-val unique_table_chain_steps : t -> int
-(** Telemetry for locality experiments: total probes and total chain
-    steps walked in the unique table. *)
+(** Telemetry for locality experiments: total probes of the unique
+    table. *)
 
 val cache_lookups : t -> int
 val cache_hits : t -> int

@@ -69,10 +69,6 @@ let remove t node =
   if not (A.is_null fwd) then Machine.store_ptr m (fwd + off_back) back;
   t.length <- t.length - 1
 
-let remove_free t node =
-  remove t node;
-  t.alloc.Alloc.Allocator.free node
-
 let iter t f =
   let m = t.m in
   let rec go cur =

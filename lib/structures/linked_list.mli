@@ -37,9 +37,6 @@ val push_front : t -> int -> Memsim.Addr.t
 val remove : t -> Memsim.Addr.t -> unit
 (** Timed unlink of an element (does not free it). *)
 
-val remove_free : t -> Memsim.Addr.t -> unit
-(** {!remove}, then return the element to the allocator. *)
-
 val iter : t -> (Memsim.Addr.t -> int -> unit) -> unit
 (** Timed forward traversal: calls [f addr payload] per element. *)
 

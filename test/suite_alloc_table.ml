@@ -14,10 +14,10 @@ module R = Alloc_ref
 (* Int_table against Hashtbl                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Keys come from a small pool so that replaces, removes of present keys
-   and probe-run collisions are common; half the pool is far above
-   2^26 (high addresses), and negative keys are looked up but never
-   bound. *)
+(* Keys come from a small pool so that replaces, exchanges, removes of
+   present keys and probe-run collisions are common; half the pool is
+   far above 2^26 (high addresses), and negative keys are looked up but
+   never bound. *)
 let key_of i =
   match i mod 4 with
   | 0 -> i
@@ -37,9 +37,14 @@ let prop_int_table_is_a_map =
       let step_ok (kind, i, v) =
         let k = key_of i in
         (match kind with
-        | 0 | 1 ->
+        | 0 ->
             Int_table.replace t k v;
             Hashtbl.replace h k v
+        | 1 ->
+            let old = Option.value (Hashtbl.find_opt h k) ~default:(-7) in
+            Hashtbl.replace h k v;
+            if Int_table.exchange t k v ~default:(-7) <> old then
+              failwith "exchange returned the wrong previous value"
         | 2 ->
             Int_table.remove t k;
             Hashtbl.remove h k
@@ -63,6 +68,9 @@ let test_negative_key_rejected () =
   Alcotest.check_raises "replace"
     (Invalid_argument "Int_table.replace: negative key") (fun () ->
       Int_table.replace t (-1) 0);
+  Alcotest.check_raises "exchange"
+    (Invalid_argument "Int_table.exchange: negative key") (fun () ->
+      ignore (Int_table.exchange t (-1) 0 ~default:0));
   Alcotest.(check int) "find_or" 3 (Int_table.find_or t (-1) ~default:3);
   Alcotest.(check bool) "mem" false (Int_table.mem t (-1))
 

@@ -172,11 +172,13 @@ let naive_cache (cfg : CC.t) =
   (access, install, s)
 
 (* Every shape the straight-line and scanning set paths take: 2-way,
-   direct-mapped and wider sets, each under both write policies. *)
+   direct-mapped and wider sets, each under both write policies, and
+   the 16-way sets of the profiling machine's L2. *)
 let cache_shapes =
   [|
     CC.v ~name:"2-way" ~sets:4 ~assoc:2 ~block_bytes:16 ();
     CC.v ~name:"full" ~sets:1 ~assoc:8 ~block_bytes:16 ();
+    CC.v ~name:"16-way" ~sets:2 ~assoc:16 ~block_bytes:16 ();
     CC.v ~policy:CC.Write_through ~name:"direct" ~sets:8 ~assoc:1
       ~block_bytes:32 ();
     CC.v ~policy:CC.Write_through ~name:"4-way" ~sets:2 ~assoc:4

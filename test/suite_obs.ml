@@ -315,8 +315,8 @@ let test_reuse_oracle_compaction () =
    whose old flag is in the clock's own open word with a popcount.  The
    streams below are built so that the first round of a fresh run puts
    block [i] at position [i + 1], and are checked against the oracle
-   after every access. *)
-let check_every_access ?(block_bytes = 64) stream =
+   after every access; [also] sees each address after the profiler. *)
+let check_every_access ?(block_bytes = 64) ?(also = ignore) stream =
   let module R = Obs.Profile.Reuse in
   let stream = Array.of_list stream in
   let dists = brute_force_distances (Array.to_list stream) in
@@ -325,7 +325,9 @@ let check_every_access ?(block_bytes = 64) stream =
   let cold = ref 0 in
   Array.iteri
     (fun i b ->
-      R.on_access r false ((b * block_bytes) + (i land (block_bytes - 1)));
+      let addr = (b * block_bytes) + (i land (block_bytes - 1)) in
+      R.on_access r false addr;
+      also addr;
       if dists.(i) < 0 then incr cold
       else hist.(dists.(i)) <- hist.(dists.(i)) + 1;
       let expected = ref [] in
@@ -401,6 +403,61 @@ let test_reuse_compaction_grows () =
     @ List.init 800 (fun i ->
           if i mod 2 = 0 then Workload.Rng.int rng 8 else Workload.Rng.int rng 100)
     )
+
+(* Runs of 1-8 accesses to one block, 3000 runs over 480 blocks.  The
+   reuse profiler answers a re-reference to the previous access's block
+   with distance 0 before its compaction check and without a table
+   probe, so a run that begins on the clock's last position delays the
+   next compaction (19 accesses arrive on that position, across 5
+   compactions); the runs also span the growth of both profilers'
+   block tables at the 97th and 385th distinct blocks.  The byte offset
+   advances with every access, so a run touches new words of its block
+   every fourth access.  Both profilers are checked after every access,
+   block utilization against a table of word masks. *)
+let test_same_block_runs () =
+  let module S = Obs.Profile.Spatial in
+  let rng = Workload.Rng.create 47 in
+  let fresh = ref 1 in
+  let stream =
+    List.concat
+      (List.init 3000 (fun _ ->
+           let b =
+             if Workload.Rng.int rng 6 = 0 then begin
+               incr fresh;
+               !fresh - 1
+             end
+             else Workload.Rng.int rng !fresh
+           in
+           List.init (1 + Workload.Rng.int rng 8) (fun _ -> b)))
+  in
+  let s = S.create ~block_bytes:64 () in
+  let masks = Hashtbl.create 256 in
+  let also addr =
+    S.on_access s false addr;
+    let b = addr / 64 and bit = 1 lsl (addr mod 64 / 4) in
+    let m = Option.value (Hashtbl.find_opt masks b) ~default:0 in
+    Hashtbl.replace masks b (m lor bit);
+    let counts = Array.make 17 0 in
+    Hashtbl.iter
+      (fun _ m ->
+        let n = ref 0 in
+        for w = 0 to 15 do
+          if m land (1 lsl w) <> 0 then incr n
+        done;
+        counts.(!n) <- counts.(!n) + 1)
+      masks;
+    let expected =
+      Array.to_list counts
+      |> List.mapi (fun w c -> (w, c))
+      |> List.filter (fun (_, c) -> c > 0)
+    in
+    let where = Printf.sprintf "address %d: " addr in
+    Alcotest.(check int) (where ^ "blocks touched") (Hashtbl.length masks)
+      (S.blocks_touched s);
+    Alcotest.(check (list (pair int int))) (where ^ "words histogram") expected
+      (S.words_histogram s)
+  in
+  check_every_access ~also stream
 
 (* Random block sizes (1..256 bytes, powers of two) and universes
    (1..3000 blocks); each stream mixes a hot set, uniform picks and a
@@ -730,6 +787,8 @@ let tests =
           test_reuse_compaction_on_word_boundary;
         Alcotest.test_case "reuse: compaction grows the capacity" `Quick
           test_reuse_compaction_grows;
+        Alcotest.test_case "reuse and spatial: runs of same-block accesses"
+          `Quick test_same_block_runs;
         QCheck_alcotest.to_alcotest prop_reuse_matches_oracle;
         Alcotest.test_case "spatial word limit" `Quick test_spatial_word_limit;
       ] );
