@@ -103,7 +103,7 @@ let experiment_cmd exp_name =
 (* Single-benchmark subcommands                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* The steps profile, run, layout and lint share: an unknown name exits
+(* The steps profile, run and layout share: an unknown name exits
    2; otherwise the report is printed and, with [--json], its payload is
    written in the export envelope as experiment "<kind>-<name>". *)
 let report_bench (what, names) ~kind ?scale ?seed json_file pp to_json name
@@ -182,21 +182,30 @@ let profile_cmd =
 (* ------------------------------------------------------------------ *)
 
 let run_whole_program bench seed json_file =
-  ignore
-    (report_bench olden_bench ~kind:"run" ?seed json_file
-       Harness.Whole_program.pp Harness.Whole_program.to_json bench
-       (Harness.Whole_program.run ?seed bench))
+  exit
+    (Harness.Whole_program.exit_code
+       (report_bench olden_bench ~kind:"run" ?seed json_file
+          Harness.Whole_program.pp Harness.Whole_program.to_json bench
+          (Harness.Whole_program.run ?seed bench)))
 
 let run_cmd =
   let doc =
     "Run one Olden benchmark whole-program under three placement arms: \
      the no-placement base, the static Figure 7 ccmorph arm (malloc plus \
      ccmorph), and $(b,static-ccmalloc) (ccmalloc new-block plus ccmorph). \
-     The arms run as concurrent forked processes when the machine has \
-     more than one core."
+     Every arm runs under the placement sanitizer (shadow-heap bounds, \
+     ccmorph block packing, coloring ranges, allocator counter identity, \
+     and a per-site count of ccmalloc hints that point outside its \
+     pages); the command exits 1 if any arm reports an error. The arms \
+     run as concurrent forked processes when the machine has more than \
+     one core."
+  in
+  let exits =
+    Cmd.Exit.info 1 ~doc:"an arm's placement sanitizer reported an error."
+    :: Cmd.Exit.defaults
   in
   Cmd.v
-    (Cmd.info "run" ~doc)
+    (Cmd.info "run" ~doc ~exits)
     Term.(
       const run_whole_program $ olden_bench_arg "run" $ seed_term $ json_term)
 
@@ -280,48 +289,6 @@ let layout_cmd =
     Term.(const run_layout $ bench_term $ scale_term $ seed_term $ json_term)
 
 (* ------------------------------------------------------------------ *)
-(* lint subcommand                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let run_lint bench paper seed fail_on json_file =
-  let scale = scale_of paper in
-  let fail_on =
-    match Analyze.Diag.severity_of_name fail_on with
-    | Some s -> s
-    | None ->
-        Format.eprintf "unknown severity %S (expected error or warn)@." fail_on;
-        exit 2
-  in
-  let report =
-    report_bench olden_bench ~kind:"lint"
-      ~scale:(Harness.Experiments.scale_name scale)
-      ?seed json_file Harness.Lint.pp Harness.Lint.to_json bench
-      (Harness.Lint.run ~scale ?seed bench)
-  in
-  exit (Analyze.Diag.exit_code ~fail_on report.Harness.Lint.diags)
-
-let lint_cmd =
-  let fail_on_term =
-    let doc =
-      "Exit nonzero when any diagnostic is at least this severe: \
-       $(b,error) (default) or $(b,warn)."
-    in
-    Arg.(value & opt string "error" & info [ "fail-on" ] ~docv:"SEV" ~doc)
-  in
-  let doc =
-    "Run the cclint layout analysis over one Olden benchmark: the \
-     placement sanitizer (shadow-heap bounds, ccmorph block packing, \
-     coloring ranges, allocator counter identity) and a per-site count \
-     of ccmalloc hints that point outside its pages.  Exits nonzero if \
-     any diagnostic reaches the $(b,--fail-on) severity."
-  in
-  Cmd.v
-    (Cmd.info "lint" ~doc)
-    Term.(
-      const run_lint $ olden_bench_arg "lint" $ scale_term $ seed_term
-      $ fail_on_term $ json_term)
-
-(* ------------------------------------------------------------------ *)
 
 let cmd =
   let doc =
@@ -341,7 +308,7 @@ let cmd =
   in
   Cmd.group ~default:run_term
     (Cmd.info "ccsl-cli" ~version:"1.0.0" ~doc ~man)
-    (profile_cmd :: lint_cmd :: run_cmd :: layout_cmd :: simbench_cmd
+    (profile_cmd :: run_cmd :: layout_cmd :: simbench_cmd
     :: List.map experiment_cmd
          (Harness.Experiments.names @ [ "ablations"; "all" ]))
 

@@ -21,7 +21,7 @@ type t = {
           zeroed, 4-byte-aligned region of [bytes] bytes.  [site] is a
           stable label for the allocation site (e.g. ["treeadd.node"]);
           allocators themselves ignore it, but diagnostic wrappers such
-          as the [cclint] shadow heap aggregate per-site statistics from
+          as the placement sanitizer's shadow heap aggregate per-site statistics from
           it.  @raise Invalid_argument if [bytes <= 0]. *)
   free : Memsim.Addr.t -> unit;
       (** Return a region to the allocator.  Arena-style allocators treat

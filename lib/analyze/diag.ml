@@ -4,13 +4,7 @@ type severity = Error | Warn
 
 let severity_name = function Error -> "error" | Warn -> "warn"
 
-let severity_of_name = function
-  | "error" -> Some Error
-  | "warn" | "warning" -> Some Warn
-  | _ -> None
-
 let rank = function Error -> 0 | Warn -> 1
-let at_least s threshold = rank s <= rank threshold
 
 type subject =
   | Address of Memsim.Addr.t
@@ -53,8 +47,8 @@ let summarize diags =
     { n_errors = 0; n_warns = 0 }
     diags
 
-let exit_code ?(fail_on = Error) diags =
-  if List.exists (fun d -> at_least d.severity fail_on) diags then 1 else 0
+let exit_code diags =
+  if List.exists (fun d -> rank d.severity = 0) diags then 1 else 0
 
 let subject_to_json = function
   | Address a -> J.Obj [ ("kind", J.String "address"); ("address", J.Int a) ]

@@ -1,4 +1,4 @@
-(** The diagnostic type of every [cclint] rule.
+(** The diagnostic type of every placement-sanitizer rule.
 
     A diagnostic is one finding of one rule: an identifier
     (["pass/rule-name"]), a severity, the subject it is about (an
@@ -13,14 +13,6 @@
     (the paper's Section 3.2 contract for ccmalloc misuse). *)
 
 type severity = Error | Warn
-
-val severity_name : severity -> string
-(** ["error"], ["warn"]. *)
-
-val severity_of_name : string -> severity option
-
-val at_least : severity -> severity -> bool
-(** [at_least s threshold]: is [s] at least as severe as [threshold]? *)
 
 type subject =
   | Address of Memsim.Addr.t  (** a specific heap address *)
@@ -52,9 +44,9 @@ type summary = { n_errors : int; n_warns : int }
 
 val summarize : t list -> summary
 
-val exit_code : ?fail_on:severity -> t list -> int
-(** [0] when no diagnostic is at least [fail_on]-severe (default
-    {!Error}), [1] otherwise — the [ccsl-cli lint] exit contract. *)
+val exit_code : t list -> int
+(** [1] when any diagnostic is an {!Error}, [0] otherwise: the exit
+    status of [ccsl-cli run]. *)
 
 val to_json : t -> Obs.Json.t
 val summary_to_json : summary -> Obs.Json.t

@@ -1,7 +1,7 @@
 module A = Memsim.Addr
 module Machine = Memsim.Machine
 module CC = Memsim.Cache_config
-module IMap = Map.Make (Int)
+module Int_table = Alloc.Int_table
 
 type violation = {
   mutable v_count : int;
@@ -13,46 +13,136 @@ type violation = {
    sanitizer keeps counting but stops allocating per-block records. *)
 let max_violation_blocks = 200
 
+(* Per allocation site: hinted allocations, and those whose hint lies
+   outside the cache-conscious allocator's pages. *)
+type site_hints = { mutable hinted : int; mutable unmanaged : int }
+
 type t = {
   m : Machine.t;
   block_bytes : int;
   l2 : CC.t;
   mutable cc : Ccsl.Ccmalloc.t option;
-  mutable objects : int IMap.t;  (* live heap object bytes, keyed by payload *)
-  mutable elems : int IMap.t;  (* morphed element bytes, keyed by base *)
-  morph_blocks : (int, string) Hashtbl.t;  (* block index -> struct_id *)
+  (* The live table: one bit per simulated byte, set while a live object
+     or a registered element covers it.  [live.(a lsr page_shift)] is the
+     bitmap of [a]'s page ([page_bytes / 8] bytes) once anything there
+     was marked, and the shared all-zero [untouched] bitmap before that,
+     as in [Memsim.Memory]'s page table.  Every bitmap has the same
+     length, so the access test reads no length. *)
+  page_shift : int;
+  off_mask : int;
+  untouched : Bytes.t;
+  mutable live : Bytes.t array;
+  sizes : Int_table.t;  (* live object payload -> bytes *)
+  morph_blocks : Int_table.t;  (* block index of a morphed element -> 1 *)
   violations : (int, violation) Hashtbl.t;  (* block index -> record *)
   mutable dropped_violations : int;
   (* hot-region claims of colored structures: struct_id -> (first, sets) *)
   claims : (string, int * int) Hashtbl.t;
   mutable morph_diags : Diag.t list;  (* straddle/coloring findings *)
+  sites : (string, site_hints) Hashtbl.t;
+  mutable sub : Machine.subscription option;
+  mutable morph_obs : Ccsl.Ccmorph.observer_id option;
 }
 
 let create m =
+  let page_bytes = Machine.page_bytes m in
+  let untouched = Bytes.make (page_bytes / 8) '\000' in
   {
     m;
     block_bytes = Machine.l2_block_bytes m;
     l2 = (Machine.config m).Memsim.Config.l2;
     cc = None;
-    objects = IMap.empty;
-    elems = IMap.empty;
-    morph_blocks = Hashtbl.create 1024;
+    page_shift = A.log2 page_bytes;
+    off_mask = page_bytes - 1;
+    untouched;
+    live = Array.make 64 untouched;
+    sizes = Int_table.create 1024;
+    morph_blocks = Int_table.create 1024;
     violations = Hashtbl.create 64;
     dropped_violations = 0;
     claims = Hashtbl.create 8;
     morph_diags = [];
+    sites = Hashtbl.create 16;
+    sub = None;
+    morph_obs = None;
   }
 
 let set_ccmalloc t cc = t.cc <- Some cc
 
-let note_alloc t payload bytes = t.objects <- IMap.add payload bytes t.objects
+(* One page index and one bit test.  A negative address or one past the
+   table's end indexes no bitmap. *)
+let[@inline] live t a =
+  let i = a lsr t.page_shift in
+  i < Array.length t.live
+  &&
+  let o = a land t.off_mask in
+  Char.code (Bytes.unsafe_get (Array.unsafe_get t.live i) (o lsr 3))
+  land (1 lsl (o land 7))
+  <> 0
 
-let note_free t payload = t.objects <- IMap.remove payload t.objects
+(* The bitmap of page [i], materialized (and the table grown) on first
+   use. *)
+let bitmap t i =
+  let n = Array.length t.live in
+  if i >= n then begin
+    let bigger = Array.make (max (i + 1) (n * 2)) t.untouched in
+    Array.blit t.live 0 bigger 0 n;
+    t.live <- bigger
+  end;
+  let bits = t.live.(i) in
+  if bits != t.untouched then bits
+  else begin
+    let bits = Bytes.make (Bytes.length t.untouched) '\000' in
+    t.live.(i) <- bits;
+    bits
+  end
 
-let inside map addr =
-  match IMap.find_last_opt (fun base -> base <= addr) map with
-  | Some (base, bytes) -> addr < base + bytes
-  | None -> false
+(* Set ([on]) or clear the live bits of bytes [[a, a + n)], page by page:
+   whole bytes of the bitmap at once, single bits at either edge.
+   Clearing never materializes a bitmap. *)
+let mark t a n ~on =
+  let a = ref a and n = ref n in
+  while !n > 0 do
+    let i = !a lsr t.page_shift and o = !a land t.off_mask in
+    let piece = min !n (t.off_mask + 1 - o) in
+    let bits =
+      if on then bitmap t i
+      else if i < Array.length t.live then t.live.(i)
+      else t.untouched
+    in
+    if bits != t.untouched then begin
+      let b = ref o and hi = o + piece in
+      while !b < hi do
+        if !b land 7 = 0 && !b + 8 <= hi then begin
+          Bytes.set bits (!b lsr 3) (if on then '\255' else '\000');
+          b := !b + 8
+        end
+        else begin
+          let c = Char.code (Bytes.get bits (!b lsr 3))
+          and bit = 1 lsl (!b land 7) in
+          Bytes.set bits (!b lsr 3)
+            (Char.chr (if on then c lor bit else c land lnot bit));
+          incr b
+        end
+      done
+    end;
+    a := !a + piece;
+    n := !n - piece
+  done
+
+(* A re-allocation at a live payload replaces the old extent, as a
+   payload-keyed map would. *)
+let note_alloc t payload bytes =
+  let old = Int_table.exchange t.sizes payload bytes ~default:0 in
+  if old > 0 then mark t payload old ~on:false;
+  mark t payload bytes ~on:true
+
+let note_free t payload =
+  let bytes = Int_table.find_or t.sizes payload ~default:0 in
+  if bytes > 0 then begin
+    Int_table.remove t.sizes payload;
+    mark t payload bytes ~on:false
+  end
 
 let default_struct_id (desc : Ccsl.Ccmorph.desc) =
   Printf.sprintf "elem%dB/kids@%s" desc.Ccsl.Ccmorph.elem_bytes
@@ -176,19 +266,19 @@ let note_morph t ?struct_id ~(params : Ccsl.Ccmorph.params)
     let first_straddle = ref A.null in
     List.iter
       (fun a ->
-        t.elems <- IMap.add a elem_bytes t.elems;
+        mark t a elem_bytes ~on:true;
         let base = A.block_base a ~block_bytes:t.block_bytes in
         Hashtbl.replace blocks base ();
-        Hashtbl.replace t.morph_blocks
+        Int_table.replace t.morph_blocks
           (A.block_index a ~block_bytes:t.block_bytes)
-          struct_id;
+          1;
         if A.offset_in_block a ~block_bytes:t.block_bytes + elem_bytes
            > t.block_bytes
         then begin
           (* the element also owns the spilled-into block *)
-          Hashtbl.replace t.morph_blocks
+          Int_table.replace t.morph_blocks
             (A.block_index (a + elem_bytes - 1) ~block_bytes:t.block_bytes)
-            struct_id;
+            1;
           incr straddles;
           if A.is_null !first_straddle then first_straddle := a
         end)
@@ -222,17 +312,74 @@ let record_violation t ~write addr =
           { v_count = 1; v_first = addr; v_write = write }
       else t.dropped_violations <- t.dropped_violations + 1
 
-let record_access t ~write addr =
-  if not (inside t.objects addr || inside t.elems addr) then begin
-    let disciplined =
-      (match t.cc with
-      | Some cc -> Ccsl.Ccmalloc.manages cc addr
-      | None -> false)
-      || Hashtbl.mem t.morph_blocks
-           (A.block_index addr ~block_bytes:t.block_bytes)
-    in
-    if disciplined then record_violation t ~write addr
-  end
+(* An access that hits no live object or element: a violation only
+   inside a disciplined region, a ccmalloc page or a morphed block. *)
+let[@inline never] not_live t write addr =
+  if
+    (match t.cc with
+    | Some cc -> Ccsl.Ccmalloc.manages cc addr
+    | None -> false)
+    || Int_table.mem t.morph_blocks
+         (A.block_index addr ~block_bytes:t.block_bytes)
+  then record_violation t ~write addr
+
+let note_hint t cc ?(site = "<unlabeled>") hint =
+  let s =
+    match Hashtbl.find_opt t.sites site with
+    | Some s -> s
+    | None ->
+        let s = { hinted = 0; unmanaged = 0 } in
+        Hashtbl.replace t.sites site s;
+        s
+  in
+  s.hinted <- s.hinted + 1;
+  if not (Ccsl.Ccmalloc.manages cc hint) then s.unmanaged <- s.unmanaged + 1
+
+let wrap_allocator t (a : Alloc.Allocator.t) =
+  {
+    a with
+    Alloc.Allocator.alloc =
+      (fun ?hint ?site bytes ->
+        let addr = a.Alloc.Allocator.alloc ?hint ?site bytes in
+        note_alloc t addr bytes;
+        (match (t.cc, hint) with
+        | Some cc, Some h when not (A.is_null h) -> note_hint t cc ?site h
+        | _ -> ());
+        addr);
+    free =
+      (fun addr ->
+        note_free t addr;
+        a.Alloc.Allocator.free addr);
+  }
+
+(* The access check lives in this closure, next to the table it reads:
+   under -opaque a call into another module per access would cost as
+   much as the check itself. *)
+let attach t =
+  if t.sub = None then
+    t.sub <-
+      Some
+        (Machine.subscribe t.m (fun write addr ->
+             if not (live t addr) then not_live t write addr));
+  if t.morph_obs = None then
+    t.morph_obs <-
+      Some
+        (Ccsl.Ccmorph.add_observer (fun obs ->
+             if obs.Ccsl.Ccmorph.obs_machine == t.m then
+               note_morph t ~params:obs.Ccsl.Ccmorph.obs_params
+                 ~desc:obs.Ccsl.Ccmorph.obs_desc obs.Ccsl.Ccmorph.obs_result))
+
+let detach t =
+  (match t.sub with
+  | Some s ->
+      Machine.unsubscribe t.m s;
+      t.sub <- None
+  | None -> ());
+  match t.morph_obs with
+  | Some id ->
+      Ccsl.Ccmorph.remove_observer id;
+      t.morph_obs <- None
+  | None -> ()
 
 let check_counters (c : Ccsl.Ccmalloc.counters) =
   let open Ccsl.Ccmalloc in
@@ -280,7 +427,7 @@ let check_counters (c : Ccsl.Ccmalloc.counters) =
     fail "more hint outcomes than allocations"
   else []
 
-let diags t =
+let access_diags t =
   let oob =
     Hashtbl.fold
       (fun block v acc ->
@@ -314,3 +461,32 @@ let diags t =
     else []
   in
   List.rev_append t.morph_diags (oob @ dropped)
+
+let unmanaged_diags t =
+  Hashtbl.fold
+    (fun site s acc ->
+      if s.unmanaged > 0 then
+        Diag.v ~rule:"hint/unmanaged" Diag.Warn ~subject:(Diag.Site site)
+          ~evidence:
+            [
+              ("unmanaged_hints", float_of_int s.unmanaged);
+              ("hinted_allocations", float_of_int s.hinted);
+            ]
+          (Printf.sprintf
+             "%d of %d hints point outside the allocator's managed pages \
+              (another allocator's arena?); each degrades to an unhinted \
+              allocation"
+             s.unmanaged s.hinted)
+        :: acc
+      else acc)
+    t.sites []
+
+let finalize t =
+  (* The counter identity needs a cache-conscious allocator behind the
+     run; without one, no hint was judged either. *)
+  let cc_diags =
+    match t.cc with
+    | Some cc -> check_counters (Ccsl.Ccmalloc.counters cc)
+    | None -> []
+  in
+  List.sort Diag.order (access_diags t @ cc_diags @ unmanaged_diags t)

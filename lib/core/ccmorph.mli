@@ -108,7 +108,7 @@ val morph_forest :
 
 (** {1 Morph observations}
 
-    Diagnostic passes (the [cclint] placement sanitizer, the layout
+    Diagnostic passes (the placement sanitizer, the layout
     shoot-out's plan-footprint columns) need to see every reorganization
     a program performs — which machine it ran on, with which description
     and parameters, and what layout came out — without the benchmark

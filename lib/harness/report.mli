@@ -5,7 +5,6 @@
     {!Obs.Json.t}, so one computation feeds both the terminal and the
     machine-readable export ([ccsl-cli --json]). *)
 
-val hr : Format.formatter -> unit
 val section : Format.formatter -> string -> unit
 
 val olden_result : Olden.Common.result -> Obs.Json.t

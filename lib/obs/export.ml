@@ -119,14 +119,3 @@ let config (c : Memsim.Config.t) =
       ("hw_prefetch", Json.Bool c.Memsim.Config.hw_prefetch);
       ("mshrs", Json.Int c.Memsim.Config.mshrs);
     ]
-
-let machine m =
-  Json.Obj
-    [
-      ("config", Json.String (Memsim.Machine.config m).Memsim.Config.name);
-      ("cycles", Json.Int (Memsim.Machine.cycles m));
-      ("reserved_bytes", Json.Int (Memsim.Machine.reserved_bytes m));
-      ("cost", cost_snapshot (Memsim.Machine.snapshot m));
-      ( "hierarchy",
-        hierarchy_stats (Memsim.Hierarchy.stats (Memsim.Machine.hierarchy m)) );
-    ]

@@ -32,11 +32,6 @@ val write_file : string -> Json.t -> unit
 (** {1 Shared converters} *)
 
 val cost_snapshot : Memsim.Cost.snapshot -> Json.t
-val cache_stats : Memsim.Cache.stats -> Json.t
 val tlb_stats : Memsim.Tlb.stats -> Json.t
 val hierarchy_stats : Memsim.Hierarchy.stats -> Json.t
-val cache_config : Memsim.Cache_config.t -> Json.t
 val config : Memsim.Config.t -> Json.t
-
-val machine : Memsim.Machine.t -> Json.t
-(** Config name, cycle count, reserved bytes, and full hierarchy stats. *)

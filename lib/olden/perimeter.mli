@@ -29,6 +29,3 @@ val run :
 val oracle_perimeter : params -> int
 (** Perimeter computed directly from the pixel grid (O(size^2), untimed);
     used as a test oracle on small sizes. *)
-
-val is_black_pixel : params -> x:int -> y:int -> bool
-(** The image definition (exposed for tests). *)

@@ -97,11 +97,3 @@ let find_oracle t key =
     else walk (Machine.uload32 m (cur + off_next))
   in
   walk (Machine.uload32 m (bucket_cell t key))
-
-let chain_length t i =
-  if i < 0 || i >= t.buckets then invalid_arg "Hash_chain.chain_length";
-  let m = t.m in
-  let rec go cur n =
-    if A.is_null cur then n else go (Machine.uload32 m (cur + off_next)) (n + 1)
-  in
-  go (Machine.uload32 t.m (t.table + (4 * i))) 0

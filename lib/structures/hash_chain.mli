@@ -52,6 +52,3 @@ val set_bucket_heads : t -> Memsim.Addr.t array -> unit
 
 val find_oracle : t -> int -> int option
 (** Untimed lookup for tests. *)
-
-val chain_length : t -> int -> int
-(** Untimed length of bucket [i]'s chain. *)

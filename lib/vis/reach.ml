@@ -8,6 +8,8 @@ type result = {
   total_nodes : int;
 }
 
+(* BDD variable order: present- and next-state bit [i] interleaved at
+   [2i] and [2i + 1], then the inputs after all state variables. *)
 let var_present i = 2 * i
 let var_next i = (2 * i) + 1
 let var_input ~state_bits j = (2 * state_bits) + j

@@ -16,15 +16,6 @@ type result = {
   total_nodes : int;  (** nodes ever created by the manager *)
 }
 
-val var_present : int -> int
-(** Variable index of present-state bit [i] ([2i]). *)
-
-val var_next : int -> int
-(** Variable index of next-state bit [i] ([2i + 1]). *)
-
-val var_input : state_bits:int -> int -> int
-(** Inputs come after all state variables. *)
-
 val run :
   ?unique_bits:int -> ?cache_bits:int -> ?alloc:Alloc.Allocator.t ->
   Memsim.Machine.t -> Circuit.t -> result

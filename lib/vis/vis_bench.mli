@@ -38,5 +38,3 @@ val run :
 val verify : result -> Circuit.t list -> bool
 (** Checks the checksum equals the one implied by the circuits'
     [expected_states]/[expected_iterations]. *)
-
-val expected_checksum : Circuit.t list -> int

@@ -199,7 +199,7 @@ let prop_all_allocations_disjoint =
       pairs !live)
 
 (* The documented accounting identity, checked through the same code the
-   cclint counter-identity rule uses: every hinted allocation must be
+   sanitizer's counter-identity rule uses: every hinted allocation must be
    accounted for as either a same-page strategy placement or a fallback,
    under every strategy and any interleaving of hinted, unhinted,
    foreign-hinted, span, and span-hinted allocations and frees.  Kind 4

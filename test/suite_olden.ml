@@ -165,7 +165,6 @@ let test_kernel_table_names () =
   in
   rejects "olden_kernel" (fun () -> Ex.olden_kernel Ex.Quick "treeadd2");
   rejects "Profiles.run" (fun () -> Harness.Profiles.run "treeadd2");
-  rejects "Lint.run" (fun () -> Harness.Lint.run "treeadd2");
   rejects "Whole_program.run" (fun () ->
       Harness.Whole_program.run "treeadd2");
   rejects "Layout_shootout.run" (fun () ->
