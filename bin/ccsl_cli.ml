@@ -14,7 +14,7 @@ let scale_term =
     "Run at the paper's input sizes (slower).  Default is a quick scale \
      that preserves every qualitative result."
   in
-  Arg.(value & flag & info [ "paper"; "full" ] ~doc)
+  Arg.(value & flag & info [ "paper" ] ~doc)
 
 let seed_term =
   let doc =
@@ -264,16 +264,6 @@ let layout_cmd =
       "Workload to race the engines on: $(b,micro) (the Figure 5 tree \
        search benchmark with the TLB modeled), $(b,health) or \
        $(b,treeadd)."
-  in
-  let json_term =
-    let doc =
-      "Also write the shootout's per-level results as versioned JSON to \
-       $(docv) (default $(b,layout.json) when the flag is given bare)."
-    in
-    Arg.(
-      value
-      & opt ~vopt:(Some "layout.json") (some string) None
-      & info [ "json" ] ~docv:"FILE" ~doc)
   in
   let doc =
     "Race every layout engine — the paper's subtree and depth-first \

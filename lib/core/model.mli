@@ -20,10 +20,6 @@ val miss_rate : d:float -> k:float -> r:float -> float
 (** [(1 - r/d) / k].  @raise Invalid_argument unless [d > 0], [k >= 1],
     [0 <= r <= d]. *)
 
-val amortized_miss_rate : m:(int -> float) -> p:int -> float
-(** [m_a(p) = (Σ_{i=1..p} m(i)) / p]: transient amortized rate over the
-    first [p] accesses. *)
-
 val memory_access_time :
   latencies -> ml1:float -> ml2:float -> refs:float -> float
 (** [t_memory = (t_h + m_L1 t_mL1 + m_L1 m_L2 t_mL2) × refs]
@@ -55,30 +51,9 @@ module Ctree : sig
   val miss_rate :
     n:int -> sets:int -> assoc:int -> block_elems:int -> color_frac:float ->
     float
-  (** Figure 9's steady-state L2 miss rate; clamped to [0, 1] (trees that
-      fit entirely in the hot region never miss in steady state). *)
-
-  val miss_rate_k :
-    n:int -> sets:int -> assoc:int -> block_elems:int -> color_frac:float ->
-    k:float -> float
-  (** {!miss_rate} with an explicit spatial-locality factor [K] instead
-      of the subtree form [log2 (block_elems+1)] — pass a per-engine
-      expected-accesses value from {!Clustering} (e.g.
-      [expected_accesses_depth_first]) to model a different layout
-      engine in the same steady-state framework.
-      @raise Invalid_argument if [k < 1]. *)
-
-  val transient_miss_rate :
-    i:int -> n:int -> sets:int -> assoc:int -> block_elems:int ->
-    color_frac:float -> float
-  (** An extension beyond the paper: the expected miss rate of the [i]-th
-      search while the colored hot region is still filling.  Models the
-      hot region as a coupon collector — each search touches
-      [R_s / K] hot blocks, so after [i] searches the expected resident
-      fraction is [1 - (1 - r/H)^i] of the steady state.  Decreases
-      monotonically to {!miss_rate}; feed it to
-      {!Model.amortized_miss_rate} for the Figure 5-style transient
-      average. *)
+  (** Figure 9's steady-state L2 miss rate: {!Model.miss_rate} with
+      [R = min D R_s] (trees that fit entirely in the hot region never
+      miss in steady state). *)
 
   val predicted_speedup :
     lat:latencies -> n:int -> sets:int -> assoc:int -> block_elems:int ->
@@ -88,23 +63,4 @@ module Ctree : sig
       cache-conscious tree (the paper's validation assumes 1.0 because a
       16 KB / 16 B-block L1 provides practically no clustering or
       reuse for 20-byte nodes). *)
-end
-
-(** Beyond the paper: the multilevel view that distinguishes the
-    recursive van Emde Boas layout from single-level clustering
-    (Alstrup et al.; Lindstrom & Rajan).  The paper's model treats one
-    cache level; a vEB layout meets the same per-level transfer bound at
-    {e every} granularity — L1 blocks, L2 blocks, and pages —
-    simultaneously, while subtree clustering meets it only for the [k]
-    it was planned with. *)
-module Multilevel : sig
-  val path_transfers : d:float -> block_elems:int -> float
-  (** Expected block transfers for a root-to-leaf path of [d] examined
-      nodes at a level whose blocks hold [block_elems] elements, when
-      the layout packs subtrees at that granularity:
-      [d / log2 (block_elems + 1)].  Evaluate at the L2 capacity to
-      recover the paper's model; evaluate at the page capacity to bound
-      TLB misses under a vEB layout (a bound depth-first chunking
-      misses by a factor approaching [log2 (k+1)/2]).
-      @raise Invalid_argument unless [d > 0] and [block_elems >= 1]. *)
 end

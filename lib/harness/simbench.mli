@@ -25,11 +25,10 @@ type row = {
 
 type report = { machine : string; rows : row list }
 
-val run : ?n:int -> ?repeats:int -> unit -> report
+val run : ?n:int -> unit -> report
 (** [n] (default 2,000,000) is the access count for the two synthetic
     workloads; [health-arm] always runs the quick-scale benchmark.
-    Each row is timed [repeats] times (default 3) and the fastest
-    repeat reported. *)
+    Each row is timed three times and the fastest repeat reported. *)
 
 val pp : Format.formatter -> report -> unit
 val to_json : report -> Obs.Json.t

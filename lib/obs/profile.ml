@@ -201,9 +201,6 @@ module Reuse = struct
     if t.time = 0 then 0.
     else float_of_int (implied_misses t ~blocks) /. float_of_int t.time
 
-  let miss_rate_curve t ~capacities_blocks =
-    List.map (fun c -> (c, implied_miss_rate t ~blocks:c)) capacities_blocks
-
   let to_json t =
     Json.Obj
       [
@@ -296,10 +293,6 @@ module Spatial = struct
   let utilization t =
     if blocks_touched t = 0 then 0.
     else avg_words_touched t /. float_of_int t.words_per_block
-
-  let measured_k t ~elem_bytes =
-    if elem_bytes <= 0 then invalid_arg "Spatial.measured_k: elem_bytes <= 0";
-    avg_words_touched t *. float_of_int t.word_bytes /. float_of_int elem_bytes
 
   let words_histogram t =
     let counts = Array.make (t.words_per_block + 1) 0 in

@@ -16,8 +16,8 @@
       its latest access, and renumbers the flags 1..b in place when the
       clock reaches the tree's capacity (kept at least [4b]).
     - {!Spatial}: per-block utilization — which words of each block were
-      ever touched — giving the measured spatial-locality factor [K]
-      (how many co-located elements a block fill actually delivers).
+      ever touched — the measured counterpart of the model's
+      spatial-locality factor [K] (how much of a block fill is used).
     - {!Occupancy}: accesses per cache set, split into the coloring hot
       region and the cold rest, to show Section 2.2's coloring actually
       confining cold data.
@@ -55,8 +55,6 @@ module Reuse : sig
   val implied_miss_rate : t -> blocks:int -> float
   (** [implied_misses / accesses]: misses per traced reference. *)
 
-  val miss_rate_curve : t -> capacities_blocks:int list -> (int * float) list
-
   val to_json : t -> Json.t
   val pp : Format.formatter -> t -> unit
 end
@@ -79,11 +77,6 @@ module Spatial : sig
   val utilization : t -> float
   (** Fraction of all bytes of touched blocks that were themselves
       touched — 1.0 means every fill was fully used. *)
-
-  val measured_k : t -> elem_bytes:int -> float
-  (** Touched bytes per block divided by [elem_bytes]: the spatial
-      locality factor [K] of the paper's amortized miss rate
-      [m_s = (1 - R_s/D) / K]. *)
 
   val words_histogram : t -> (int * int) list
   (** (words touched, block count), ascending. *)

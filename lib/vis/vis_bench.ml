@@ -15,7 +15,6 @@ type result = {
   l2_miss_rate : float;
   checksum : int;  (** over the reachability results only *)
   total_nodes : int;
-  chain_steps : int;
   mult_equivalent : bool;
       (** the synthesis-verification phase proved a*b = b*a *)
 }
@@ -30,8 +29,7 @@ let expected_checksum circuits =
         ~iterations:(float_of_int c.Circuit.expected_iterations |> int_of_float))
     0 circuits
 
-let run ?(circuits = Circuit.all_default) ?(unique_bits = 10)
-    ?(cache_bits = 11) ?(mult_bits = 8) placement =
+let run ?(circuits = Circuit.all_default) ?(mult_bits = 8) placement =
   let m = Machine.create (Config.ultrasparc_e5000 ~tlb:true ()) in
   let alloc =
     match placement with
@@ -41,12 +39,11 @@ let run ?(circuits = Circuit.all_default) ?(unique_bits = 10)
   in
   let checksum = ref 0 in
   let total_nodes = ref 0 in
-  let chain_steps = ref 0 in
   List.iter
     (fun c ->
       (* one fresh manager per circuit, as VIS does per model, all
          drawing from the same heap *)
-      let r = Reach.run ~unique_bits ~cache_bits ~alloc m c in
+      let r = Reach.run ~unique_bits:10 ~cache_bits:11 ~alloc m c in
       checksum :=
         fold_checksum !checksum ~states:r.Reach.states
           ~iterations:r.Reach.iterations;
@@ -75,7 +72,6 @@ let run ?(circuits = Circuit.all_default) ?(unique_bits = 10)
       Memsim.Cache.miss_rate (Memsim.Cache.stats (Memsim.Hierarchy.l2 h));
     checksum = !checksum;
     total_nodes = !total_nodes;
-    chain_steps = !chain_steps;
     mult_equivalent =
       (match mult with Some r -> r.Combinational.equivalent | None -> true);
   }

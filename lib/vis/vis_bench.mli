@@ -19,21 +19,20 @@ type result = {
   checksum : int;
       (** folds every circuit's state count and iteration count *)
   total_nodes : int;
-  chain_steps : int;  (** unique-table chain walk telemetry *)
   mult_equivalent : bool;
       (** the synthesis-verification phase proved a*b = b*a *)
 }
 
 val run :
-  ?circuits:Circuit.t list -> ?unique_bits:int -> ?cache_bits:int ->
-  ?mult_bits:int -> placement -> result
+  ?circuits:Circuit.t list -> ?mult_bits:int -> placement -> result
 (** Whole-run measurement (there is no separate build phase to
     fast-forward: BDD construction {e is} the workload) on the
     UltraSPARC E5000 machine with TLB.  The run chains reachability over
     [circuits] with an [mult_bits]-wide multiplier equivalence check
-    ([0] disables it).  [unique_bits] defaults to 10 and [cache_bits] to
-    11 for the reachability managers: densely loaded tables whose chains
-    are actually walked, as in a production BDD package. *)
+    ([0] disables it).  The reachability managers get [2^10]-entry
+    unique tables and [2^11]-entry computed tables: densely loaded
+    tables whose chains are actually walked, as in a production BDD
+    package. *)
 
 val verify : result -> Circuit.t list -> bool
 (** Checks the checksum equals the one implied by the circuits'

@@ -10,8 +10,6 @@ module Config = Memsim.Config
 module Cache = Memsim.Cache
 module Hierarchy = Memsim.Hierarchy
 module Ccmorph = Ccsl.Ccmorph
-module Clustering = Ccsl.Clustering
-module Model = Ccsl.Model
 module Bst = Structures.Bst
 module Rng = Workload.Rng
 module OC = Olden.Common
@@ -231,31 +229,6 @@ let test_page_aware_tlb_sensitivity () =
     LS.engine_schemes
 
 (* ------------------------------------------------------------------ *)
-(* Closed forms                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let feq = Alcotest.float 1e-9
-
-let test_closed_forms () =
-  (* geometric chain descent at p = 1/2 collapses to the paper's
-     depth-first form 2(1 - 2^-k) *)
-  Alcotest.check feq "weighted at p=0.5 equals depth-first form"
-    (Clustering.expected_accesses_depth_first ~k:6)
-    (Clustering.expected_accesses_weighted ~k:6 ~p:0.5);
-  Alcotest.check feq "always-descend (p=1) uses the whole block" 4.0
-    (Clustering.expected_accesses_weighted ~k:4 ~p:1.0);
-  Alcotest.check feq "vEB shares the subtree form at one level"
-    (Clustering.expected_accesses_subtree ~k:7)
-    (Clustering.expected_accesses_veb ~k:7);
-  Alcotest.check_raises "p outside [0,1] rejected"
-    (Invalid_argument "Clustering.expected_accesses_weighted: p outside [0, 1]")
-    (fun () -> ignore (Clustering.expected_accesses_weighted ~k:4 ~p:1.5));
-  Alcotest.check feq "single-element blocks transfer once per node" 10.0
-    (Model.Multilevel.path_transfers ~d:10.0 ~block_elems:1);
-  Alcotest.check feq "7-element blocks amortize 3 nodes per transfer" 3.0
-    (Model.Multilevel.path_transfers ~d:9.0 ~block_elems:7)
-
-(* ------------------------------------------------------------------ *)
 (* Shootout harness: report shape, parallel == serial                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -322,7 +295,6 @@ let tests =
           `Quick test_morph_engines_with_debug_check;
         Alcotest.test_case "page_aware TLB sensitivity per engine" `Quick
           test_page_aware_tlb_sensitivity;
-        Alcotest.test_case "closed forms" `Quick test_closed_forms;
         Alcotest.test_case "shootout report shape (micro)" `Quick
           test_shootout_report_shape;
         Alcotest.test_case "shootout parallel == serial (treeadd)" `Quick

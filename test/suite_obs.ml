@@ -546,8 +546,6 @@ let test_spatial () =
     (Obs.Profile.Spatial.avg_words_touched s);
   Alcotest.(check (float 1e-9)) "utilization" (1.5 /. 8.)
     (Obs.Profile.Spatial.utilization s);
-  Alcotest.(check (float 1e-9)) "measured K for 6-byte elems" 1.0
-    (Obs.Profile.Spatial.measured_k s ~elem_bytes:6);
   Alcotest.(check (list (pair int int))) "words histogram" [ (1, 1); (2, 1) ]
     (Obs.Profile.Spatial.words_histogram s)
 
