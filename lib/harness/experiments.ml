@@ -447,9 +447,10 @@ let fig10 ?(scale = Quick) ?seed ppf =
         (p.Tb.actual /. p.Tb.predicted))
     pts;
   Format.fprintf ppf
-    "(paper: both curves decline with tree size and differ by ~15%%; the \
-     paper's model@. underestimates its measurement, ours slightly \
-     overestimates -- see EXPERIMENTS.md)@.@.";
+    "(paper: both curves decline with tree size, and its model \
+     underestimates its@. measurement; here the prediction declines and \
+     measured/predicted stays in@. [0.70, 0.85], the band CI holds \
+     BENCH_fig10.json to -- see EXPERIMENTS.md)@.@.";
   J.Obj
     [
       ("searches", J.Int searches);

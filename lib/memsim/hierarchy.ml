@@ -134,10 +134,9 @@ let l2_miss t ~now blk =
 (* The demand walk below an L1 miss, at absolute cycle [now + Cost.total
    clock].  The clock is read only on an L2 miss that can meet the MSHRs
    or the prefetcher, so {!Machine} passes its cost record instead of
-   summing it on every miss.  Dune's dev profile compiles with [-opaque]:
-   nothing is inlined across modules, so every module boundary crossed
-   here is a real call, and the walk crosses one ([Cache.access] on the
-   L2) unless it reads the clock. *)
+   summing it on every miss.  The build compiles without [-opaque]
+   (dune-workspace), so calls across modules are direct: an L2 hit costs
+   one call, [Cache.access] on the L2. *)
 let[@inline] walk_l2 t ~clock ~now ~write a =
   if Cache.access t.l2 ~write a then t.l2_hit_cycles
   else if t.pend_count = 0 && not t.hw_prefetch then t.l2_miss_cycles

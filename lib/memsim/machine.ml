@@ -93,42 +93,6 @@ let unsubscribe t id =
   t.subs <- List.filter (fun (i, _) -> i <> id) t.subs;
   rebuild_notify t
 
-(* Word reads and writes straight out of [Memory]'s page table: under
-   -opaque a call into [Memory] is an unknown application.  Only a word
-   inside a materialized page is served here.  An untouched page (the
-   zero-length entry), a word straddling a page boundary and an index
-   past the table's end fall back to [Memory]'s general accessor; so
-   does every out-of-range address, since no page outside [0, 2^32) is
-   ever materialized. *)
-
-external swap32 : int32 -> int32 = "%bswap_int32"
-external unsafe_get_32 : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
-external unsafe_set_32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
-
-let[@inline] page (mem : Memory.t) a =
-  let i = a lsr mem.page_shift in
-  if i < Array.length mem.pages then Array.unsafe_get mem.pages i
-  else Bytes.empty
-
-let[@inline] mem_load32 (mem : Memory.t) a =
-  let p = page mem a and o = a land mem.off_mask in
-  if o + 4 <= Bytes.length p then
-    let v = unsafe_get_32 p o in
-    if Sys.big_endian then Int32.to_int (swap32 v) land 0xffffffff
-    else Int32.to_int v land 0xffffffff
-  else Memory.load32 mem a
-
-let[@inline] mem_store32 (mem : Memory.t) a v =
-  let p = page mem a and o = a land mem.off_mask in
-  if o + 4 <= Bytes.length p then
-    if Sys.big_endian then unsafe_set_32 p o (swap32 (Int32.of_int v))
-    else unsafe_set_32 p o (Int32.of_int v)
-  else Memory.store32 mem a v
-
-let[@inline] mem_load32s mem a =
-  let v = mem_load32 mem a in
-  if v land 0x80000000 <> 0 then v - 0x100000000 else v
-
 (* Timed word accessors: the observers (if any), then one monomorphic
    walk -- the TLB (if any) and the L1, and on an L1 miss the
    hierarchy's walk below it, clocked by [t.cost] so that the absolute
@@ -147,15 +111,15 @@ let[@inline] fast_latency t ~write a =
 
 let[@inline] timed_load32 t a =
   charge_load t (fast_latency t ~write:false a);
-  mem_load32 t.mem a
+  Memory.load32 t.mem a
 
 let[@inline] timed_store32 t a v =
   charge_store t (fast_latency t ~write:true a);
-  mem_store32 t.mem a v
+  Memory.store32 t.mem a v
 
 let[@inline] timed_load32s t a =
   charge_load t (fast_latency t ~write:false a);
-  mem_load32s t.mem a
+  Memory.load32s t.mem a
 
 let load32 t a =
   match t.notify with
@@ -203,9 +167,9 @@ let touch t ?(write = false) a ~bytes =
   let lat = Hierarchy.access_range t.hier ~now:(now t) ~write a ~bytes in
   if write then charge_store t lat else charge_load t lat
 
-let uload32 t a = mem_load32 t.mem a
-let ustore32 t a v = mem_store32 t.mem a v
-let uload32s t a = mem_load32s t.mem a
+let uload32 t a = Memory.load32 t.mem a
+let ustore32 t a v = Memory.store32 t.mem a v
+let uload32s t a = Memory.load32s t.mem a
 let cycles t = Cost.total t.cost
 let snapshot t = Cost.snapshot t.cost
 

@@ -69,7 +69,7 @@ let store8 t a v =
 (* Wider accessors read within one page when the value fits, and
    assemble it from narrower pieces when it straddles a page boundary. *)
 
-let load32 t a =
+let[@inline never] load32_slow t a =
   let o = a land t.off_mask in
   if o + 4 <= t.page_bytes then get32_le (page t a) o
   else
@@ -78,13 +78,33 @@ let load32 t a =
     lor (load8 t (a + 2) lsl 16)
     lor (load8 t (a + 3) lsl 24)
 
-let store32 t a v =
+let[@inline never] store32_slow t a v =
   let o = a land t.off_mask in
   if o + 4 <= t.page_bytes then set32_le (page t a) o v
   else
     for i = 0 to 3 do
       store8 t (a + i) (v lsr (8 * i))
     done
+
+(* The word accessors every simulated load and store ends in, inlined
+   into their callers: a word inside a materialized page is read or
+   written in place.  An untouched page (the zero-length entry), a word
+   straddling a page boundary and an index past the table's end take the
+   slow path, and so does every address outside [0, 2^32), since no
+   page there is ever materialized.  [load32s], for the few signed
+   fields, is one call with [load32] inlined in it. *)
+let[@inline] mapped t a =
+  let i = a lsr t.page_shift in
+  if i < Array.length t.pages then Array.unsafe_get t.pages i
+  else untouched
+
+let[@inline] load32 t a =
+  let p = mapped t a and o = a land t.off_mask in
+  if o + 4 <= Bytes.length p then get32_le p o else load32_slow t a
+
+let[@inline] store32 t a v =
+  let p = mapped t a and o = a land t.off_mask in
+  if o + 4 <= Bytes.length p then set32_le p o v else store32_slow t a v
 
 let load32s t a =
   let v = load32 t a in

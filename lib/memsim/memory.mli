@@ -1,9 +1,9 @@
 (** The simulated physical address space.
 
-    A byte-addressable store behind a page table: [pages.(a lsr
-    page_shift)] holds the page of address [a], a [Bytes.t] of
-    [page_bytes] bytes once anything has touched it, and the shared
-    zero-length page before that.  This is where every
+    A byte-addressable store behind a page table, indexed by page
+    number: each entry is a [Bytes.t] of [page_bytes] bytes once
+    anything has touched that page, and a shared zero-length page
+    before that; the table grows on demand.  This is where every
     simulated structure's fields actually live; pointer fields hold
     {!Addr.t} values.  [Memory] itself is *untimed* — cycle and cache
     accounting happen in {!Machine}, which wraps each load/store here
@@ -12,18 +12,7 @@
     Simulated addresses are 32-bit: every accessor raises
     [Invalid_argument] naming the address for [a < 0] or [a >= 2^32]. *)
 
-type t = private {
-  page_bytes : int;
-  page_shift : int;  (** [log2 page_bytes] *)
-  off_mask : int;  (** [page_bytes - 1] *)
-  mutable pages : Bytes.t array;
-      (** Indexed by page number; grows on demand, so an index past its
-          end is untouched too. *)
-  mutable materialized : int;
-}
-(** Private, not abstract, so that {!Machine} can read a word inside a
-    materialized page inline; every other access goes through the
-    accessors below. *)
+type t
 
 val create : page_bytes:int -> t
 (** [page_bytes] (a power of two) is the machine's page size. *)

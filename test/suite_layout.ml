@@ -258,14 +258,19 @@ let test_shootout_report_shape () =
         r.LS.rows
 
 (* The reference is the committed BENCH_layout_treeadd.json, which
-   [ccsl-cli layout treeadd --json] writes: the rows [Parallel.map]
+   [ccsl-cli layout treeadd --json] writes, found from the test binary's
+   path (dune copies it to the build root as a dependency) so the test
+   runs from any working directory: the rows [Parallel.map]
    reassembles (forked wherever the machine has more than one core)
    must export byte-identically to it. *)
 let test_shootout_parallel_matches_serial () =
   match LS.run "treeadd" with
   | Some r ->
       let golden =
-        In_channel.with_open_bin "../BENCH_layout_treeadd.json"
+        In_channel.with_open_bin
+          (Filename.concat
+             (Filename.dirname Sys.executable_name)
+             "../BENCH_layout_treeadd.json")
           In_channel.input_all
       in
       let export =

@@ -42,18 +42,22 @@ let test_fill_zero () =
   done
 
 (* Only touched pages are materialized, reads included, however far
-   apart; the page table grows to reach them. *)
+   apart; the page table grows to reach them, and a materialized page
+   holds all [page_bytes] bytes. *)
 let test_sparse_pages () =
   let m = M.create ~page_bytes:4096 in
   Alcotest.(check int) "nothing materialized" 0 (M.pages_materialized m);
   M.store8 m ((100 * 4096) + 5) 1;
-  ignore (M.load32 m (500 * 4096));
+  Alcotest.(check int) "a read on page 500 returns 0" 0
+    (M.load32 m (500 * 4096));
   M.store32 m ((100 * 4096) + 8) 2;
   Alcotest.(check int) "two pages materialized" 2 (M.pages_materialized m);
-  Alcotest.(check bool) "table reaches page 500" true
-    (Array.length m.M.pages > 500);
-  Alcotest.(check int) "a page is page_bytes long" 4096
-    (Bytes.length m.M.pages.(100))
+  Alcotest.(check int) "the table reaches page 500" 0
+    (M.load32 m ((500 * 4096) + 4092));
+  M.store32 m ((100 * 4096) + 4092) 3;
+  Alcotest.(check int) "a page is page_bytes long" 3
+    (M.load32 m ((100 * 4096) + 4092));
+  Alcotest.(check int) "still two pages" 2 (M.pages_materialized m)
 
 (* Simulated pointers are 32-bit: an address outside [0, 2^32) is a
    caller's bug, reported with the address, whether it reaches [Memory]
