@@ -65,7 +65,7 @@ let run_experiments names paper seed json_file =
         | [ (_, payload) ] -> payload
         | many -> Obs.Json.Obj many
       in
-      Obs.Export.write_file file
+      Obs.Json.write_file file
         (Obs.Export.envelope ~experiment
            ~scale:(Harness.Experiments.scale_name scale)
            ?seed data);
@@ -116,7 +116,7 @@ let report_bench (what, names) ~kind ?scale ?seed json_file pp to_json name
       Format.printf "%a@." pp report;
       Option.iter
         (fun file ->
-          Obs.Export.write_file file
+          Obs.Json.write_file file
             (Obs.Export.envelope ~experiment:(kind ^ "-" ^ name) ?scale ?seed
                (to_json report));
           Format.printf "wrote %s@." file)
@@ -219,7 +219,7 @@ let run_simbench n json_file =
   match json_file with
   | None -> ()
   | Some file ->
-      Obs.Export.write_file file
+      Obs.Json.write_file file
         (Obs.Export.envelope ~experiment:"simbench"
            (Harness.Simbench.to_json report));
       Format.printf "wrote %s@." file

@@ -395,44 +395,56 @@ let dynamic_updates ?seed ppf =
 
 let miss_curves ?seed ppf =
   section ppf
-    "Extension: measured amortized miss rate vs. cache size (trace replay)";
+    "Extension: measured amortized miss rate vs. cache size (live caches)";
   Format.fprintf ppf
     "  The Section 5 model's R_s = log2(Color_const * c * k * a + 1) says the \
-     miss@.   rate falls logarithmically with cache size; replaying one \
-     search trace@.   through different L2 capacities measures exactly \
-     that.@.@.";
+     miss@.   rate falls logarithmically with cache size; caches of each L2 \
+     capacity,@.   subscribed to one search stream as it runs, measure \
+     exactly that.@.@.";
   let n = 1 lsl 18 in
-  let record params =
+  let capacities = [ 131072; 262144; 524288; 1048576; 2097152; 4194304 ] in
+  (* One steady-state search stream per layout, observed while it runs
+     by a direct-mapped 64 B cache of each capacity: the stream's length
+     and each cache's miss rate. *)
+  let measure params =
     let m = Machine.create (Config.ultrasparc_e5000 ()) in
     let t =
       Tb.build ?morph:params m (random_layout seed)
         ~keys:(Array.init n (fun i -> i))
     in
-    let tr = Memsim.Trace.create () in
     let rng = Rng.create (sd seed 5 1) in
-    (* warm up untraced, then record the steady state *)
+    (* warm up unobserved, then observe the steady state *)
     for _ = 1 to 4000 do
       ignore (Bst.search t (Rng.int rng n))
     done;
+    let caches =
+      List.map
+        (fun capacity_bytes ->
+          Memsim.Cache.create
+            (Memsim.Cache_config.of_capacity ~name:"curve" ~capacity_bytes
+               ~assoc:1 ~block_bytes:64 ()))
+        capacities
+    in
+    let events = ref 0 in
     let sub =
-      Machine.subscribe m (fun w a ->
-          Memsim.Trace.record tr (if w then Memsim.Trace.Store else Memsim.Trace.Load) a)
+      Machine.subscribe m (fun write a ->
+          incr events;
+          List.iter (fun c -> ignore (Memsim.Cache.access c ~write a)) caches)
     in
     for _ = 1 to 4000 do
       ignore (Bst.search t (Rng.int rng n))
     done;
     Machine.unsubscribe m sub;
-    tr
+    ( !events,
+      List.map (fun c -> Memsim.Cache.miss_rate (Memsim.Cache.stats c)) caches
+    )
   in
-  let naive = record None in
-  let ctree = record (Some Ccmorph.default_params) in
-  let capacities = [ 131072; 262144; 524288; 1048576; 2097152; 4194304 ] in
-  let curve tr = Memsim.Trace.miss_rate_curve tr ~block_bytes:64 ~assoc:1 ~capacities in
-  let cn = curve naive and cc = curve ctree in
+  let events, cn = measure None in
+  let _, cc = measure (Some Ccmorph.default_params) in
   Format.fprintf ppf "  %-12s %12s %12s@." "L2 capacity" "naive" "C-tree";
   let rows =
     List.map2
-      (fun (cap, mn) (_, mc) ->
+      (fun cap (mn, mc) ->
         Format.fprintf ppf "  %-12s %12.4f %12.4f@."
           (Printf.sprintf "%d KB" (cap / 1024))
           mn mc;
@@ -442,16 +454,15 @@ let miss_curves ?seed ppf =
             ("naive", J.Float mn);
             ("ctree", J.Float mc);
           ])
-      cn cc
+      capacities (List.combine cn cc)
   in
   Format.fprintf ppf
-    "  (%d-event traces.  The C-tree's curve sits far below the naive one; \
+    "  (%d-event streams.  The C-tree's curve sits far below the naive one; \
      it flattens@.   past 1 MB because its coloring was computed for the 1 MB \
      E5000 L2 -- placement is@.   tuned to a cache, exactly as the model's \
      R_s(c) says)@.@."
-    (Memsim.Trace.length naive);
-  J.Obj
-    [ ("trace_events", J.Int (Memsim.Trace.length naive)); ("rows", J.List rows) ]
+    events;
+  J.Obj [ ("trace_events", J.Int events); ("rows", J.List rows) ]
 
 let associativity ?seed ppf =
   section ppf

@@ -59,9 +59,11 @@ val associativity : ?seed:int -> Format.formatter -> Obs.Json.t
     misses. *)
 
 val miss_curves : ?seed:int -> Format.formatter -> Obs.Json.t
-(** Record one steady-state search trace per layout and replay it
-    through L2 capacities from 128 KB to 4 MB: the measured counterpart
-    of the model's logarithmic [R_s] term. *)
+(** Subscribe direct-mapped caches of L2 capacities from 128 KB to
+    4 MB to one steady-state search stream per layout while it runs and
+    report their miss rates: the measured counterpart of the model's
+    logarithmic [R_s] term.  [trace_events] is the naive stream's
+    length. *)
 
 val veb_layout : ?seed:int -> Format.formatter -> Obs.Json.t
 (** The hand-designed alternative (Table 3's "CC design" row): a

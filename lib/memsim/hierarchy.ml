@@ -168,8 +168,6 @@ let access_range t ~now ~write a ~bytes =
 let prefetch t ~now a = schedule t ~now a
 let pending_prefetches t = t.pend_count
 
-let would_miss_l2 t a = (not (Cache.probe t.l1 a)) && not (Cache.probe t.l2 a)
-
 let clear t =
   Cache.clear t.l1;
   Cache.clear t.l2;

@@ -64,10 +64,6 @@ val prefetch : t -> now:int -> Addr.t -> unit
 val pending_prefetches : t -> int
 (** Currently outstanding prefetches (for tests). *)
 
-val would_miss_l2 : t -> Addr.t -> bool
-(** True if a demand access to [a] right now would miss in both levels
-    (pending prefetches are ignored). *)
-
 val clear : t -> unit
 (** Cold-start both levels, the TLB, and the prefetch queue. *)
 

@@ -142,16 +142,6 @@ let load32s t a =
       f false a;
       timed_load32s t a
 
-let loadf t a =
-  trace t false a;
-  charge_load t (Hierarchy.access_range t.hier ~now:(now t) ~write:false a ~bytes:8);
-  Memory.loadf t.mem a
-
-let storef t a v =
-  trace t true a;
-  charge_store t (Hierarchy.access_range t.hier ~now:(now t) ~write:true a ~bytes:8);
-  Memory.storef t.mem a v
-
 let load_ptr = load32
 let store_ptr = store32
 let busy t n = t.cost.Cost.busy <- t.cost.Cost.busy + n

@@ -37,8 +37,6 @@ val reserved_bytes : t -> int
 val load32 : t -> Addr.t -> int
 val store32 : t -> Addr.t -> int -> unit
 val load32s : t -> Addr.t -> int
-val loadf : t -> Addr.t -> float
-val storef : t -> Addr.t -> float -> unit
 
 val load_ptr : t -> Addr.t -> Addr.t
 (** Synonym for {!load32}; documents intent at call sites. *)

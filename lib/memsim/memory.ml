@@ -110,25 +110,6 @@ let load32s t a =
   let v = load32 t a in
   if v land 0x80000000 <> 0 then v - 0x100000000 else v
 
-let load64 t a =
-  let o = a land t.off_mask in
-  if o + 8 <= t.page_bytes then Bytes.get_int64_le (page t a) o
-  else
-    let lo = Int64.of_int (load32 t a) in
-    let hi = Int64.of_int (load32 t (a + 4)) in
-    Int64.logor lo (Int64.shift_left hi 32)
-
-let store64 t a v =
-  let o = a land t.off_mask in
-  if o + 8 <= t.page_bytes then Bytes.set_int64_le (page t a) o v
-  else begin
-    store32 t a (Int64.to_int (Int64.logand v 0xffffffffL));
-    store32 t (a + 4) (Int64.to_int (Int64.shift_right_logical v 32))
-  end
-
-let loadf t a = Int64.float_of_bits (load64 t a)
-let storef t a v = store64 t a (Int64.bits_of_float v)
-
 (* Bulk operations, one [Bytes] call per page the range touches: a
    range that straddles a page boundary is split there. *)
 type bulk = Load | Store | Zero

@@ -32,14 +32,6 @@ val store32 : t -> Addr.t -> int -> unit
 val load32s : t -> Addr.t -> int
 (** Like {!load32} but sign-extends, for signed fields. *)
 
-val load64 : t -> Addr.t -> int64
-val store64 : t -> Addr.t -> int64 -> unit
-
-val loadf : t -> Addr.t -> float
-(** IEEE-754 double stored in 8 bytes. *)
-
-val storef : t -> Addr.t -> float -> unit
-
 val load_bytes : t -> Addr.t -> Bytes.t -> pos:int -> len:int -> unit
 (** [load_bytes t a buf ~pos ~len] copies the [len] simulated bytes at
     [a] into [buf] at [pos] (untimed), one [Bytes.blit] per page.

@@ -11,32 +11,6 @@ let envelope ~experiment ?scale ?seed data =
     @ (match seed with None -> [] | Some s -> [ ("seed", Json.Int s) ])
     @ [ ("data", data) ])
 
-let validate_envelope j =
-  let ( let* ) = Result.bind in
-  let field name check =
-    match Json.member name j with
-    | None -> Error (Printf.sprintf "missing field %S" name)
-    | Some v -> (
-        match check v with
-        | true -> Ok ()
-        | false -> Error (Printf.sprintf "field %S has the wrong type" name))
-  in
-  let* () = field "schema_version" (fun v -> Json.to_int v <> None) in
-  let* () =
-    match Json.member "schema_version" j |> Option.get |> Json.to_int with
-    | Some v when v = schema_version -> Ok ()
-    | Some v -> Error (Printf.sprintf "unsupported schema_version %d" v)
-    | None -> Error "unsupported schema_version"
-  in
-  let* () = field "generator" (fun v -> Json.to_str v <> None) in
-  let* () = field "experiment" (fun v -> Json.to_str v <> None) in
-  let* () =
-    field "data" (function Json.Obj _ | Json.List _ -> true | _ -> false)
-  in
-  Ok ()
-
-let write_file = Json.write_file
-
 let cost_snapshot (s : Memsim.Cost.snapshot) =
   Json.Obj
     [

@@ -22,13 +22,6 @@ val envelope :
   Json.t ->
   Json.t
 
-val validate_envelope : Json.t -> (unit, string) result
-(** Structural check used by tests and the CI smoke run: required fields
-    present and of the right type, version supported. *)
-
-val write_file : string -> Json.t -> unit
-(** Alias of {!Json.write_file}. *)
-
 (** {1 Shared converters} *)
 
 val cost_snapshot : Memsim.Cost.snapshot -> Json.t

@@ -85,8 +85,6 @@ let to_string ?(minify = false) t =
   to_buf ~minify b t;
   Buffer.contents b
 
-let pp ppf t = Format.pp_print_string ppf (to_string t)
-
 let write_file path t =
   let oc = open_out path in
   Fun.protect
@@ -96,203 +94,9 @@ let write_file path t =
       output_char oc '\n')
 
 (* ------------------------------------------------------------------ *)
-(* Parsing                                                             *)
-(* ------------------------------------------------------------------ *)
-
-exception Parse_error of int * string
-
-let of_string s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error (!pos, msg)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let skip_ws () =
-    while
-      !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-    do
-      advance ()
-    done
-  in
-  let expect c =
-    match peek () with
-    | Some d when d = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %C" c)
-  in
-  let literal word value =
-    if !pos + String.length word <= n && String.sub s !pos (String.length word) = word
-    then begin
-      pos := !pos + String.length word;
-      value
-    end
-    else fail ("expected " ^ word)
-  in
-  let parse_hex4 () =
-    if !pos + 4 > n then fail "truncated \\u escape";
-    let v = int_of_string ("0x" ^ String.sub s !pos 4) in
-    pos := !pos + 4;
-    v
-  in
-  let utf8_of_code b u =
-    (* enough for the escapes the emitter produces *)
-    if u < 0x80 then Buffer.add_char b (Char.chr u)
-    else if u < 0x800 then begin
-      Buffer.add_char b (Char.chr (0xC0 lor (u lsr 6)));
-      Buffer.add_char b (Char.chr (0x80 lor (u land 0x3F)))
-    end
-    else begin
-      Buffer.add_char b (Char.chr (0xE0 lor (u lsr 12)));
-      Buffer.add_char b (Char.chr (0x80 lor ((u lsr 6) land 0x3F)));
-      Buffer.add_char b (Char.chr (0x80 lor (u land 0x3F)))
-    end
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' ->
-          advance ();
-          (match peek () with
-          | Some '"' -> Buffer.add_char b '"'; advance ()
-          | Some '\\' -> Buffer.add_char b '\\'; advance ()
-          | Some '/' -> Buffer.add_char b '/'; advance ()
-          | Some 'n' -> Buffer.add_char b '\n'; advance ()
-          | Some 'r' -> Buffer.add_char b '\r'; advance ()
-          | Some 't' -> Buffer.add_char b '\t'; advance ()
-          | Some 'b' -> Buffer.add_char b '\b'; advance ()
-          | Some 'f' -> Buffer.add_char b '\012'; advance ()
-          | Some 'u' ->
-              advance ();
-              utf8_of_code b (parse_hex4 ())
-          | _ -> fail "bad escape");
-          go ()
-      | Some c ->
-          Buffer.add_char b c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let parse_number () =
-    let start = !pos in
-    let is_num_char c =
-      (c >= '0' && c <= '9')
-      || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
-    in
-    while !pos < n && is_num_char s.[!pos] do
-      advance ()
-    done;
-    let tok = String.sub s start (!pos - start) in
-    let floatish =
-      String.exists (fun c -> c = '.' || c = 'e' || c = 'E') tok
-    in
-    if floatish then
-      match float_of_string_opt tok with
-      | Some f -> Float f
-      | None -> fail "bad number"
-    else
-      match int_of_string_opt tok with
-      | Some i -> Int i
-      | None -> fail "bad number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else begin
-          let fields = ref [] in
-          let rec fields_loop () =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            fields := (k, v) :: !fields;
-            skip_ws ();
-            match peek () with
-            | Some ',' -> advance (); fields_loop ()
-            | Some '}' -> advance ()
-            | _ -> fail "expected ',' or '}'"
-          in
-          fields_loop ();
-          Obj (List.rev !fields)
-        end
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          List []
-        end
-        else begin
-          let items = ref [] in
-          let rec items_loop () =
-            let v = parse_value () in
-            items := v :: !items;
-            skip_ws ();
-            match peek () with
-            | Some ',' -> advance (); items_loop ()
-            | Some ']' -> advance ()
-            | _ -> fail "expected ',' or ']'"
-          in
-          items_loop ();
-          List (List.rev !items)
-        end
-    | Some '"' -> String (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some ('-' | '0' .. '9') -> parse_number ()
-    | Some c -> fail (Printf.sprintf "unexpected %C" c)
-  in
-  match
-    let v = parse_value () in
-    skip_ws ();
-    if !pos <> n then fail "trailing garbage";
-    v
-  with
-  | v -> Ok v
-  | exception Parse_error (p, msg) ->
-      Error (Printf.sprintf "JSON parse error at offset %d: %s" p msg)
-
-(* ------------------------------------------------------------------ *)
 (* Access helpers                                                      *)
 (* ------------------------------------------------------------------ *)
 
 let member k = function Obj fields -> List.assoc_opt k fields | _ -> None
-let index i = function List items -> List.nth_opt items i | _ -> None
 let to_int = function Int n -> Some n | _ -> None
-
-let to_float = function
-  | Float f -> Some f
-  | Int n -> Some (float_of_int n)
-  | _ -> None
-
 let to_str = function String s -> Some s | _ -> None
-let to_list = function List items -> Some items | _ -> None
-
-let rec equal a b =
-  match (a, b) with
-  | Null, Null -> true
-  | Bool a, Bool b -> a = b
-  | Int a, Int b -> a = b
-  | Float a, Float b -> a = b || (Float.is_nan a && Float.is_nan b)
-  | String a, String b -> String.equal a b
-  | List a, List b -> List.length a = List.length b && List.for_all2 equal a b
-  | Obj a, Obj b ->
-      List.length a = List.length b
-      && List.for_all2
-           (fun (ka, va) (kb, vb) -> String.equal ka kb && equal va vb)
-           a b
-  | _ -> false

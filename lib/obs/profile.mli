@@ -9,8 +9,9 @@
       (infinite on first touch), so the histogram's tail at capacity [C]
       blocks is the miss count of a [C]-block fully-associative LRU
       cache — a whole miss-rate-versus-capacity curve from one run,
-      the measured counterpart of the model's reuse term [R_s] and a
-      live-run complement to {!Memsim.Trace.miss_rate_curve}.
+      the measured counterpart of the model's reuse term [R_s] (the
+      ablations' [miss-curves] row measures direct-mapped caches the
+      same way, with caches subscribed to the run).
       O(log b) per access and O(b) memory for [b] distinct blocks: a
       Fenwick tree over a compacted clock holds one flag per block, at
       its latest access, and renumbers the flags 1..b in place when the
@@ -25,7 +26,7 @@
     Profilers observe the address stream only; they never perturb the
     simulated caches or the cycle accounting.  Each access is attributed
     to the block/set of its {e starting} address (multi-block [touch]
-    ranges count once), matching the tracer's granularity. *)
+    ranges count once), the granularity of every machine observer. *)
 
 module Reuse : sig
   type t

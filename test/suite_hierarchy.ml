@@ -26,12 +26,6 @@ let test_inclusion_fill () =
   Alcotest.(check bool) "in l1" true (Memsim.Cache.probe (H.l1 h) 0);
   Alcotest.(check bool) "in l2" true (Memsim.Cache.probe (H.l2 h) 0)
 
-let test_would_miss () =
-  let h = mk () in
-  Alcotest.(check bool) "cold" true (H.would_miss_l2 h 0);
-  ignore (H.access h ~now:0 ~write:false 0);
-  Alcotest.(check bool) "warm" false (H.would_miss_l2 h 0)
-
 let test_sw_prefetch () =
   let h = mk () in
   H.prefetch h ~now:0 128;
@@ -208,43 +202,22 @@ let prop_cycles_monotone =
           ok)
         addrs)
 
-let test_trace_record_replay () =
-  let m = Machine.create (Config.tiny ()) in
-  let tr = Memsim.Trace.create () in
-  let sub =
-    Machine.subscribe m (fun w a ->
-        Memsim.Trace.record tr (if w then Memsim.Trace.Store else Memsim.Trace.Load) a)
-  in
-  let base = Machine.reserve m ~bytes:4096 ~align:64 in
-  for i = 0 to 99 do
-    ignore (Machine.load32 m (base + (i * 4)))
-  done;
-  Machine.store32 m base 7;
-  Machine.unsubscribe m sub;
-  ignore (Machine.load32 m base);  (* untraced *)
-  Alcotest.(check int) "101 events" 101 (Memsim.Trace.length tr);
-  let loads = ref 0 and stores = ref 0 in
-  Memsim.Trace.iter tr (fun k _ ->
-      if k = Memsim.Trace.Load then incr loads else incr stores);
-  Alcotest.(check int) "loads" 100 !loads;
-  Alcotest.(check int) "stores" 1 !stores;
-  (* replay through the same geometry reproduces the same miss counts *)
-  let cfg = Config.tiny () in
-  let r =
-    Memsim.Trace.replay tr ~l1:cfg.Config.l1 ~l2:cfg.Config.l2
-      ~latencies:cfg.Config.latencies
-  in
-  Alcotest.(check int) "accesses" 101 r.Memsim.Trace.accesses;
-  (* 400 bytes sequential = 7 cold L2 blocks of 64 B *)
-  Alcotest.(check int) "l2 misses" 7 r.Memsim.Trace.l2_misses;
-  Alcotest.(check bool) "cycles positive" true (r.Memsim.Trace.cycles > 0)
-
+(* Direct-mapped caches subscribed to a run see its access stream as it
+   happens: the miss-rate-versus-capacity curve the ablations' miss-curves
+   row measures. *)
 let test_trace_miss_curve () =
   let m = Machine.create (Config.tiny ()) in
-  let tr = Memsim.Trace.create () in
+  let caches =
+    List.map
+      (fun capacity_bytes ->
+        Memsim.Cache.create
+          (Memsim.Cache_config.of_capacity ~name:"curve" ~capacity_bytes
+             ~assoc:1 ~block_bytes:64 ()))
+      [ 8192; 32768; 65536 ]
+  in
   let sub =
-    Machine.subscribe m (fun w a ->
-        Memsim.Trace.record tr (if w then Memsim.Trace.Store else Memsim.Trace.Load) a)
+    Machine.subscribe m (fun write a ->
+        List.iter (fun c -> ignore (Memsim.Cache.access c ~write a)) caches)
   in
   let base = Machine.reserve m ~bytes:65536 ~align:64 in
   (* two sweeps over 32 KB: the second sweep hits iff capacity >= 32 KB *)
@@ -254,15 +227,10 @@ let test_trace_miss_curve () =
     done
   done;
   Machine.unsubscribe m sub;
-  let curve =
-    Memsim.Trace.miss_rate_curve tr ~block_bytes:64 ~assoc:1
-      ~capacities:[ 8192; 32768; 65536 ]
-  in
-  let rates = List.map snd curve in
-  Alcotest.(check bool) "monotone improvement" true
-    (List.sort compare rates = List.rev rates);
-  Alcotest.(check (float 0.01)) "big cache: half the accesses miss" 0.5
-    (List.nth rates 0 |> fun _ -> List.nth rates 2)
+  Alcotest.(check (list (float 1e-12)))
+    "8 KB misses every access, 32 KB and 64 KB only the first sweep"
+    [ 1.0; 0.5; 0.5 ]
+    (List.map (fun c -> Memsim.Cache.miss_rate (Memsim.Cache.stats c)) caches)
 
 let tests =
   [
@@ -270,7 +238,6 @@ let tests =
       [
         Alcotest.test_case "latency chain" `Quick test_latency_chain;
         Alcotest.test_case "fills both levels" `Quick test_inclusion_fill;
-        Alcotest.test_case "would_miss_l2" `Quick test_would_miss;
         Alcotest.test_case "software prefetch" `Quick test_sw_prefetch;
         Alcotest.test_case "mshr limit" `Quick test_sw_prefetch_mshr_limit;
         Alcotest.test_case "hw next-line prefetch" `Quick
@@ -295,7 +262,6 @@ let tests =
       ] );
     ( "trace",
       [
-        Alcotest.test_case "record and replay" `Quick test_trace_record_replay;
         Alcotest.test_case "miss-rate curve" `Quick test_trace_miss_curve;
       ] );
   ]

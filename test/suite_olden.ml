@@ -251,14 +251,7 @@ let test_whole_program_arms () =
             (C.normalized res ~base < 1.))
         [ "static"; "static-ccmalloc" ];
       Alcotest.(check string) "static-ccmalloc runs on ccmalloc new-block"
-        "NA" (arm "static-ccmalloc").C.r_label;
-      match
-        Obs.Export.validate_envelope
-          (Obs.Export.envelope ~experiment:"run-treeadd"
-             (Harness.Whole_program.to_json r))
-      with
-      | Ok () -> ()
-      | Error e -> Alcotest.fail e
+        "NA" (arm "static-ccmalloc").C.r_label
 
 let tests =
   [
