@@ -58,6 +58,39 @@ let is_ptr desc w =
   (not (A.is_null w))
   && match desc.kid_filter with None -> true | Some f -> f w
 
+(* The visited set: one bit per byte address, kept in 64 KB address
+   regions created on first touch.  A region's 8 KB of bits is too big
+   for the minor heap, so it is allocated straight in the major heap,
+   and a sparse address space pays only for the regions it uses.  The
+   directory covers [0, limit); every region starts as [Bytes.empty]. *)
+let region_shift = 16
+let region_mask = (1 lsl region_shift) - 1
+
+let visited_create ~limit =
+  Array.make ((limit + region_mask) lsr region_shift) Bytes.empty
+
+let is_visited (dir : Bytes.t array) (a : int) =
+  let r = a lsr region_shift in
+  r < Array.length dir
+  &&
+  let bits = Array.unsafe_get dir r and o = a land region_mask in
+  Bytes.length bits > 0
+  && Char.code (Bytes.unsafe_get bits (o lsr 3)) land (1 lsl (o land 7)) <> 0
+
+let mark (dir : Bytes.t array) (a : int) =
+  let r = a lsr region_shift and o = a land region_mask in
+  let bits =
+    let b = dir.(r) in
+    if Bytes.length b > 0 then b
+    else begin
+      let b = Bytes.make ((region_mask + 1) / 8) '\000' in
+      dir.(r) <- b;
+      b
+    end
+  in
+  Bytes.set bits (o lsr 3)
+    (Char.unsafe_chr (Char.code (Bytes.get bits (o lsr 3)) lor (1 lsl (o land 7))))
+
 (* The structure as discovery leaves it.  Elements are numbered in
    breadth-first order: element [v] was at [addrs.(v)] and its bytes are
    [images.[v * elem_bytes ..]].  BFS numbers a node's children
@@ -68,8 +101,20 @@ type found = {
   mutable addrs : int array;
   mutable first_kid : int array;  (* capacity + 1 slots *)
   mutable images : Bytes.t;
-  index_of : Int_table.t;  (* old address -> index *)
+  visited : Bytes.t array;  (* old addresses of elements found so far *)
 }
+
+(* The word at byte [pos] of the snapshot, as [Memory.load32] reads it. *)
+let word f pos = Int32.to_int (Bytes.get_int32_le f.images pos) land 0xffffffff
+
+(* The discoverer (BFS parent) of non-root [v].  Parents are numbered in
+   the order of their children, so the cursor [u] only moves forward
+   over an ascending sweep of [v]. *)
+let discoverer f u v =
+  while f.first_kid.(!u + 1) <= v do
+    incr u
+  done;
+  !u
 
 let grow f ~elem_bytes =
   let cap = 2 * Array.length f.addrs in
@@ -83,12 +128,17 @@ let grow f ~elem_bytes =
   f.images <- images
 
 (* One timed read of the whole element; its bytes are then buffered
-   untimed (the element is in cache/registers now), so the copy phase
-   is write-only (a second scattered read pass over a structure larger
-   than the cache would roughly double the reorganization cost). *)
+   untimed (the element is in cache/registers now), so every later use
+   of them reads the snapshot and the copy phase is write-only (a second
+   scattered read pass over a structure larger than the cache would
+   roughly double the reorganization cost). *)
 let add m desc f a =
+  (* Discovery reserves nothing, so this is the limit the visited set's
+     directory was sized for. *)
+  if a < 0 || a + desc.elem_bytes > Machine.reserved_bytes m then
+    invalid_arg "Ccmorph: element outside the reserved address space";
   if f.n = Array.length f.addrs then grow f ~elem_bytes:desc.elem_bytes;
-  Int_table.replace f.index_of a f.n;
+  mark f.visited a;
   f.addrs.(f.n) <- a;
   Machine.touch m a ~bytes:desc.elem_bytes;
   Memory.load_bytes (Machine.memory m) a f.images
@@ -98,32 +148,30 @@ let add m desc f a =
 (* Discover the structure with a timed breadth-first traversal; the
    index array is its own queue.  Each element is read exactly once. *)
 let discover m desc roots =
-  let cap = 64 in
+  let cap = 64 and eb = desc.elem_bytes in
   let f =
     {
       n = 0;
       addrs = Array.make cap 0;
       first_kid = Array.make (cap + 1) 0;
-      images = Bytes.create (cap * desc.elem_bytes);
-      index_of = Int_table.create 1024;
+      images = Bytes.create (cap * eb);
+      visited = visited_create ~limit:(Machine.reserved_bytes m);
     }
   in
   for i = 0 to Array.length roots - 1 do
     let r = roots.(i) in
     if not (A.is_null r) then begin
-      if Int_table.mem f.index_of r then invalid_arg "Ccmorph: duplicate root";
+      if is_visited f.visited r then invalid_arg "Ccmorph: duplicate root";
       add m desc f r
     end
   done;
-  let mem = Machine.memory m in
   let v = ref 0 in
   while !v < f.n do
-    let a = f.addrs.(!v) in
     f.first_kid.(!v) <- f.n;
     for i = 0 to Array.length desc.kid_offsets - 1 do
-      let kid = Memory.load32 mem (a + desc.kid_offsets.(i)) in
+      let kid = word f ((!v * eb) + desc.kid_offsets.(i)) in
       if is_ptr desc kid then begin
-        if Int_table.mem f.index_of kid then
+        if is_visited f.visited kid then
           invalid_arg "Ccmorph: structure is not tree-shaped";
         add m desc f kid
       end
@@ -133,11 +181,50 @@ let discover m desc roots =
   f.first_kid.(f.n) <- f.n;
   f
 
+(* Pointer slots are disjoint words inside the element, so no rewrite
+   of one slot changes another and the snapshot holds every slot's
+   pre-morph word. *)
+let check_slots desc =
+  let slots =
+    match desc.parent_offset with
+    | None -> desc.kid_offsets
+    | Some p -> Array.append desc.kid_offsets [| p |]
+  in
+  Array.iteri
+    (fun i (a : int) ->
+      if a < 0 || a + 4 > desc.elem_bytes then
+        invalid_arg "Ccmorph: pointer slot outside the element";
+      for j = 0 to i - 1 do
+        if abs (a - slots.(j)) < 4 then
+          invalid_arg "Ccmorph: overlapping pointer slots"
+      done)
+    slots
+
+(* A parent word that points at an element of the morphed set must
+   point at the element's discoverer; a root has none.  Then the rewrite
+   below knows every parent without an address lookup. *)
+let check_parents desc f ~nroots =
+  match desc.parent_offset with
+  | None -> ()
+  | Some off ->
+      let u = ref 0 in
+      for v = 0 to f.n - 1 do
+        let p = word f ((v * desc.elem_bytes) + off) in
+        if
+          is_ptr desc p && is_visited f.visited p
+          && (v < nroots || p <> f.addrs.(discoverer f u v))
+        then
+          invalid_arg
+            "Ccmorph: a parent pointer points into the structure, not at the \
+             element's discoverer"
+      done
+
 let do_morph params m desc roots =
   let block_bytes = Machine.l2_block_bytes m in
   if desc.elem_bytes > block_bytes then
     invalid_arg "Ccmorph: element larger than an L2 block";
   if desc.elem_bytes < 4 then invalid_arg "Ccmorph: element too small";
+  check_slots desc;
   let eb = desc.elem_bytes in
   let f = discover m desc roots in
   let n = f.n in
@@ -158,6 +245,7 @@ let do_morph params m desc roots =
        node is some node's child, so the concatenated child lists are
        [nroots .. n-1]. *)
     let nroots = f.first_kid.(0) in
+    check_parents desc f ~nroots;
     let engine = engine_of_scheme params.cluster in
     let tree =
       Layout.Tree.of_arrays
@@ -251,33 +339,36 @@ let do_morph params m desc roots =
         Memory.store_bytes mem dst f.images ~pos:(v * eb) ~len:eb
       done
     done;
-    (* Rewrite child (and parent) pointers in the copies.  The pointer
-       slots of [v] that hold pointers are its children in slot order,
-       so each new child address comes from the next child index. *)
+    (* Rewrite child (and parent) pointers in the copies, reading the
+       old words from the snapshot.  The pointer slots of [v] that hold
+       pointers are its children in slot order, so each new child
+       address comes from the next child index. *)
+    let u = ref 0 in
     for v = 0 to n - 1 do
-      let na = new_addrs.(v) in
+      let na = new_addrs.(v) and at = v * eb in
       let kid = ref f.first_kid.(v) in
       for i = 0 to Array.length desc.kid_offsets - 1 do
-        let slot = na + desc.kid_offsets.(i) in
-        if is_ptr desc (Memory.load32 mem slot) then begin
-          Machine.store_ptr m slot new_addrs.(!kid);
+        let off = desc.kid_offsets.(i) in
+        if is_ptr desc (word f (at + off)) then begin
+          Machine.store_ptr m (na + off) new_addrs.(!kid);
           incr kid
         end
       done;
       match desc.parent_offset with
       | None -> ()
       | Some off ->
-          let slot = na + off in
-          let old_parent = Memory.load32 mem slot in
-          if is_ptr desc old_parent then begin
-            let i = Int_table.find_or f.index_of old_parent ~default:(-1) in
-            (* A parent outside the morphed set means this morph covers
-               a subtree of a larger structure.  The old address would
-               dangle into the abandoned copy, so null it; the paper's
-               "liberal" trees tolerate a null predecessor at the
-               reorganized region's boundary. *)
-            Machine.store_ptr m slot (if i >= 0 then new_addrs.(i) else A.null)
-          end
+          let old_parent = word f (at + off) in
+          if is_ptr desc old_parent then
+            (* [check_parents] leaves two cases: the discoverer, or a
+               parent outside the morphed set, which means this morph
+               covers a subtree of a larger structure.  The old address
+               would dangle into the abandoned copy, so null it; the
+               paper's "liberal" trees tolerate a null predecessor at
+               the reorganized region's boundary. *)
+            Machine.store_ptr m (na + off)
+              (if v >= nroots && old_parent = old_addrs.(discoverer f u v)
+               then new_addrs.(!u)
+               else A.null)
     done;
     let root_index = ref 0 in
     let new_roots =

@@ -18,11 +18,18 @@
 
     All traversal, copy, and pointer-rewrite memory traffic is *timed* —
     reorganization overhead lands in the same cycle counters the
-    benchmarks report, as in the paper's RADIANCE and health results. *)
+    benchmarks report, as in the paper's RADIANCE and health results.
+    Each element is read once, by one timed whole-element read during
+    discovery; the child and parent words that discovery follows and
+    the rewrite replaces come from that snapshot, and the copy phase
+    only writes. *)
 
 type desc = {
   elem_bytes : int;  (** size of one element, bytes *)
-  kid_offsets : int array;  (** byte offsets of child/successor pointers *)
+  kid_offsets : int array;
+      (** byte offsets of child/successor pointers.  Every pointer slot,
+          kids and parent, is a 4-byte word inside [elem_bytes], and no
+          two slots overlap. *)
   parent_offset : int option;
       (** byte offset of a parent/predecessor pointer, if any *)
   kid_filter : (int -> bool) option;
@@ -93,18 +100,29 @@ val morph :
   Memsim.Machine.t -> desc -> root:Memsim.Addr.t -> result
 (** Reorganize the structure reachable from [root].  A parent/predecessor
     pointer that leads {e outside} the morphed set (morphing a subtree of
-    a larger structure) is rewritten to null rather than left dangling
-    into the abandoned copy; [kid_filter] is honored for the parent word
-    just as for child slots.
-    @raise Invalid_argument if [elem_bytes] exceeds the L2 block size or
-    the structure is not tree-shaped (an element reachable twice). *)
+    a larger structure, or a word into the middle of an element) is
+    rewritten to null rather than left dangling into the abandoned copy;
+    [kid_filter] is honored for the parent word just as for child slots.
+    @raise Invalid_argument if
+    - [elem_bytes] exceeds the L2 block size or is below 4;
+    - the pointer slots of [desc] (kids and parent) are not disjoint
+      4-byte words inside [elem_bytes] (before any timed access);
+    - the structure is not tree-shaped: an element reachable twice, or a
+      root given twice (when discovery reaches it);
+    - an element, root or child, does not lie wholly below
+      {!Memsim.Machine.reserved_bytes} (when discovery reaches it);
+    - a parent word points at an element of the morphed set other than
+      the element's discoverer (its breadth-first parent), or a root's
+      parent word points at any element of the set.  This is checked
+      after discovery and before anything is reserved or copied. *)
 
 val morph_forest :
   ?params:params ->
   Memsim.Machine.t -> desc -> roots:Memsim.Addr.t array -> result
 (** Reorganize several disjoint structures (e.g. every chain of a hash
     table) into one shared layout, so short chains pack together.  Null
-    roots are preserved as null in [new_roots]. *)
+    roots are preserved as null in [new_roots].
+    @raise Invalid_argument in the cases {!morph} lists. *)
 
 (** {1 Morph observations}
 

@@ -6,8 +6,9 @@
 #    caml_compare, ...) instead of one machine compare; on a per-access
 #    path that call can cost more than the rest of the access.  This
 #    scans the relocations of the native objects of lib/memsim,
-#    lib/alloc, lib/core, lib/olden, lib/structures and Obs.Profile and
-#    lists every call it finds.
+#    lib/alloc, lib/core, lib/layout (every morph runs a layout engine),
+#    lib/olden, lib/structures and Obs.Profile and lists every call it
+#    finds.
 #
 # 2. Calls across modules are direct.  The build (dune-workspace) uses
 #    the release profile, which compiles without -opaque; under -opaque
@@ -25,6 +26,7 @@ objs=_build/default/lib
 hits=$(for o in "$objs"/memsim/.memsim.objs/native/*.o \
                 "$objs"/alloc/.alloc.objs/native/*.o \
                 "$objs"/core/.ccsl.objs/native/*.o \
+                "$objs"/layout/.layout.objs/native/*.o \
                 "$objs"/olden/.olden.objs/native/*.o \
                 "$objs"/structures/.structures.objs/native/*.o \
                 "$objs"/obs/.obs.objs/native/obs__Profile.o; do
@@ -37,7 +39,7 @@ if [ -n "$hits" ]; then
   echo "$hits" >&2
   exit 1
 fi
-echo "no polymorphic compare in lib/memsim, lib/alloc, lib/core, lib/olden, lib/structures or Obs.Profile"
+echo "no polymorphic compare in lib/memsim, lib/alloc, lib/core, lib/layout, lib/olden, lib/structures or Obs.Profile"
 
 machine="$objs"/memsim/.memsim.objs/native/memsim__Machine.o
 if ! objdump -dr "$machine" |

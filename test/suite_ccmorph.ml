@@ -305,6 +305,113 @@ let test_parent_slot_respects_kid_filter () =
   Alcotest.(check int) "real parent pointer rewritten" a'
     (Machine.uload32 m (b' + 8))
 
+(* Pointer slots must be disjoint words inside the element: discovery
+   and the rewrite read every slot from the one snapshot of the element,
+   which equals memory only when no slot's rewrite overwrites another. *)
+let test_slots_disjoint_words () =
+  let m = mk () in
+  let bump = Alloc.Bump.create m in
+  let a = Alloc.Bump.alloc bump 12 in
+  let before = Machine.cycles m in
+  List.iter
+    (fun (what, kid_offsets, parent_offset, msg) ->
+      Alcotest.check_raises what (Invalid_argument msg) (fun () ->
+          ignore
+            (Ccmorph.morph m
+               {
+                 Ccmorph.elem_bytes = 12;
+                 kid_offsets;
+                 parent_offset;
+                 kid_filter = None;
+               }
+               ~root:a)))
+    [
+      ("kid slots overlap", [| 4; 6 |], None, "Ccmorph: overlapping pointer slots");
+      ("kid slot twice", [| 4; 4 |], None, "Ccmorph: overlapping pointer slots");
+      ( "parent slot overlaps a kid slot",
+        [| 0; 4 |],
+        Some 7,
+        "Ccmorph: overlapping pointer slots" );
+      ( "kid slot past the element",
+        [| 4; 9 |],
+        None,
+        "Ccmorph: pointer slot outside the element" );
+      ( "negative kid slot",
+        [| -4 |],
+        None,
+        "Ccmorph: pointer slot outside the element" );
+      ( "parent slot past the element",
+        [| 0 |],
+        Some 12,
+        "Ccmorph: pointer slot outside the element" );
+    ];
+  Alcotest.(check int) "rejected before any timed access" before
+    (Machine.cycles m)
+
+(* Every element must lie wholly below [Machine.reserved_bytes]: a child
+   pointer past it (or one whose element crosses it) names memory no
+   allocator handed out. *)
+let test_child_outside_reservation () =
+  let m = mk () in
+  let bump = Alloc.Bump.create m in
+  let a = Alloc.Bump.alloc bump 12 in
+  let desc = Ccmorph.plain_desc ~elem_bytes:12 ~kid_offsets:[| 4 |] in
+  List.iter
+    (fun (what, kid) ->
+      Machine.ustore32 m (a + 4) kid;
+      Alcotest.check_raises what
+        (Invalid_argument "Ccmorph: element outside the reserved address space")
+        (fun () -> ignore (Ccmorph.morph m desc ~root:a)))
+    [
+      ("child past the reservation", Machine.reserved_bytes m + 4096);
+      ("child crossing the reservation's end", Machine.reserved_bytes m - 8);
+    ];
+  Machine.ustore32 m (a + 4) 0;
+  Alcotest.(check int) "a lone root inside it morphs" 1
+    (Ccmorph.morph m desc ~root:a).Ccmorph.nodes
+
+(* A parent word that points into the morphed set must point at the
+   element's discoverer, and a root's must not point into the set at
+   all; the morph raises before it reserves or copies anything. *)
+let test_parent_not_discoverer () =
+  let m = mk () in
+  let alloc = Alloc.Bump.allocator (Alloc.Bump.create m) in
+  let l = Structures.Linked_list.create m ~alloc in
+  for i = 1 to 4 do
+    ignore (Structures.Linked_list.append l i)
+  done;
+  let desc = Structures.Linked_list.desc ~elem_bytes:12 in
+  let fwd a = Machine.uload32 m (a + Structures.Linked_list.off_forward) in
+  let n1 = l.Structures.Linked_list.head in
+  let n2 = fwd n1 in
+  let n3 = fwd n2 in
+  let n4 = fwd n3 in
+  let back = Structures.Linked_list.off_back in
+  List.iter
+    (fun (what, node, parent) ->
+      let saved = Machine.uload32 m (node + back) in
+      Machine.ustore32 m (node + back) parent;
+      let reserved = Machine.reserved_bytes m in
+      Alcotest.check_raises what
+        (Invalid_argument
+           "Ccmorph: a parent pointer points into the structure, not at the \
+            element's discoverer")
+        (fun () -> ignore (Ccmorph.morph m desc ~root:n1));
+      Alcotest.(check int) (what ^ ": nothing reserved") reserved
+        (Machine.reserved_bytes m);
+      Machine.ustore32 m (node + back) saved)
+    [
+      ("parent is the grandparent", n3, n1);
+      ("parent is a child", n2, n3);
+      ("parent is the element itself", n4, n4);
+      ("root's parent inside the structure", n1, n4);
+    ];
+  (* a parent word into the middle of an element names no element *)
+  Machine.ustore32 m (n3 + back) (n2 + 4);
+  let r = Ccmorph.morph m desc ~root:n1 in
+  Alcotest.(check int) "interior parent pointer nulled" 0
+    (Machine.uload32 m (fwd (fwd r.Ccmorph.new_root) + back))
+
 (* Re-morphing an already-morphed structure (health re-morphs its lists
    on a fixed schedule): each morph copies the whole structure into
    freshly reserved space, so the root moves, the reservation grows, and
@@ -383,6 +490,12 @@ let tests =
           test_morph_subtree_of_larger_structure;
         Alcotest.test_case "parent slot respects kid_filter" `Quick
           test_parent_slot_respects_kid_filter;
+        Alcotest.test_case "pointer slots are disjoint words" `Quick
+          test_slots_disjoint_words;
+        Alcotest.test_case "child outside the reservation" `Quick
+          test_child_outside_reservation;
+        Alcotest.test_case "parent pointer not the discoverer" `Quick
+          test_parent_not_discoverer;
         Alcotest.test_case "re-morphs move and keep keys" `Quick
           test_remorph_moves_and_preserves;
         QCheck_alcotest.to_alcotest prop_morph_preserves_bst;

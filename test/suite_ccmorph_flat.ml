@@ -110,6 +110,7 @@ type case = {
   page_aware : bool;
   tlb : bool;  (* the E5000 with a TLB instead of the tiny machine *)
   remorph : bool;  (* three morphs, the structure growing and shrinking *)
+  sparse : bool;  (* elements in 64 KB regions megabytes apart, not malloc's *)
   fault : int;  (* first try a bad morph: 1 duplicate root, 2 DAG, 3 oversized *)
 }
 
@@ -129,19 +130,20 @@ let gen_case =
     let* page_aware = bool in
     let* tlb = bool in
     let* remorph = bool in
+    let* sparse = bool in
     let+ fault = map (fun i -> max 0 (i - 4)) (int_bound 7) in
     {
       seed; nodes; elem_bytes; slots; parent; filter; weights; forest;
-      subtree; engine; color; page_aware; tlb; remorph; fault;
+      subtree; engine; color; page_aware; tlb; remorph; sparse; fault;
     })
 
 let print_case c =
   Printf.sprintf
     "{seed=%d; nodes=%d; elem_bytes=%d; slots=%d; parent=%b; filter=%b; \
      weights=%b; forest=%d; subtree=%b; engine=%s; color=%d; page_aware=%b; \
-     tlb=%b; remorph=%b; fault=%d}"
+     tlb=%b; remorph=%b; sparse=%b; fault=%d}"
     c.seed c.nodes c.elem_bytes c.slots c.parent c.filter c.weights c.forest
-    c.subtree c.engine c.color c.page_aware c.tlb c.remorph c.fault
+    c.subtree c.engine c.color c.page_aware c.tlb c.remorph c.sparse c.fault
 
 (* One implementation under test. *)
 type impl =
@@ -196,10 +198,10 @@ let non_pointer rng desc =
     (2 * Rng.int rng 1000) + 1
   else 0
 
-let new_node m malloc rng desc ~parent =
+let new_node m alloc rng desc ~parent =
   let mem = Machine.memory m in
   let eb = desc.Ccmorph.elem_bytes in
-  let a = Alloc.Malloc.alloc malloc eb in
+  let a = alloc eb in
   for i = 0 to eb - 1 do
     Memory.store8 mem (a + i) (Rng.int rng 256)
   done;
@@ -229,11 +231,11 @@ let free_slot m rng desc among =
   end;
   !found
 
-let attach m malloc rng desc among =
+let attach m alloc rng desc among =
   match free_slot m rng desc among with
   | None -> None
   | Some (p, off) ->
-      let c = new_node m malloc rng desc ~parent:p in
+      let c = new_node m alloc rng desc ~parent:p in
       Memory.store32 (Machine.memory m) (p + off) c;
       Some c
 
@@ -277,6 +279,28 @@ let attempt (impl : impl) m params desc roots =
     (try Ok (impl m desc params ~roots)
      with Invalid_argument msg -> Error msg)
 
+(* A sparse heap: two to four pairs of 64 KB address regions, each pair
+   megabytes past the one before, elements bump-allocated from a random
+   pair.  Each pair's first element sits a few words below the pair's
+   middle boundary, so its elements fill the end of one region, one may
+   straddle the boundary, and the rest fill the start of the next:
+   discovery's visited set creates regions far apart and side by side. *)
+let sparse_alloc m rng =
+  let region = 65536 in
+  let next =
+    Array.init
+      (2 + Rng.int rng 3)
+      (fun _ ->
+        ignore (Machine.reserve m ~bytes:((1 + Rng.int rng 8) lsl 20) ~align:4);
+        Machine.reserve m ~bytes:(2 * region) ~align:region
+        + region - (4 * Rng.int rng 64))
+  in
+  fun eb ->
+    let r = Rng.int rng (Array.length next) in
+    let a = next.(r) in
+    next.(r) <- a + ((eb + 3) land lnot 3);
+    a
+
 (* Build the case's structure on a fresh machine, then morph it with
    [impl]: the bad morph first if the case has one, then one morph, or
    three with the structure grown and cut in between. *)
@@ -285,15 +309,18 @@ let run c impl =
     Machine.create
       (if c.tlb then Config.ultrasparc_e5000 ~tlb:true () else Config.tiny ())
   in
-  let malloc = Alloc.Malloc.create m in
   let rng = Rng.create c.seed in
   let desc = desc_of c rng ~block_bytes:(Machine.l2_block_bytes m) in
+  let alloc =
+    if c.sparse then sparse_alloc m rng
+    else Alloc.Malloc.alloc (Alloc.Malloc.create m)
+  in
   let nroots = min c.nodes (max 1 c.forest) in
   let nodes = Array.make c.nodes 0 in
   for i = 0 to c.nodes - 1 do
     nodes.(i) <-
-      (if i < nroots then new_node m malloc rng desc ~parent:(non_pointer rng desc)
-       else Option.get (attach m malloc rng desc (Array.sub nodes 0 i)))
+      (if i < nroots then new_node m alloc rng desc ~parent:(non_pointer rng desc)
+       else Option.get (attach m alloc rng desc (Array.sub nodes 0 i)))
   done;
   let roots =
     if c.subtree && c.nodes > nroots then
@@ -353,7 +380,7 @@ let run c impl =
         let els = elements m desc roots in
         (* grow: hang new elements below random current ones *)
         for _ = 1 to Rng.int rng 30 do
-          ignore (attach m malloc rng desc (elements m desc roots))
+          ignore (attach m alloc rng desc (elements m desc roots))
         done;
         (* shrink: cut a random child pointer, dropping its subtree *)
         if Array.length els > 1 && Rng.bool rng then begin
