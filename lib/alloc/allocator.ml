@@ -12,15 +12,3 @@ type t = {
   owns : Memsim.Addr.t -> bool;
   stats : unit -> stats;
 }
-
-let footprint t = (t.stats ()).bytes_reserved
-
-let overhead_ratio t =
-  let s = t.stats () in
-  if s.bytes_requested = 0 then 0.
-  else
-    (float_of_int s.bytes_reserved /. float_of_int s.bytes_requested) -. 1.
-
-let pp_stats ppf s =
-  Format.fprintf ppf "allocs=%d frees=%d requested=%dB reserved=%dB"
-    s.allocations s.frees s.bytes_requested s.bytes_reserved

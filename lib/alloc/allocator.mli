@@ -32,12 +32,3 @@ type t = {
           [Ccmorph] (whose copies live in arenas, not in any allocator). *)
   stats : unit -> stats;
 }
-
-val footprint : t -> int
-(** [bytes_reserved] of the current stats. *)
-
-val overhead_ratio : t -> float
-(** [bytes_reserved / bytes_requested - 1]; the §4.4 memory-overhead
-    metric.  [0.] when nothing was requested. *)
-
-val pp_stats : Format.formatter -> stats -> unit

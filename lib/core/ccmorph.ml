@@ -42,8 +42,6 @@ let default_params =
     weights = None;
   }
 
-let debug_check_plans = ref false
-
 type result = {
   new_root : Memsim.Addr.t;
   new_roots : Memsim.Addr.t array;
@@ -241,24 +239,20 @@ let do_morph params m desc roots =
   else begin
     let k = max 1 (block_bytes / eb) in
     let old_addrs = f.addrs in
-    (* The non-null roots took indices [0, nroots) in order; every other
-       node is some node's child, so the concatenated child lists are
-       [nroots .. n-1]. *)
+    (* The non-null roots took indices [0, nroots) in order, and discovery
+       numbered the rest breadth-first: [f.first_kid] is the engines'
+       tree as it stands. *)
     let nroots = f.first_kid.(0) in
     check_parents desc f ~nroots;
     let engine = engine_of_scheme params.cluster in
     let tree =
-      Layout.Tree.of_arrays
+      Layout.Tree.of_bfs
         ?weight:(Option.map (fun w v -> w old_addrs.(v)) params.weights)
-        ~n
-        ~kid_start:(Array.init (n + 1) (fun v -> f.first_kid.(v) - nroots))
-        ~kid:(Array.init (n - nroots) (fun i -> nroots + i))
-        ~roots:(Array.init nroots Fun.id) ()
+        ~n ~nroots ~first_kid:f.first_kid ()
     in
     let plan = engine.Layout.Engine.plan tree ~k in
-    if !debug_check_plans then Layout.Plan.check plan ~n ~k;
-    let blocks = plan.Layout.Plan.blocks in
-    let nblocks = Array.length blocks in
+    let order = plan.Layout.Plan.order and starts = plan.Layout.Plan.starts in
+    let nblocks = Layout.Plan.nblocks plan in
     (* Build the coloring once; both the address generator and the hot
        capacity below share it. *)
     let coloring =
@@ -312,10 +306,10 @@ let do_morph params m desc roots =
     done;
     (match (engine.Layout.Engine.cold_order, params.page_aware) with
     | Layout.Engine.Dfs_first_visit, true ->
-        let order = Layout.Tree.dfs_order tree in
+        let dfs = Layout.Tree.dfs_order tree in
         let seen = Bytes.make nblocks '\000' in
         for i = 0 to n - 1 do
-          let j = plan.Layout.Plan.block_of_node.(order.(i)) in
+          let j = plan.Layout.Plan.block_of_node.(dfs.(i)) in
           if Bytes.get seen j = '\000' then begin
             Bytes.set seen j '\001';
             if j >= hot_cap then block_base.(j) <- block_addr j
@@ -330,10 +324,10 @@ let do_morph params m desc roots =
     let new_addrs = Array.make n A.null in
     let mem = Machine.memory m in
     for j = 0 to nblocks - 1 do
-      let members = blocks.(j) and base = block_base.(j) in
-      for pos = 0 to Array.length members - 1 do
-        let v = members.(pos) in
-        let dst = base + (pos * eb) in
+      let base = block_base.(j) and first = starts.(j) in
+      for i = first to starts.(j + 1) - 1 do
+        let v = order.(i) in
+        let dst = base + ((i - first) * eb) in
         new_addrs.(v) <- dst;
         Machine.touch m ~write:true dst ~bytes:eb;
         Memory.store_bytes mem dst f.images ~pos:(v * eb) ~len:eb

@@ -22,7 +22,14 @@
     Each element is read once, by one timed whole-element read during
     discovery; the child and parent words that discovery follows and
     the rewrite replaces come from that snapshot, and the copy phase
-    only writes. *)
+    only writes.
+
+    Discovery numbers the elements breadth-first, the {!Layout.Tree}
+    form every engine takes, so its arrays reach the engine uncopied.
+    Every morph checks its plan: {!Layout.Plan}'s constructors reject an
+    element placed twice or never, and a block that is empty or holds
+    more elements than fit in an L2 block, as the engine builds the
+    plan and before anything is reserved or copied. *)
 
 type desc = {
   elem_bytes : int;  (** size of one element, bytes *)
@@ -79,12 +86,6 @@ val default_params : params
 (** [Subtree] clustering with coloring, [color_frac = 0.5],
     [color_first_set = 0], [page_aware = true], no weights. *)
 
-val debug_check_plans : bool ref
-(** When set, every morph validates its engine's plan with
-    {!Layout.check_plan} before copying, so a buggy engine fails loudly
-    instead of silently misplacing elements.  Default [false] (the
-    check is O(n) extra untimed work per morph). *)
-
 type result = {
   new_root : Memsim.Addr.t;
   new_roots : Memsim.Addr.t array;  (** for forest morphs; [[|new_root|]] else *)
@@ -114,7 +115,9 @@ val morph :
     - a parent word points at an element of the morphed set other than
       the element's discoverer (its breadth-first parent), or a root's
       parent word points at any element of the set.  This is checked
-      after discovery and before anything is reserved or copied. *)
+      after discovery and before anything is reserved or copied;
+    - the engine's plan is not a partition of the elements into blocks
+      of at most [l2_block_bytes / elem_bytes] (a faulty engine). *)
 
 val morph_forest :
   ?params:params ->

@@ -17,7 +17,6 @@ type cold_order = Dfs_first_visit | Plan_order
 
 type t = {
   name : string;  (** stable identifier: used in CLI, JSON, comparisons *)
-  describe : string;  (** one-line human description *)
   cold_order : cold_order;
   plan : Tree.t -> k:int -> Plan.t;
 }
@@ -26,7 +25,9 @@ val subtree : t
 (** The paper's subtree clustering; [Dfs_first_visit]. *)
 
 val depth_first : t
-(** Depth-first chunking baseline; [Dfs_first_visit]. *)
+(** The paper's depth-first clustering baseline: chunk the tree's
+    depth-first preorder into consecutive [k]-node blocks
+    ({!Plan.chunk}); [Dfs_first_visit]. *)
 
 val veb : t
 (** Recursive van Emde Boas subdivision ({!Veb}); [Plan_order]. *)

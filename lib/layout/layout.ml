@@ -4,12 +4,13 @@
     The paper (Section 2.1) fixes two layouts — subtree clustering and
     depth-first chunking — but its evaluation shows layout choice is the
     dominant lever.  This library makes the layout a first-class,
-    swappable component: engines consume an abstract {!Tree} (node
-    count, children as flat offset and child-id arrays, forest roots,
-    optional per-node access weights; validated once when built) and
-    produce a {!Plan} — a partition of the nodes into cache blocks —
-    so [Ccmorph] and the harnesses can treat "which layout" as a
-    parameter.  Engines walk the arrays with int stacks and queues and
+    swappable component: engines consume a {!Tree} in the breadth-first
+    form [Ccmorph]'s discovery produces (roots [0 .. nroots-1], the
+    children of [v] the range [first_kid.(v) .. first_kid.(v+1) - 1],
+    optional per-node access weights; checked in one pass when built)
+    and produce a {!Plan}: a node order cut into cache blocks, checked
+    as it is built.  [Ccmorph] and the harnesses treat "which layout" as
+    a parameter.  Engines walk the arrays with int stacks and queues and
     allocate no per-node list, tuple or closure.
 
     Built-in engines ({!Engine.builtins}): the paper's two schemes, a
@@ -20,9 +21,6 @@
 module Tree = Tree
 module Plan = Plan
 module Subtree = Subtree
-module Depth_first = Depth_first
 module Veb = Veb
 module Weighted = Weighted
 module Engine = Engine
-
-let check_plan = Plan.check

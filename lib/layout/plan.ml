@@ -1,55 +1,45 @@
-type t = { blocks : int array array; block_of_node : int array }
+type t = { order : int array; starts : int array; block_of_node : int array }
 
-let of_segments ~n ~order ~starts ~nblocks =
-  let blocks =
-    Array.init nblocks (fun j ->
-        Array.sub order starts.(j) (starts.(j + 1) - starts.(j)))
-  in
+let nblocks p = Array.length p.starts - 1
+
+(* Nonempty blocks of distinct in-range nodes place
+   [starts.(nblocks) - starts.(0)] different nodes, so all [n] are
+   placed exactly when that count is [n]. *)
+let of_segments ~k ~n ~order ~starts ~nblocks =
+  if k < 1 then invalid_arg "Layout.Plan: k < 1";
   let block_of_node = Array.make n (-1) in
   for j = 0 to nblocks - 1 do
+    let len = starts.(j + 1) - starts.(j) in
+    if len < 1 then invalid_arg (Printf.sprintf "Layout.Plan: block %d is empty" j);
+    if len > k then
+      invalid_arg
+        (Printf.sprintf "Layout.Plan: block %d holds more than %d nodes" j k);
     for i = starts.(j) to starts.(j + 1) - 1 do
-      block_of_node.(order.(i)) <- j
+      let v = order.(i) in
+      if v < 0 || v >= n then
+        invalid_arg (Printf.sprintf "Layout.Plan: node %d out of range" v);
+      if block_of_node.(v) >= 0 then
+        invalid_arg (Printf.sprintf "Layout.Plan: node %d placed twice" v);
+      block_of_node.(v) <- j
     done
   done;
-  { blocks; block_of_node }
+  if starts.(nblocks) - starts.(0) <> n then begin
+    let v = ref 0 in
+    while block_of_node.(!v) >= 0 do
+      incr v
+    done;
+    invalid_arg (Printf.sprintf "Layout.Plan: node %d never placed" !v)
+  end;
+  let starts =
+    if Array.length starts = nblocks + 1 then starts
+    else Array.sub starts 0 (nblocks + 1)
+  in
+  { order; starts; block_of_node }
 
 let chunk ~n ~order ~k =
-  if k < 1 then invalid_arg "Layout.Plan.chunk: k < 1";
-  if Array.length order <> n then
-    invalid_arg "Layout.Plan.chunk: order must cover all nodes";
-  let seen = Bytes.make n '\000' in
-  Array.iter
-    (fun v ->
-      if v < 0 || v >= n || Bytes.get seen v <> '\000' then
-        invalid_arg "Layout.Plan.chunk: order is not a permutation";
-      Bytes.set seen v '\001')
-    order;
-  let nblocks = (n + k - 1) / k in
-  let starts = Array.init (nblocks + 1) (fun j -> min n (j * k)) in
-  of_segments ~n ~order ~starts ~nblocks
-
-let check plan ~n ~k =
-  let seen = Array.make n false in
-  Array.iter
-    (fun nodes ->
-      if Array.length nodes > k then failwith "Layout.check_plan: block too big";
-      if Array.length nodes = 0 then failwith "Layout.check_plan: empty block";
-      Array.iter
-        (fun v ->
-          if v < 0 || v >= n then failwith "Layout.check_plan: bad node id";
-          if seen.(v) then failwith "Layout.check_plan: node in two blocks";
-          seen.(v) <- true)
-        nodes)
-    plan.blocks;
-  Array.iteri
-    (fun i s ->
-      if not s then
-        failwith (Printf.sprintf "Layout.check_plan: node %d unplaced" i))
-    seen;
-  Array.iteri
-    (fun v j ->
-      if j < 0 || j >= Array.length plan.blocks then
-        failwith "Layout.check_plan: bad block index";
-      if not (Array.exists (fun w -> w = v) plan.blocks.(j)) then
-        failwith "Layout.check_plan: inverse mapping wrong")
-    plan.block_of_node
+  if k < 1 then invalid_arg "Layout.Plan: k < 1";
+  let len = Array.length order in
+  let nblocks = (len + k - 1) / k in
+  of_segments ~k ~n ~order
+    ~starts:(Array.init (nblocks + 1) (fun j -> min len (j * k)))
+    ~nblocks

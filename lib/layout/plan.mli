@@ -1,26 +1,32 @@
 (** Layout plans: the partition of nodes into cache blocks that every
-    engine produces and [Ccmorph] lays out. *)
+    engine produces and [Ccmorph] lays out.
 
-type t = {
-  blocks : int array array;
-      (** [blocks.(j)] lists the node ids sharing block [j], in layout
-          order.  Every node appears in exactly one block. *)
-  block_of_node : int array;  (** inverse mapping *)
+    A plan is a node order cut into blocks.  Both constructors check
+    the partition as they fill [block_of_node], so every plan that
+    exists is valid: each node in exactly one block, no block empty or
+    larger than the [k] it was built for. *)
+
+type t = private {
+  order : int array;  (** every node once, block by block, in layout order *)
+  starts : int array;
+      (** [nblocks + 1] slots: block [j] is
+          [order.(starts.(j)) .. order.(starts.(j+1) - 1)] *)
+  block_of_node : int array;  (** the block holding each node *)
 }
 
+val nblocks : t -> int
+
 val of_segments :
-  n:int -> order:int array -> starts:int array -> nblocks:int -> t
-(** Block [j] is [order.(starts.(j)) .. order.(starts.(j+1) - 1)]: the
-    form engines that emit nodes into one flat array produce.  Trusts
-    the caller on partition validity (engines walk validated trees); use
-    {!check} to audit the result. *)
+  k:int -> n:int -> order:int array -> starts:int array -> nblocks:int -> t
+(** The plan whose block [j] is [order.(starts.(j)) ..
+    order.(starts.(j+1) - 1)]: the form engines that emit nodes into one
+    flat array produce.  [order] is not copied; [starts] is cut to
+    [nblocks + 1] slots.
+    @raise Invalid_argument if [k < 1], a node is out of [0 .. n-1],
+    placed twice or never placed, or a block is empty or holds more than
+    [k] nodes. *)
 
 val chunk : n:int -> order:int array -> k:int -> t
 (** Chunk an explicit node order into consecutive [k]-element blocks.
-    @raise Invalid_argument if [k < 1] or [order] is not a permutation
-    of [0..n-1]. *)
-
-val check : t -> n:int -> k:int -> unit
-(** [Layout.check_plan]: every node in exactly one block, no block
-    larger than [k] or empty, inverse map consistent.
-    @raise Failure describing the first violation. *)
+    @raise Invalid_argument as {!of_segments}, so also if [order] is not
+    a permutation of [0 .. n-1]. *)

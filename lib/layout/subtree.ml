@@ -1,16 +1,14 @@
 let plan (t : Tree.t) ~k =
   if k < 1 then invalid_arg "Layout.Subtree: k < 1";
-  let n = t.Tree.n and kid_start = t.Tree.kid_start and kid = t.Tree.kid in
+  let n = t.Tree.n and first_kid = t.Tree.first_kid in
   (* Two FIFOs over flat arrays.  Every node enters the cluster-root
      queue at most once and a cluster's frontier at most once, so
      neither needs to wrap or grow. *)
   let cluster_roots = Array.make n 0 in
-  let ch = ref 0 and ct = ref 0 in
-  Array.iter
-    (fun r ->
-      cluster_roots.(!ct) <- r;
-      incr ct)
-    t.Tree.roots;
+  for r = 0 to t.Tree.nroots - 1 do
+    cluster_roots.(r) <- r
+  done;
+  let ch = ref 0 and ct = ref t.Tree.nroots in
   let frontier = Array.make n 0 in
   let members = Array.make n 0 in
   let m = ref 0 in
@@ -28,8 +26,8 @@ let plan (t : Tree.t) ~k =
       incr fh;
       members.(!m) <- v;
       incr m;
-      for i = kid_start.(v) to kid_start.(v + 1) - 1 do
-        frontier.(!ft) <- kid.(i);
+      for c = first_kid.(v) to first_kid.(v + 1) - 1 do
+        frontier.(!ft) <- c;
         incr ft
       done
     done;
@@ -49,4 +47,4 @@ let plan (t : Tree.t) ~k =
     end
   done;
   bstart.(!nblocks) <- !m;
-  Plan.of_segments ~n ~order:members ~starts:bstart ~nblocks:!nblocks
+  Plan.of_segments ~k ~n ~order:members ~starts:bstart ~nblocks:!nblocks

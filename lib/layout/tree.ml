@@ -1,80 +1,56 @@
 type t = {
   n : int;
-  kid_start : int array;
-  kid : int array;
-  roots : int array;
+  nroots : int;
+  first_kid : int array;
   weight : (int -> float) option;
 }
 
-(* Every id in range and claimed at most once (as a root or as some
-   node's child), then a breadth-first sweep from the roots must reach
-   all [n] ids.  With each id claimed at most once no sweep can revisit
-   a node, so reaching [n] of them proves the arrays are a forest. *)
-let validate ~n ~kid_start ~kid ~roots =
+(* The child ranges run, in order and without gaps, from [nroots] to [n]:
+   each id in [nroots, n) has exactly one parent.  A parent that is
+   lower than its children rules out cycles, so the arrays are a forest
+   and a sweep from the roots reaches every node. *)
+let of_bfs ?weight ~n ~nroots ~first_kid () =
   if n < 0 then invalid_arg "Layout.Tree: n < 0";
-  if
-    Array.length kid_start <> n + 1
-    || kid_start.(0) <> 0
-    || kid_start.(n) <> Array.length kid
-  then invalid_arg "Layout.Tree: kid_start does not index kid";
+  if Array.length first_kid <= n then
+    invalid_arg "Layout.Tree: first_kid has fewer than n + 1 slots";
+  if first_kid.(0) <> nroots || first_kid.(n) <> n then
+    invalid_arg "Layout.Tree: first_kid does not run from nroots to n";
   for v = 0 to n - 1 do
-    if kid_start.(v) > kid_start.(v + 1) then
-      invalid_arg "Layout.Tree: kid_start does not index kid"
+    if first_kid.(v + 1) < first_kid.(v) then
+      invalid_arg "Layout.Tree: first_kid decreases";
+    if first_kid.(v) <= v then
+      invalid_arg "Layout.Tree: a child does not come after its parent"
   done;
-  let claimed = Bytes.make n '\000' in
-  let claim ids =
-    for i = 0 to Array.length ids - 1 do
-      let v = ids.(i) in
-      if v < 0 || v >= n then invalid_arg "Layout.Tree: node id out of range";
-      if Bytes.unsafe_get claimed v <> '\000' then
-        invalid_arg "Layout.Tree: node reached twice";
-      Bytes.unsafe_set claimed v '\001'
-    done
+  { n; nroots; first_kid; weight }
+
+(* Breadth-first from the roots; [ids] is its own queue. *)
+let of_kids ?weight ~n ~kids ~roots () =
+  if n < 0 then invalid_arg "Layout.Tree: n < 0";
+  let ids = Array.make n 0 and first_kid = Array.make (n + 1) n in
+  let seen = Bytes.make n '\000' in
+  let count = ref 0 in
+  let add v =
+    if v < 0 || v >= n then invalid_arg "Layout.Tree: node id out of range";
+    if Bytes.get seen v <> '\000' then
+      invalid_arg "Layout.Tree: node reached twice";
+    Bytes.set seen v '\001';
+    ids.(!count) <- v;
+    incr count
   in
-  claim roots;
-  claim kid;
-  let queue = Array.make n 0 in
-  let tail = ref 0 in
-  Array.iter
-    (fun r ->
-      queue.(!tail) <- r;
-      incr tail)
-    roots;
-  let head = ref 0 in
-  while !head < !tail do
-    let v = queue.(!head) in
-    incr head;
-    for i = kid_start.(v) to kid_start.(v + 1) - 1 do
-      queue.(!tail) <- kid.(i);
-      incr tail
-    done
+  List.iter add roots;
+  let nroots = !count in
+  let i = ref 0 in
+  while !i < !count do
+    first_kid.(!i) <- !count;
+    List.iter add (kids ids.(!i));
+    incr i
   done;
-  if !tail <> n then begin
-    (* mark the reached ids; the first unmarked one names the fault *)
-    Bytes.fill claimed 0 n '\000';
-    for i = 0 to !tail - 1 do
-      Bytes.unsafe_set claimed queue.(i) '\001'
-    done;
-    let v = Bytes.index claimed '\000' in
-    invalid_arg (Printf.sprintf "Layout.Tree: node %d unreachable from roots" v)
-  end
-
-let of_arrays ?weight ~n ~kid_start ~kid ~roots () =
-  validate ~n ~kid_start ~kid ~roots;
-  { n; kid_start; kid; roots; weight }
-
-let v ?weight ~n ~kids ~roots () =
-  if n < 0 then invalid_arg "Layout.Tree: n < 0";
-  let lists = Array.init n kids in
-  let kid_start = Array.make (n + 1) 0 in
-  for v = 0 to n - 1 do
-    kid_start.(v + 1) <- kid_start.(v) + List.length lists.(v)
-  done;
-  let kid = Array.make kid_start.(n) 0 in
-  Array.iteri
-    (fun v l -> List.iteri (fun i c -> kid.(kid_start.(v) + i) <- c) l)
-    lists;
-  of_arrays ?weight ~n ~kid_start ~kid ~roots:(Array.of_list roots) ()
+  if !count < n then
+    invalid_arg
+      (Printf.sprintf "Layout.Tree: node %d unreachable from roots"
+         (Bytes.index seen '\000'));
+  let weight = Option.map (fun w i -> w ids.(i)) weight in
+  ({ n; nroots; first_kid; weight }, ids)
 
 (* Iterative preorder over an int stack: the trees here are as deep as
    the structures we morph (a degenerate list is depth n).  Pushing a
@@ -85,8 +61,8 @@ let dfs_order t =
   let order = Array.make t.n 0 in
   let stack = Array.make t.n 0 in
   let sp = ref 0 in
-  for i = Array.length t.roots - 1 downto 0 do
-    stack.(!sp) <- t.roots.(i);
+  for r = t.nroots - 1 downto 0 do
+    stack.(!sp) <- r;
     incr sp
   done;
   let pos = ref 0 in
@@ -95,22 +71,19 @@ let dfs_order t =
     let v = stack.(!sp) in
     order.(!pos) <- v;
     incr pos;
-    for i = t.kid_start.(v + 1) - 1 downto t.kid_start.(v) do
-      stack.(!sp) <- t.kid.(i);
+    for c = t.first_kid.(v + 1) - 1 downto t.first_kid.(v) do
+      stack.(!sp) <- c;
       incr sp
     done
   done;
   order
 
+(* Children come after their parent, so a sweep from the last node back
+   sees every child's height before its parent needs it. *)
 let heights t =
-  let order = dfs_order t in
   let h = Array.make t.n 1 in
-  (* Children appear after their parent in preorder, so a reverse sweep
-     sees every child's height before its parent needs it. *)
-  for i = t.n - 1 downto 0 do
-    let v = order.(i) in
-    for j = t.kid_start.(v) to t.kid_start.(v + 1) - 1 do
-      let c = t.kid.(j) in
+  for v = t.n - 1 downto 0 do
+    for c = t.first_kid.(v) to t.first_kid.(v + 1) - 1 do
       if h.(c) + 1 > h.(v) then h.(v) <- h.(c) + 1
     done
   done;

@@ -1,5 +1,5 @@
 let order (t : Tree.t) =
-  let n = t.Tree.n and kid_start = t.Tree.kid_start and kid = t.Tree.kid in
+  let n = t.Tree.n and first_kid = t.Tree.first_kid in
   (* heights drives the split rule *)
   let heights = Tree.heights t in
   let order = Array.make n (-1) in
@@ -23,8 +23,8 @@ let order (t : Tree.t) =
         incr found_top
       end
       else
-        for i = kid_start.(v + 1) - 1 downto kid_start.(v) do
-          stack.(!sp) <- kid.(i);
+        for c = first_kid.(v + 1) - 1 downto first_kid.(v) do
+          stack.(!sp) <- c;
           depth.(!sp) <- dv + 1;
           incr sp
         done
@@ -53,7 +53,9 @@ let order (t : Tree.t) =
       found_top := start
     end
   in
-  Array.iter (fun r -> lay r heights.(r)) t.Tree.roots;
+  for r = 0 to t.Tree.nroots - 1 do
+    lay r heights.(r)
+  done;
   order
 
 let plan (t : Tree.t) ~k =

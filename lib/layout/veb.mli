@@ -23,7 +23,7 @@ val order : Tree.t -> int array
 (** The recursive emission order: every node once, each tree of the
     forest in turn, starting at its root.  Runs in O(n log h) for
     height [h].  [Structures.Bst]'s [Van_emde_boas] allocation order is
-    this order. *)
+    this order, mapped back to its ids through {!Tree.of_kids}. *)
 
 val plan : Tree.t -> k:int -> Plan.t
 (** Chunks {!order} into [k]-element blocks.

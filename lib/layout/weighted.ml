@@ -48,7 +48,7 @@ let heap_pop h =
 
 let plan (t : Tree.t) ~k =
   if k < 1 then invalid_arg "Layout.Weighted: k < 1";
-  let n = t.Tree.n and kid_start = t.Tree.kid_start and kid = t.Tree.kid in
+  let n = t.Tree.n and first_kid = t.Tree.first_kid in
   let w =
     match t.Tree.weight with
     | None -> Array.make n 1.0
@@ -56,7 +56,9 @@ let plan (t : Tree.t) ~k =
   in
   let frontier = { w = Array.make n 0.; id = Array.make n 0; len = 0 } in
   let push v = heap_push frontier w.(v) v in
-  Array.iter push t.Tree.roots;
+  for r = 0 to t.Tree.nroots - 1 do
+    push r
+  done;
   let members = Array.make n 0 in
   let m = ref 0 in
   let bstart = Array.make (n + 1) 0 in
@@ -74,16 +76,14 @@ let plan (t : Tree.t) ~k =
          the globally hottest frontier node — merging under-full hot
          paths keeps density. *)
       let hot = ref (-1) in
-      for i = kid_start.(v) to kid_start.(v + 1) - 1 do
-        let c = kid.(i) in
+      for c = first_kid.(v) to first_kid.(v + 1) - 1 do
         if not (!hot >= 0 && w.(c) <= w.(!hot)) then hot := c
       done;
       let full = !m - start >= k in
       if !hot < 0 then
         cur := if (not full) && frontier.len > 0 then heap_pop frontier else -1
       else begin
-        for i = kid_start.(v) to kid_start.(v + 1) - 1 do
-          let c = kid.(i) in
+        for c = first_kid.(v) to first_kid.(v + 1) - 1 do
           if c <> !hot then push c
         done;
         if not full then cur := !hot
@@ -97,4 +97,4 @@ let plan (t : Tree.t) ~k =
     incr nblocks
   done;
   bstart.(!nblocks) <- !m;
-  Plan.of_segments ~n ~order:members ~starts:bstart ~nblocks:!nblocks
+  Plan.of_segments ~k ~n ~order:members ~starts:bstart ~nblocks:!nblocks

@@ -30,12 +30,3 @@ let snapshot t =
     s_prefetch_issue = t.prefetch_issue;
     s_total = total t;
   }
-
-let diff a b =
-  {
-    s_busy = a.s_busy - b.s_busy;
-    s_load_stall = a.s_load_stall - b.s_load_stall;
-    s_store_stall = a.s_store_stall - b.s_store_stall;
-    s_prefetch_issue = a.s_prefetch_issue - b.s_prefetch_issue;
-    s_total = a.s_total - b.s_total;
-  }

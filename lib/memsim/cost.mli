@@ -25,5 +25,3 @@ val create : unit -> t
 val total : t -> int
 val reset : t -> unit
 val snapshot : t -> snapshot
-val diff : snapshot -> snapshot -> snapshot
-(** [diff later earlier] is the per-component difference. *)

@@ -212,21 +212,3 @@ let stats t =
     h_prefetches_consumed = t.consumed;
     h_prefetch_cycles_saved = t.saved;
   }
-
-let pp_stats ppf t =
-  let s = stats t in
-  Format.fprintf ppf "L1: %a@." Cache.pp_stats s.h_l1;
-  Format.fprintf ppf "L2: %a@." Cache.pp_stats s.h_l2;
-  (match s.h_tlb with
-  | None -> ()
-  | Some tlb -> Format.fprintf ppf "TLB: %a@." Tlb.pp_stats tlb);
-  Format.fprintf ppf
-    "prefetch: hw_scheduled=%d sw_dropped=%d consumed=%d cycles_saved=%d@."
-    s.h_hw_prefetches s.h_sw_prefetches_dropped s.h_prefetches_consumed
-    s.h_prefetch_cycles_saved
-
-let pp ppf t =
-  Format.fprintf ppf "L1[%a] L2[%a] lat=%d/%d/%d%s" Cache_config.pp
-    (Cache.config t.l1) Cache_config.pp (Cache.config t.l2) t.lat.l1_hit
-    t.lat.l1_miss t.lat.l2_miss
-    (if t.hw_prefetch then " +hw-prefetch" else "")

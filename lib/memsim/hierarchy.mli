@@ -91,10 +91,6 @@ type stats = {
 
 val stats : t -> stats
 (** One snapshot of {e every} counter the hierarchy keeps (cache stats
-    are copied, not aliased).  This is the record the telemetry layer
-    serializes; {!pp_stats} prints all of it, including the fields the
-    per-figure tables elide (writebacks, prefetch installs, TLB). *)
-
-val pp_stats : Format.formatter -> t -> unit
-
-val pp : Format.formatter -> t -> unit
+    are copied, not aliased), including the fields the per-figure tables
+    elide (writebacks, prefetch installs, TLB).  This is the record the
+    telemetry layer serializes. *)

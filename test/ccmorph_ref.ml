@@ -2,22 +2,30 @@
    before both moved to flat int arrays, kept here unchanged as the
    oracle for [Suite_ccmorph_flat]'s differential tests.  The only edits:
    the engines take the old closure-based [Tree] and the old
-   [Plan.of_blocks], [do_morph] takes its engine as an argument (a
-   [Layout.Engine.t] plans over the new flat tree), and the re-morph
-   session, deleted from [Ccmorph], is gone here too.  Nothing outside
-   the tests uses them. *)
+   [Plan.of_blocks], which now builds the flat [Layout.Plan] form,
+   [do_morph] takes its engine as an argument (a [Layout.Engine.t] plans
+   over the new flat tree) and reads its plan's blocks through
+   [Plan.blocks], and the re-morph session, deleted from [Ccmorph], is
+   gone here too.  Nothing outside the tests uses them. *)
 
 module A = Memsim.Addr
 module Machine = Memsim.Machine
 module Plan = struct
   include Layout.Plan
 
+  (* The flat plan whose blocks are [blocks]; [k] is the largest block,
+     so only the partition is checked. *)
   let of_blocks ~n blocks =
-    let block_of_node = Array.make n (-1) in
-    Array.iteri
-      (fun j nodes -> Array.iter (fun v -> block_of_node.(v) <- j) nodes)
-      blocks;
-    { blocks; block_of_node }
+    let nblocks = Array.length blocks in
+    let starts = Array.make (nblocks + 1) 0 in
+    Array.iteri (fun j b -> starts.(j + 1) <- starts.(j) + Array.length b) blocks;
+    of_segments
+      ~k:(Array.fold_left (fun k b -> max k (Array.length b)) 1 blocks)
+      ~n ~order:(Array.concat (Array.to_list blocks)) ~starts ~nblocks
+
+  let blocks p =
+    Array.init (nblocks p) (fun j ->
+        Array.sub p.order p.starts.(j) (p.starts.(j + 1) - p.starts.(j)))
 end
 
 module Tree = struct
@@ -328,8 +336,6 @@ module Ccmorph = struct
     pages_used : int;
   }
 
-  let debug_check_plans = ref false
-
   (* Discover the structure with a timed breadth-first traversal.  Each
      element is read exactly once: its bytes are buffered so the copy
      phase is write-only (a second scattered read pass over a structure
@@ -428,8 +434,7 @@ module Ccmorph = struct
           ~roots:root_ids ()
       in
       let plan = engine.plan tree ~k in
-      if !debug_check_plans then Layout.Plan.check plan ~n ~k;
-      let nblocks = Array.length plan.Layout.Plan.blocks in
+      let nblocks = Plan.nblocks plan in
       (* Address-assignment order: the plan emits blocks breadth-first
          (nearest the root first), which is what coloring wants for its hot
          prefix; the remaining blocks are laid out in depth-first
@@ -532,7 +537,7 @@ module Ccmorph = struct
               done;
               bytes_copied := !bytes_copied + desc.elem_bytes)
             members)
-        plan.Layout.Plan.blocks;
+        (Plan.blocks plan);
       (* Rewrite child (and parent) pointers in the copies. *)
       let rewrite v =
         let na = new_addrs.(v) in

@@ -22,7 +22,8 @@ let engine_names =
 
 (* A random forest: node [i >= nroots] hangs below a random earlier node
    (or, one time in three, below [i - 1], which grows deep chains), and
-   each node's children are shuffled so child order varies. *)
+   each node's children are shuffled so child order varies.  The ids are
+   not breadth-first; [Layout.Tree.of_kids] renumbers them. *)
 let random_forest rng ~n ~nroots =
   let kids = Array.make n [] in
   for i = nroots to n - 1 do
@@ -52,8 +53,18 @@ let prop_plans_match_reference =
         if seed land 1 = 0 then Some (fun v -> float_of_int (v * 37 mod 5))
         else None
       in
-      let old_tree = R.Tree.v ?weight ~n ~kids:(fun v -> kids.(v)) ~roots () in
-      let tree = Layout.Tree.v ?weight ~n ~kids:(fun v -> kids.(v)) ~roots () in
+      (* Both engines plan the same breadth-first forest, the only
+         numbering a morph passes: the weighted engine breaks ties on
+         id. *)
+      let tree, _ = Layout.Tree.of_kids ?weight ~n ~kids:(Array.get kids) ~roots () in
+      let first_kid = tree.Layout.Tree.first_kid in
+      let old_tree =
+        R.Tree.v ?weight:tree.Layout.Tree.weight ~n
+          ~kids:(fun v ->
+            List.init (first_kid.(v + 1) - first_kid.(v)) (( + ) first_kid.(v)))
+          ~roots:(List.init tree.Layout.Tree.nroots Fun.id)
+          ()
+      in
       List.for_all
         (fun (e : Layout.Engine.t) ->
           e.Layout.Engine.plan tree ~k
@@ -86,7 +97,7 @@ let test_malformed_rejected_alike () =
             (fun () ->
               ignore
                 (e.Layout.Engine.plan
-                   (Layout.Tree.v ~n:3 ~kids:(kids_of kids) ~roots:[ 0 ] ())
+                   (fst (Layout.Tree.of_kids ~n:3 ~kids:(kids_of kids) ~roots:[ 0 ] ()))
                    ~k:3)))
         Layout.Engine.builtins)
     cases

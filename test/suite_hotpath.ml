@@ -449,8 +449,9 @@ let test_profiled_health_words_per_access () =
 (* A morph of a 2^14-1-node random BST, per engine: discovery, planning,
    copy and rewrite allocate no per-node list, tuple, closure or
    [Bytes] (the list- and Hashtbl-based morph took 72-101 words per
-   node).  What remains is per block (the plan's block arrays) or sized
-   to the structure (and then mostly on the major heap). *)
+   node).  What remains is sized to the structure, and then mostly on
+   the major heap: 0.08 words per node, and 1.4 for the weighted engine,
+   which boxes each node's weight once. *)
 let test_morph_words_per_node () =
   let elem_bytes = 20 and n = (1 lsl 14) - 1 in
   List.iter
@@ -473,8 +474,8 @@ let test_morph_words_per_node () =
                  ~root:t.Structures.Bst.root))
       in
       let per_node = words /. float_of_int n in
-      if per_node > 12. then
-        Alcotest.failf "%s: %.1f host words per morphed node (budget 12)"
+      if per_node > 3. then
+        Alcotest.failf "%s: %.1f host words per morphed node (budget 3)"
           e.Layout.Engine.name per_node)
     Layout.Engine.builtins
 
@@ -488,7 +489,7 @@ let tests =
         QCheck_alcotest.to_alcotest prop_tlb_machine_matches_naive;
         Alcotest.test_case "L1+L2 misses allocate nothing" `Quick
           test_misses_allocation_free;
-        Alcotest.test_case "morphs under 12 words per node" `Quick
+        Alcotest.test_case "morphs under 3 words per node" `Quick
           test_morph_words_per_node;
         Alcotest.test_case "alloc/free pairs allocate nothing" `Quick
           test_alloc_free_allocation_free;

@@ -1,8 +1,9 @@
 (* The layout-engine subsystem's contract: the refactored engines are
-   bit-identical to the schemes they replaced, every engine (built-in or
-   not) emits a valid partition on arbitrary unbalanced trees, and the
-   multi-level shootout harness reproduces its committed export exactly
-   under the parallel runner. *)
+   bit-identical to the schemes they replaced, trees and plans are
+   checked as they are built, every engine (built-in or not) emits a
+   valid partition on arbitrary unbalanced trees, and the multi-level
+   shootout harness reproduces its committed export exactly under the
+   parallel runner. *)
 
 module M = Memsim
 module Machine = Memsim.Machine
@@ -79,12 +80,88 @@ let test_treeadd_depth_first_differential () =
         `Treeadd)
 
 (* ------------------------------------------------------------------ *)
+(* Trees and plans are checked as they are built                       *)
+(* ------------------------------------------------------------------ *)
+
+let test_tree_of_bfs_rejects () =
+  let reject what msg ~n ~nroots first_kid =
+    Alcotest.check_raises what (Invalid_argument ("Layout.Tree: " ^ msg))
+      (fun () -> ignore (Layout.Tree.of_bfs ~n ~nroots ~first_kid ()))
+  in
+  (* a valid forest: roots 0 and 1; 0 has kids 2, 3; 2 has kid 4 *)
+  let t = Layout.Tree.of_bfs ~n:5 ~nroots:2 ~first_kid:[| 2; 4; 4; 5; 5; 5 |] () in
+  Alcotest.(check (array int)) "heights" [| 3; 1; 2; 1; 1 |] (Layout.Tree.heights t);
+  Alcotest.(check (array int)) "preorder" [| 0; 2; 4; 3; 1 |] (Layout.Tree.dfs_order t);
+  reject "negative size" "n < 0" ~n:(-1) ~nroots:0 [| 0 |];
+  reject "too few slots" "first_kid has fewer than n + 1 slots" ~n:2 ~nroots:1
+    [| 1; 2 |];
+  let span = "first_kid does not run from nroots to n" in
+  reject "first_kid.(0) <> nroots" span ~n:3 ~nroots:1 [| 2; 3; 3; 3 |];
+  reject "first_kid.(n) <> n" span ~n:3 ~nroots:1 [| 1; 3; 3; 2 |];
+  reject "decreasing" "first_kid decreases" ~n:3 ~nroots:1 [| 1; 3; 2; 3 |];
+  (* node 1 would be its own child: a cycle no root reaches *)
+  reject "child before parent" "a child does not come after its parent" ~n:3
+    ~nroots:1 [| 1; 1; 3; 3 |];
+  reject "no root" "a child does not come after its parent" ~n:2 ~nroots:0
+    [| 0; 2; 2 |]
+
+let test_plan_of_segments_rejects () =
+  let reject what msg ~k ~n order starts =
+    Alcotest.check_raises what (Invalid_argument ("Layout.Plan: " ^ msg))
+      (fun () ->
+        ignore
+          (Layout.Plan.of_segments ~k ~n ~order ~starts
+             ~nblocks:(Array.length starts - 1)))
+  in
+  let p =
+    Layout.Plan.of_segments ~k:2 ~n:3 ~order:[| 2; 0; 1 |]
+      ~starts:[| 0; 2; 3; 99 |] ~nblocks:2
+  in
+  Alcotest.(check (array int)) "starts cut to nblocks + 1" [| 0; 2; 3 |]
+    p.Layout.Plan.starts;
+  Alcotest.(check (array int)) "block_of_node" [| 0; 1; 0 |]
+    p.Layout.Plan.block_of_node;
+  reject "k < 1" "k < 1" ~k:0 ~n:0 [||] [| 0 |];
+  reject "out of range" "node 3 out of range" ~k:2 ~n:3 [| 0; 3; 1 |] [| 0; 2; 3 |];
+  reject "negative" "node -1 out of range" ~k:2 ~n:3 [| 0; -1; 1 |] [| 0; 2; 3 |];
+  reject "placed twice" "node 0 placed twice" ~k:2 ~n:3 [| 0; 1; 0 |] [| 0; 2; 3 |];
+  reject "never placed" "node 1 never placed" ~k:2 ~n:3 [| 2; 0 |] [| 0; 2 |];
+  reject "empty block" "block 1 is empty" ~k:2 ~n:3 [| 0; 1; 2 |] [| 0; 2; 2; 3 |];
+  reject "block over k" "block 0 holds more than 2 nodes" ~k:2 ~n:3 [| 0; 1; 2 |]
+    [| 0; 3 |];
+  let chunk what msg order =
+    Alcotest.check_raises what (Invalid_argument ("Layout.Plan: " ^ msg))
+      (fun () -> ignore (Layout.Plan.chunk ~n:3 ~order ~k:2))
+  in
+  chunk "chunk of a repeated id" "node 1 placed twice" [| 0; 1; 1 |];
+  chunk "chunk short of n" "node 2 never placed" [| 1; 0 |]
+
+(* ------------------------------------------------------------------ *)
 (* Property: every engine partitions arbitrary unbalanced trees        *)
 (* ------------------------------------------------------------------ *)
 
+(* The plan's blocks, checked here without [Layout.Plan]: [starts] cuts
+   [order] into blocks of 1 .. k nodes, [order] holds every node once,
+   and [block_of_node] names each node's block. *)
+let is_partition (p : Layout.Plan.t) ~n ~k =
+  let nblocks = Layout.Plan.nblocks p in
+  p.Layout.Plan.starts.(0) = 0
+  && p.Layout.Plan.starts.(nblocks) = n
+  && List.for_all
+       (fun j ->
+         let len = p.Layout.Plan.starts.(j + 1) - p.Layout.Plan.starts.(j) in
+         len >= 1 && len <= k
+         && List.for_all
+              (fun i ->
+                p.Layout.Plan.block_of_node.(p.Layout.Plan.order.(i)) = j)
+              (List.init len (( + ) p.Layout.Plan.starts.(j))))
+       (List.init nblocks Fun.id)
+  && List.sort compare (Array.to_list (Array.sub p.Layout.Plan.order 0 n))
+     = List.init n Fun.id
+
 let prop_all_engines_valid =
   QCheck.Test.make ~count:100
-    ~name:"every engine's plan passes check_plan on random forests"
+    ~name:"every engine's plan partitions random forests"
     QCheck.(triple (int_range 1 200) (int_range 1 8) bool)
     (fun (n, k, forest) ->
       (* random unbalanced tree: parent of i is a random j < i; a forest
@@ -99,16 +176,14 @@ let prop_all_engines_valid =
       let weight =
         if forest then Some (fun v -> float_of_int ((v * 37) mod 11)) else None
       in
-      let t =
-        Layout.Tree.v ?weight ~n
+      let t, _ =
+        Layout.Tree.of_kids ?weight ~n
           ~kids:(fun i -> kids.(i))
           ~roots:(List.init nroots Fun.id)
           ()
       in
       List.for_all
-        (fun e ->
-          Layout.check_plan (e.Layout.Engine.plan t ~k) ~n ~k;
-          true)
+        (fun e -> is_partition (e.Layout.Engine.plan t ~k) ~n ~k)
         Layout.Engine.builtins)
 
 (* ------------------------------------------------------------------ *)
@@ -123,52 +198,44 @@ let complete_kids n i =
    the triads a 3-element block can hold at every recursion level. *)
 let test_veb_complete_tree () =
   let n = 15 in
-  let t = Layout.Tree.v ~n ~kids:(complete_kids n) ~roots:[ 0 ] () in
+  let t, ids = Layout.Tree.of_kids ~n ~kids:(complete_kids n) ~roots:[ 0 ] () in
   let plan = Layout.Veb.plan t ~k:3 in
-  Layout.check_plan plan ~n ~k:3;
-  let expect =
-    [| [| 0; 1; 2 |]; [| 3; 7; 8 |]; [| 4; 9; 10 |]; [| 5; 11; 12 |];
-       [| 6; 13; 14 |] |]
-  in
-  Alcotest.(check bool) "vEB blocks are the recursive triads" true
-    (plan.Layout.Plan.blocks = expect);
+  Alcotest.(check (array int)) "vEB blocks are the recursive triads"
+    [| 0; 1; 2; 3; 7; 8; 4; 9; 10; 5; 11; 12; 6; 13; 14 |]
+    (Array.map (Array.get ids) plan.Layout.Plan.order);
+  Alcotest.(check (array int)) "five blocks of three" [| 0; 3; 6; 9; 12; 15 |]
+    plan.Layout.Plan.starts;
   Alcotest.(check int) "root lands in block 0 (coloring hot prefix)" 0
     plan.Layout.Plan.block_of_node.(0)
 
 (* ------------------------------------------------------------------ *)
-(* Engines under morph: checksum preserved, debug plan checking        *)
+(* Engines under morph: checksum preserved, plans checked              *)
 (* ------------------------------------------------------------------ *)
 
-let test_morph_engines_with_debug_check () =
-  Fun.protect
-    ~finally:(fun () -> Ccmorph.debug_check_plans := false)
-    (fun () ->
-      Ccmorph.debug_check_plans := true;
-      List.iter
-        (fun (name, scheme) ->
-          let m = Machine.create (Config.tiny ()) in
-          let elem_bytes = Bst.default_elem_bytes in
-          let n = 127 in
-          let keys = Array.init n (fun i -> i) in
-          let t =
-            Bst.build m ~elem_bytes
-              ~alloc:(Alloc.Malloc.allocator (Alloc.Malloc.create m))
-              (Bst.Random (Rng.create 42)) ~keys
-          in
-          let params =
-            {
-              Ccmorph.default_params with
-              Ccmorph.cluster = scheme;
-              weights = Some (fun a -> float_of_int (a land 0xff));
-            }
-          in
-          let r =
-            Ccmorph.morph ~params m (Bst.desc ~elem_bytes) ~root:t.Bst.root
-          in
-          let t = Bst.of_root m ~elem_bytes ~n r.Ccmorph.new_root in
-          let ok = Array.for_all (fun k -> Bst.search t k) keys in
-          Alcotest.(check bool) (name ^ ": all keys survive the morph") true ok)
-        LS.engine_schemes)
+let test_morph_engines_with_checked_plans () =
+  List.iter
+    (fun (name, scheme) ->
+      let m = Machine.create (Config.tiny ()) in
+      let elem_bytes = Bst.default_elem_bytes in
+      let n = 127 in
+      let keys = Array.init n (fun i -> i) in
+      let t =
+        Bst.build m ~elem_bytes
+          ~alloc:(Alloc.Malloc.allocator (Alloc.Malloc.create m))
+          (Bst.Random (Rng.create 42)) ~keys
+      in
+      let params =
+        {
+          Ccmorph.default_params with
+          Ccmorph.cluster = scheme;
+          weights = Some (fun a -> float_of_int (a land 0xff));
+        }
+      in
+      let r = Ccmorph.morph ~params m (Bst.desc ~elem_bytes) ~root:t.Bst.root in
+      let t = Bst.of_root m ~elem_bytes ~n r.Ccmorph.new_root in
+      let ok = Array.for_all (fun k -> Bst.search t k) keys in
+      Alcotest.(check bool) (name ^ ": all keys survive the morph") true ok)
+    LS.engine_schemes
 
 (* ------------------------------------------------------------------ *)
 (* page_aware TLB sensitivity, per engine                              *)
@@ -296,8 +363,8 @@ let tests =
           test_treeadd_depth_first_differential;
         Alcotest.test_case "vEB order on a complete tree" `Quick
           test_veb_complete_tree;
-        Alcotest.test_case "all engines morph under debug plan checking"
-          `Quick test_morph_engines_with_debug_check;
+        Alcotest.test_case "all engines morph with checked plans" `Quick
+          test_morph_engines_with_checked_plans;
         Alcotest.test_case "page_aware TLB sensitivity per engine" `Quick
           test_page_aware_tlb_sensitivity;
         Alcotest.test_case "shootout report shape (micro)" `Quick
@@ -307,5 +374,9 @@ let tests =
         Alcotest.test_case "shootout rejects unknown workloads" `Quick
           test_shootout_unknown_bench;
         QCheck_alcotest.to_alcotest prop_all_engines_valid;
+        Alcotest.test_case "Tree.of_bfs rejects each malformed form" `Quick
+          test_tree_of_bfs_rejects;
+        Alcotest.test_case "Plan.of_segments rejects each bad partition" `Quick
+          test_plan_of_segments_rejects;
       ] );
   ]

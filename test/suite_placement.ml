@@ -109,18 +109,33 @@ let test_disjoint_colorings () =
 let complete_kids n i =
   List.filter (fun k -> k < n) [ (2 * i) + 1; (2 * i) + 2 ]
 
-(* the paper's scheme over a tree rooted at node 0 *)
-let subtree_plan ~n ~kids ~k =
-  Layout.Subtree.plan (Layout.Tree.v ~n ~kids ~roots:[ 0 ] ()) ~k
+(* The paper's scheme over a tree rooted at node 0, as an array of blocks
+   in the caller's ids. *)
+let subtree_blocks ~n ~kids ~k =
+  let t, ids = Layout.Tree.of_kids ~n ~kids ~roots:[ 0 ] () in
+  let plan = Layout.Subtree.plan t ~k in
+  Array.init (Plan.nblocks plan) (fun j ->
+      Array.init
+        (plan.Plan.starts.(j + 1) - plan.Plan.starts.(j))
+        (fun i -> ids.(plan.Plan.order.(plan.Plan.starts.(j) + i))))
+
+(* Every node in exactly one block, no block empty or over [k]. *)
+let check_partition blocks ~n ~k =
+  Array.iter
+    (fun b -> Alcotest.(check bool) "block of 1..k nodes" true
+        (Array.length b >= 1 && Array.length b <= k))
+    blocks;
+  Alcotest.(check (array int)) "every node once" (Array.init n Fun.id)
+    (List.sort compare (Array.to_list (Array.concat (Array.to_list blocks)))
+    |> Array.of_list)
 
 let test_subtree_plan_binary () =
   let n = 15 in
-  let plan = subtree_plan ~n ~kids:(complete_kids n) ~k:3 in
-  Plan.check plan ~n ~k:3;
+  let blocks = subtree_blocks ~n ~kids:(complete_kids n) ~k:3 in
+  check_partition blocks ~n ~k:3;
   (* k=3 on a complete binary tree: each block is parent + two kids *)
-  Alcotest.(check int) "5 blocks" 5 (Array.length plan.Plan.blocks);
-  Alcotest.(check (array int)) "root block" [| 0; 1; 2 |]
-    plan.Plan.blocks.(0);
+  Alcotest.(check int) "5 blocks" 5 (Array.length blocks);
+  Alcotest.(check (array int)) "root block" [| 0; 1; 2 |] blocks.(0);
   (* each non-root block is a parent with its two children *)
   Array.iteri
     (fun j b ->
@@ -129,11 +144,11 @@ let test_subtree_plan_binary () =
         Alcotest.(check int) "left kid" ((2 * b.(0)) + 1) b.(1);
         Alcotest.(check int) "right kid" ((2 * b.(0)) + 2) b.(2)
       end)
-    plan.Plan.blocks
+    blocks
 
 let test_subtree_blocks_near_root_first () =
   let n = 127 in
-  let plan = subtree_plan ~n ~kids:(complete_kids n) ~k:3 in
+  let blocks = subtree_blocks ~n ~kids:(complete_kids n) ~k:3 in
   (* node depth is monotone non-decreasing across block emission order *)
   let depth i =
     let rec go i d = if i = 0 then d else go ((i - 1) / 2) (d + 1) in
@@ -145,15 +160,16 @@ let test_subtree_blocks_near_root_first () =
       let d = depth b.(0) in
       Alcotest.(check bool) "roots of clusters get deeper" true (d >= !prev);
       prev := d)
-    plan.Plan.blocks
+    blocks
 
 let test_linear_plan () =
   let order = [| 4; 2; 0; 1; 3 |] in
   let plan = Plan.chunk ~n:5 ~order ~k:2 in
-  Plan.check plan ~n:5 ~k:2;
-  Alcotest.(check int) "3 blocks" 3 (Array.length plan.Plan.blocks);
-  Alcotest.(check (array int)) "chunk 0" [| 4; 2 |] plan.Plan.blocks.(0);
-  Alcotest.(check (array int)) "tail chunk" [| 3 |] plan.Plan.blocks.(2)
+  Alcotest.(check int) "3 blocks" 3 (Plan.nblocks plan);
+  Alcotest.(check (array int)) "block starts" [| 0; 2; 4; 5 |] plan.Plan.starts;
+  Alcotest.(check (array int)) "order kept" order plan.Plan.order;
+  Alcotest.(check (array int)) "chunk 0 is 4, 2; the tail chunk is 3"
+    [| 1; 1; 0; 2; 0 |] plan.Plan.block_of_node
 
 let prop_subtree_partition =
   QCheck.Test.make ~count:100 ~name:"subtree plan partitions random trees"
@@ -166,8 +182,7 @@ let prop_subtree_partition =
         let p = Workload.Rng.int rng i in
         kids.(p) <- i :: kids.(p)
       done;
-      let plan = subtree_plan ~n ~kids:(fun i -> kids.(i)) ~k in
-      Plan.check plan ~n ~k;
+      check_partition (subtree_blocks ~n ~kids:(fun i -> kids.(i)) ~k) ~n ~k;
       true)
 
 let prop_linear_partition =
@@ -177,8 +192,10 @@ let prop_linear_partition =
       let rng = Workload.Rng.create (n + k) in
       let order = Workload.Rng.permutation rng n in
       let plan = Plan.chunk ~n ~order ~k in
-      Plan.check plan ~n ~k;
-      true)
+      Plan.nblocks plan = (n + k - 1) / k
+      && Array.for_all2
+           (fun v i -> plan.Plan.block_of_node.(v) = i / k)
+           order (Array.init n Fun.id))
 
 (* --- Model --- *)
 

@@ -92,8 +92,8 @@ let test_bst_veb_layout () =
       in
       ignore (walk t.Bst.root);
       let order =
-        Layout.Veb.order
-          (Layout.Tree.v ~n ~kids:(Array.get kids) ~roots:[ 0 ] ())
+        let t, ids = Layout.Tree.of_kids ~n ~kids:(Array.get kids) ~roots:[ 0 ] () in
+        Array.map (Array.get ids) (Layout.Veb.order t)
       in
       for i = 1 to n - 1 do
         Alcotest.(check bool)
