@@ -34,9 +34,13 @@ let () =
     check.Vis.Combinational.total_nodes;
 
   (* The allocator telemetry shows the hints at work. *)
+  let c = Ccsl.Ccmalloc.counters cc in
+  let pct n =
+    if c.c_hinted = 0 then 0.
+    else 100. *. float_of_int n /. float_of_int c.c_hinted
+  in
   Format.printf
     "ccmalloc placed %.0f%% of hinted nodes in the hint's cache block and \
      %.0f%% on its page.@."
-    (100. *. Ccsl.Ccmalloc.same_block_ratio cc)
-    (100. *. Ccsl.Ccmalloc.same_page_ratio cc);
+    (pct c.c_hinted_same_block) (pct c.c_hinted_same_page);
   Format.printf "total simulated cycles: %d@." (Machine.cycles m)

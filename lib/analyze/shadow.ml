@@ -406,8 +406,8 @@ let check_counters (c : Ccsl.Ccmalloc.counters) =
     [
       c.c_allocations; c.c_frees; c.c_bytes_requested; c.c_hinted;
       c.c_hinted_same_block; c.c_hinted_same_page; c.c_hint_unmanaged;
-      c.c_strategy_fallbacks; c.c_reuse_hits; c.c_span_allocs;
-      c.c_pages_opened; c.c_blocks_opened;
+      c.c_strategy_fallbacks; c.c_reuse_hits; c.c_pages_opened;
+      c.c_blocks_opened;
     ]
   in
   if List.exists (fun n -> n < 0) nonneg then

@@ -10,7 +10,7 @@ let strategy_name = function
   | New_block -> "new-block"
   | First_fit -> "first-fit"
 
-(* ccmalloc's extra bookkeeping (page table lookup, per-block fill
+(* ccmalloc's extra bookkeeping (page directory lookup, per-block fill
    check, strategy scan) costs more instructions than a malloc fast
    path; the paper's null-hint control experiment (2-6% slower than
    system malloc, 4.4) is a direct consequence. *)
@@ -40,7 +40,6 @@ type slots = {
 }
 
 type page = {
-  id : int;  (* index in [t.page_vec] *)
   base : A.t;
   fill : int array;  (* bump high-water per cache block of this page *)
   freed : int array;  (* per block: first freed slot in [t.slots], -1 = none *)
@@ -59,22 +58,22 @@ type t = {
   strategy : strategy;
   block_bytes : int;
   blocks_per_page : int;
-  pages : Int_table.t;  (* page index -> page id *)
-  mutable page_vec : page array;  (* page id -> page *)
-  spans : Int_table.t;
-  (* page indices of whole-block span pages: managed memory without
-     block-level bookkeeping (one big object per span) *)
+  page_shift : int;
+  mutable dir : page array;
+      (* page index ([addr lsr page_shift]) -> page; [no_page] for every
+         page ccmalloc did not open *)
   live : Int_table.t;  (* payload -> unit (header + payload bytes) *)
   slots : slots;
-  (* Sequential default path for hint-less allocations. *)
-  mutable cur_page : page option;
+  (* Sequential default path for hint-less allocations ([no_page] until
+     the first one). *)
+  mutable cur_page : page;
   mutable cur_block : int;
   (* Overflow pages: hinted allocations whose hint page is exhausted go
      here (not to the default cursor, which is busy interleaving fresh
      hint-less objects); the tail of a growing structure thereby lands on
      a page where subsequent hinted allocations keep co-locating. *)
-  mutable overflow_page : page option;
-  (* LIFO stacks of blocks ([page id * blocks_per_page + block]) holding
+  mutable overflow_page : page;
+  (* LIFO stacks of global block indices ([addr / block_bytes]) holding
      freed slots, segregated by page origin: hint-less allocations
      recycle only from default/overflow pages, hinted fallbacks only
      from hinted pages (recently freed memory is also the cache-warm
@@ -85,7 +84,6 @@ type t = {
   reuse_hinted : Int_stack.t;
   mutable pages_opened : int;
   mutable blocks_opened : int;
-  mutable span_pages : int;
   mutable allocations : int;
   mutable frees : int;
   mutable bytes_requested : int;
@@ -95,12 +93,10 @@ type t = {
   mutable hint_unmanaged : int;
   mutable strategy_fallbacks : int;
   mutable reuse_hits : int;
-  mutable span_allocs : int;
 }
 
 let no_page =
-  { id = -1; base = A.null; fill = [||]; freed = [||]; opened = [||];
-    hinted = false }
+  { base = A.null; fill = [||]; freed = [||]; opened = [||]; hinted = false }
 
 let create ?(strategy = New_block) m =
   let block_bytes = Machine.l2_block_bytes m in
@@ -110,19 +106,17 @@ let create ?(strategy = New_block) m =
     strategy;
     block_bytes;
     blocks_per_page = page_bytes / block_bytes;
-    pages = Int_table.create 128;
-    page_vec = Array.make 64 no_page;
-    spans = Int_table.create 8;
+    page_shift = A.log2 page_bytes;
+    dir = Array.make 64 no_page;
     live = Int_table.create 2048;
     slots = { s_off = [||]; s_unit = [||]; s_next = [||]; s_unused = -1 };
-    cur_page = None;
+    cur_page = no_page;
     cur_block = 0;
-    overflow_page = None;
+    overflow_page = no_page;
     reuse = Int_stack.create 16;
     reuse_hinted = Int_stack.create 16;
     pages_opened = 0;
     blocks_opened = 0;
-    span_pages = 0;
     allocations = 0;
     frees = 0;
     bytes_requested = 0;
@@ -132,7 +126,6 @@ let create ?(strategy = New_block) m =
     hint_unmanaged = 0;
     strategy_fallbacks = 0;
     reuse_hits = 0;
-    span_allocs = 0;
   }
 
 let page_bytes t = Machine.page_bytes t.m
@@ -185,12 +178,16 @@ let rec take_slot s p b unit prev c =
     end
     else take_slot s p b unit c s.s_next.(c)
 
+(* The page holding [addr]; [no_page] when ccmalloc did not open it
+   (a negative address shifts far past the directory's end). *)
+let page_at t addr =
+  let i = addr lsr t.page_shift in
+  if i < Array.length t.dir then Array.unsafe_get t.dir i else no_page
+
 let open_page t =
   let base = Machine.reserve_pages t.m 1 in
-  let id = t.pages_opened in
   let p =
     {
-      id;
       base;
       fill = Array.make t.blocks_per_page 0;
       freed = Array.make t.blocks_per_page (-1);
@@ -198,10 +195,14 @@ let open_page t =
       hinted = false;
     }
   in
-  if id = Array.length t.page_vec then
-    t.page_vec <- Array.append t.page_vec (Array.make id no_page);
-  t.page_vec.(id) <- p;
-  Int_table.replace t.pages (A.page_index base ~page_bytes:(page_bytes t)) id;
+  let i = base lsr t.page_shift in
+  let n = Array.length t.dir in
+  if i >= n then begin
+    let bigger = Array.make (max (i + 1) (2 * n)) no_page in
+    Array.blit t.dir 0 bigger 0 n;
+    t.dir <- bigger
+  end;
+  t.dir.(i) <- p;
   t.pages_opened <- t.pages_opened + 1;
   p
 
@@ -242,7 +243,7 @@ let rec try_reuse t stack ~hinted unit =
   if Int_stack.length stack = 0 then A.null
   else begin
     let e = Int_stack.pop stack in
-    let p = t.page_vec.(e / t.blocks_per_page) in
+    let p = t.dir.(e / t.blocks_per_page) in
     let b = e mod t.blocks_per_page in
     if p.hinted = hinted && has_slot t.slots p.freed.(b) unit then begin
       t.reuse_hits <- t.reuse_hits + 1;
@@ -253,25 +254,20 @@ let rec try_reuse t stack ~hinted unit =
 
 (* Hint-less sequential placement: fill the current page block by block. *)
 let rec default_alloc_fresh t size =
-  match t.cur_page with
-  | None ->
-      t.cur_page <- Some (open_page t);
-      t.cur_block <- 0;
-      default_alloc_fresh t size
-  | Some p ->
-      if p.hinted || t.cur_block >= t.blocks_per_page then begin
-        (* A page claimed by hinted allocations (the cursor page can be
-           the structure's anchor) is off-limits to cold objects, even
-           if blocks or freed slots remain on it. *)
-        t.cur_page <- Some (open_page t);
-        t.cur_block <- 0;
-        default_alloc_fresh t size
-      end
-      else if fits t p t.cur_block size then place t p t.cur_block size
-      else begin
-        t.cur_block <- t.cur_block + 1;
-        default_alloc_fresh t size
-      end
+  let p = t.cur_page in
+  if p == no_page || p.hinted || t.cur_block >= t.blocks_per_page then begin
+    (* A page claimed by hinted allocations (the cursor page can be the
+       structure's anchor) is off-limits to cold objects, even if blocks
+       or freed slots remain on it. *)
+    t.cur_page <- open_page t;
+    t.cur_block <- 0;
+    default_alloc_fresh t size
+  end
+  else if fits t p t.cur_block size then place t p t.cur_block size
+  else begin
+    t.cur_block <- t.cur_block + 1;
+    default_alloc_fresh t size
+  end
 
 let default_alloc t unit =
   let payload = try_reuse t t.reuse ~hinted:false unit in
@@ -305,81 +301,42 @@ let strategy_block t p h unit =
 (* Hinted allocation whose hint page is full: apply the strategy on the
    current overflow page, opening a fresh one when it too is exhausted. *)
 let rec overflow_alloc_fresh t unit =
-  match t.overflow_page with
-  | None ->
-      t.overflow_page <- Some (open_page t);
-      overflow_alloc_fresh t unit
-  | Some p ->
-      (* always first-fit here: the paper's strategies choose a block on
-         the *hint's* page; overflow placement just needs density *)
-      let b = first_fit t p unit 0 in
-      if b >= 0 then begin
-        (* overflow pages only ever receive hinted spill, so their
-           freed slots stay on the hinted side of the reuse split *)
-        p.hinted <- true;
-        place t p b unit
-      end
-      else begin
-        t.overflow_page <- Some (open_page t);
-        overflow_alloc_fresh t unit
-      end
+  let p = t.overflow_page in
+  (* always first-fit here: the paper's strategies choose a block on the
+     *hint's* page; overflow placement just needs density *)
+  let b = if p == no_page then -1 else first_fit t p unit 0 in
+  if b >= 0 then begin
+    (* overflow pages only ever receive hinted spill, so their freed
+       slots stay on the hinted side of the reuse split *)
+    p.hinted <- true;
+    place t p b unit
+  end
+  else begin
+    t.overflow_page <- open_page t;
+    overflow_alloc_fresh t unit
+  end
 
 let overflow_alloc t unit =
   let payload = try_reuse t t.reuse_hinted ~hinted:true unit in
   if A.is_null payload then overflow_alloc_fresh t unit else payload
 
-(* Objects wider than a block get whole-block spans on dedicated pages;
-   the payload starts block-aligned and the header lives in the preceding
-   block (as big-object allocators do). *)
-let span_alloc t unit =
-  let blocks = 1 + ((unit - header_bytes + t.block_bytes - 1) / t.block_bytes) in
-  let bytes = blocks * t.block_bytes in
-  let pages = (bytes + page_bytes t - 1) / page_bytes t in
-  let base = Machine.reserve_pages t.m pages in
-  for i = 0 to pages - 1 do
-    Int_table.replace t.spans
-      (A.page_index (base + (i * page_bytes t)) ~page_bytes:(page_bytes t))
-      0
-  done;
-  t.span_allocs <- t.span_allocs + 1;
-  t.span_pages <- t.span_pages + pages;
-  t.blocks_opened <- t.blocks_opened + blocks;
-  let payload = base + t.block_bytes in
-  Int_table.replace t.live payload unit;
-  Memsim.Memory.store32 (Machine.memory t.m) base unit;
-  Memsim.Memory.fill_zero (Machine.memory t.m) payload
-    ~bytes:(unit - header_bytes);
-  payload
-
 let alloc t ?(hint = A.null) bytes =
   if bytes <= 0 then invalid_arg "Ccmalloc.alloc: bytes <= 0";
-  Machine.busy t.m alloc_cycles;
   let unit = unit_of bytes in
+  if unit > t.block_bytes then
+    invalid_arg "Ccmalloc.alloc: header + payload wider than a cache block";
+  Machine.busy t.m alloc_cycles;
   t.allocations <- t.allocations + 1;
   t.bytes_requested <- t.bytes_requested + bytes;
-  if unit > t.block_bytes then span_alloc t unit
-  else if A.is_null hint then default_alloc t unit
+  if A.is_null hint then default_alloc t unit
   else
-    let page_idx = A.page_index hint ~page_bytes:(page_bytes t) in
-    let id = Int_table.find_or t.pages page_idx ~default:(-1) in
-    if id < 0 then
-      if Int_table.mem t.spans page_idx then begin
-        (* Hint points at a span object: managed memory, but the page
-           is dedicated to one oversized object, so block-level
-           placement beside it is impossible — same outcome as an
-           exhausted hint page, not an unmanaged hint. *)
-        t.hinted <- t.hinted + 1;
-        t.strategy_fallbacks <- t.strategy_fallbacks + 1;
-        overflow_alloc t unit
-      end
-      else begin
-        (* Hint points outside ccmalloc-managed memory; treat as no
-           hint. *)
-        t.hint_unmanaged <- t.hint_unmanaged + 1;
-        default_alloc t unit
-      end
+    let p = page_at t hint in
+    if p == no_page then begin
+      (* Hint points outside ccmalloc-managed memory; treat as no hint. *)
+      t.hint_unmanaged <- t.hint_unmanaged + 1;
+      default_alloc t unit
+    end
     else begin
-      let p = t.page_vec.(id) in
       t.hinted <- t.hinted + 1;
       p.hinted <- true;
       let h = A.offset_in_page hint ~page_bytes:(page_bytes t) / t.block_bytes in
@@ -407,44 +364,20 @@ let free t payload =
   if unit = 0 then invalid_arg "Ccmalloc.free: not an allocated address";
   Int_table.remove t.live payload;
   t.frees <- t.frees + 1;
-  (* the payload sits on its object's page; span pages are not in
-     [pages], and a span's address space is simply retired *)
-  let id =
-    Int_table.find_or t.pages
-      (A.page_index payload ~page_bytes:(page_bytes t))
-      ~default:(-1)
-  in
-  if id >= 0 then begin
-    let p = t.page_vec.(id) in
-    let addr = payload - header_bytes in
-    let off = A.offset_in_page addr ~page_bytes:(page_bytes t) in
-    let b = off / t.block_bytes in
-    let in_block = off - (b * t.block_bytes) in
-    if p.fill.(b) = in_block + unit then
-      (* the block's most recent object: shrink the bump pointer *)
-      p.fill.(b) <- in_block
-    else begin
-      add_slot t.slots p b in_block unit;
-      Int_stack.push
-        (if p.hinted then t.reuse_hinted else t.reuse)
-        ((p.id * t.blocks_per_page) + b)
-    end
+  let addr = payload - header_bytes in
+  let p = page_at t addr in
+  let e = addr / t.block_bytes in
+  let b = e mod t.blocks_per_page in
+  let in_block = addr - (e * t.block_bytes) in
+  if p.fill.(b) = in_block + unit then
+    (* the block's most recent object: shrink the bump pointer *)
+    p.fill.(b) <- in_block
+  else begin
+    add_slot t.slots p b in_block unit;
+    Int_stack.push (if p.hinted then t.reuse_hinted else t.reuse) e
   end
 
-let manages t addr =
-  let idx = A.page_index addr ~page_bytes:(page_bytes t) in
-  Int_table.mem t.pages idx || Int_table.mem t.spans idx
-
-let pages_opened t = t.pages_opened + t.span_pages
-let blocks_opened t = t.blocks_opened
-
-let same_block_ratio t =
-  if t.hinted = 0 then 0.
-  else float_of_int t.hinted_same_block /. float_of_int t.hinted
-
-let same_page_ratio t =
-  if t.hinted = 0 then 0.
-  else float_of_int t.hinted_same_page /. float_of_int t.hinted
+let manages t addr = page_at t addr != no_page
 
 type counters = {
   c_allocations : int;
@@ -456,7 +389,6 @@ type counters = {
   c_hint_unmanaged : int;
   c_strategy_fallbacks : int;
   c_reuse_hits : int;
-  c_span_allocs : int;
   c_pages_opened : int;
   c_blocks_opened : int;
 }
@@ -472,19 +404,17 @@ let counters t =
     c_hint_unmanaged = t.hint_unmanaged;
     c_strategy_fallbacks = t.strategy_fallbacks;
     c_reuse_hits = t.reuse_hits;
-    c_span_allocs = t.span_allocs;
-    c_pages_opened = pages_opened t;
+    c_pages_opened = t.pages_opened;
     c_blocks_opened = t.blocks_opened;
   }
 
 let pp_counters ppf c =
   Format.fprintf ppf
     "allocs=%d frees=%d bytes=%d hinted=%d same_block=%d same_page=%d \
-     unmanaged_hints=%d fallbacks=%d reuse_hits=%d spans=%d pages=%d blocks=%d"
+     unmanaged_hints=%d fallbacks=%d reuse_hits=%d pages=%d blocks=%d"
     c.c_allocations c.c_frees c.c_bytes_requested c.c_hinted
     c.c_hinted_same_block c.c_hinted_same_page c.c_hint_unmanaged
-    c.c_strategy_fallbacks c.c_reuse_hits c.c_span_allocs c.c_pages_opened
-    c.c_blocks_opened
+    c.c_strategy_fallbacks c.c_reuse_hits c.c_pages_opened c.c_blocks_opened
 
 let allocator t =
   {
@@ -498,6 +428,6 @@ let allocator t =
           Alloc.Allocator.allocations = t.allocations;
           frees = t.frees;
           bytes_requested = t.bytes_requested;
-          bytes_reserved = pages_opened t * page_bytes t;
+          bytes_reserved = t.pages_opened * page_bytes t;
         });
   }

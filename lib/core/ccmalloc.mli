@@ -36,45 +36,36 @@ val alloc : t -> ?hint:Memsim.Addr.t -> int -> Memsim.Addr.t
 (** Allocate [bytes] (zeroed).  As with the system malloc, each object
     carries an 8-byte size header and 8-byte alignment, so ccmalloc and
     malloc layouts differ only in placement, never density — which is
-    what makes the §4.4 control experiment meaningful.  Objects whose
-    header + payload exceed a cache block go on whole-block spans and
-    are never co-located.  A null or absent [hint] falls back to
-    hint-blind sequential placement within the allocator's own pages. *)
+    what makes the §4.4 control experiment meaningful.  A null or absent
+    [hint], or one outside the allocator's own pages, falls back to
+    hint-blind sequential placement within those pages.
+    @raise Invalid_argument when [bytes <= 0], or when the 8-byte header
+    plus the aligned payload exceed an L2 cache block (an object ccmalloc
+    could not co-locate with anything).  Either check runs before any
+    cycle is charged or any counter moves. *)
 
 val free : t -> Memsim.Addr.t -> unit
-(** Returns the object's bytes to its block's free space if it was the
+(** Finds the object's page with one directory index and returns the
+    object's bytes to its block's free space if it was the
     most recent allocation in that block (cheap LIFO reclamation);
     otherwise the slot joins a reuse pool {e segregated by page origin}:
     slots freed on pages that ever received hinted allocations are
     recycled only by hinted allocations (overflow spill), never by
     hint-less ones — a cold object dropped mid-structure would silently
     undo co-location.  The paper's benchmarks never rely on [ccmalloc]
-    reuse. *)
+    reuse.
+    @raise Invalid_argument when [addr] is not a live payload (a double
+    free, an interior pointer). *)
 
 val allocator : t -> Alloc.Allocator.t
 
 val manages : t -> Memsim.Addr.t -> bool
-(** Does [addr] fall on a ccmalloc-managed page?  This is exactly the
-    membership test [alloc] applies to incoming hints (a hint outside a
-    managed page is counted in [c_hint_unmanaged] and treated as none).
-    Span pages are managed: a hint pointing at a live span object counts
-    as hinted but spills to an overflow page ([c_strategy_fallbacks]),
-    since block-level placement beside an oversized object is
-    impossible.  Diagnostic tools use [manages] to scope shadow-heap
-    checks to memory this allocator disciplines; it agrees with the
-    allocator's own [owns] for every live payload, span or not. *)
-
-val pages_opened : t -> int
-val blocks_opened : t -> int
-(** Number of distinct cache blocks that have received at least one
-    object — together with {!pages_opened} this is the §4.4
-    memory-overhead signal separating [New_block] from the others. *)
-
-val same_block_ratio : t -> float
-(** Fraction of hinted allocations co-located in the hint's block. *)
-
-val same_page_ratio : t -> float
-(** Fraction of hinted allocations placed on the hint's page. *)
+(** Does [addr] fall on a page ccmalloc opened?  One index into the
+    allocator's page directory, and exactly the membership test [alloc]
+    applies to incoming hints (a hint outside those pages is counted in
+    [c_hint_unmanaged] and treated as none).  Diagnostic tools use
+    [manages] to scope shadow-heap checks to memory this allocator
+    disciplines; it holds for every live payload the allocator [owns]. *)
 
 type counters = {
   c_allocations : int;
@@ -89,12 +80,14 @@ type counters = {
       (** hinted allocations the placement strategy could not fit on the
           hint's page, spilling to an overflow page *)
   c_reuse_hits : int;  (** allocations served from freed slots *)
-  c_span_allocs : int;  (** objects wider than a block (whole-block spans) *)
   c_pages_opened : int;
   c_blocks_opened : int;
+      (** distinct cache blocks that ever received an object — with
+          [c_pages_opened], the §4.4 memory-overhead signal separating
+          [New_block] from the others *)
 }
 (** Placement telemetry: every path an allocation can take, in one
-    snapshot.  [c_hinted = c_hinted_same_block + (same-page strategy
+    snapshot, and the allocator's only telemetry view.  [c_hinted = c_hinted_same_block + (same-page strategy
     placements) + c_strategy_fallbacks]. *)
 
 val counters : t -> counters

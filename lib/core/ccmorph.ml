@@ -28,7 +28,6 @@ type params = {
   color : bool;
   color_frac : float;
   color_first_set : int;
-  page_aware : bool;
   weights : (Memsim.Addr.t -> float) option;
 }
 
@@ -38,7 +37,6 @@ let default_params =
     color = true;
     color_frac = 0.5;
     color_first_set = 0;
-    page_aware = true;
     weights = None;
   }
 
@@ -304,8 +302,8 @@ let do_morph params m desc roots =
     for j = 0 to hot_cap - 1 do
       block_base.(j) <- block_addr j
     done;
-    (match (engine.Layout.Engine.cold_order, params.page_aware) with
-    | Layout.Engine.Dfs_first_visit, true ->
+    (match engine.Layout.Engine.cold_order with
+    | Layout.Engine.Dfs_first_visit ->
         let dfs = Layout.Tree.dfs_order tree in
         let seen = Bytes.make nblocks '\000' in
         for i = 0 to n - 1 do
@@ -315,7 +313,7 @@ let do_morph params m desc roots =
             if j >= hot_cap then block_base.(j) <- block_addr j
           end
         done
-    | Layout.Engine.Plan_order, _ | Layout.Engine.Dfs_first_visit, false ->
+    | Layout.Engine.Plan_order ->
         for j = hot_cap to nblocks - 1 do
           block_base.(j) <- block_addr j
         done);

@@ -69,12 +69,6 @@ type params = {
   color_first_set : int;
       (** first cache set of the hot region (page-aligned); lets several
           structures be colored into disjoint regions *)
-  page_aware : bool;
-      (** emit cold blocks in depth-first first-visit order so pointer
-          paths stay on few pages (default true; disable to measure the
-          TLB contribution).  Engines that declare
-          [Layout.Engine.Plan_order] already emit blocks in their
-          intended page order, so this flag does not reorder them. *)
   weights : (Memsim.Addr.t -> float) option;
       (** per-element access weight keyed by the element's {e current}
           (pre-morph) address — e.g. [Obs.Profile.Counts.weight_fn] —
@@ -84,7 +78,10 @@ type params = {
 
 val default_params : params
 (** [Subtree] clustering with coloring, [color_frac = 0.5],
-    [color_first_set = 0], [page_aware = true], no weights. *)
+    [color_first_set = 0], no weights.  The order of the cold blocks
+    is the engine's own [Layout.Engine.cold_order]; to measure the
+    page-aware rule's TLB contribution, morph with
+    [Engine { Layout.Engine.subtree with cold_order = Plan_order }]. *)
 
 type result = {
   new_root : Memsim.Addr.t;

@@ -36,6 +36,10 @@ let uniform_keys n seed =
 
 (* ------------------------------------------------------------------ *)
 
+(* Sweep the [Color_const] hot-region fraction (uncolored, 1/4, 1/2,
+   3/4) for C-tree searches.  The paper fixes 1/2 without comment; this
+   shows the trade-off (bigger hot region pins more of the tree but
+   shrinks the cold region's effective cache). *)
 let color_frac ?seed ppf =
   section ppf "Ablation: hot-region size (the paper's Color_const = 1/2)";
   let n = 1 lsl 19 in
@@ -61,6 +65,9 @@ let color_frac ?seed ppf =
   Format.fprintf ppf "@.";
   J.Obj [ ("rows", J.List rows) ]
 
+(* Section 2.1's claim, measured both ways: subtree clustering wins for
+   random searches, depth-first clustering wins for full depth-first
+   walks. *)
 let cluster_scheme ?seed ppf =
   section ppf
     "Ablation: clustering scheme vs. access pattern (Section 2.1 both ways)";
@@ -123,6 +130,9 @@ let cluster_scheme ?seed ppf =
       );
     ]
 
+(* Coloring benefit as a function of access skew: uniform vs. Zipf
+   (theta 0.8 and 1.2) searches on clustered trees with and without
+   coloring. *)
 let zipf_skew ?seed ppf =
   section ppf "Ablation: coloring benefit vs. access skew";
   let n = 1 lsl 19 in
@@ -162,6 +172,9 @@ let zipf_skew ?seed ppf =
   Format.fprintf ppf "@.";
   J.Obj [ ("rows", J.List rows) ]
 
+(* [ccmalloc] with perfect hints (list predecessor), random hints, and
+   null hints on a list-churn workload: the gains come from the hints,
+   not the allocator. *)
 let hint_quality ?seed ppf =
   section ppf "Ablation: ccmalloc hint quality on a list-churn workload";
   let lists = 512 and cells = 80 and rounds = 60 in
@@ -246,6 +259,8 @@ let hint_quality ?seed ppf =
       ("null_cycles", J.Int nl);
     ]
 
+(* Software-prefetched treeadd with 1..16 MSHRs: how much overlap the
+   memory system must support before greedy prefetching pays. *)
 let mshr_sweep ?seed ppf =
   ignore seed;
   section ppf "Ablation: MSHR count vs. greedy software prefetching (treeadd)";
@@ -270,22 +285,32 @@ let mshr_sweep ?seed ppf =
   Format.fprintf ppf "@.";
   J.Obj [ ("rows", J.List rows) ]
 
+(* [ccmorph]'s depth-first cold-block emission on vs. off, with the TLB
+   enabled: the page-locality share of the C-tree win.  "Off" is the
+   subtree engine with its cold order overridden to [Plan_order]. *)
 let page_aware ?seed ppf =
   section ppf "Ablation: ccmorph's page-aware cold-block emission (TLB on)";
   let n = 1 lsl 19 in
-  let run pa =
+  let run cluster =
     measure_tree
-      ~morph:{ Ccmorph.default_params with Ccmorph.page_aware = pa }
+      ~morph:{ Ccmorph.default_params with Ccmorph.cluster }
       (e5000 ()) (random_layout seed) ~n ~searches:20_000
       ~next_key:(uniform_keys n (sd seed 5 1))
   in
-  let bf = run false and df = run true in
+  let bf =
+    run
+      (Ccmorph.Engine
+         { Layout.Engine.subtree with cold_order = Layout.Engine.Plan_order })
+  and df = run Ccmorph.Subtree in
   Format.fprintf ppf
     "  breadth-first cold order %8.1f cycles/search@.\
     \  depth-first (page-aware) %8.1f cycles/search@.@."
     bf df;
   J.Obj [ ("breadth_first", J.Float bf); ("depth_first", J.Float df) ]
 
+(* Two trees searched alternately: naive layouts, both colored into the
+   same hot region (they fight), and colored into disjoint
+   regions — the paper's future-work extension. *)
 let interference ?seed ppf =
   section ppf
     "Extension: two structures sharing the cache (the paper's future work)";
@@ -331,6 +356,11 @@ let interference ?seed ppf =
      other's traffic)@.@.";
   J.Obj [ ("rows", J.List rows) ]
 
+(* The Figure 5 caveat, tested: "we expect B-trees to perform better
+   than transparent C-trees when trees change due to insertions and
+   deletions".  Mixed insert/search workloads against a periodically
+   re-morphed C-tree and a self-balancing B-tree, locating the
+   crossover. *)
 let dynamic_updates ?seed ppf =
   section ppf
     "Extension: C-tree vs. B-tree under insertions (the paper's Figure 5 \
@@ -393,6 +423,11 @@ let dynamic_updates ?seed ppf =
   Format.fprintf ppf "@.";
   J.Obj [ ("rows", J.List rows) ]
 
+(* Subscribe direct-mapped caches of L2 capacities from 128 KB to
+   4 MB to one steady-state search stream per layout while it runs and
+   report their miss rates: the measured counterpart of the model's
+   logarithmic [R_s] term.  [trace_events] is the naive stream's
+   length. *)
 let miss_curves ?seed ppf =
   section ppf
     "Extension: measured amortized miss rate vs. cache size (live caches)";
@@ -464,6 +499,9 @@ let miss_curves ?seed ppf =
     events;
   J.Obj [ ("trace_events", J.Int events); ("rows", J.List rows) ]
 
+(* Coloring gain at L2 associativity 1..8 (same capacity): hardware
+   associativity and software coloring attack the same conflict
+   misses. *)
 let associativity ?seed ppf =
   section ppf
     "Ablation: coloring vs. cache associativity (1 MB L2, same capacity)";
@@ -507,6 +545,9 @@ let associativity ?seed ppf =
   Format.fprintf ppf "@.";
   J.Obj [ ("rows", J.List rows) ]
 
+(* The hand-designed alternative (Table 3's "CC design" row): a
+   cache-oblivious van Emde Boas tree layout against the naive layouts
+   and the parameter-aware C-tree. *)
 let veb_layout ?seed ppf =
   section ppf
     "Extension: hand-designed layouts -- van Emde Boas vs. the C-tree \
@@ -541,50 +582,38 @@ let veb_layout ?seed ppf =
      region)@.@.";
   J.Obj [ ("rows", J.List rows) ]
 
-let names =
+let studies : (string * (?seed:int -> Format.formatter -> J.t)) list =
   [
-    "color-frac";
-    "cluster-scheme";
-    "zipf-skew";
-    "hint-quality";
-    "mshr-sweep";
-    "page-aware";
-    "interference";
-    "dynamic-updates";
-    "miss-curves";
-    "associativity";
-    "veb-layout";
+    ("color-frac", color_frac);
+    ("cluster-scheme", cluster_scheme);
+    ("zipf-skew", zipf_skew);
+    ("hint-quality", hint_quality);
+    ("mshr-sweep", mshr_sweep);
+    ("page-aware", page_aware);
+    ("interference", interference);
+    ("dynamic-updates", dynamic_updates);
+    ("miss-curves", miss_curves);
+    ("associativity", associativity);
+    ("veb-layout", veb_layout);
   ]
-
-let run_named ?seed name ppf =
-  match name with
-  | "color-frac" -> Some (color_frac ?seed ppf)
-  | "cluster-scheme" -> Some (cluster_scheme ?seed ppf)
-  | "zipf-skew" -> Some (zipf_skew ?seed ppf)
-  | "hint-quality" -> Some (hint_quality ?seed ppf)
-  | "mshr-sweep" -> Some (mshr_sweep ?seed ppf)
-  | "page-aware" -> Some (page_aware ?seed ppf)
-  | "interference" -> Some (interference ?seed ppf)
-  | "dynamic-updates" -> Some (dynamic_updates ?seed ppf)
-  | "miss-curves" -> Some (miss_curves ?seed ppf)
-  | "associativity" -> Some (associativity ?seed ppf)
-  | "veb-layout" -> Some (veb_layout ?seed ppf)
-  | _ -> None
 
 (* One job per study, each printing into its own buffer; the texts are
    printed in study order once every study is done. *)
+(* Every study, each one {!Parallel.map} job, printed in {!names}
+   order once all are done; the returned object maps each study name
+   to its payload. *)
 let all ?seed ppf =
-  let study name =
+  let study (_, run) =
     let buf = Buffer.create 1024 in
     let bppf = Format.formatter_of_buffer buf in
-    let json = Option.get (run_named ?seed name bppf) in
+    let json = run ?seed bppf in
     Format.pp_print_flush bppf ();
     (Buffer.contents buf, json)
   in
-  let studies = Parallel.map study names in
+  let results = Parallel.map study studies in
   J.Obj
     (List.map2
-       (fun name (text, json) ->
+       (fun (name, _) (text, json) ->
          Format.pp_print_string ppf text;
          (name, json))
-       names studies)
+       studies results)

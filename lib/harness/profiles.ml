@@ -164,7 +164,6 @@ let to_json r =
             ("hint_unmanaged", J.Int c.Ccsl.Ccmalloc.c_hint_unmanaged);
             ("strategy_fallbacks", J.Int c.Ccsl.Ccmalloc.c_strategy_fallbacks);
             ("reuse_hits", J.Int c.Ccsl.Ccmalloc.c_reuse_hits);
-            ("span_allocs", J.Int c.Ccsl.Ccmalloc.c_span_allocs);
             ("pages_opened", J.Int c.Ccsl.Ccmalloc.c_pages_opened);
             ("blocks_opened", J.Int c.Ccsl.Ccmalloc.c_blocks_opened);
           ]

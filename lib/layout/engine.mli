@@ -2,8 +2,7 @@
 
     An engine turns an abstract tree into a {!Plan.t} for block capacity
     [k], plus a declaration of how its cold (uncolored) blocks should be
-    assigned to pages, which {!Ccmorph} consults when [page_aware] is
-    on:
+    assigned to pages, which [Ccmorph] follows:
 
     - [Dfs_first_visit]: emit cold blocks in depth-first first-visit
       order (the paper's page-aware rule; right for engines whose block

@@ -15,10 +15,12 @@ let swap h i j =
   h.w.(j) <- w;
   h.id.(j) <- id
 
-let heap_push h w v =
+(* Pushes node [v] with its weight [w.(v)], read here rather than
+   passed in so that no float is boxed per push. *)
+let heap_push h (w : float array) v =
   let i = ref h.len in
   h.len <- h.len + 1;
-  h.w.(!i) <- w;
+  h.w.(!i) <- w.(v);
   h.id.(!i) <- v;
   while !i > 0 && below h ((!i - 1) / 2) !i do
     let p = (!i - 1) / 2 in
@@ -55,7 +57,7 @@ let plan (t : Tree.t) ~k =
     | Some f -> Array.init n f
   in
   let frontier = { w = Array.make n 0.; id = Array.make n 0; len = 0 } in
-  let push v = heap_push frontier w.(v) v in
+  let push v = heap_push frontier w v in
   for r = 0 to t.Tree.nroots - 1 do
     push r
   done;

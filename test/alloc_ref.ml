@@ -1,6 +1,7 @@
 (* The Hashtbl-backed allocators as they stood before their metadata
    moved to [Alloc.Int_table], kept here unchanged (apart from the
-   public wrappers they no longer need) as the oracle for
+   public wrappers they no longer need, and ccmalloc's whole-block span
+   path, removed from the library with it) as the oracle for
    [Suite_alloc_table]'s differential tests.  Nothing outside the tests
    uses them. *)
 
@@ -168,9 +169,6 @@ module Ccmalloc_ref = struct
     block_bytes : int;
     blocks_per_page : int;
     pages : (int, page) Hashtbl.t;  (* page index -> page *)
-    spans : (int, unit) Hashtbl.t;
-    (* page indices of whole-block span pages: managed memory without
-       block-level bookkeeping (one big object per span) *)
     live : (A.t, int * int) Hashtbl.t;  (* payload -> (page index, bytes) *)
     (* Sequential default path for hint-less allocations. *)
     mutable cur_page : page option;
@@ -190,7 +188,6 @@ module Ccmalloc_ref = struct
     mutable reuse_hinted : (page * int) list;
     mutable pages_opened : int;
     mutable blocks_opened : int;
-    mutable span_pages : int;
     mutable allocations : int;
     mutable frees : int;
     mutable bytes_requested : int;
@@ -200,7 +197,6 @@ module Ccmalloc_ref = struct
     mutable hint_unmanaged : int;
     mutable strategy_fallbacks : int;
     mutable reuse_hits : int;
-    mutable span_allocs : int;
   }
 
   let create ?(strategy = New_block) ?(pages_per_grow = 1) m =
@@ -213,7 +209,6 @@ module Ccmalloc_ref = struct
       block_bytes;
       blocks_per_page = page_bytes / block_bytes;
       pages = Hashtbl.create 512;
-      spans = Hashtbl.create 16;
       live = Hashtbl.create 4096;
       cur_page = None;
       cur_block = 0;
@@ -222,7 +217,6 @@ module Ccmalloc_ref = struct
       reuse_hinted = [];
       pages_opened = 0;
       blocks_opened = 0;
-      span_pages = 0;
       allocations = 0;
       frees = 0;
       bytes_requested = 0;
@@ -232,7 +226,6 @@ module Ccmalloc_ref = struct
       hint_unmanaged = 0;
       strategy_fallbacks = 0;
       reuse_hits = 0;
-      span_allocs = 0;
     }
 
   let page_bytes t = Machine.page_bytes t.m
@@ -409,57 +402,23 @@ module Ccmalloc_ref = struct
     | Some payload -> payload
     | None -> overflow_alloc_fresh t unit
 
-  (* Objects wider than a block get whole-block spans on dedicated pages;
-     the payload starts block-aligned and the header lives in the preceding
-     block (as big-object allocators do). *)
-  let span_alloc t unit =
-    let blocks = 1 + ((unit - header_bytes + t.block_bytes - 1) / t.block_bytes) in
-    let bytes = blocks * t.block_bytes in
-    let pages = (bytes + page_bytes t - 1) / page_bytes t in
-    let base = Machine.reserve_pages t.m pages in
-    for i = 0 to pages - 1 do
-      Hashtbl.replace t.spans
-        (A.page_index (base + (i * page_bytes t)) ~page_bytes:(page_bytes t))
-        ()
-    done;
-    t.span_allocs <- t.span_allocs + 1;
-    t.span_pages <- t.span_pages + pages;
-    t.blocks_opened <- t.blocks_opened + blocks;
-    let payload = base + t.block_bytes in
-    Hashtbl.replace t.live payload
-      (A.page_index base ~page_bytes:(page_bytes t), unit);
-    Memsim.Memory.store32 (Machine.memory t.m) base unit;
-    Memsim.Memory.fill_zero (Machine.memory t.m) payload
-      ~bytes:(unit - header_bytes);
-    payload
-
   let alloc t ?(hint = A.null) bytes =
     if bytes <= 0 then invalid_arg "Ccmalloc.alloc: bytes <= 0";
-    Machine.busy t.m alloc_cycles;
     let unit = unit_of bytes in
+    if unit > t.block_bytes then
+      invalid_arg "Ccmalloc.alloc: header + payload wider than a cache block";
+    Machine.busy t.m alloc_cycles;
     t.allocations <- t.allocations + 1;
     t.bytes_requested <- t.bytes_requested + bytes;
-    if unit > t.block_bytes then span_alloc t unit
-    else if A.is_null hint then default_alloc t unit
+    if A.is_null hint then default_alloc t unit
     else
       let page_idx = A.page_index hint ~page_bytes:(page_bytes t) in
       match Hashtbl.find_opt t.pages page_idx with
       | None ->
-          if Hashtbl.mem t.spans page_idx then begin
-            (* Hint points at a span object: managed memory, but the page
-               is dedicated to one oversized object, so block-level
-               placement beside it is impossible — same outcome as an
-               exhausted hint page, not an unmanaged hint. *)
-            t.hinted <- t.hinted + 1;
-            t.strategy_fallbacks <- t.strategy_fallbacks + 1;
-            overflow_alloc t unit
-          end
-          else begin
-            (* Hint points outside ccmalloc-managed memory; treat as no
-               hint. *)
-            t.hint_unmanaged <- t.hint_unmanaged + 1;
-            default_alloc t unit
-          end
+          (* Hint points outside ccmalloc-managed memory; treat as no
+             hint. *)
+          t.hint_unmanaged <- t.hint_unmanaged + 1;
+          default_alloc t unit
       | Some p ->
           t.hinted <- t.hinted + 1;
           p.hinted <- true;
@@ -486,30 +445,26 @@ module Ccmalloc_ref = struct
     | Some (page_idx, unit) ->
         Hashtbl.remove t.live payload;
         t.frees <- t.frees + 1;
-        (match Hashtbl.find_opt t.pages page_idx with
-        | None -> ()  (* span object: address space is simply retired *)
-        | Some p ->
-            let addr = payload - header_bytes in
-            let off = A.offset_in_page addr ~page_bytes:(page_bytes t) in
-            let b = off / t.block_bytes in
-            let in_block = off - (b * t.block_bytes) in
-            if p.fill.(b) = in_block + unit then
-              (* the block's most recent object: shrink the bump pointer *)
-              p.fill.(b) <- in_block
-            else begin
-              p.freed.(b) <- (in_block, unit) :: p.freed.(b);
-              if p.hinted then t.reuse_hinted <- (p, b) :: t.reuse_hinted
-              else t.reuse <- (p, b) :: t.reuse
-            end)
+        let p = Hashtbl.find t.pages page_idx in
+        let addr = payload - header_bytes in
+        let off = A.offset_in_page addr ~page_bytes:(page_bytes t) in
+        let b = off / t.block_bytes in
+        let in_block = off - (b * t.block_bytes) in
+        if p.fill.(b) = in_block + unit then
+          (* the block's most recent object: shrink the bump pointer *)
+          p.fill.(b) <- in_block
+        else begin
+          p.freed.(b) <- (in_block, unit) :: p.freed.(b);
+          if p.hinted then t.reuse_hinted <- (p, b) :: t.reuse_hinted
+          else t.reuse <- (p, b) :: t.reuse
+        end
 
   let manages t addr =
     let idx = A.page_index addr ~page_bytes:(page_bytes t) in
-    Hashtbl.mem t.pages idx || Hashtbl.mem t.spans idx
-
-  let pages_opened t = t.pages_opened + t.span_pages
+    Hashtbl.mem t.pages idx
 
     let owns t a = Hashtbl.mem t.live a
-    let bytes_reserved t = pages_opened t * page_bytes t
+    let bytes_reserved t = t.pages_opened * page_bytes t
 
     let counters t =
       {
@@ -522,8 +477,7 @@ module Ccmalloc_ref = struct
         c_hint_unmanaged = t.hint_unmanaged;
         c_strategy_fallbacks = t.strategy_fallbacks;
         c_reuse_hits = t.reuse_hits;
-        c_span_allocs = t.span_allocs;
-        c_pages_opened = pages_opened t;
+        c_pages_opened = t.pages_opened;
         c_blocks_opened = t.blocks_opened;
       }
 end

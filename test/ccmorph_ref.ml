@@ -322,7 +322,6 @@ module Ccmorph = struct
     color : bool;
     color_frac : float;
     color_first_set : int;
-    page_aware : bool;
     weights : (Memsim.Addr.t -> float) option;
   }
 
@@ -509,12 +508,12 @@ module Ccmorph = struct
       for j = 0 to hot_cap - 1 do
         block_base.(j) <- block_addr j
       done;
-      (match (engine.cold_order, params.page_aware) with
-      | Layout.Engine.Dfs_first_visit, true ->
+      (match engine.cold_order with
+      | Layout.Engine.Dfs_first_visit ->
           Array.iter
             (fun j -> if j >= hot_cap then block_base.(j) <- block_addr j)
             dfs_block_order
-      | Layout.Engine.Plan_order, _ | Layout.Engine.Dfs_first_visit, false ->
+      | Layout.Engine.Plan_order ->
           for j = hot_cap to nblocks - 1 do
             block_base.(j) <- block_addr j
           done);

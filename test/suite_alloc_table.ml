@@ -106,7 +106,9 @@ let test_map_inplace () =
 (* One operation of a random sequence.  [Alloc (bytes, hint, i)]: hint 0
    is none, 1 the [i]-th live object, 2 memory the allocator does not
    manage.  Every object index is taken modulo the number of
-   candidates. *)
+   candidates.  Sizes stop at 56 bytes, the widest object ccmalloc
+   places on the tiny machine's 64-byte blocks; malloc's sequences also
+   draw wider ones. *)
 type op =
   | Alloc of int * int * int
   | Free of int
@@ -114,14 +116,15 @@ type op =
   | Bogus_free of int  (* never an allocated payload *)
   | Owns of int
 
-let gen_op =
+let gen_op ~wide =
   QCheck.Gen.(
     frequency
       [
         ( 6,
           map3
             (fun b h i -> Alloc (b, h, i))
-            (frequency [ (9, int_range 1 56); (1, int_range 57 300) ])
+            (if wide then frequency [ (9, int_range 1 56); (1, int_range 57 300) ]
+             else int_range 1 56)
             (int_bound 2) nat );
         (4, map (fun i -> Free i) nat);
         (1, map (fun i -> Refree i) nat);
@@ -136,10 +139,10 @@ let print_op = function
   | Bogus_free i -> Printf.sprintf "Bogus_free %d" i
   | Owns i -> Printf.sprintf "Owns %d" i
 
-let arb_ops =
+let arb_ops ~wide =
   QCheck.make
     ~print:QCheck.Print.(pair bool (list print_op))
-    QCheck.Gen.(pair bool (list_size (int_range 1 300) gen_op))
+    QCheck.Gen.(pair bool (list_size (int_range 1 300) (gen_op ~wide)))
 
 (* The allocator under test, as closures over one implementation. *)
 type impl = {
@@ -211,7 +214,7 @@ let headers m addrs = List.map (fun a -> Machine.uload32 m (a - 8)) addrs
 
 let prop_malloc_matches_hashtbl =
   QCheck.Test.make ~count:150 ~name:"malloc equals its Hashtbl-backed oracle"
-    arb_ops (fun (high, ops) ->
+    (arb_ops ~wide:true) (fun (high, ops) ->
       let (m, foreign), (mr, foreign_r) = machines ~high in
       let t = Malloc.create m and r = R.Malloc_ref.create mr in
       let a = Malloc.allocator t in
@@ -253,7 +256,7 @@ let prop_ccmalloc_matches_hashtbl strategy =
     ~name:
       ("ccmalloc " ^ Ccmalloc.strategy_name strategy
      ^ " equals its Hashtbl-backed oracle")
-    arb_ops (fun (high, ops) ->
+    (arb_ops ~wide:false) (fun (high, ops) ->
       let (m, foreign), (mr, foreign_r) = machines ~high in
       let t = Ccmalloc.create ~strategy m
       and r = R.Ccmalloc_ref.create ~strategy mr in
@@ -307,17 +310,16 @@ let test_invalid_frees_raise () =
   List.iter
     (fun strategy ->
       let c = Ccmalloc.create ~strategy m in
-      let small = Ccmalloc.alloc c 24 and span = Ccmalloc.alloc c 200 in
+      let small = Ccmalloc.alloc c 24 in
       Ccmalloc.free c small;
-      Ccmalloc.free c span;
       List.iter
         (fun (what, a) ->
           Alcotest.check_raises
             (Ccmalloc.strategy_name strategy ^ ": " ^ what)
             (Invalid_argument "Ccmalloc.free: not an allocated address")
             (fun () -> Ccmalloc.free c a))
-        [ ("double free", small); ("span double free", span);
-          ("null", Memsim.Addr.null); ("negative", -8) ])
+        [ ("double free", small); ("null", Memsim.Addr.null);
+          ("negative", -8) ])
     [ Ccmalloc.Closest; Ccmalloc.New_block; Ccmalloc.First_fit ]
 
 let tests =

@@ -18,7 +18,9 @@ let test_same_block_colocation () =
   let parent = Ccmalloc.alloc t 20 in
   let child = Ccmalloc.alloc t ~hint:parent 20 in
   Alcotest.(check int) "same cache block" (block_of m parent) (block_of m child);
-  Alcotest.(check (float 0.)) "ratio" 1. (Ccmalloc.same_block_ratio t)
+  let c = Ccmalloc.counters t in
+  Alcotest.(check int) "one hinted" 1 c.Ccmalloc.c_hinted;
+  Alcotest.(check int) "... in the hint's block" 1 c.Ccmalloc.c_hinted_same_block
 
 let test_never_straddles () =
   let m, t = mk Ccmalloc.First_fit in
@@ -79,7 +81,7 @@ let test_new_block_opens_more_blocks () =
       in
       last := a
     done;
-    Ccmalloc.blocks_opened t
+    (Ccmalloc.counters t).Ccmalloc.c_blocks_opened
   in
   let nb = run Ccmalloc.New_block in
   let cl = run Ccmalloc.Closest in
@@ -93,7 +95,7 @@ let test_null_hint_sequential () =
   let y = Ccmalloc.alloc t 20 in
   Alcotest.(check int) "same block, packed" (block_of m x) (block_of m y);
   Alcotest.(check int) "no hinted allocs recorded" 0
-    (int_of_float (Ccmalloc.same_block_ratio t *. 100.))
+    (Ccmalloc.counters t).Ccmalloc.c_hinted
 
 let test_foreign_hint_ignored () =
   let m, t = mk Ccmalloc.Closest in
@@ -102,13 +104,32 @@ let test_foreign_hint_ignored () =
   let a = Ccmalloc.alloc t ~hint:foreign 20 in
   Alcotest.(check bool) "allocated fine" true (a > 0)
 
-let test_span_objects () =
+(* An object whose header and payload exceed a block is refused before
+   the allocator charges a cycle, moves a counter or reserves memory;
+   the widest object that fits (56 bytes, 64 with its header) is
+   placed. *)
+let test_wide_objects_rejected () =
   let m, t = mk Ccmalloc.New_block in
-  let big = Ccmalloc.alloc t 200 in
-  Alcotest.(check bool) "block aligned" true
-    (A.is_aligned big (Machine.l2_block_bytes m));
-  Machine.ustore32 m (big + 196) 7;
-  Alcotest.(check int) "usable to the end" 7 (Machine.uload32 m (big + 196))
+  let x = Ccmalloc.alloc t 20 in
+  let cycles = Machine.cycles m
+  and reserved = Machine.reserved_bytes m
+  and c = Ccmalloc.counters t in
+  List.iter
+    (fun (what, hint, bytes) ->
+      Alcotest.check_raises what
+        (Invalid_argument
+           "Ccmalloc.alloc: header + payload wider than a cache block")
+        (fun () -> ignore (Ccmalloc.alloc t ~hint bytes));
+      Alcotest.(check int) (what ^ ": cycles") cycles (Machine.cycles m);
+      Alcotest.(check int) (what ^ ": reserved bytes") reserved
+        (Machine.reserved_bytes m);
+      Alcotest.(check bool) (what ^ ": counters") true
+        (Ccmalloc.counters t = c))
+    [ ("57 bytes", A.null, 57); ("hinted 57 bytes", x, 57);
+      ("200 bytes", A.null, 200) ];
+  let widest = Ccmalloc.alloc t 56 in
+  Alcotest.(check int) "56 bytes fill a block" 8
+    (A.offset_in_block widest ~block_bytes:(Machine.l2_block_bytes m))
 
 let test_free_lifo () =
   let m, t = mk Ccmalloc.Closest in
@@ -123,29 +144,13 @@ let test_free_lifo () =
    free must not be counted as opened again by the next allocation. *)
 let test_blocks_opened_not_double_counted () =
   let m, t = mk Ccmalloc.New_block in
+  let blocks () = (Ccmalloc.counters t).Ccmalloc.c_blocks_opened in
   let x = Ccmalloc.alloc t 20 in
-  Alcotest.(check int) "one block opened" 1 (Ccmalloc.blocks_opened t);
+  Alcotest.(check int) "one block opened" 1 (blocks ());
   Ccmalloc.free t x;
   let y = Ccmalloc.alloc t 20 in
   Alcotest.(check int) "same block reused" (block_of m x) (block_of m y);
-  Alcotest.(check int) "still one block opened" 1 (Ccmalloc.blocks_opened t)
-
-(* Regression: a hint pointing at a live span object is a *managed* hint
-   (manages must agree with owns); it cannot be honored block-locally, so
-   it spills to overflow as a strategy fallback, never as unmanaged. *)
-let test_span_hint_is_managed () =
-  let _, t = mk Ccmalloc.New_block in
-  let big = Ccmalloc.alloc t 200 in
-  let a = Alcotest.(check bool) in
-  a "allocator owns the span payload" true
-    ((Ccmalloc.allocator t).Alloc.Allocator.owns big);
-  a "manages agrees with owns" true (Ccmalloc.manages t big);
-  let _ = Ccmalloc.alloc t ~hint:big 20 in
-  let c = Ccmalloc.counters t in
-  Alcotest.(check int) "counted as hinted" 1 c.Ccmalloc.c_hinted;
-  Alcotest.(check int) "not counted as unmanaged" 0 c.Ccmalloc.c_hint_unmanaged;
-  Alcotest.(check int) "spilled as a strategy fallback" 1
-    c.Ccmalloc.c_strategy_fallbacks
+  Alcotest.(check int) "still one block opened" 1 (blocks ())
 
 (* Regression: freed slots inside pages that received hinted allocations
    must not be recycled (or bump-filled) by hint-less allocations — a
@@ -169,7 +174,7 @@ let prop_all_allocations_disjoint =
   QCheck.Test.make ~count:50 ~name:"ccmalloc allocations never overlap"
     QCheck.(
       pair (int_bound 2)
-        (list_of_size (Gen.int_range 1 150) (pair bool (int_range 1 64))))
+        (list_of_size (Gen.int_range 1 150) (pair bool (int_range 1 56))))
     (fun (strat, plan) ->
       let strategy =
         match strat with
@@ -201,17 +206,16 @@ let prop_all_allocations_disjoint =
 (* The documented accounting identity, checked through the same code the
    sanitizer's counter-identity rule uses: every hinted allocation must be
    accounted for as either a same-page strategy placement or a fallback,
-   under every strategy and any interleaving of hinted, unhinted,
-   foreign-hinted, span, and span-hinted allocations and frees.  Kind 4
-   allocates a span object and leaves it as [last], so a following
-   kind-1 allocation hints at a live span payload — the case that used
-   to be miscounted as [c_hint_unmanaged]. *)
+   under every strategy and any interleaving of hinted, unhinted and
+   foreign-hinted allocations and frees.  Sizes stop at 56 bytes, the
+   widest object a 64-byte block holds with its header; kind 4 asks for
+   a wider one, which must be refused without moving a counter. *)
 let prop_counter_identity =
   QCheck.Test.make ~count:100
     ~name:"ccmalloc counter identity holds under all strategies"
     QCheck.(
       pair (int_bound 2)
-        (list_of_size (Gen.int_range 1 200) (pair (int_bound 4) (int_range 1 80))))
+        (list_of_size (Gen.int_range 1 200) (pair (int_bound 4) (int_range 1 56))))
     (fun (strat, plan) ->
       let strategy =
         match strat with
@@ -225,6 +229,7 @@ let prop_counter_identity =
       let last = ref A.null in
       let live = ref [] in
       let unmanaged_hints = ref 0 in
+      let rejected = ref true in
       List.iter
         (fun (kind, sz) ->
           match kind with
@@ -235,8 +240,7 @@ let prop_counter_identity =
                 else Ccmalloc.alloc t ~hint:!last sz;
               live := !last :: !live
           | 2 ->
-              (* span-sized objects never consult the hint at all *)
-              if sz <= 56 then incr unmanaged_hints;
+              incr unmanaged_hints;
               last := Ccmalloc.alloc t ~hint:foreign sz
           | 3 -> (
               match !live with
@@ -244,17 +248,20 @@ let prop_counter_identity =
               | a :: rest ->
                   Ccmalloc.free t a;
                   live := rest)
-          | _ ->
-              (* wider than the 64-byte block: a whole-block span *)
-              last := Ccmalloc.alloc t (sz + 64);
-              live := !last :: !live)
+          | _ -> (
+              (* wider than the 64-byte block, hinted or not *)
+              let before = Ccmalloc.counters t in
+              match Ccmalloc.alloc t ~hint:!last (sz + 56) with
+              | _ -> rejected := false
+              | exception Invalid_argument _ ->
+                  if Ccmalloc.counters t <> before then rejected := false))
         plan;
       let c = Ccmalloc.counters t in
-      Analyze.Shadow.check_counters c = []
+      !rejected
+      && Analyze.Shadow.check_counters c = []
       && c.Ccmalloc.c_hinted
          = c.Ccmalloc.c_hinted_same_page + c.Ccmalloc.c_strategy_fallbacks
-      (* every unmanaged hint came from the foreign address, never from
-         a span payload *)
+      (* every unmanaged hint came from the foreign address *)
       && c.Ccmalloc.c_hint_unmanaged = !unmanaged_hints)
 
 let tests =
@@ -277,12 +284,10 @@ let tests =
         Alcotest.test_case "foreign hint tolerated" `Quick
           test_foreign_hint_ignored;
         Alcotest.test_case "objects wider than a block" `Quick
-          test_span_objects;
+          test_wide_objects_rejected;
         Alcotest.test_case "LIFO free" `Quick test_free_lifo;
         Alcotest.test_case "blocks_opened not double-counted" `Quick
           test_blocks_opened_not_double_counted;
-        Alcotest.test_case "span hint is managed" `Quick
-          test_span_hint_is_managed;
         Alcotest.test_case "cold alloc avoids hint pages" `Quick
           test_cold_alloc_avoids_hint_pages;
         QCheck_alcotest.to_alcotest prop_all_allocations_disjoint;

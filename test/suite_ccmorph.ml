@@ -226,17 +226,26 @@ let test_color_first_set () =
   Alcotest.(check int) "semantics intact" 1023
     (List.length (Bst.to_sorted_list t'))
 
-let test_page_aware_flag () =
-  (* both emission orders preserve semantics; layouts differ *)
-  let run pa =
+let test_cold_order () =
+  (* subtree clustering with either cold-block order preserves
+     semantics; layouts differ *)
+  let run cold_order =
     let m = mk () in
     let t = build_tree m 511 10 in
-    let params = { Ccmorph.default_params with Ccmorph.page_aware = pa } in
+    let params =
+      {
+        Ccmorph.default_params with
+        Ccmorph.cluster = Ccmorph.Engine { Layout.Engine.subtree with cold_order };
+      }
+    in
     let r = Ccmorph.morph ~params m (Bst.desc ~elem_bytes:20) ~root:t.Bst.root in
     let t' = Bst.of_root m ~elem_bytes:20 ~n:511 r.Ccmorph.new_root in
-    Bst.to_sorted_list t'
+    (r.Ccmorph.new_root, Bst.to_sorted_list t')
   in
-  Alcotest.(check (list int)) "same inorder either way" (run true) (run false)
+  let root_dfs, dfs = run Layout.Engine.Dfs_first_visit
+  and root_plan, plan = run Layout.Engine.Plan_order in
+  Alcotest.(check (list int)) "same inorder either way" dfs plan;
+  Alcotest.(check int) "same hot root block" root_dfs root_plan
 
 (* Regression: morphing a *subtree* of a larger structure used to raise
    Not_found in the parent-pointer rewrite — the root's predecessor is
@@ -485,7 +494,7 @@ let tests =
         Alcotest.test_case "forest morph" `Quick test_morph_forest;
         Alcotest.test_case "null roots and errors" `Quick test_null_and_errors;
         Alcotest.test_case "offset hot region" `Quick test_color_first_set;
-        Alcotest.test_case "page-aware flag" `Quick test_page_aware_flag;
+        Alcotest.test_case "cold-block order" `Quick test_cold_order;
         Alcotest.test_case "subtree of a larger structure" `Quick
           test_morph_subtree_of_larger_structure;
         Alcotest.test_case "parent slot respects kid_filter" `Quick

@@ -118,7 +118,7 @@ type case = {
   subtree : bool;  (* morph a subtree, whose root's parent is outside *)
   engine : string;
   color : int;  (* 0: off; 1-3: color_frac 0.25, 0.5, 0.75 *)
-  page_aware : bool;
+  plan_order : bool;  (* the engine's cold order overridden to Plan_order *)
   tlb : bool;  (* the E5000 with a TLB instead of the tiny machine *)
   remorph : bool;  (* three morphs, the structure growing and shrinking *)
   sparse : bool;  (* elements in 64 KB regions megabytes apart, not malloc's *)
@@ -138,40 +138,48 @@ let gen_case =
     let* subtree = map (fun i -> i = 0) (int_bound 3) in
     let* engine = oneofl engine_names in
     let* color = int_bound 3 in
-    let* page_aware = bool in
+    let* plan_order = bool in
     let* tlb = bool in
     let* remorph = bool in
     let* sparse = bool in
     let+ fault = map (fun i -> max 0 (i - 4)) (int_bound 7) in
     {
       seed; nodes; elem_bytes; slots; parent; filter; weights; forest;
-      subtree; engine; color; page_aware; tlb; remorph; sparse; fault;
+      subtree; engine; color; plan_order; tlb; remorph; sparse; fault;
     })
 
 let print_case c =
   Printf.sprintf
     "{seed=%d; nodes=%d; elem_bytes=%d; slots=%d; parent=%b; filter=%b; \
-     weights=%b; forest=%d; subtree=%b; engine=%s; color=%d; page_aware=%b; \
+     weights=%b; forest=%d; subtree=%b; engine=%s; color=%d; plan_order=%b; \
      tlb=%b; remorph=%b; sparse=%b; fault=%d}"
     c.seed c.nodes c.elem_bytes c.slots c.parent c.filter c.weights c.forest
-    c.subtree c.engine c.color c.page_aware c.tlb c.remorph c.sparse c.fault
+    c.subtree c.engine c.color c.plan_order c.tlb c.remorph c.sparse c.fault
 
 (* One implementation under test. *)
 type impl =
   Machine.t -> Ccmorph.desc -> Ccmorph.params -> roots:A.t array ->
   Ccmorph.result
 
-let current ~engine : impl =
+let current ~plan_order ~engine : impl =
   let engine =
     List.find (fun e -> e.Layout.Engine.name = engine) Layout.Engine.builtins
+  in
+  let engine =
+    if plan_order then { engine with cold_order = Layout.Engine.Plan_order }
+    else engine
   in
   fun m desc params ~roots ->
     Ccmorph.morph_forest
       ~params:{ params with Ccmorph.cluster = Ccmorph.Engine engine }
       m desc ~roots
 
-let reference ~engine : impl =
+let reference ~plan_order ~engine : impl =
   let engine = R.engine_of_name engine in
+  let engine =
+    if plan_order then { engine with R.cold_order = Layout.Engine.Plan_order }
+    else engine
+  in
   fun m desc params ~roots ->
     R.Ccmorph.morph_forest ~params ~engine m desc ~roots
 
@@ -349,7 +357,6 @@ let run c impl =
       Ccmorph.default_params with
       Ccmorph.color = c.color > 0;
       color_frac = (match c.color with 1 -> 0.25 | 3 -> 0.75 | _ -> 0.5);
-      page_aware = c.page_aware;
       weights =
         (if c.weights then
            Some (fun a -> float_of_int ((a lsr 3) * 2654435761 land 7))
@@ -412,7 +419,9 @@ let prop_morph_matches_reference =
     ~name:"morphs equal the Hashtbl-based ccmorph's: results, copies, stats, errors"
     (QCheck.make ~print:print_case gen_case)
     (fun c ->
-      run c (current ~engine:c.engine) = run c (reference ~engine:c.engine))
+      let plan_order = c.plan_order in
+      run c (current ~plan_order ~engine:c.engine)
+      = run c (reference ~plan_order ~engine:c.engine))
 
 (* Elements at offset 65528 straddle a page boundary of simulated
    memory (malloc can place a 20-byte node there); discovery's bulk
@@ -444,7 +453,7 @@ let test_morph_straddling_elements () =
       [ (root, left, right, 0); (left, 0, 0, root); (right, 0, 0, root) ];
     let payload a = List.init 4 (fun i -> Memory.load8 mem (a + 16 + i)) in
     let before = List.map payload [ root; left; right ] in
-    let impl = make ~engine:"subtree" in
+    let impl = make ~plan_order:false ~engine:"subtree" in
     let o = attempt impl m Ccmorph.default_params desc [| root |] in
     match o.outcome with
     | Error e -> Alcotest.fail e

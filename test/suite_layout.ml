@@ -238,13 +238,13 @@ let test_morph_engines_with_checked_plans () =
     LS.engine_schemes
 
 (* ------------------------------------------------------------------ *)
-(* page_aware TLB sensitivity, per engine                              *)
+(* cold-order TLB sensitivity, per engine                             *)
 (* ------------------------------------------------------------------ *)
 
 (* One deterministic search-heavy run on the TLB-modeling UltraSPARC,
    deep enough (2^15 - 1 nodes x 20 B = 640 KB) to exceed the 512 KB
    TLB reach. *)
-let tlb_fingerprint ~scheme ~page_aware =
+let tlb_fingerprint engine =
   let m = Machine.create (Config.ultrasparc_e5000 ~tlb:true ()) in
   let elem_bytes = Bst.default_elem_bytes in
   let n = (1 lsl 15) - 1 in
@@ -255,7 +255,7 @@ let tlb_fingerprint ~scheme ~page_aware =
       (Bst.Random (Rng.create 11)) ~keys
   in
   let params =
-    { Ccmorph.default_params with Ccmorph.cluster = scheme; page_aware }
+    { Ccmorph.default_params with Ccmorph.cluster = Ccmorph.Engine engine }
   in
   let r = Ccmorph.morph ~params m (Bst.desc ~elem_bytes) ~root:t.Bst.root in
   let t = Bst.of_root m ~elem_bytes ~n r.Ccmorph.new_root in
@@ -275,17 +275,20 @@ let tlb_fingerprint ~scheme ~page_aware =
     stats_tuple st.Hierarchy.h_l1,
     stats_tuple st.Hierarchy.h_l2 )
 
-let test_page_aware_tlb_sensitivity () =
+(* Each engine against its [Plan_order] variant: a plan-order engine is
+   its own variant, and must fingerprint the same twice. *)
+let test_cold_order_tlb_sensitivity () =
   List.iter
     (fun (name, scheme) ->
       let engine = Ccmorph.engine_of_scheme scheme in
-      let on = tlb_fingerprint ~scheme ~page_aware:true in
-      let off = tlb_fingerprint ~scheme ~page_aware:false in
+      let on = tlb_fingerprint engine in
+      let off =
+        tlb_fingerprint { engine with cold_order = Layout.Engine.Plan_order }
+      in
       match engine.Layout.Engine.cold_order with
       | Layout.Engine.Plan_order ->
-          (* plan order IS the page order: the flag must be inert *)
           Alcotest.(check bool)
-            (name ^ ": page_aware is a no-op for plan-order engines")
+            (name ^ ": a plan-order engine is its own plan-order variant")
             true (on = off)
       | Layout.Engine.Dfs_first_visit ->
           let tlb_on, _, _, _ = on and tlb_off, _, _, _ = off in
@@ -365,8 +368,8 @@ let tests =
           test_veb_complete_tree;
         Alcotest.test_case "all engines morph with checked plans" `Quick
           test_morph_engines_with_checked_plans;
-        Alcotest.test_case "page_aware TLB sensitivity per engine" `Quick
-          test_page_aware_tlb_sensitivity;
+        Alcotest.test_case "cold_order TLB sensitivity per engine" `Quick
+          test_cold_order_tlb_sensitivity;
         Alcotest.test_case "shootout report shape (micro)" `Quick
           test_shootout_report_shape;
         Alcotest.test_case "shootout parallel == serial (treeadd)" `Quick
