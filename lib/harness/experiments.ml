@@ -440,17 +440,19 @@ let fig10 ?(scale = Quick) ?seed ppf =
     "Figure 10: predicted vs. measured C-tree speedup (model validation)";
   Format.fprintf ppf "%-12s %12s %12s %8s@." "tree size" "predicted"
     "measured" "ratio";
-  List.iter
-    (fun p ->
+  let ratios = List.map (fun p -> p.Tb.actual /. p.Tb.predicted) pts in
+  List.iter2
+    (fun p r ->
       Format.fprintf ppf "%-12d %12.2f %12.2f %8.2f@." p.Tb.tree_size
-        p.Tb.predicted p.Tb.actual
-        (p.Tb.actual /. p.Tb.predicted))
-    pts;
+        p.Tb.predicted p.Tb.actual r)
+    pts ratios;
   Format.fprintf ppf
     "(paper: both curves decline with tree size, and its model \
      underestimates its@. measurement; here the prediction declines and \
-     measured/predicted stays in@. [0.70, 0.85], the band CI holds \
-     BENCH_fig10.json to -- see EXPERIMENTS.md)@.@.";
+     measured/predicted reads %.2f-%.2f;@. CI holds the quick-scale \
+     BENCH_fig10.json to [0.70, 0.85] -- see EXPERIMENTS.md)@.@."
+    (List.fold_left Float.min infinity ratios)
+    (List.fold_left Float.max neg_infinity ratios);
   J.Obj
     [
       ("searches", J.Int searches);

@@ -136,11 +136,12 @@ let run ?(params = default_params) ?(measure_whole = false) ?ctx placement =
              tables.(v).Hc.table + (4 * Hc.hash tables.(v) u)
            in
            Machine.prefetch m cell);
-        match Hc.find tables.(v) u with
-        | Some w ->
-            let d = Machine.load32 m (dist + (4 * v)) in
-            if w < d then Machine.store32 m (dist + (4 * v)) w
-        | None -> ()
+        (* weights are positive, so -1 marks a missing edge *)
+        let w = Hc.find_or tables.(v) u ~default:(-1) in
+        if w >= 0 then begin
+          let d = Machine.load32 m (dist + (4 * v)) in
+          if w < d then Machine.store32 m (dist + (4 * v)) w
+        end
       end
     done
   done;

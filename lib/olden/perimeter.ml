@@ -106,6 +106,20 @@ let rec sum_adjacent m q q1 q2 size =
   else if c = 0 then size
   else 0
 
+(* A black leaf's exposed edge on side [d].  Top-level, so probing a
+   leaf's four sides builds no closure. *)
+let side m node size d =
+  let neighbor = gtequal_adj_neighbor m node d in
+  Machine.busy m 1;
+  if A.is_null neighbor then size
+  else
+    match color m neighbor with
+    | 0 -> size
+    | 2 ->
+        let q1, q2 = facing d in
+        sum_adjacent m neighbor q1 q2 size
+    | _ -> 0
+
 let rec perimeter (ctx : Common.ctx) node size =
   let m = ctx.Common.machine in
   let c = color m node in
@@ -124,22 +138,10 @@ let rec perimeter (ctx : Common.ctx) node size =
     p0 + p1 + p2 + p3
   end
   else if c = 1 then begin
-    let side d =
-      let neighbor = gtequal_adj_neighbor m node d in
-      Machine.busy m 1;
-      if A.is_null neighbor then size
-      else
-        match color m neighbor with
-        | 0 -> size
-        | 2 ->
-            let q1, q2 = facing d in
-            sum_adjacent m neighbor q1 q2 size
-        | _ -> 0
-    in
-    let n = side North in
-    let s = side South in
-    let e = side East in
-    let w = side West in
+    let n = side m node size North in
+    let s = side m node size South in
+    let e = side m node size East in
+    let w = side m node size West in
     n + s + e + w
   end
   else 0

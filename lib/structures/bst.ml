@@ -95,66 +95,58 @@ let build ?(elem_bytes = default_elem_bytes) ?alloc m layout ~keys =
 
 let of_root m ~elem_bytes ~n root = { m; root; n; elem_bytes }
 
-let search t key =
-  let m = t.m in
-  let rec go node =
-    if A.is_null node then false
-    else
-      let k = Machine.load32s m (node + off_key) in
-      if key = k then true
-      else if key < k then go (Machine.load_ptr m (node + off_left))
-      else go (Machine.load_ptr m (node + off_right))
-  in
-  go t.root
+let rec search_from m key node =
+  if A.is_null node then false
+  else
+    let k = Machine.load32s m (node + off_key) in
+    if key = k then true
+    else if key < k then search_from m key (Machine.load_ptr m (node + off_left))
+    else search_from m key (Machine.load_ptr m (node + off_right))
 
-let depth_of t key =
+let search t key = search_from t.m key t.root
+
+let rec depth_from m key node d =
+  if A.is_null node then d
+  else
+    let k = Machine.load32s m (node + off_key) in
+    if key = k then d + 1
+    else if key < k then depth_from m key (Machine.load_ptr m (node + off_left)) (d + 1)
+    else depth_from m key (Machine.load_ptr m (node + off_right)) (d + 1)
+
+let depth_of t key = depth_from t.m key t.root 0
+
+let fresh t alloc key =
   let m = t.m in
-  let rec go node d =
-    if A.is_null node then d
-    else
-      let k = Machine.load32s m (node + off_key) in
-      if key = k then d + 1
-      else if key < k then go (Machine.load_ptr m (node + off_left)) (d + 1)
-      else go (Machine.load_ptr m (node + off_right)) (d + 1)
+  let node =
+    match alloc with
+    | Some a -> a.Alloc.Allocator.alloc ~site:"bst.node" t.elem_bytes
+    | None -> Machine.reserve m ~bytes:t.elem_bytes ~align:4
   in
-  go t.root 0
+  Machine.store32 m (node + off_key) key;
+  Machine.store_ptr m (node + off_left) A.null;
+  Machine.store_ptr m (node + off_right) A.null;
+  node
+
+let rec insert_below t alloc key node =
+  let m = t.m in
+  let k = Machine.load32s m (node + off_key) in
+  if key = k then false
+  else begin
+    let off = if key < k then off_left else off_right in
+    let kid = Machine.load_ptr m (node + off) in
+    if A.is_null kid then begin
+      Machine.store_ptr m (node + off) (fresh t alloc key);
+      true
+    end
+    else insert_below t alloc key kid
+  end
 
 let insert t ?alloc key =
-  let m = t.m in
-  let alloc =
-    match alloc with
-    | Some a ->
-        fun () ->
-          a.Alloc.Allocator.alloc ?hint:None ~site:"bst.node" t.elem_bytes
-    | None -> fun () -> Machine.reserve m ~bytes:t.elem_bytes ~align:4
-  in
-  let fresh () =
-    let node = alloc () in
-    Machine.store32 m (node + off_key) key;
-    Machine.store_ptr m (node + off_left) A.null;
-    Machine.store_ptr m (node + off_right) A.null;
-    node
-  in
   if A.is_null t.root then begin
-    t.root <- fresh ();
+    t.root <- fresh t alloc key;
     true
   end
-  else begin
-    let rec go node =
-      let k = Machine.load32s m (node + off_key) in
-      if key = k then false
-      else begin
-        let off = if key < k then off_left else off_right in
-        let kid = Machine.load_ptr m (node + off) in
-        if A.is_null kid then begin
-          Machine.store_ptr m (node + off) (fresh ());
-          true
-        end
-        else go kid
-      end
-    in
-    go t.root
-  end
+  else insert_below t alloc key t.root
 
 let mem_oracle t key =
   let m = t.m in

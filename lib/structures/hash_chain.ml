@@ -29,56 +29,53 @@ let hash t key =
 
 let bucket_cell t key = t.table + (4 * hash t key)
 
-let insert t ~key ~value =
+let rec insert_walk t cell key value prev cur =
   let m = t.m in
-  let cell = bucket_cell t key in
-  let head = Machine.load_ptr m cell in
-  let rec walk prev cur =
-    if A.is_null cur then begin
-      let hint = if A.is_null prev then cell else prev in
-      let node =
-        t.alloc.Alloc.Allocator.alloc ~hint ~site:"hash_chain.entry"
-          entry_bytes
-      in
-      Machine.store_ptr m (node + off_next) A.null;
-      Machine.store32 m (node + off_key) key;
-      Machine.store32 m (node + off_value) value;
-      if A.is_null prev then Machine.store_ptr m cell node
-      else Machine.store_ptr m (prev + off_next) node;
-      t.entries <- t.entries + 1
-    end
-    else if Machine.load32s m (cur + off_key) = key then
-      Machine.store32 m (cur + off_value) value
-    else walk cur (Machine.load_ptr m (cur + off_next))
-  in
-  walk A.null head
+  if A.is_null cur then begin
+    let hint = if A.is_null prev then cell else prev in
+    let node =
+      t.alloc.Alloc.Allocator.alloc ~hint ~site:"hash_chain.entry" entry_bytes
+    in
+    Machine.store_ptr m (node + off_next) A.null;
+    Machine.store32 m (node + off_key) key;
+    Machine.store32 m (node + off_value) value;
+    if A.is_null prev then Machine.store_ptr m cell node
+    else Machine.store_ptr m (prev + off_next) node;
+    t.entries <- t.entries + 1
+  end
+  else if Machine.load32s m (cur + off_key) = key then
+    Machine.store32 m (cur + off_value) value
+  else insert_walk t cell key value cur (Machine.load_ptr m (cur + off_next))
 
-let find t key =
+let insert t ~key ~value =
+  let cell = bucket_cell t key in
+  insert_walk t cell key value A.null (Machine.load_ptr t.m cell)
+
+let rec find_walk m key default cur =
+  if A.is_null cur then default
+  else if Machine.load32s m (cur + off_key) = key then
+    Machine.load32s m (cur + off_value)
+  else find_walk m key default (Machine.load_ptr m (cur + off_next))
+
+let find_or t key ~default =
+  find_walk t.m key default (Machine.load_ptr t.m (bucket_cell t key))
+
+let rec remove_walk t cell key prev cur =
   let m = t.m in
-  let rec walk cur =
-    if A.is_null cur then None
-    else if Machine.load32s m (cur + off_key) = key then
-      Some (Machine.load32s m (cur + off_value))
-    else walk (Machine.load_ptr m (cur + off_next))
-  in
-  walk (Machine.load_ptr m (bucket_cell t key))
+  if A.is_null cur then false
+  else if Machine.load32s m (cur + off_key) = key then begin
+    let next = Machine.load_ptr m (cur + off_next) in
+    if A.is_null prev then Machine.store_ptr m cell next
+    else Machine.store_ptr m (prev + off_next) next;
+    t.alloc.Alloc.Allocator.free cur;
+    t.entries <- t.entries - 1;
+    true
+  end
+  else remove_walk t cell key cur (Machine.load_ptr m (cur + off_next))
 
 let remove t key =
-  let m = t.m in
   let cell = bucket_cell t key in
-  let rec walk prev cur =
-    if A.is_null cur then false
-    else if Machine.load32s m (cur + off_key) = key then begin
-      let next = Machine.load_ptr m (cur + off_next) in
-      if A.is_null prev then Machine.store_ptr m cell next
-      else Machine.store_ptr m (prev + off_next) next;
-      t.alloc.Alloc.Allocator.free cur;
-      t.entries <- t.entries - 1;
-      true
-    end
-    else walk cur (Machine.load_ptr m (cur + off_next))
-  in
-  walk A.null (Machine.load_ptr m cell)
+  remove_walk t cell key A.null (Machine.load_ptr t.m cell)
 
 let bucket_heads t =
   Array.init t.buckets (fun i -> Machine.uload32 t.m (t.table + (4 * i)))

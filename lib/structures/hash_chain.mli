@@ -37,8 +37,10 @@ val insert : t -> key:int -> value:int -> unit
 (** Timed: walk the chain; update in place if [key] exists, else append a
     new entry at the chain tail with its predecessor as hint. *)
 
-val find : t -> int -> int option
-(** Timed lookup. *)
+val find_or : t -> int -> default:int -> int
+(** Timed lookup: the value stored under the key, or [default] when the
+    key is absent.  It returns no option, so a lookup allocates nothing
+    on the host. *)
 
 val remove : t -> int -> bool
 (** Timed; true if the key was present.  Frees the entry. *)

@@ -35,13 +35,15 @@ let new_node t ~hint payload =
   Machine.store32 t.m (node + off_data) payload;
   node
 
+(* Top-level walks, here and in the other structures: a local [let rec]
+   that captures the machine is a closure allocated on every call. *)
+let rec tail m prev cur =
+  if A.is_null cur then prev else tail m cur (Machine.load_ptr m (cur + off_forward))
+
 let append t payload =
   (* The paper's addList: walk to the tail, then co-locate with it. *)
   let m = t.m in
-  let rec tail prev cur =
-    if A.is_null cur then prev else tail cur (Machine.load_ptr m (cur + off_forward))
-  in
-  let last = tail A.null t.head in
+  let last = tail m A.null t.head in
   let node = new_node t ~hint:last payload in
   Machine.store_ptr m (node + off_forward) A.null;
   Machine.store_ptr m (node + off_back) last;
@@ -69,23 +71,20 @@ let remove t node =
   if not (A.is_null fwd) then Machine.store_ptr m (fwd + off_back) back;
   t.length <- t.length - 1
 
-let iter t f =
-  let m = t.m in
-  let rec go cur =
-    if not (A.is_null cur) then begin
-      f cur (Machine.load32s m (cur + off_data));
-      go (Machine.load_ptr m (cur + off_forward))
-    end
-  in
-  go t.head
+let rec iter_from m f cur =
+  if not (A.is_null cur) then begin
+    f cur (Machine.load32s m (cur + off_data));
+    iter_from m f (Machine.load_ptr m (cur + off_forward))
+  end
+
+let iter t f = iter_from t.m f t.head
+
+let rec nth_from m cur j =
+  if j = 0 then cur else nth_from m (Machine.load_ptr m (cur + off_forward)) (j - 1)
 
 let nth t i =
   if i < 0 || i >= t.length then invalid_arg "Linked_list.nth: out of range";
-  let m = t.m in
-  let rec go cur j =
-    if j = 0 then cur else go (Machine.load_ptr m (cur + off_forward)) (j - 1)
-  in
-  go t.head i
+  nth_from t.m t.head i
 
 let to_payload_list t =
   let m = t.m in

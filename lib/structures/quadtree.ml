@@ -29,65 +29,67 @@ let desc =
     kid_filter = None;
   }
 
+let alloc_node (alloc : Alloc.Allocator.t) ~hint_parent parent =
+  if hint_parent && not (A.is_null parent) then
+    alloc.Alloc.Allocator.alloc ~hint:parent ~site:"quadtree.node" elem_bytes
+  else alloc.Alloc.Allocator.alloc ~site:"quadtree.node" elem_bytes
+
+(* Preorder construction, the Olden allocation order.  This and
+   [color_from] are top-level: a local [let rec] would be a closure per
+   call. *)
+let rec make t alloc ~hint_parent ~oracle ~x ~y ~size ~parent ~childtype =
+  let m = t.m in
+  let region = oracle ~x ~y ~size in
+  if size = 1 && region = Grey then
+    invalid_arg "Quadtree.build: oracle returned Grey for a unit square";
+  let node = alloc_node alloc ~hint_parent parent in
+  t.nodes <- t.nodes + 1;
+  Machine.store32 m (node + off_color) (color_code region);
+  Machine.store32 m (node + off_childtype) childtype;
+  Machine.store_ptr m (node + off_parent) parent;
+  (match region with
+  | White | Black ->
+      for q = 0 to 3 do
+        Machine.store_ptr m (node + off_kid q) A.null
+      done
+  | Grey ->
+      let half = size / 2 in
+      for q = 0 to 3 do
+        (* quadrants: 0 nw (x, y), 1 ne (x+half, y),
+           2 sw (x, y+half), 3 se (x+half, y+half) *)
+        let dx = if q land 1 = 1 then half else 0 in
+        let dy = if q land 2 = 2 then half else 0 in
+        Machine.store_ptr m (node + off_kid q)
+          (make t alloc ~hint_parent ~oracle ~x:(x + dx) ~y:(y + dy)
+             ~size:half ~parent:node ~childtype:q)
+      done);
+  node
+
 let build ?(hint_parent = false) m ~alloc ~size ~oracle =
   if not (A.is_pow2 size) then
     invalid_arg "Quadtree.build: size must be a power of two";
   let t = { m; root = A.null; size; nodes = 0 } in
-  let alloc_node parent =
-    let hint = if hint_parent && not (A.is_null parent) then parent else A.null in
-    if A.is_null hint then
-      alloc.Alloc.Allocator.alloc ~site:"quadtree.node" elem_bytes
-    else alloc.Alloc.Allocator.alloc ~hint ~site:"quadtree.node" elem_bytes
-  in
-  (* Preorder construction, the Olden allocation order. *)
-  let rec make ~x ~y ~size ~parent ~childtype =
-    let region = oracle ~x ~y ~size in
-    if size = 1 && region = Grey then
-      invalid_arg "Quadtree.build: oracle returned Grey for a unit square";
-    let node = alloc_node parent in
-    t.nodes <- t.nodes + 1;
-    Machine.store32 m (node + off_color) (color_code region);
-    Machine.store32 m (node + off_childtype) childtype;
-    Machine.store_ptr m (node + off_parent) parent;
-    (match region with
-    | White | Black ->
-        for q = 0 to 3 do
-          Machine.store_ptr m (node + off_kid q) A.null
-        done
-    | Grey ->
-        let half = size / 2 in
-        let sub q =
-          (* quadrants: 0 nw (x, y), 1 ne (x+half, y),
-             2 sw (x, y+half), 3 se (x+half, y+half) *)
-          let dx = if q land 1 = 1 then half else 0 in
-          let dy = if q land 2 = 2 then half else 0 in
-          make ~x:(x + dx) ~y:(y + dy) ~size:half ~parent:node ~childtype:q
-        in
-        for q = 0 to 3 do
-          Machine.store_ptr m (node + off_kid q) (sub q)
-        done);
-    node
-  in
-  t.root <- make ~x:0 ~y:0 ~size ~parent:A.null ~childtype:4;
+  t.root <-
+    make t alloc ~hint_parent ~oracle ~x:0 ~y:0 ~size ~parent:A.null
+      ~childtype:4;
   t
+
+let rec color_from m node x y size =
+  let c = Machine.load32 m (node + off_color) in
+  if c <> 2 then c
+  else
+    let half = size / 2 in
+    let q = (if x >= half then 1 else 0) lor (if y >= half then 2 else 0) in
+    color_from m
+      (Machine.load_ptr m (node + off_kid q))
+      (x land (half - 1))
+      (y land (half - 1))
+      half
 
 let color_at t ~x ~y =
   if x < 0 || y < 0 || x >= t.size || y >= t.size then
     invalid_arg "Quadtree.color_at: out of bounds";
-  let m = t.m in
-  let rec go node x y size =
-    let c = Machine.load32 m (node + off_color) in
-    if c <> 2 then c
-    else
-      let half = size / 2 in
-      let q = (if x >= half then 1 else 0) lor (if y >= half then 2 else 0) in
-      go
-        (Machine.load_ptr m (node + off_kid q))
-        (x land (half - 1))
-        (y land (half - 1))
-        half
-  in
-  go t.root x y t.size
+  color_from t.m t.root x y t.size
 
 let count_colors t =
   let m = t.m in

@@ -292,12 +292,13 @@ let test_hash_basics () =
   Hc.insert h ~key:1 ~value:10;
   Hc.insert h ~key:17 ~value:20;
   Hc.insert h ~key:1 ~value:11;
-  Alcotest.(check (option int)) "updated" (Some 11) (Hc.find h 1);
-  Alcotest.(check (option int)) "second key" (Some 20) (Hc.find h 17);
-  Alcotest.(check (option int)) "absent" None (Hc.find h 99);
+  let find k = Hc.find_or h k ~default:(-1) in
+  Alcotest.(check int) "updated" 11 (find 1);
+  Alcotest.(check int) "second key" 20 (find 17);
+  Alcotest.(check int) "absent" (-1) (find 99);
   Alcotest.(check bool) "remove present" true (Hc.remove h 1);
   Alcotest.(check bool) "remove absent" false (Hc.remove h 1);
-  Alcotest.(check (option int)) "gone" None (Hc.find h 1)
+  Alcotest.(check int) "gone" (-1) (find 1)
 
 let prop_hash_model =
   QCheck.Test.make ~count:40 ~name:"hash table matches Hashtbl"
@@ -313,8 +314,12 @@ let prop_hash_model =
           Hashtbl.replace reference k v)
         kvs;
       Hashtbl.fold
-        (fun k v acc -> acc && Hc.find_oracle h k = Some v)
-        reference true)
+        (fun k v acc ->
+          acc && Hc.find_oracle h k = Some v && Hc.find_or h k ~default:(-1) = v)
+        reference true
+      && List.for_all
+           (fun k -> Hashtbl.mem reference k || Hc.find_or h k ~default:(-1) = -1)
+           (List.init 60 Fun.id))
 
 let test_hash_morph_forest () =
   let m = mk () in
