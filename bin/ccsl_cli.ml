@@ -103,14 +103,13 @@ let experiment_cmd exp_name =
 (* Single-benchmark subcommands                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* The steps profile, run and layout share: an unknown name exits
-   2; otherwise the report is printed and, with [--json], its payload is
+(* The steps profile and run share: an unknown benchmark exits 2;
+   otherwise the report is printed and, with [--json], its payload is
    written in the export envelope as experiment "<kind>-<name>". *)
-let report_bench (what, names) ~kind ?scale ?seed json_file pp to_json name
-    = function
+let report_bench ~kind ?scale ?seed json_file pp to_json name = function
   | None ->
-      Format.eprintf "unknown %s %S (expected %s)@." what name
-        (String.concat ", " names);
+      Format.eprintf "unknown benchmark %S (expected %s)@." name
+        (String.concat ", " Harness.Experiments.olden_names);
       exit 2
   | Some report ->
       Format.printf "%a@." pp report;
@@ -123,15 +122,12 @@ let report_bench (what, names) ~kind ?scale ?seed json_file pp to_json name
         json_file;
       report
 
-let olden_bench = ("benchmark", Harness.Experiments.olden_names)
-
-let bench_arg doc =
-  Arg.(required & pos 0 (some string) None & info [] ~docv:"BENCH" ~doc)
-
 let olden_bench_arg verb =
-  bench_arg
-    ("Benchmark to " ^ verb
-   ^ ": $(b,treeadd), $(b,health), $(b,mst) or $(b,perimeter).")
+  let doc =
+    "Benchmark to " ^ verb
+    ^ ": $(b,treeadd), $(b,health), $(b,mst) or $(b,perimeter)."
+  in
+  Arg.(required & pos 0 (some string) None & info [] ~docv:"BENCH" ~doc)
 
 (* ------------------------------------------------------------------ *)
 (* profile subcommand                                                  *)
@@ -151,7 +147,7 @@ let run_profile bench placement_str paper seed json_file =
         exit 2
   in
   ignore
-    (report_bench olden_bench ~kind:"profile"
+    (report_bench ~kind:"profile"
        ~scale:(Harness.Experiments.scale_name scale)
        ?seed json_file Harness.Profiles.pp Harness.Profiles.to_json bench
        (Harness.Profiles.run ~scale ?seed ~placement bench))
@@ -184,7 +180,7 @@ let profile_cmd =
 let run_whole_program bench seed json_file =
   exit
     (Harness.Whole_program.exit_code
-       (report_bench olden_bench ~kind:"run" ?seed json_file
+       (report_bench ~kind:"run" ?seed json_file
           Harness.Whole_program.pp Harness.Whole_program.to_json bench
           (Harness.Whole_program.run ?seed bench)))
 
@@ -244,41 +240,6 @@ let simbench_cmd =
     Term.(const run_simbench $ n_term $ json_term)
 
 (* ------------------------------------------------------------------ *)
-(* layout subcommand (multi-level layout-engine shootout)              *)
-(* ------------------------------------------------------------------ *)
-
-let run_layout bench paper seed json_file =
-  let scale = scale_of paper in
-  ignore
-    (report_bench
-       ("workload", Harness.Layout_shootout.names)
-       ~kind:"layout"
-       ~scale:(Harness.Experiments.scale_name scale)
-       ?seed json_file Harness.Layout_shootout.pp
-       Harness.Layout_shootout.to_json bench
-       (Harness.Layout_shootout.run ~scale ?seed bench))
-
-let layout_cmd =
-  let bench_term =
-    bench_arg
-      "Workload to race the engines on: $(b,micro) (the Figure 5 tree \
-       search benchmark with the TLB modeled), $(b,health) or \
-       $(b,treeadd)."
-  in
-  let doc =
-    "Race every layout engine — the paper's subtree and depth-first \
-     schemes, recursive van Emde Boas, and the profile-weighted engine \
-     — on one workload, reporting per-level results: L1 misses, L2 \
-     misses, TLB misses and cycles.  The multilevel view is what \
-     distinguishes a cache-oblivious layout from the paper's L2-only \
-     clustering.  The engines run as concurrent forked processes when \
-     the machine has more than one core."
-  in
-  Cmd.v
-    (Cmd.info "layout" ~doc)
-    Term.(const run_layout $ bench_term $ scale_term $ seed_term $ json_term)
-
-(* ------------------------------------------------------------------ *)
 
 let cmd =
   let doc =
@@ -298,7 +259,7 @@ let cmd =
   in
   Cmd.group ~default:run_term
     (Cmd.info "ccsl-cli" ~version:"1.0.0" ~doc ~man)
-    (profile_cmd :: run_cmd :: layout_cmd :: simbench_cmd
+    (profile_cmd :: run_cmd :: simbench_cmd
     :: List.map experiment_cmd
          (Harness.Experiments.names @ [ "ablations"; "all" ]))
 

@@ -28,7 +28,6 @@ type params = {
   color : bool;
   color_frac : float;
   color_first_set : int;
-  weights : (Memsim.Addr.t -> float) option;
 }
 
 let default_params =
@@ -37,7 +36,6 @@ let default_params =
     color = true;
     color_frac = 0.5;
     color_first_set = 0;
-    weights = None;
   }
 
 type result = {
@@ -243,11 +241,7 @@ let do_morph params m desc roots =
     let nroots = f.first_kid.(0) in
     check_parents desc f ~nroots;
     let engine = engine_of_scheme params.cluster in
-    let tree =
-      Layout.Tree.of_bfs
-        ?weight:(Option.map (fun w v -> w old_addrs.(v)) params.weights)
-        ~n ~nroots ~first_kid:f.first_kid ()
-    in
+    let tree = Layout.Tree.of_bfs ~n ~nroots ~first_kid:f.first_kid in
     let plan = engine.Layout.Engine.plan tree ~k in
     let order = plan.Layout.Plan.order and starts = plan.Layout.Plan.starts in
     let nblocks = Layout.Plan.nblocks plan in
@@ -294,10 +288,8 @@ let do_morph params m desc roots =
        for.  For [Dfs_first_visit] that is depth-first first-visit
        order, so a pointer path's successive cold blocks stay on the
        same virtual-memory pages (the paper's ccmorph is explicitly
-       page-aware).  Engines whose plan order is already the intended
-       page order (vEB's recursive subdivision, weighted's hottest-first
-       chains) declare [Plan_order] — re-sorting those by dfs first-visit
-       would destroy the very locality they computed. *)
+       page-aware); [Plan_order] keeps the plan's block order, which is
+       how the page-aware rule's contribution is measured. *)
     let block_base = Array.make nblocks A.null in
     for j = 0 to hot_cap - 1 do
       block_base.(j) <- block_addr j

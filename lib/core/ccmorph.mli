@@ -54,13 +54,9 @@ type cluster_scheme =
   | Subtree  (** the paper's scheme: pack k-node subtrees per block *)
   | Depth_first  (** baseline: chunk a depth-first traversal *)
   | Engine of Layout.Engine.t
-      (** any pluggable layout engine; [Subtree] and [Depth_first] are
-          aliases for [Engine Layout.Engine.subtree] and
+      (** a layout engine given explicitly; [Subtree] and [Depth_first]
+          are aliases for [Engine Layout.Engine.subtree] and
           [Engine Layout.Engine.depth_first] *)
-
-val engine_of_scheme : cluster_scheme -> Layout.Engine.t
-(** The engine a scheme resolves to ([Subtree]/[Depth_first] map to the
-    built-in engines of the same name). *)
 
 type params = {
   cluster : cluster_scheme;
@@ -69,16 +65,11 @@ type params = {
   color_first_set : int;
       (** first cache set of the hot region (page-aligned); lets several
           structures be colored into disjoint regions *)
-  weights : (Memsim.Addr.t -> float) option;
-      (** per-element access weight keyed by the element's {e current}
-          (pre-morph) address — e.g. [Obs.Profile.Counts.weight_fn] —
-          consumed by weight-aware engines such as
-          [Layout.Engine.weighted]; [None] means uniform *)
 }
 
 val default_params : params
 (** [Subtree] clustering with coloring, [color_frac = 0.5],
-    [color_first_set = 0], no weights.  The order of the cold blocks
+    [color_first_set = 0].  The order of the cold blocks
     is the engine's own [Layout.Engine.cold_order]; to measure the
     page-aware rule's TLB contribution, morph with
     [Engine { Layout.Engine.subtree with cold_order = Plan_order }]. *)
@@ -126,11 +117,11 @@ val morph_forest :
 
 (** {1 Morph observations}
 
-    Diagnostic passes (the placement sanitizer, the layout
-    shoot-out's plan-footprint columns) need to see every reorganization
-    a program performs — which machine it ran on, with which description
-    and parameters, and what layout came out — without the benchmark
-    kernels knowing they are being watched.  Observers are called after
+    Diagnostic passes (the placement sanitizer, perfbench's morph
+    counters) need to see every reorganization a program performs —
+    which machine it ran on, with which description and parameters, and
+    what layout came out — without the benchmark kernels knowing they
+    are being watched.  Observers are called after
     each successful non-empty [morph]/[morph_forest]; they must not morph
     structures themselves. *)
 

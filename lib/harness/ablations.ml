@@ -4,6 +4,7 @@ module Bst = Structures.Bst
 module Rng = Workload.Rng
 module Ccmorph = Ccsl.Ccmorph
 module Tb = Micro.Tree_bench
+module C = Olden.Common
 module J = Obs.Json
 
 let section = Report.section
@@ -67,7 +68,10 @@ let color_frac ?seed ppf =
 
 (* Section 2.1's claim, measured both ways: subtree clustering wins for
    random searches, depth-first clustering wins for full depth-first
-   walks. *)
+   walks.  Then each Olden kernel's Figure 7 Cl+Col arm (quick scale)
+   with the engine forced both ways: the evidence for each kernel's
+   default engine, depth-first for treeadd and perimeter and subtree for
+   health and mst. *)
 let cluster_scheme ?seed ppf =
   section ppf
     "Ablation: clustering scheme vs. access pattern (Section 2.1 both ways)";
@@ -117,7 +121,34 @@ let cluster_scheme ?seed ppf =
                       cycles/walk@."
     walk_sub walk_dfs;
   Format.fprintf ppf
-    "  (subtree clustering should win the searches, depth-first the walks)@.@.";
+    "  (subtree clustering should win the searches, depth-first the walks)@.";
+  let engines = Layout.Engine.builtins in
+  let kernels = Experiments.olden_kernels ?seed Experiments.Quick in
+  let cycles =
+    Parallel.map
+      (fun ((k : Experiments.kernel), e) ->
+        let ctx = C.make_ctx C.Ccmorph_cluster_color in
+        let params = { Ccmorph.default_params with Ccmorph.cluster = Engine e } in
+        (k.k_run { ctx with C.morph_params = Some params }).C.snapshot
+          .Memsim.Cost.s_total)
+      (List.concat_map (fun k -> List.map (fun e -> (k, e)) engines) kernels)
+  in
+  Format.fprintf ppf "  Olden Cl+Col arms (Figure 7, quick), total cycles:@.    %-10s"
+    "kernel";
+  List.iter (fun e -> Format.fprintf ppf " %14s" e.Layout.Engine.name) engines;
+  let per_kernel = List.length engines in
+  let olden =
+    List.mapi
+      (fun i (k : Experiments.kernel) ->
+        let row = List.filteri (fun j _ -> j / per_kernel = i) cycles in
+        Format.fprintf ppf "@.    %-10s" k.k_name;
+        List.iter (Format.fprintf ppf " %14d") row;
+        J.Obj
+          (("name", J.String k.k_name)
+          :: List.map2 (fun e c -> (e.Layout.Engine.name, J.Int c)) engines row))
+      kernels
+  in
+  Format.fprintf ppf "@.@.";
   J.Obj
     [
       ( "random_searches",
@@ -128,6 +159,7 @@ let cluster_scheme ?seed ppf =
         J.Obj
           [ ("subtree", J.Float walk_sub); ("depth_first", J.Float walk_dfs) ]
       );
+      ("olden", J.List olden);
     ]
 
 (* Coloring benefit as a function of access skew: uniform vs. Zipf

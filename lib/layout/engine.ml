@@ -15,6 +15,4 @@ let depth_first =
     plan = (fun t ~k -> Plan.chunk ~n:t.Tree.n ~order:(Tree.dfs_order t) ~k);
   }
 
-let veb = { name = "veb"; cold_order = Plan_order; plan = Veb.plan }
-let weighted = { name = "weighted"; cold_order = Plan_order; plan = Weighted.plan }
-let builtins = [ subtree; depth_first; veb; weighted ]
+let builtins = [ subtree; depth_first ]

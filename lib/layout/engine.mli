@@ -1,21 +1,19 @@
-(** The pluggable layout-engine interface.
+(** The layout-engine interface.
 
     An engine turns an abstract tree into a {!Plan.t} for block capacity
     [k], plus a declaration of how its cold (uncolored) blocks should be
     assigned to pages, which [Ccmorph] follows:
 
     - [Dfs_first_visit]: emit cold blocks in depth-first first-visit
-      order (the paper's page-aware rule; right for engines whose block
-      order is breadth-first-ish, like subtree clustering).
-    - [Plan_order]: the plan's own block order is already the intended
-      page order (vEB's recursive-subdivision order, weighted's
-      hottest-first order); reordering it would destroy the property
-      the engine just built. *)
+      order (the paper's page-aware rule; both built-in engines use it).
+    - [Plan_order]: emit cold blocks in the plan's own block order.  No
+      built-in engine declares it; overriding an engine's [cold_order]
+      with it measures what the page-aware rule contributes. *)
 
 type cold_order = Dfs_first_visit | Plan_order
 
 type t = {
-  name : string;  (** stable identifier: used in CLI, JSON, comparisons *)
+  name : string;  (** stable identifier: used in JSON and comparisons *)
   cold_order : cold_order;
   plan : Tree.t -> k:int -> Plan.t;
 }
@@ -28,11 +26,5 @@ val depth_first : t
     depth-first preorder into consecutive [k]-node blocks
     ({!Plan.chunk}); [Dfs_first_visit]. *)
 
-val veb : t
-(** Recursive van Emde Boas subdivision ({!Veb}); [Plan_order]. *)
-
-val weighted : t
-(** Profile-weighted hot-path packing ({!Weighted}); [Plan_order]. *)
-
 val builtins : t list
-(** [subtree; depth_first; veb; weighted]. *)
+(** [subtree; depth_first]: the paper's two schemes (Section 2.1). *)

@@ -2,14 +2,13 @@ type t = {
   n : int;
   nroots : int;
   first_kid : int array;
-  weight : (int -> float) option;
 }
 
 (* The child ranges run, in order and without gaps, from [nroots] to [n]:
    each id in [nroots, n) has exactly one parent.  A parent that is
    lower than its children rules out cycles, so the arrays are a forest
    and a sweep from the roots reaches every node. *)
-let of_bfs ?weight ~n ~nroots ~first_kid () =
+let of_bfs ~n ~nroots ~first_kid =
   if n < 0 then invalid_arg "Layout.Tree: n < 0";
   if Array.length first_kid <= n then
     invalid_arg "Layout.Tree: first_kid has fewer than n + 1 slots";
@@ -21,10 +20,10 @@ let of_bfs ?weight ~n ~nroots ~first_kid () =
     if first_kid.(v) <= v then
       invalid_arg "Layout.Tree: a child does not come after its parent"
   done;
-  { n; nroots; first_kid; weight }
+  { n; nroots; first_kid }
 
 (* Breadth-first from the roots; [ids] is its own queue. *)
-let of_kids ?weight ~n ~kids ~roots () =
+let of_kids ~n ~kids ~roots =
   if n < 0 then invalid_arg "Layout.Tree: n < 0";
   let ids = Array.make n 0 and first_kid = Array.make (n + 1) n in
   let seen = Bytes.make n '\000' in
@@ -49,8 +48,7 @@ let of_kids ?weight ~n ~kids ~roots () =
     invalid_arg
       (Printf.sprintf "Layout.Tree: node %d unreachable from roots"
          (Bytes.index seen '\000'));
-  let weight = Option.map (fun w i -> w ids.(i)) weight in
-  ({ n; nroots; first_kid; weight }, ids)
+  ({ n; nroots; first_kid }, ids)
 
 (* Iterative preorder over an int stack: the trees here are as deep as
    the structures we morph (a degenerate list is depth n).  Pushing a

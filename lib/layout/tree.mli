@@ -5,9 +5,7 @@
     [0 .. nroots-1] and the children of node [v], left to right, are
     [first_kid.(v) .. first_kid.(v+1) - 1].  This is the numbering
     [Ccmorph]'s discovery produces, so a morph hands its arrays over
-    as they are.  The optional [weight] gives a per-node access weight
-    (e.g. profiled access counts) that weight-aware engines may consult;
-    engines that ignore weights never call it.
+    as they are.
 
     Both constructors check the tree, so engines walk the arrays without
     checks of their own. *)
@@ -17,16 +15,9 @@ type t = private {
   nroots : int;
   first_kid : int array;
       (** at least [n + 1] slots; slots past [n] are never read *)
-  weight : (int -> float) option;
 }
 
-val of_bfs :
-  ?weight:(int -> float) ->
-  n:int ->
-  nroots:int ->
-  first_kid:int array ->
-  unit ->
-  t
+val of_bfs : n:int -> nroots:int -> first_kid:int array -> t
 (** Wrap breadth-first arrays (not copied; the caller must not mutate
     them).  One pass that allocates nothing checks that
     [first_kid.(0) = nroots], [first_kid.(n) = n], [first_kid] never
@@ -36,17 +27,10 @@ val of_bfs :
     @raise Invalid_argument naming the first check that fails. *)
 
 val of_kids :
-  ?weight:(int -> float) ->
-  n:int ->
-  kids:(int -> int list) ->
-  roots:int list ->
-  unit ->
-  t * int array
+  n:int -> kids:(int -> int list) -> roots:int list -> t * int array
 (** A forest over arbitrary ids [0 .. n-1], renumbered breadth-first:
     returns the tree and [ids], where [ids.(i)] is the caller's id of
-    node [i].  [kids] is called once per reachable node, and [weight]
-    is keyed by the caller's ids: the tree weighs node [i] as
-    [weight ids.(i)].
+    node [i].  [kids] is called once per reachable node.
     @raise Invalid_argument if an id is out of range ("node id out of
     range"), an id is reached twice among roots and children ("node
     reached twice": a DAG, or a cycle through a root), or some id is

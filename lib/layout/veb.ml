@@ -57,7 +57,3 @@ let order (t : Tree.t) =
     lay r heights.(r)
   done;
   order
-
-let plan (t : Tree.t) ~k =
-  if k < 1 then invalid_arg "Layout.Veb: k < 1";
-  Plan.chunk ~n:t.Tree.n ~order:(order t) ~k

@@ -420,44 +420,6 @@ module Occupancy = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Counts: per-word access counts (layout-engine weights)              *)
-(* ------------------------------------------------------------------ *)
-
-module Counts = struct
-  type t = { tbl : T.t; mutable total : int }
-
-  let create () = { tbl = T.create 128; total = 0 }
-  let word addr = addr land lnot 3
-
-  let on_access t _write addr =
-    let w = word addr in
-    T.replace t.tbl w (1 + T.find_or t.tbl w ~default:0);
-    t.total <- t.total + 1
-
-  let attach t m = Memsim.Machine.subscribe m (on_access t)
-  let total t = t.total
-  let count t addr = T.find_or t.tbl (word addr) ~default:0
-
-  let weight_in t addr ~bytes =
-    let sum = ref 0 in
-    let w = ref (word addr) in
-    while !w < addr + bytes do
-      sum := !sum + T.find_or t.tbl !w ~default:0;
-      w := !w + 4
-    done;
-    float_of_int !sum
-
-  let weight_fn t ~elem_bytes addr = weight_in t addr ~bytes:elem_bytes
-
-  let to_json t =
-    Json.Obj
-      [
-        ("accesses", Json.Int t.total);
-        ("distinct_words", Json.Int (T.length t.tbl));
-      ]
-end
-
-(* ------------------------------------------------------------------ *)
 (* Combined                                                            *)
 (* ------------------------------------------------------------------ *)
 

@@ -104,41 +104,6 @@ module Occupancy : sig
   val to_json : t -> Json.t
 end
 
-(** {1 Per-word access counts}
-
-    The cheapest profile that can drive a weight-aware layout engine: a
-    word-granularity access counter over the machine's trace.  Attach it
-    during a representative phase, then hand
-    [weight_fn counts ~elem_bytes] to [Ccmorph] as [params.weights] so
-    the [Layout.Engine.weighted] engine packs the hot parent–child
-    chains the profile actually observed. *)
-
-module Counts : sig
-  type t
-
-  val create : unit -> t
-
-  val on_access : t -> bool -> Memsim.Addr.t -> unit
-  (** Count one access (write flag ignored; counts are 4-byte-word
-      granular). *)
-
-  val attach : t -> Memsim.Machine.t -> Memsim.Machine.subscription
-  (** Subscribe {!on_access} to the machine's access stream. *)
-
-  val total : t -> int
-  (** Total accesses observed. *)
-
-  val count : t -> Memsim.Addr.t -> int
-  (** Accesses to the word containing the address. *)
-
-  val weight_fn : t -> elem_bytes:int -> Memsim.Addr.t -> float
-  (** Sum of word counts over [addr .. addr+elem_bytes-1] — the access
-      weight of an element occupying that range, shaped for
-      [Ccsl.Ccmorph.params.weights]. *)
-
-  val to_json : t -> Json.t
-end
-
 (** {1 Combined profiler} *)
 
 type t = {

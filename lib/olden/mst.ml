@@ -8,57 +8,28 @@ type params = { vertices : int; degree : int; seed : int }
 let default_params = { vertices = 512; degree = 8; seed = 101 }
 let paper_params = default_params
 
-(* Deterministic edge list, in generation order: vertex i gets [degree]
-   pseudo-random neighbours; edges are symmetrized.  A ring guarantees
-   connectivity. *)
-let edges params =
-  let rng = Rng.create params.seed in
-  let seen = Hashtbl.create (params.vertices * params.degree) in
-  let order = ref [] in
-  let add i j w =
-    if i <> j then begin
-      let key = (min i j, max i j) in
-      if not (Hashtbl.mem seen key) then begin
-        Hashtbl.replace seen key w;
-        order := (i, j, w) :: !order
-      end
-    end
-  in
-  for i = 0 to params.vertices - 1 do
-    add i ((i + 1) mod params.vertices) (1 + Rng.int rng 100);
-    for _ = 1 to params.degree do
-      add i (Rng.int rng params.vertices) (1 + Rng.int rng 10000)
-    done
-  done;
-  List.rev !order
-
-let oracle_weight params =
-  let e = edges params in
+(* The edges in generation order: vertex i gets [degree] pseudo-random
+   neighbours; edges are symmetrized, and a ring guarantees
+   connectivity.  A repeated pair keeps its first weight.  Pairs are
+   keyed [lower * vertices + higher] in an int table and each edge goes
+   straight to [f], so nothing is boxed per edge. *)
+let iter_edges params f =
   let n = params.vertices in
-  let adj = Array.make n [] in
-  List.iter
-    (fun (i, j, w) ->
-      adj.(i) <- (j, w) :: adj.(i);
-      adj.(j) <- (i, w) :: adj.(j))
-    e;
-  let dist = Array.make n max_int in
-  let visited = Array.make n false in
-  dist.(0) <- 0;
-  let total = ref 0 in
-  for _ = 1 to n do
-    let best = ref (-1) in
-    for v = 0 to n - 1 do
-      if (not visited.(v)) && (!best < 0 || dist.(v) < dist.(!best)) then
-        best := v
-    done;
-    let u = !best in
-    visited.(u) <- true;
-    total := !total + dist.(u);
-    List.iter
-      (fun (v, w) -> if (not visited.(v)) && w < dist.(v) then dist.(v) <- w)
-      adj.(u)
-  done;
-  !total
+  let rng = Rng.create params.seed in
+  let seen = Alloc.Int_table.create (n * (params.degree + 1) * 4 / 3) in
+  let add (i : int) j w =
+    let key = if i < j then (i * n) + j else (j * n) + i in
+    if i <> j && Alloc.Int_table.exchange seen key 0 ~default:(-1) < 0 then
+      f i j w
+  in
+  for i = 0 to n - 1 do
+    add i ((i + 1) mod n) (1 + Rng.int rng 100);
+    for _ = 1 to params.degree do
+      (* the weight is drawn before the neighbour *)
+      let w = 1 + Rng.int rng 10000 in
+      add i (Rng.int rng n) w
+    done
+  done
 
 let run ?(params = default_params) ?(measure_whole = false) ?ctx placement =
   let ctx =
@@ -78,11 +49,9 @@ let run ?(params = default_params) ?(measure_whole = false) ?ctx placement =
      allocator a given table's chain entries end up scattered across the
      whole construction — exactly the "no locality between lists"
      behaviour the paper describes. *)
-  List.iter
-    (fun (i, j, w) ->
+  iter_edges params (fun i j w ->
       Hc.insert tables.(i) ~key:j ~value:w;
-      Hc.insert tables.(j) ~key:i ~value:w)
-    (edges params);
+      Hc.insert tables.(j) ~key:i ~value:w);
   (* ccmorph placements reorganize every chain of every table, once,
      after construction (the structure never changes afterwards) *)
   (match ctx.Common.morph_params with

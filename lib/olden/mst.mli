@@ -9,8 +9,8 @@
     is punished; [ccmorph] (forest morph over every chain) and
     [ccmalloc]'s new-block strategy win big.
 
-    The checksum is the MST weight, verified against an OCaml-side
-    oracle in the test suite. *)
+    The checksum is the MST weight, verified in the test suite against
+    a plain OCaml Prim's over {!iter_edges}. *)
 
 type params = {
   vertices : int;  (** paper: 512 *)
@@ -29,6 +29,7 @@ val run :
 (** By default measures the MST computation only (graph construction and
     one-time reorganization are fast-forwarded start-up). *)
 
-val oracle_weight : params -> int
-(** MST weight computed with a plain OCaml Prim's implementation on the
-    same generated graph (no simulated memory involved). *)
+val iter_edges : params -> (int -> int -> int -> unit) -> unit
+(** [iter_edges params f] calls [f i j w] once for each undirected edge
+    [(i, j)] of weight [w] of the generated graph, in the order [run]
+    inserts them.  It allocates nothing per edge on the host heap. *)

@@ -69,7 +69,7 @@ let build ?(elem_bytes = default_elem_bytes) ?alloc m layout ~keys =
           List.filter (fun k -> k >= 0)
             [ shape.left_of.(v); shape.right_of.(v) ]
         in
-        let t, ids = Layout.Tree.of_kids ~n ~kids ~roots:[ shape.root_idx ] () in
+        let t, ids = Layout.Tree.of_kids ~n ~kids ~roots:[ shape.root_idx ] in
         Array.map (Array.get ids) (Layout.Veb.order t)
     | Random rng -> Workload.Rng.permutation rng n
   in

@@ -5,8 +5,9 @@
    [Plan.of_blocks], which now builds the flat [Layout.Plan] form,
    [do_morph] takes its engine as an argument (a [Layout.Engine.t] plans
    over the new flat tree) and reads its plan's blocks through
-   [Plan.blocks], and the re-morph session, deleted from [Ccmorph], is
-   gone here too.  Nothing outside the tests uses them. *)
+   [Plan.blocks], and the re-morph session, deleted from [Ccmorph], and
+   the vEB and weighted engines and per-node weights, deleted from
+   [Layout], are gone here too.  Nothing outside the tests uses them. *)
 
 module A = Memsim.Addr
 module Machine = Memsim.Machine
@@ -33,15 +34,11 @@ module Tree = struct
     n : int;
     kids : int -> int list;
     roots : int list;
-    weight : (int -> float) option;
   }
 
-  let v ?weight ~n ~kids ~roots () =
+  let v ~n ~kids ~roots () =
     if n < 0 then invalid_arg "Layout.Tree.v: n < 0";
-    { n; kids; roots; weight }
-
-  let weight_of t =
-    match t.weight with None -> fun _ -> 1.0 | Some w -> w
+    { n; kids; roots }
 
   (* Iterative preorder: the trees here are as deep as the structures we
      morph (a degenerate list is depth n), so the OCaml stack is not an
@@ -67,17 +64,6 @@ module Tree = struct
     if !pos <> t.n then
       invalid_arg "Layout.Tree: nodes unreachable from roots";
     order
-
-  let heights t =
-    let order = dfs_order t in
-    let h = Array.make t.n 1 in
-    (* Children appear after their parent in preorder, so a reverse sweep
-       sees every child's height before its parent needs it. *)
-    for i = t.n - 1 downto 0 do
-      let v = order.(i) in
-      List.iter (fun c -> if h.(c) + 1 > h.(v) then h.(v) <- h.(c) + 1) (t.kids v)
-    done;
-    h
 end
 
 module Subtree = struct
@@ -139,158 +125,6 @@ module Depth_first = struct
   let plan (t : Tree.t) ~k = Plan.chunk ~n:t.Tree.n ~order:(Tree.dfs_order t) ~k
 end
 
-module Veb = struct
-  (* Descendants of [r] at depth exactly [d] (relative to [r]), left to
-     right.  Iterative: the subtree can be a depth-n chain. *)
-  let at_depth kids r d =
-    let out = ref [] in
-    let stack = ref [ (r, 0) ] in
-    while !stack <> [] do
-      match !stack with
-      | [] -> ()
-      | (v, dv) :: rest ->
-          stack := rest;
-          if dv = d then out := v :: !out
-          else stack := List.map (fun c -> (c, dv + 1)) (kids v) @ rest
-    done;
-    List.rev !out
-
-  let plan (t : Tree.t) ~k =
-    if k < 1 then invalid_arg "Layout.Veb: k < 1";
-    let n = t.Tree.n in
-    (* heights both drives the split rule and pre-validates the tree (it
-       runs a full spanning traversal). *)
-    let heights = Tree.heights t in
-    let order = Array.make n (-1) in
-    let pos = ref 0 in
-    (* [lay r limit] emits every descendant of [r] at depth < limit:
-       first the top [limit/2] levels recursively, then each depth-
-       [limit/2] subtree recursively.  limit >= 2 implies 1 <= top < limit,
-       so both halves shrink and the recursion depth is O(log limit). *)
-    let rec lay r limit =
-      if limit <= 1 then begin
-        order.(!pos) <- r;
-        incr pos
-      end
-      else begin
-        let top = limit / 2 in
-        lay r top;
-        List.iter
-          (fun b -> lay b (min (limit - top) heights.(b)))
-          (at_depth t.Tree.kids r top)
-      end
-    in
-    List.iter (fun r -> lay r heights.(r)) t.Tree.roots;
-    Plan.chunk ~n ~order ~k
-end
-
-module Weighted = struct
-  (* Binary max-heap over (weight, id): higher weight first, lower id on
-     ties, so the layout is deterministic for any weight function. *)
-  type heap = { mutable a : (float * int) array; mutable len : int }
-
-  let heap_create () = { a = Array.make 64 (0., -1); len = 0 }
-
-  (* [x] has lower priority than [y] *)
-  let below (w1, i1) (w2, i2) = w1 < w2 || (w1 = w2 && i1 > i2)
-
-  let heap_push h x =
-    if h.len = Array.length h.a then begin
-      let a = Array.make (2 * h.len) (0., -1) in
-      Array.blit h.a 0 a 0 h.len;
-      h.a <- a
-    end;
-    let i = ref h.len in
-    h.len <- h.len + 1;
-    h.a.(!i) <- x;
-    while !i > 0 && below h.a.((!i - 1) / 2) h.a.(!i) do
-      let p = (!i - 1) / 2 in
-      let tmp = h.a.(p) in
-      h.a.(p) <- h.a.(!i);
-      h.a.(!i) <- tmp;
-      i := p
-    done
-
-  let heap_pop h =
-    let top = h.a.(0) in
-    h.len <- h.len - 1;
-    h.a.(0) <- h.a.(h.len);
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let best = ref !i in
-      if l < h.len && below h.a.(!best) h.a.(l) then best := l;
-      if r < h.len && below h.a.(!best) h.a.(r) then best := r;
-      if !best = !i then continue := false
-      else begin
-        let tmp = h.a.(!best) in
-        h.a.(!best) <- h.a.(!i);
-        h.a.(!i) <- tmp;
-        i := !best
-      end
-    done;
-    snd top
-
-  let plan (t : Tree.t) ~k =
-    if k < 1 then invalid_arg "Layout.Weighted: k < 1";
-    let n = t.Tree.n in
-    let w = Tree.weight_of t in
-    let placed = Array.make n false in
-    let frontier = heap_create () in
-    let push v =
-      if v < 0 || v >= n then invalid_arg "Layout.Weighted: node id out of range";
-      heap_push frontier (w v, v)
-    in
-    List.iter push t.Tree.roots;
-    let blocks = ref [] in
-    let place members v =
-      if placed.(v) then invalid_arg "Layout.Weighted: node reached twice";
-      placed.(v) <- true;
-      members := v :: !members
-    in
-    while frontier.len > 0 do
-      let members = ref [] and count = ref 0 in
-      let cur = ref (Some (heap_pop frontier)) in
-      while !count < k && !cur <> None do
-        let v = Option.get !cur in
-        place members v;
-        incr count;
-        (* The hottest child continues the chain in this block; its
-           siblings join the frontier.  When the chain bottoms out but
-           the block still has room, refill from the globally hottest
-           frontier node — merging under-full hot paths keeps density. *)
-        let hottest =
-          List.fold_left
-            (fun best c ->
-              match best with
-              | Some b when w c <= w b -> best
-              | _ -> Some c)
-            None (t.Tree.kids v)
-        in
-        match hottest with
-        | None ->
-            cur :=
-              if !count < k && frontier.len > 0 then Some (heap_pop frontier)
-              else None
-        | Some hot ->
-            List.iter (fun c -> if c <> hot then push c) (t.Tree.kids v);
-            if !count < k then cur := Some hot
-            else begin
-              push hot;
-              cur := None
-            end
-      done;
-      blocks := Array.of_list (List.rev !members) :: !blocks
-    done;
-    for v = 0 to n - 1 do
-      if not placed.(v) then
-        invalid_arg
-          (Printf.sprintf "Layout.Weighted: node %d unreachable from roots" v)
-    done;
-    Plan.of_blocks ~n (Array.of_list (List.rev !blocks))
-end
-
 type engine = {
   name : string;
   cold_order : Layout.Engine.cold_order;
@@ -301,8 +135,6 @@ let engines =
   [
     { name = "subtree"; cold_order = Layout.Engine.Dfs_first_visit; plan = Subtree.plan };
     { name = "depth_first"; cold_order = Layout.Engine.Dfs_first_visit; plan = Depth_first.plan };
-    { name = "veb"; cold_order = Layout.Engine.Plan_order; plan = Veb.plan };
-    { name = "weighted"; cold_order = Layout.Engine.Plan_order; plan = Weighted.plan };
   ]
 
 let engine_of_name name = List.find (fun e -> e.name = name) engines
@@ -322,7 +154,6 @@ module Ccmorph = struct
     color : bool;
     color_frac : float;
     color_first_set : int;
-    weights : (Memsim.Addr.t -> float) option;
   }
 
   type result = Ccsl.Ccmorph.result = {
@@ -425,12 +256,7 @@ module Ccmorph = struct
                if A.is_null r then None else Some (Hashtbl.find index_of r))
       in
       let tree =
-        Tree.v
-          ?weight:
-            (Option.map (fun f v -> f old_addrs.(v)) params.weights)
-          ~n
-          ~kids:(fun v -> kids.(v))
-          ~roots:root_ids ()
+        Tree.v ~n ~kids:(fun v -> kids.(v)) ~roots:root_ids ()
       in
       let plan = engine.plan tree ~k in
       let nblocks = Plan.nblocks plan in
@@ -499,11 +325,7 @@ module Ccmorph = struct
             fun _ -> fresh ()
       in
       (* Assign block base addresses: the plan's hot prefix first, then
-         the cold blocks in the page order the engine asked for.  Engines
-         whose plan order is already the intended page order (vEB's
-         recursive subdivision, weighted's hottest-first chains) declare
-         [Plan_order] — re-sorting those by dfs first-visit would destroy
-         the very locality they computed. *)
+         the cold blocks in the page order the engine asked for. *)
       let block_base = Array.make nblocks A.null in
       for j = 0 to hot_cap - 1 do
         block_base.(j) <- block_addr j

@@ -37,5 +37,3 @@ golden control control
 golden ablations ablations
 golden profile profile health
 golden run run treeadd
-golden layout_micro layout micro
-golden layout_treeadd layout treeadd

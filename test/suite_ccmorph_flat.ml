@@ -48,18 +48,12 @@ let prop_plans_match_reference =
       let nroots = min n (1 + extra_roots) in
       let kids = random_forest rng ~n ~nroots in
       let roots = List.init nroots Fun.id in
-      (* few distinct weights, so the weighted engine's tie-break runs *)
-      let weight =
-        if seed land 1 = 0 then Some (fun v -> float_of_int (v * 37 mod 5))
-        else None
-      in
       (* Both engines plan the same breadth-first forest, the only
-         numbering a morph passes: the weighted engine breaks ties on
-         id. *)
-      let tree, _ = Layout.Tree.of_kids ?weight ~n ~kids:(Array.get kids) ~roots () in
+         numbering a morph passes. *)
+      let tree, _ = Layout.Tree.of_kids ~n ~kids:(Array.get kids) ~roots in
       let first_kid = tree.Layout.Tree.first_kid in
       let old_tree =
-        R.Tree.v ?weight:tree.Layout.Tree.weight ~n
+        R.Tree.v ~n
           ~kids:(fun v ->
             List.init (first_kid.(v + 1) - first_kid.(v)) (( + ) first_kid.(v)))
           ~roots:(List.init tree.Layout.Tree.nroots Fun.id)
@@ -97,7 +91,7 @@ let test_malformed_rejected_alike () =
             (fun () ->
               ignore
                 (e.Layout.Engine.plan
-                   (fst (Layout.Tree.of_kids ~n:3 ~kids:(kids_of kids) ~roots:[ 0 ] ()))
+                   (fst (Layout.Tree.of_kids ~n:3 ~kids:(kids_of kids) ~roots:[ 0 ]))
                    ~k:3)))
         Layout.Engine.builtins)
     cases
@@ -113,7 +107,6 @@ type case = {
   slots : int;  (* kid offsets wanted, 1-4 (fewer if the element is small) *)
   parent : bool;  (* a parent-pointer slot *)
   filter : bool;  (* a kid_filter; empty slots then often hold tagged odd words *)
-  weights : bool;
   forest : int;  (* 0: one tree; r > 0: r roots with nulls among them *)
   subtree : bool;  (* morph a subtree, whose root's parent is outside *)
   engine : string;
@@ -133,7 +126,6 @@ let gen_case =
     let* slots = int_range 1 4 in
     let* parent = bool in
     let* filter = bool in
-    let* weights = bool in
     let* forest = int_range 0 4 in
     let* subtree = map (fun i -> i = 0) (int_bound 3) in
     let* engine = oneofl engine_names in
@@ -144,16 +136,16 @@ let gen_case =
     let* sparse = bool in
     let+ fault = map (fun i -> max 0 (i - 4)) (int_bound 7) in
     {
-      seed; nodes; elem_bytes; slots; parent; filter; weights; forest;
+      seed; nodes; elem_bytes; slots; parent; filter; forest;
       subtree; engine; color; plan_order; tlb; remorph; sparse; fault;
     })
 
 let print_case c =
   Printf.sprintf
     "{seed=%d; nodes=%d; elem_bytes=%d; slots=%d; parent=%b; filter=%b; \
-     weights=%b; forest=%d; subtree=%b; engine=%s; color=%d; plan_order=%b; \
+     forest=%d; subtree=%b; engine=%s; color=%d; plan_order=%b; \
      tlb=%b; remorph=%b; sparse=%b; fault=%d}"
-    c.seed c.nodes c.elem_bytes c.slots c.parent c.filter c.weights c.forest
+    c.seed c.nodes c.elem_bytes c.slots c.parent c.filter c.forest
     c.subtree c.engine c.color c.plan_order c.tlb c.remorph c.sparse c.fault
 
 (* One implementation under test. *)
@@ -357,10 +349,6 @@ let run c impl =
       Ccmorph.default_params with
       Ccmorph.color = c.color > 0;
       color_frac = (match c.color with 1 -> 0.25 | 3 -> 0.75 | _ -> 0.5);
-      weights =
-        (if c.weights then
-           Some (fun a -> float_of_int ((a lsr 3) * 2654435761 land 7))
-         else None);
     }
   in
   let mem = Machine.memory m in

@@ -449,8 +449,10 @@ let test_health_words_per_access () =
   check_arm_budget "health" ~budget:0.1
     (Olden.Health.run ~params:health_params ~measure_whole:true)
 
-(* Measured 0.250 (B) to 0.438 (FA, CA, NA); set-up's edge list and
-   hinted inserts are most of it.  Margin 0.11. *)
+(* Measured 0.067 (B) to 0.255 (FA, CA, NA); the hinted inserts are most
+   of it.  The budget was set at 0.438 plus a margin of 0.11, when the
+   edge generation boxed every edge; the edges' own budget below now
+   holds that part. *)
 let test_mst_words_per_access () =
   check_arm_budget "mst" ~budget:0.55
     (Olden.Mst.run
@@ -463,6 +465,23 @@ let test_perimeter_words_per_access () =
     (Olden.Perimeter.run
        ~params:{ Olden.Perimeter.size = 256; seed = 7 }
        ~measure_whole:true)
+
+(* The mst arms' graph generation alone: each edge goes straight to the
+   callback and its pair is keyed by an int, so the 1077 edges cost 19
+   words in all (0.018 per edge; the pair table is sized to the graph and
+   allocated on the major heap).  A boxed pair key, a boxed triple and a
+   list cell per edge took 17.2 words per edge.  Margin 0.032. *)
+let test_mst_edges_words_per_edge () =
+  let params = { Olden.Mst.vertices = 128; degree = 8; seed = 101 } in
+  let edges = ref 0 in
+  let count _ _ _ = incr edges in
+  let words =
+    minor_words (fun () -> Olden.Mst.iter_edges params count) -. baseline ()
+  in
+  let per_edge = words /. float_of_int !edges in
+  if per_edge > 0.05 then
+    Alcotest.failf "Mst.iter_edges: %.3f host words per edge (budget 0.05)"
+      per_edge
 
 (* The same health arm with the locality profilers subscribed, on the
    machine [ccsl-cli profile] uses: the observers add no per-access
@@ -556,11 +575,9 @@ let test_walks_allocation_free () =
    copy and rewrite allocate no per-node list, tuple, closure or
    [Bytes] (the list- and Hashtbl-based morph took 72-101 words per
    node).  What remains is sized to the structure, and then mostly on
-   the major heap: 0.080-0.082 words per node for every engine (the
-   weighted engine's heap reads each weight from its float array, so no
-   push boxes one).  The budget is 0.2: the largest engine's figure with
-   a margin of about 0.12, well below the 1.37 a boxed float per push
-   costs. *)
+   the major heap: 0.080-0.082 words per node for both engines.  The
+   budget is 0.2: the larger engine's figure with a margin of about
+   0.12. *)
 let test_morph_words_per_node () =
   let elem_bytes = 20 and n = (1 lsl 14) - 1 in
   List.iter
@@ -610,6 +627,8 @@ let tests =
           test_health_words_per_access;
         Alcotest.test_case "mst under 0.55 words per access" `Quick
           test_mst_words_per_access;
+        Alcotest.test_case "mst edges under 0.05 words per edge" `Quick
+          test_mst_edges_words_per_edge;
         Alcotest.test_case "perimeter under 0.17 words per access" `Quick
           test_perimeter_words_per_access;
         Alcotest.test_case "profiled health under 0.08 words per access"

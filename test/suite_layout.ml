@@ -1,9 +1,7 @@
-(* The layout-engine subsystem's contract: the refactored engines are
-   bit-identical to the schemes they replaced, trees and plans are
-   checked as they are built, every engine (built-in or not) emits a
-   valid partition on arbitrary unbalanced trees, and the multi-level
-   shootout harness reproduces its committed export exactly under the
-   parallel runner. *)
+(* The layout-engine subsystem's contract: the engines are bit-identical
+   to the schemes they replaced, trees and plans are checked as they are
+   built, every engine emits a valid partition on arbitrary unbalanced
+   trees, and the vEB order the hand-designed vEB tree follows is pinned. *)
 
 module M = Memsim
 module Machine = Memsim.Machine
@@ -14,8 +12,6 @@ module Ccmorph = Ccsl.Ccmorph
 module Bst = Structures.Bst
 module Rng = Workload.Rng
 module OC = Olden.Common
-module J = Obs.Json
-module LS = Harness.Layout_shootout
 
 let stats_tuple (s : Cache.stats) =
   ( s.Cache.reads,
@@ -86,10 +82,10 @@ let test_treeadd_depth_first_differential () =
 let test_tree_of_bfs_rejects () =
   let reject what msg ~n ~nroots first_kid =
     Alcotest.check_raises what (Invalid_argument ("Layout.Tree: " ^ msg))
-      (fun () -> ignore (Layout.Tree.of_bfs ~n ~nroots ~first_kid ()))
+      (fun () -> ignore (Layout.Tree.of_bfs ~n ~nroots ~first_kid))
   in
   (* a valid forest: roots 0 and 1; 0 has kids 2, 3; 2 has kid 4 *)
-  let t = Layout.Tree.of_bfs ~n:5 ~nroots:2 ~first_kid:[| 2; 4; 4; 5; 5; 5 |] () in
+  let t = Layout.Tree.of_bfs ~n:5 ~nroots:2 ~first_kid:[| 2; 4; 4; 5; 5; 5 |] in
   Alcotest.(check (array int)) "heights" [| 3; 1; 2; 1; 1 |] (Layout.Tree.heights t);
   Alcotest.(check (array int)) "preorder" [| 0; 2; 4; 3; 1 |] (Layout.Tree.dfs_order t);
   reject "negative size" "n < 0" ~n:(-1) ~nroots:0 [| 0 |];
@@ -173,14 +169,10 @@ let prop_all_engines_valid =
         let p = Rng.int rng i in
         kids.(p) <- i :: kids.(p)
       done;
-      let weight =
-        if forest then Some (fun v -> float_of_int ((v * 37) mod 11)) else None
-      in
       let t, _ =
-        Layout.Tree.of_kids ?weight ~n
+        Layout.Tree.of_kids ~n
           ~kids:(fun i -> kids.(i))
           ~roots:(List.init nroots Fun.id)
-          ()
       in
       List.for_all
         (fun e -> is_partition (e.Layout.Engine.plan t ~k) ~n ~k)
@@ -193,20 +185,15 @@ let prop_all_engines_valid =
 let complete_kids n i =
   List.filter (fun c -> c < n) [ (2 * i) + 1; (2 * i) + 2 ]
 
-(* Height-4 complete tree, k = 3: the van Emde Boas split puts the top
-   two levels in one block and each depth-2 subtree in its own block —
-   the triads a 3-element block can hold at every recursion level. *)
+(* Height-4 complete tree: the van Emde Boas split emits the top two
+   levels, then each depth-2 subtree (a parent and its two children) in
+   turn, left to right. *)
 let test_veb_complete_tree () =
   let n = 15 in
-  let t, ids = Layout.Tree.of_kids ~n ~kids:(complete_kids n) ~roots:[ 0 ] () in
-  let plan = Layout.Veb.plan t ~k:3 in
-  Alcotest.(check (array int)) "vEB blocks are the recursive triads"
+  let t, ids = Layout.Tree.of_kids ~n ~kids:(complete_kids n) ~roots:[ 0 ] in
+  Alcotest.(check (array int)) "vEB order is the recursive triads"
     [| 0; 1; 2; 3; 7; 8; 4; 9; 10; 5; 11; 12; 6; 13; 14 |]
-    (Array.map (Array.get ids) plan.Layout.Plan.order);
-  Alcotest.(check (array int)) "five blocks of three" [| 0; 3; 6; 9; 12; 15 |]
-    plan.Layout.Plan.starts;
-  Alcotest.(check int) "root lands in block 0 (coloring hot prefix)" 0
-    plan.Layout.Plan.block_of_node.(0)
+    (Array.map (Array.get ids) (Layout.Veb.order t))
 
 (* ------------------------------------------------------------------ *)
 (* Engines under morph: checksum preserved, plans checked              *)
@@ -214,7 +201,7 @@ let test_veb_complete_tree () =
 
 let test_morph_engines_with_checked_plans () =
   List.iter
-    (fun (name, scheme) ->
+    (fun (e : Layout.Engine.t) ->
       let m = Machine.create (Config.tiny ()) in
       let elem_bytes = Bst.default_elem_bytes in
       let n = 127 in
@@ -225,25 +212,23 @@ let test_morph_engines_with_checked_plans () =
           (Bst.Random (Rng.create 42)) ~keys
       in
       let params =
-        {
-          Ccmorph.default_params with
-          Ccmorph.cluster = scheme;
-          weights = Some (fun a -> float_of_int (a land 0xff));
-        }
+        { Ccmorph.default_params with Ccmorph.cluster = Ccmorph.Engine e }
       in
       let r = Ccmorph.morph ~params m (Bst.desc ~elem_bytes) ~root:t.Bst.root in
       let t = Bst.of_root m ~elem_bytes ~n r.Ccmorph.new_root in
       let ok = Array.for_all (fun k -> Bst.search t k) keys in
-      Alcotest.(check bool) (name ^ ": all keys survive the morph") true ok)
-    LS.engine_schemes
+      Alcotest.(check bool)
+        (e.Layout.Engine.name ^ ": all keys survive the morph")
+        true ok)
+    Layout.Engine.builtins
 
 (* ------------------------------------------------------------------ *)
 (* cold-order TLB sensitivity, per engine                             *)
 (* ------------------------------------------------------------------ *)
 
-(* One deterministic search-heavy run on the TLB-modeling UltraSPARC,
-   deep enough (2^15 - 1 nodes x 20 B = 640 KB) to exceed the 512 KB
-   TLB reach. *)
+(* The TLB misses of one deterministic search-heavy run on the
+   TLB-modeling UltraSPARC, deep enough (2^15 - 1 nodes x 20 B = 640 KB)
+   to exceed the 512 KB TLB reach. *)
 let tlb_fingerprint engine =
   let m = Machine.create (Config.ultrasparc_e5000 ~tlb:true ()) in
   let elem_bytes = Bst.default_elem_bytes in
@@ -264,97 +249,24 @@ let tlb_fingerprint engine =
   for _ = 1 to 3_000 do
     ignore (Bst.search t keys.(Rng.int rng n))
   done;
-  let st = Hierarchy.stats (Machine.hierarchy m) in
-  let tlb_misses =
-    match st.Hierarchy.h_tlb with
-    | Some s -> s.M.Tlb.t_misses
-    | None -> Alcotest.fail "machine models no TLB"
-  in
-  ( tlb_misses,
-    Machine.cycles m,
-    stats_tuple st.Hierarchy.h_l1,
-    stats_tuple st.Hierarchy.h_l2 )
+  match (Hierarchy.stats (Machine.hierarchy m)).Hierarchy.h_tlb with
+  | Some s -> s.M.Tlb.t_misses
+  | None -> Alcotest.fail "machine models no TLB"
 
-(* Each engine against its [Plan_order] variant: a plan-order engine is
-   its own variant, and must fingerprint the same twice. *)
+(* Each engine against its [Plan_order] variant: the paper's page-aware
+   emission must not cost TLB misses. *)
 let test_cold_order_tlb_sensitivity () =
   List.iter
-    (fun (name, scheme) ->
-      let engine = Ccmorph.engine_of_scheme scheme in
-      let on = tlb_fingerprint engine in
-      let off =
+    (fun (engine : Layout.Engine.t) ->
+      let tlb_on = tlb_fingerprint engine in
+      let tlb_off =
         tlb_fingerprint { engine with cold_order = Layout.Engine.Plan_order }
       in
-      match engine.Layout.Engine.cold_order with
-      | Layout.Engine.Plan_order ->
-          Alcotest.(check bool)
-            (name ^ ": a plan-order engine is its own plan-order variant")
-            true (on = off)
-      | Layout.Engine.Dfs_first_visit ->
-          let tlb_on, _, _, _ = on and tlb_off, _, _, _ = off in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s: page-aware emission does not hurt TLB (%d <= %d)"
-               name tlb_on tlb_off)
-            true (tlb_on <= tlb_off))
-    LS.engine_schemes
-
-(* ------------------------------------------------------------------ *)
-(* Shootout harness: report shape, parallel == serial                  *)
-(* ------------------------------------------------------------------ *)
-
-let test_shootout_report_shape () =
-  match LS.run "micro" with
-  | None -> Alcotest.fail "micro is a known workload"
-  | Some r ->
-      let engines = List.map fst LS.engine_schemes in
-      Alcotest.(check (list string))
-        "one row per built-in engine, in order" engines
-        (List.map (fun row -> row.LS.row_engine) r.LS.rows);
-      (match r.LS.rows with
-      | first :: rest ->
-          List.iter
-            (fun row ->
-              Alcotest.(check int)
-                (row.LS.row_engine ^ ": layout must not change the answers")
-                first.LS.row_checksum row.LS.row_checksum)
-            rest
-      | [] -> Alcotest.fail "empty report");
-      List.iter
-        (fun row ->
-          Alcotest.(check bool)
-            (row.LS.row_engine ^ ": TLB level present on the micro machine")
-            true
-            (row.LS.row_tlb <> None))
-        r.LS.rows
-
-(* The reference is the committed BENCH_layout_treeadd.json, which
-   [ccsl-cli layout treeadd --json] writes, found from the test binary's
-   path (dune copies it to the build root as a dependency) so the test
-   runs from any working directory: the rows [Parallel.map]
-   reassembles (forked wherever the machine has more than one core)
-   must export byte-identically to it. *)
-let test_shootout_parallel_matches_serial () =
-  match LS.run "treeadd" with
-  | Some r ->
-      let golden =
-        In_channel.with_open_bin
-          (Filename.concat
-             (Filename.dirname Sys.executable_name)
-             "../BENCH_layout_treeadd.json")
-          In_channel.input_all
-      in
-      let export =
-        Obs.Export.envelope ~experiment:"layout-treeadd" ~scale:"quick"
-          (LS.to_json r)
-      in
-      Alcotest.(check string) "forked shootout reassembles byte-identically"
-        golden
-        (J.to_string export ^ "\n")
-  | None -> Alcotest.fail "treeadd is a known workload"
-
-let test_shootout_unknown_bench () =
-  Alcotest.(check bool) "unknown workload is None" true
-    (LS.run "nosuch" = None)
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: page-aware emission does not hurt TLB (%d <= %d)"
+           engine.Layout.Engine.name tlb_on tlb_off)
+        true (tlb_on <= tlb_off))
+    Layout.Engine.builtins
 
 let tests =
   [
@@ -370,12 +282,6 @@ let tests =
           test_morph_engines_with_checked_plans;
         Alcotest.test_case "cold_order TLB sensitivity per engine" `Quick
           test_cold_order_tlb_sensitivity;
-        Alcotest.test_case "shootout report shape (micro)" `Quick
-          test_shootout_report_shape;
-        Alcotest.test_case "shootout parallel == serial (treeadd)" `Quick
-          test_shootout_parallel_matches_serial;
-        Alcotest.test_case "shootout rejects unknown workloads" `Quick
-          test_shootout_unknown_bench;
         QCheck_alcotest.to_alcotest prop_all_engines_valid;
         Alcotest.test_case "Tree.of_bfs rejects each malformed form" `Quick
           test_tree_of_bfs_rejects;

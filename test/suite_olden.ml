@@ -12,6 +12,33 @@ let small_health =
 let small_mst = { Olden.Mst.vertices = 64; degree = 4; seed = 3 }
 let small_perimeter = { Olden.Perimeter.size = 64; seed = 7 }
 
+(* The MST weight by a plain OCaml Prim's over the same generated graph,
+   with no simulated memory involved. *)
+let mst_oracle_weight params =
+  let n = params.Olden.Mst.vertices in
+  let adj = Array.make n [] in
+  Olden.Mst.iter_edges params (fun i j w ->
+      adj.(i) <- (j, w) :: adj.(i);
+      adj.(j) <- (i, w) :: adj.(j));
+  let dist = Array.make n max_int in
+  let visited = Array.make n false in
+  dist.(0) <- 0;
+  let total = ref 0 in
+  for _ = 1 to n do
+    let best = ref (-1) in
+    for v = 0 to n - 1 do
+      if (not visited.(v)) && (!best < 0 || dist.(v) < dist.(!best)) then
+        best := v
+    done;
+    let u = !best in
+    visited.(u) <- true;
+    total := !total + dist.(u);
+    List.iter
+      (fun (v, w) -> if (not visited.(v)) && w < dist.(v) then dist.(v) <- w)
+      adj.(u)
+  done;
+  !total
+
 let placements = C.all_placements @ [ C.Null_hint_control ]
 
 let test_treeadd_sum () =
@@ -48,7 +75,7 @@ let test_health_deterministic () =
   Alcotest.(check int) "same checksum" a.C.checksum b.C.checksum
 
 let test_mst_weight_oracle () =
-  let expected = Olden.Mst.oracle_weight small_mst in
+  let expected = mst_oracle_weight small_mst in
   List.iter
     (fun p ->
       let r = Olden.Mst.run ~params:small_mst p in
@@ -166,11 +193,7 @@ let test_kernel_table_names () =
   rejects "olden_kernel" (fun () -> Ex.olden_kernel Ex.Quick "treeadd2");
   rejects "Profiles.run" (fun () -> Harness.Profiles.run "treeadd2");
   rejects "Whole_program.run" (fun () ->
-      Harness.Whole_program.run "treeadd2");
-  rejects "Layout_shootout.run" (fun () ->
-      Harness.Layout_shootout.run "treeadd2");
-  rejects "Layout_shootout.run mst" (fun () ->
-      Harness.Layout_shootout.run "mst")
+      Harness.Whole_program.run "treeadd2")
 
 let prop_treeadd_sum_any_size =
   QCheck.Test.make ~count:8 ~name:"treeadd sums correctly at any size"
@@ -186,7 +209,7 @@ let prop_mst_matches_oracle =
     (fun (vertices, degree) ->
       let params = { Olden.Mst.vertices; degree; seed = vertices + degree } in
       let r = Olden.Mst.run ~params Olden.Common.Ccmorph_cluster in
-      r.C.checksum = Olden.Mst.oracle_weight params)
+      r.C.checksum = mst_oracle_weight params)
 
 let prop_perimeter_matches_oracle =
   QCheck.Test.make ~count:5 ~name:"perimeter matches pixel-grid oracle"
@@ -253,6 +276,30 @@ let test_whole_program_arms () =
       Alcotest.(check string) "static-ccmalloc runs on ccmalloc new-block"
         "NA" (arm "static-ccmalloc").C.r_label
 
+(* The reference is the committed BENCH_run.json, which
+   [ccsl-cli run treeadd --json] writes, found from the test binary's
+   path (dune copies it to the build root as a dependency) so the test
+   runs from any working directory: the arms [Parallel.map] reassembles
+   (forked wherever the machine has more than one core) must export
+   byte-identically to it. *)
+let test_whole_program_matches_golden () =
+  match Harness.Whole_program.run "treeadd" with
+  | None -> Alcotest.fail "treeadd must be a known benchmark"
+  | Some r ->
+      let golden =
+        In_channel.with_open_bin
+          (Filename.concat
+             (Filename.dirname Sys.executable_name)
+             "../BENCH_run.json")
+          In_channel.input_all
+      in
+      let export =
+        Obs.Export.envelope ~experiment:"run-treeadd"
+          (Harness.Whole_program.to_json r)
+      in
+      Alcotest.(check string) "forked arms reassemble byte-identically" golden
+        (Obs.Json.to_string export ^ "\n")
+
 let tests =
   [
     ( "olden",
@@ -284,5 +331,7 @@ let tests =
           test_fixed_morph_schedule;
         Alcotest.test_case "whole-program static arms" `Quick
           test_whole_program_arms;
+        Alcotest.test_case "forked run treeadd == BENCH_run.json" `Quick
+          test_whole_program_matches_golden;
       ] );
   ]

@@ -112,7 +112,7 @@ let complete_kids n i =
 (* The paper's scheme over a tree rooted at node 0, as an array of blocks
    in the caller's ids. *)
 let subtree_blocks ~n ~kids ~k =
-  let t, ids = Layout.Tree.of_kids ~n ~kids ~roots:[ 0 ] () in
+  let t, ids = Layout.Tree.of_kids ~n ~kids ~roots:[ 0 ] in
   let plan = Layout.Subtree.plan t ~k in
   Array.init (Plan.nblocks plan) (fun j ->
       Array.init

@@ -92,7 +92,7 @@ let test_bst_veb_layout () =
       in
       ignore (walk t.Bst.root);
       let order =
-        let t, ids = Layout.Tree.of_kids ~n ~kids:(Array.get kids) ~roots:[ 0 ] () in
+        let t, ids = Layout.Tree.of_kids ~n ~kids:(Array.get kids) ~roots:[ 0 ] in
         Array.map (Array.get ids) (Layout.Veb.order t)
       in
       for i = 1 to n - 1 do
