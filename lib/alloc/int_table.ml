@@ -6,9 +6,12 @@
    The table quadruples when it fills rather than doubling.  Every
    outgrown pair of arrays is garbage until the next major collection
    finishes, and with doubling that garbage adds up to the final table's
-   size; quadrupling cuts it to a third.  A table built up to 2^18
-   entries (the tree-search benchmark's heap) peaked ~13 MB higher when
-   it doubled. *)
+   size; quadrupling cuts it to a third.  The factor was measured on a
+   table built up to 2^18 entries, malloc's live table for the
+   tree-search benchmark's heap at the time, which peaked ~13 MB higher
+   when it doubled.  The allocators no longer keep one; the tables left
+   are [Obs.Profile]'s, [Analyze.Shadow]'s, [Ccmorph]'s page count and
+   mst's edge set. *)
 
 type t = {
   mutable keys : int array;

@@ -1,9 +1,11 @@
 (** A hash table from non-negative [int] keys to [int] values, stored
     in two flat [int] arrays (open addressing, linear probing).
 
-    It is the allocators' metadata map (live objects, size bins, managed
-    pages).  Unlike [(int, int) Hashtbl.t] it allocates nothing on the
-    host heap except when it quadruples its capacity: lookups return
+    The locality profilers ([Obs.Profile]), the placement sanitizer's
+    shadow heap ([Analyze.Shadow]), [Ccmorph]'s count of the pages a
+    morph used, and mst's edge set use it.  Unlike
+    [(int, int) Hashtbl.t] it allocates nothing on the host heap except
+    when it quadruples its capacity: lookups return
     unboxed values, and insertions and removals write in place.  Memory
     grows with the number of entries (load factor at most 3/4), not with
     the range of the keys. *)

@@ -11,56 +11,53 @@ let free_cycles = 8
    wilderness runs dry. *)
 let grow_pages = 16
 
-(* One exact-size LIFO bin: a stack of chunk base addresses. *)
-type bin = { size : int; chunks : Int_stack.t }
-
 type t = {
   m : Machine.t;
-  (* exact-size bins: carved size -> index into [bins] *)
-  bin_of_size : Int_table.t;
-  mutable bins : bin array;
-  mutable nbins : int;
+  (* exact-size LIFO bins of chunk base addresses, indexed by carved
+     size / 8; [no_bin] for every size never carved *)
+  mutable bins : Int_stack.t array;
   mutable wilderness : int;  (* next free byte of the current region *)
   mutable wilderness_end : int;
-  live : Int_table.t;  (* payload addr -> carved bytes *)
+  live : Live_set.t;
+      (* live payloads; each one's carved size is in its header word *)
   mutable allocations : int;
   mutable frees : int;
   mutable bytes_requested : int;
   mutable bytes_reserved : int;
 }
 
-let no_bin = { size = 0; chunks = Int_stack.create 1 }
+let no_bin = Int_stack.create 0
 
 let create m =
   {
     m;
-    bin_of_size = Int_table.create 16;
-    bins = Array.make 8 no_bin;
-    nbins = 0;
+    bins = Array.make 16 no_bin;
     wilderness = 0;
     wilderness_end = 0;
-    live = Int_table.create 2048;
+    live = Live_set.create ~page_bytes:(Machine.page_bytes m);
     allocations = 0;
     frees = 0;
     bytes_requested = 0;
     bytes_reserved = 0;
   }
 
-let new_bin t size =
-  if t.nbins = Array.length t.bins then begin
-    let bigger = Array.make (2 * t.nbins) no_bin in
-    Array.blit t.bins 0 bigger 0 t.nbins;
+(* The bin of carved size [need], created (and [bins] grown) on first
+   use. *)
+let bin t need =
+  let i = need lsr 3 in
+  let n = Array.length t.bins in
+  if i >= n then begin
+    let bigger = Array.make (max (i + 1) (2 * n)) no_bin in
+    Array.blit t.bins 0 bigger 0 n;
     t.bins <- bigger
   end;
-  let b = { size; chunks = Int_stack.create 16 } in
-  t.bins.(t.nbins) <- b;
-  Int_table.replace t.bin_of_size size t.nbins;
-  t.nbins <- t.nbins + 1;
-  b
-
-let bin t size =
-  let i = Int_table.find_or t.bin_of_size size ~default:(-1) in
-  if i >= 0 then Array.unsafe_get t.bins i else new_bin t size
+  let b = Array.unsafe_get t.bins i in
+  if b != no_bin then b
+  else begin
+    let b = Int_stack.create 16 in
+    t.bins.(i) <- b;
+    b
+  end
 
 let carve t need =
   if t.wilderness + need > t.wilderness_end then begin
@@ -82,15 +79,16 @@ let alloc t bytes =
   let need = header_bytes + A.align_up bytes 8 in
   let b = bin t need in
   let base =
-    if Int_stack.length b.chunks > 0 then
+    if Int_stack.length b > 0 then
       (* LIFO bin reuse: the most recently freed chunk of this size,
          wherever in the heap it happens to sit *)
-      Int_stack.pop b.chunks
+      Int_stack.pop b
     else carve t need
   in
   let payload = base + header_bytes in
-  Int_table.replace t.live payload need;
-  (* Header word records the carved size, as a real allocator would. *)
+  Live_set.add t.live payload;
+  (* The header word records the carved size, as a real allocator's
+     does; [free] reads it back. *)
   Memsim.Memory.store32 (Machine.memory t.m) base need;
   Memsim.Memory.fill_zero (Machine.memory t.m) payload ~bytes;
   t.allocations <- t.allocations + 1;
@@ -100,33 +98,39 @@ let alloc t bytes =
 
 let free t payload =
   Machine.busy t.m free_cycles;
-  let carved = Int_table.find_or t.live payload ~default:0 in
-  if carved = 0 then invalid_arg "Malloc.free: not an allocated address";
-  Int_table.remove t.live payload;
+  if not (Live_set.mem t.live payload) then
+    invalid_arg "Malloc.free: not an allocated address";
+  let base = payload - header_bytes in
+  let carved = Memsim.Memory.load32 (Machine.memory t.m) base in
+  (* Only a size some [alloc] carved has a bin; anything else in the
+     header was written over the allocator's metadata. *)
+  let i = carved lsr 3 in
+  if carved land 7 <> 0 || i >= Array.length t.bins || t.bins.(i) == no_bin
+  then invalid_arg "Malloc.free: header does not hold a carved size";
+  Live_set.remove t.live payload;
   t.frees <- t.frees + 1;
   t.bytes_reserved <- t.bytes_reserved - carved;
-  Int_stack.push (bin t carved).chunks (payload - header_bytes)
+  Int_stack.push t.bins.(i) base
 
 let free_bytes t =
   let sum = ref 0 in
-  for i = 0 to t.nbins - 1 do
-    let b = t.bins.(i) in
-    sum := !sum + (b.size * Int_stack.length b.chunks)
-  done;
+  Array.iteri (fun i b -> sum := !sum + (8 * i * Int_stack.length b)) t.bins;
   !sum
 
 let check_invariants t =
   (* live payload ranges and binned chunk ranges must be disjoint *)
   let ranges = ref [] in
-  Int_table.iter
-    (fun payload carved -> ranges := (payload - header_bytes, carved) :: !ranges)
+  Live_set.iter
+    (fun payload ->
+      let base = payload - header_bytes in
+      ranges := (base, Memsim.Memory.load32 (Machine.memory t.m) base) :: !ranges)
     t.live;
-  for i = 0 to t.nbins - 1 do
-    let b = t.bins.(i) in
-    for j = 0 to Int_stack.length b.chunks - 1 do
-      ranges := (Int_stack.get b.chunks j, b.size) :: !ranges
-    done
-  done;
+  Array.iteri
+    (fun i b ->
+      for j = 0 to Int_stack.length b - 1 do
+        ranges := (Int_stack.get b j, 8 * i) :: !ranges
+      done)
+    t.bins;
   let by_start (a1, s1) (a2, s2) =
     if a1 <> a2 then Int.compare a1 a2 else Int.compare s1 s2
   in
@@ -146,7 +150,7 @@ let allocator t =
     Allocator.name = "malloc";
     alloc = (fun ?hint ?site bytes -> ignore hint; ignore site; alloc t bytes);
     free = (fun a -> free t a);
-    owns = (fun a -> Int_table.mem t.live a);
+    owns = (fun a -> Live_set.mem t.live a);
     stats =
       (fun () ->
         {

@@ -7,9 +7,12 @@
     layout is a consequence of allocation order and of bin reuse —
     freed objects of one structure are handed to whatever allocates that
     size next, which is precisely the locality-destroying behaviour
-    cache-conscious placement repairs.  Bin metadata is kept out-of-band
-    (in OCaml) but headers and padding consume simulated address space,
-    so layouts — the thing under study — are faithful. *)
+    cache-conscious placement repairs.  Each object's header word holds
+    its carved size, which [free] reads back, so headers and padding
+    consume simulated address space and layouts — the thing under
+    study — are faithful.  The bins' heads and the set of live payloads
+    (an {!Live_set}) are kept out-of-band, in OCaml; neither holds
+    anything per object but a bit. *)
 
 type t
 
@@ -21,7 +24,13 @@ val allocator : t -> Allocator.t
 (** The {!Allocator.t} view (ignores hints). *)
 
 val alloc : t -> int -> Memsim.Addr.t
+
 val free : t -> Memsim.Addr.t -> unit
+(** Returns the chunk to the bin of the size its header word holds
+    (read untimed).
+    @raise Invalid_argument when the address is not a live payload (a
+    double free, an interior or misaligned pointer), or when its header
+    holds no size this allocator carved (it was written over). *)
 
 val free_bytes : t -> int
 (** Total bytes currently sitting in bins (for tests). *)

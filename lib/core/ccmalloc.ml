@@ -1,6 +1,5 @@
 module A = Memsim.Addr
 module Machine = Memsim.Machine
-module Int_table = Alloc.Int_table
 module Int_stack = Alloc.Int_stack
 
 type strategy = Closest | New_block | First_fit
@@ -62,7 +61,9 @@ type t = {
   mutable dir : page array;
       (* page index ([addr lsr page_shift]) -> page; [no_page] for every
          page ccmalloc did not open *)
-  live : Int_table.t;  (* payload -> unit (header + payload bytes) *)
+  live : Alloc.Live_set.t;
+      (* live payloads; each one's unit (header + payload bytes) is in
+         its header *)
   slots : slots;
   (* Sequential default path for hint-less allocations ([no_page] until
      the first one). *)
@@ -108,7 +109,7 @@ let create ?(strategy = New_block) m =
     blocks_per_page = page_bytes / block_bytes;
     page_shift = A.log2 page_bytes;
     dir = Array.make 64 no_page;
-    live = Int_table.create 2048;
+    live = Alloc.Live_set.create ~page_bytes;
     slots = { s_off = [||]; s_unit = [||]; s_next = [||]; s_unused = -1 };
     cur_page = no_page;
     cur_block = 0;
@@ -226,7 +227,7 @@ let place t p b unit =
   in
   let base = p.base + (b * t.block_bytes) + off in
   let payload = base + header_bytes in
-  Int_table.replace t.live payload unit;
+  Alloc.Live_set.add t.live payload;
   Memsim.Memory.store32 (Machine.memory t.m) base unit;
   Memsim.Memory.fill_zero (Machine.memory t.m) payload
     ~bytes:(unit - header_bytes);
@@ -360,15 +361,21 @@ let alloc t ?(hint = A.null) bytes =
 
 let free t payload =
   Machine.busy t.m free_cycles;
-  let unit = Int_table.find_or t.live payload ~default:0 in
-  if unit = 0 then invalid_arg "Ccmalloc.free: not an allocated address";
-  Int_table.remove t.live payload;
-  t.frees <- t.frees + 1;
+  if not (Alloc.Live_set.mem t.live payload) then
+    invalid_arg "Ccmalloc.free: not an allocated address";
   let addr = payload - header_bytes in
+  let unit = Memsim.Memory.load32 (Machine.memory t.m) addr in
   let p = page_at t addr in
   let e = addr / t.block_bytes in
   let b = e mod t.blocks_per_page in
   let in_block = addr - (e * t.block_bytes) in
+  (* Every object [place] wrote lies below its block's bump pointer;
+     any other unit in the header was written over the allocator's
+     metadata. *)
+  if unit land 7 <> 0 || unit < header_bytes + 8 || in_block + unit > p.fill.(b)
+  then invalid_arg "Ccmalloc.free: header does not hold a placed unit";
+  Alloc.Live_set.remove t.live payload;
+  t.frees <- t.frees + 1;
   if p.fill.(b) = in_block + unit then
     (* the block's most recent object: shrink the bump pointer *)
     p.fill.(b) <- in_block
@@ -421,7 +428,7 @@ let allocator t =
     Alloc.Allocator.name = "ccmalloc-" ^ strategy_name t.strategy;
     alloc = (fun ?hint ?site bytes -> ignore site; alloc t ?hint bytes);
     free = (fun a -> free t a);
-    owns = (fun a -> Int_table.mem t.live a);
+    owns = (fun a -> Alloc.Live_set.mem t.live a);
     stats =
       (fun () ->
         {

@@ -53,9 +53,11 @@ val free : t -> Memsim.Addr.t -> unit
     recycled only by hinted allocations (overflow spill), never by
     hint-less ones — a cold object dropped mid-structure would silently
     undo co-location.  The paper's benchmarks never rely on [ccmalloc]
-    reuse.
+    reuse.  The object's unit (header + payload) is read, untimed, from
+    its header word; liveness is one bit in an {!Alloc.Live_set}.
     @raise Invalid_argument when [addr] is not a live payload (a double
-    free, an interior pointer). *)
+    free, an interior or misaligned pointer), or when its header holds no
+    unit ccmalloc could have placed there (it was written over). *)
 
 val allocator : t -> Alloc.Allocator.t
 

@@ -1,9 +1,11 @@
-(* The Hashtbl-backed allocators as they stood before their metadata
-   moved to [Alloc.Int_table], kept here unchanged (apart from the
-   public wrappers they no longer need, and ccmalloc's whole-block span
-   path, removed from the library with it) as the oracle for
-   [Suite_alloc_table]'s differential tests.  Nothing outside the tests
-   uses them. *)
+(* The allocators with all their metadata in OCaml [Hashtbl]s: live
+   payload -> size, size -> bin, and ccmalloc's pages.  The library's
+   allocators keep none of it per object (a live payload is one bit in
+   an [Alloc.Live_set], its size is in its simulated header word, and
+   the bins and pages are arrays); these are kept unchanged, apart from
+   the public wrappers they no longer need and ccmalloc's whole-block
+   span path, as the oracle for [Suite_alloc_table]'s differential
+   tests.  Nothing outside the tests uses them. *)
 
 module A = Memsim.Addr
 module Machine = Memsim.Machine

@@ -1,7 +1,8 @@
-(* The allocators' int-keyed metadata table, and the allocators built on
-   it checked against their Hashtbl-backed predecessors ([Alloc_ref]):
-   same addresses, same errors, same statistics, on random
-   alloc/free/owns sequences, including address spaces above 64 MB. *)
+(* The int-keyed table [Alloc.Int_table] against [Hashtbl]; the
+   allocators checked against their Hashtbl-backed predecessors
+   ([Alloc_ref]): same addresses, same errors, same statistics, on random
+   alloc/free/owns sequences, including address spaces above 64 MB; and
+   the contract of their live bitmap and header words. *)
 
 module Machine = Memsim.Machine
 module Config = Memsim.Config
@@ -322,6 +323,84 @@ let test_invalid_frees_raise () =
           ("negative", -8) ])
     [ Ccmalloc.Closest; Ccmalloc.New_block; Ccmalloc.First_fit ]
 
+(* ------------------------------------------------------------------ *)
+(* The live bitmap and the header word                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* One allocator under the contract tests: its view, its [free]'s
+   message for an address that is no live payload, and its machine. *)
+let contract_subjects () =
+  let mk () = Machine.create (Config.tiny ()) in
+  let m = mk () in
+  ("malloc", Malloc.allocator (Malloc.create m), "Malloc", m)
+  :: List.map
+       (fun strategy ->
+         let m = mk () in
+         ( "ccmalloc " ^ Ccmalloc.strategy_name strategy,
+           Ccmalloc.allocator (Ccmalloc.create ~strategy m),
+           "Ccmalloc",
+           m ))
+       [ Ccmalloc.Closest; Ccmalloc.New_block; Ccmalloc.First_fit ]
+
+(* Near a live 24-byte payload [x], and far from it: none of these is a
+   live payload, so [owns] says no and [free] raises without touching
+   the allocator, which still frees [x] afterwards. *)
+let test_bitmap_rejects_non_payloads () =
+  List.iter
+    (fun (name, (a : Alloc.Allocator.t), modname, m) ->
+      let x = a.alloc 24 in
+      let neighbour = a.alloc 24 in
+      let foreign = Machine.reserve_pages m 1 in
+      List.iter
+        (fun (what, addr) ->
+          let label = name ^ ": " ^ what in
+          Alcotest.(check bool) (label ^ " owned") false (a.owns addr);
+          Alcotest.check_raises label
+            (Invalid_argument (modname ^ ".free: not an allocated address"))
+            (fun () -> a.free addr))
+        [
+          ("misaligned pointer", x + 4);
+          ("header address", x - 8);
+          ("interior pointer", x + 8);
+          ("page never carved", foreign);
+          ("negative address", -8);
+          ("past the directory's end", (1 lsl 32) - 8);
+          ("far past the directory's end", max_int land lnot 7);
+        ];
+      Alcotest.(check bool) (name ^ ": payload owned") true (a.owns x);
+      a.free x;
+      a.free neighbour;
+      Alcotest.(check bool) (name ^ ": freed payload owned") false (a.owns x);
+      Alcotest.(check int) (name ^ ": frees") 2 (a.stats ()).frees)
+    (contract_subjects ())
+
+(* A header overwritten with a size the allocator never wrote makes
+   [free] raise and leaves the object live; with the header restored,
+   the same free succeeds. *)
+let test_clobbered_header_raises () =
+  List.iter
+    (fun (name, (a : Alloc.Allocator.t), modname, m) ->
+      let x = a.alloc 24 in
+      let header = Machine.uload32 m (x - 8) in
+      List.iter
+        (fun garbage ->
+          Machine.ustore32 m (x - 8) garbage;
+          let label = Printf.sprintf "%s: header %d" name garbage in
+          (match a.free x with
+          | () -> Alcotest.failf "%s: free returned" label
+          | exception Invalid_argument msg ->
+              Alcotest.(check bool)
+                (label ^ ": message names " ^ modname)
+                true
+                (String.starts_with ~prefix:(modname ^ ".free: header") msg));
+          Alcotest.(check bool) (label ^ ": still owned") true (a.owns x))
+        [ 0; 13; header + 4; 8 * 4096; 0xffff_fff8 ];
+      Machine.ustore32 m (x - 8) header;
+      a.free x;
+      Alcotest.(check bool) (name ^ ": freed") false (a.owns x);
+      Alcotest.(check int) (name ^ ": frees") 1 (a.stats ()).frees)
+    (contract_subjects ())
+
 let tests =
   [
     ( "alloc-table",
@@ -338,5 +417,9 @@ let tests =
           (prop_ccmalloc_matches_hashtbl Ccmalloc.First_fit);
         Alcotest.test_case "invalid and double frees raise" `Quick
           test_invalid_frees_raise;
+        Alcotest.test_case "owns and free reject every non-payload" `Quick
+          test_bitmap_rejects_non_payloads;
+        Alcotest.test_case "free rejects a clobbered header" `Quick
+          test_clobbered_header_raises;
       ] );
   ]
